@@ -366,6 +366,10 @@ let simulator () =
 
 let opt_json = ref false
 let opt_smoke = ref false
+(* With --smoke, also enforce the wall-clock throughput floors. They depend
+   on host timing, so they run under the opt-in `@perf` alias, never under
+   `runtest`. *)
+let opt_perf = ref false
 
 let engine_bench () =
   header "Execution-engine throughput: step vs block vs chain (host wall-clock)";
@@ -625,11 +629,12 @@ let engine_bench () =
 
         Two structural checks are exact: the elide leg must have hit the
         fact cache on its warm passes, and must not have fallen back to
-        eager whole-image analysis.  The throughput check allows a small
+        eager whole-image analysis.  The throughput check (--perf only,
+        i.e. the @perf alias, since it times the host) allows a small
         noise floor: the smoke mix runs ~60ms per pass, where host jitter
         is the same few percent as the elision win itself; the regression
         this guards against (re-running fixpoints on every exec) costs far
-        more than 5%, so the floor keeps the gate deterministic without
+        more than 5%, so the floor absorbs host jitter without
         letting that slip through. *)
      (if !opt_smoke then begin
         if fc_hits = 0 then
@@ -656,7 +661,7 @@ let engine_bench () =
           | None -> (0, 0)
         in
         let b = leg "block" and e = leg "block+elide" in
-        if e < b *. 0.95 then
+        if !opt_perf && e < b *. 0.95 then
           failwith
             (Printf.sprintf
                "bench-smoke: block+elide regressed below block (%.2f < %.2f \
@@ -702,7 +707,7 @@ let engine_bench () =
                 fixpoints (the combined resolver must serve both tiers \
                 from one scan)" gsb);
         let ce = leg "block+chain+elide" in
-        if ce < c *. 0.85 then
+        if !opt_perf && ce < c *. 0.85 then
           failwith
             (Printf.sprintf
                "bench-smoke: block+chain+elide regressed below block+chain \
@@ -1121,7 +1126,7 @@ let fleet_bench () =
        hardware cannot give. docs/FLEET.md records this policy. *)
     let usable = min domains cores in
     let floor_x = 0.625 *. float_of_int usable in
-    if fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
+    if !opt_perf && fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
       failwith
         (Printf.sprintf
            "fleet-smoke: %d-domain aggregate %.2f sim-MIPS under the %.2fx \
@@ -1325,7 +1330,7 @@ let malloc_contention () =
        throughput the hardware can deliver. *)
     let usable = min domains cores in
     let floor_x = 0.625 *. float_of_int usable in
-    if fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
+    if !opt_perf && fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
       failwith
         (Printf.sprintf
            "malloc-smoke: %d-domain aggregate %.2f sim-MIPS under the %.2fx \
@@ -1387,12 +1392,13 @@ let () =
   let flags, args =
     List.partition
       (fun a ->
-        a = "--json" || a = "--smoke"
+        a = "--json" || a = "--smoke" || a = "--perf"
         || String.starts_with ~prefix:"--domains=" a)
       args
   in
   opt_json := List.mem "--json" flags;
   opt_smoke := List.mem "--smoke" flags;
+  opt_perf := List.mem "--perf" flags;
   List.iter
     (fun a ->
       if String.starts_with ~prefix:"--domains=" a then

@@ -134,14 +134,14 @@ let snapshot k (p : Proc.t) status =
   Printf.bprintf b "faults=%s\n" (String.concat "|" p.Proc.fault_log);
   Printf.bprintf b "console=%s\n" (String.escaped (Buffer.contents p.Proc.console));
   let mem = k.Kstate.mem in
-  let size = Tagmem.size mem in
-  Printf.bprintf b "data=%s\n"
-    (Digest.to_hex (Digest.bytes (Tagmem.read_bytes mem 0 size)));
+  Printf.bprintf b "data=%s\n" (Digest.to_hex (Tagmem.digest mem));
+  (* The tag map renders as the comma-separated tagged offsets. *)
+  let tags = Buffer.create 4096 in
+  Tagmem.iter_tags mem 0 (Tagmem.size mem) (fun off ->
+      if Buffer.length tags > 0 then Buffer.add_char tags ',';
+      Buffer.add_string tags (string_of_int off));
   Printf.bprintf b "tags=%s\n"
-    (Digest.to_hex
-       (Digest.string
-          (String.concat ","
-             (List.map string_of_int (Tagmem.scan_tags mem 0 size)))));
+    (Digest.to_hex (Digest.string (Buffer.contents tags)));
   Buffer.contents b
 
 (* --- Running one machine ---------------------------------------------------- *)

@@ -79,25 +79,31 @@ let write_u8 k p vaddr v =
 
 (* --- ASan shadow ------------------------------------------------------------------- *)
 
-let shadow_set k p addr len v =
+(* Run [f pa n] over the physical chunks backing the shadow of
+   [addr, addr+len), page by page in ascending order, so pages fault in
+   exactly as a byte-at-a-time walk would touch them. An unmapped shadow
+   page is a SIGSEGV at its first shadow byte. *)
+let iter_shadow k p addr len ~write f =
   if len > 0 then begin
     let s0 = Exec.shadow_of addr and s1 = Exec.shadow_of (addr + len - 1) in
-    for s = s0 to s1 do
-      write_u8 k p s v
-    done
+    let done_ = ref 0 in
+    try
+      K.iter_user_range k p s0 (s1 - s0 + 1) ~write (fun pa off n ->
+          f pa n;
+          done_ := off + n)
+    with Errno.Error Errno.EFAULT ->
+      seg_fault
+        (Printf.sprintf "unmapped address 0x%x in C runtime" (s0 + !done_))
   end
 
+let shadow_set k p addr len v =
+  iter_shadow k p addr len ~write:true (fun pa n ->
+      Cheri_tagmem.Tagmem.fill k.K.mem pa n v)
+
 let shadow_check k p addr len what =
-  if len > 0 then begin
-    let s0 = Exec.shadow_of addr and s1 = Exec.shadow_of (addr + len - 1) in
-    let rec go s =
-      if s <= s1 then
-        if read_u8 k p s <> 0 then
-          asan_fault (Printf.sprintf "AddressSanitizer: %s at 0x%x" what addr)
-        else go (s + 1)
-    in
-    go s0
-  end
+  iter_shadow k p addr len ~write:false (fun pa n ->
+      if not (Cheri_tagmem.Tagmem.is_zero k.K.mem pa n) then
+        asan_fault (Printf.sprintf "AddressSanitizer: %s at 0x%x" what addr))
 
 let is_asan (p : Proc.t) = p.Proc.abi = Abi.Asan
 

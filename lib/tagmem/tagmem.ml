@@ -163,11 +163,10 @@ let clear_tags_covering_count t addr len =
 let clear_tags_covering t addr len =
   ignore (clear_tags_covering_count t addr len)
 
-(* Which granules in [addr, addr+len) are tagged? Offsets relative to addr.
-   Used by the swap subsystem's tag scan. *)
-let scan_tags t addr len =
+(* Call [f] on the offset (relative to [addr]) of every tagged granule in
+   [addr, addr+len), ascending. *)
+let iter_tags t addr len f =
   check t addr len;
-  let out = ref [] in
   let g0 = granule_of addr and g1 = granule_of (addr + len - 1) in
   let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
   let bi = ref b0 in
@@ -179,13 +178,18 @@ let scan_tags t addr len =
       if b <> 0 then begin
         let lo = max g0 (!bi lsl 3) and hi = min g1 ((!bi lsl 3) lor 7) in
         for g = lo to hi do
-          if b land (1 lsl (g land 7)) <> 0 then
-            out := (g * granule - addr) :: !out
+          if b land (1 lsl (g land 7)) <> 0 then f ((g * granule) - addr)
         done
       end;
       incr bi
     end
-  done;
+  done
+
+(* Which granules in [addr, addr+len) are tagged? Offsets relative to addr.
+   Used by the swap subsystem's tag scan. *)
+let scan_tags t addr len =
+  let out = ref [] in
+  iter_tags t addr len (fun off -> out := off :: !out);
   List.rev !out
 
 (* --- Data access ----------------------------------------------------------- *)
@@ -262,6 +266,21 @@ let blit_bytes t ~dst src =
 let read_bytes t addr len =
   check t addr len;
   Bytes.sub t.bytes addr len
+
+(* Are all bytes of [addr, addr+len) zero? Eight at a time where possible. *)
+let is_zero t addr len =
+  check t addr len;
+  let last = addr + len in
+  let rec words a =
+    if a + 8 <= last then Bytes.get_int64_le t.bytes a = 0L && words (a + 8)
+    else bytes a
+  and bytes a =
+    a >= last || (Bytes.unsafe_get t.bytes a = '\000' && bytes (a + 1))
+  in
+  words addr
+
+(* Digest of the whole data store, hashed in place. *)
+let digest t = Digest.subbytes t.bytes 0 t.size
 
 (* --- Capability access ----------------------------------------------------- *)
 

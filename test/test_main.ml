@@ -5,6 +5,7 @@ let () =
       "isa", Test_isa.suite;
       "engines", Test_engines.suite;
       "vm", Test_vm.suite;
+      "pmap", Test_pmap.suite;
       "rtld", Test_rtld.suite;
       "kernel", Test_kernel.suite;
       "kernel-edge", Test_kernel_edge.suite;

@@ -670,9 +670,10 @@ let engine_bench () =
            chain leg at or below plain block means the links or inline
            caches stopped carrying the hot loops, as does an inline-cache
            hit count of zero on this mix (every workload has monomorphic
-           hot back edges). *)
+           hot back edges). The throughput comparison is wall-clock, so it
+           runs only under [--perf]; the counter gates below are exact. *)
         let c = leg "block+chain" in
-        if c < b then
+        if !opt_perf && c < b then
           failwith
             (Printf.sprintf
                "bench-smoke: block+chain regressed below plain block (%.2f < \

@@ -7,7 +7,9 @@
    Two halves:
 
    1. Parity: a deterministic recorded access trace (seeded LCG; mixed
-      widths, capability stores, moves, fills) is replayed against both the
+      widths, capability stores, moves, fills, byte-range reads and blits,
+      including accesses that straddle or span 4 KiB frame boundaries)
+      is replayed against both the
       optimized [Cheri_tagmem] implementation and a reference
       implementation that reproduces the seed's byte-at-a-time /
       side-Hashtbl / mod-indexed algorithms verbatim. Every observable
@@ -24,6 +26,8 @@ module Tagmem = Cheri_tagmem.Tagmem
 module Cache = Cheri_tagmem.Cache
 
 (* --- Reference tagmem: the seed implementation, kept verbatim -------------- *)
+(* (plus [read_bytes], [blit_bytes] and [is_zero], written the same obvious
+   way over one contiguous store). *)
 
 module Ref_tagmem = struct
   type t = {
@@ -145,6 +149,19 @@ module Ref_tagmem = struct
     clear_tags_covering t addr len;
     Bytes.fill t.bytes addr len (Char.chr (byte land 0xff))
 
+  let read_bytes t addr len = Bytes.sub t.bytes addr len
+
+  let blit_bytes t ~dst src =
+    clear_tags_covering t dst (Bytes.length src);
+    Bytes.blit src 0 t.bytes dst (Bytes.length src)
+
+  let is_zero t addr len =
+    let z = ref true in
+    for i = addr to addr + len - 1 do
+      if Bytes.get t.bytes i <> '\000' then z := false
+    done;
+    !z
+
   let tag_count t = Hashtbl.length t.caps
 end
 
@@ -218,6 +235,9 @@ type op =
   | Move of int * int * int      (* src, dst, len *)
   | Fill of int * int * int
   | Scan of int * int
+  | Read_bytes of int * int
+  | Blit of int * int            (* dst, len of a pattern derived from dst *)
+  | Is_zero of int * int
 
 (* Deterministic 63-bit LCG; the trace is a pure function of the seed. *)
 let lcg state =
@@ -225,14 +245,19 @@ let lcg state =
   state := s;
   s
 
+let frame = 4096
+
 let record_trace ~mem_size ~n =
   let st = ref 0x9e3779b97f4a7c in
   (* Discard the LCG's low bits (they cycle with a short period). *)
   let rnd bound = (lcg st lsr 16) mod bound in
   let widths = [| 1; 2; 4; 8; 8; 8; 4; 3 |] in
+  let nframes = mem_size / frame in
   List.init n (fun _ ->
       let a16 = rnd (mem_size / 16 - 4) * 16 in
-      match rnd 16 with
+      (* An interior frame boundary, for the frame-crossing cases. *)
+      let boundary = (1 + rnd (nframes - 1)) * frame in
+      match rnd 20 with
       | 0 | 1 | 2 ->
         let len = widths.(rnd (Array.length widths)) in
         Read (rnd (mem_size - 8), len)
@@ -257,12 +282,50 @@ let record_trace ~mem_size ~n =
       | 13 ->
         let flen = (1 + rnd 32) * 16 in
         Fill (rnd ((mem_size - flen) / 16) * 16, flen, rnd 256)
-      | _ -> Scan (a16 land lnot 4095, 4096))
+      | 14 | 15 -> Scan (a16 land lnot 4095, 4096)
+      | 16 ->
+        (* A word access that straddles a frame boundary. *)
+        let len = widths.(rnd (Array.length widths)) in
+        let a = boundary - 1 - rnd 7 in
+        if rnd 2 = 0 then Read (a, len) else Write (a, len, lcg st)
+      | 17 ->
+        (* A move spanning several frames, sometimes overlapping. *)
+        let len = ((1 + rnd 2) * frame) + (rnd 4 * 16) in
+        let src = boundary - 16 * (1 + rnd 64) in
+        let src = if rnd 4 = 0 then src + 1 + rnd 15 else src in
+        let src = min src (mem_size - len) in
+        let dst =
+          if rnd 2 = 0 then src + ((rnd 5 - 2) * 16)
+          else rnd (nframes - 3) * frame + (rnd 256 * 16)
+        in
+        let dst = max 0 (min dst (mem_size - len)) in
+        Move (src, dst, len)
+      | 18 ->
+        (* Whole frames zeroed (handed back to the zero frame), or a fill
+           spanning frames. *)
+        if rnd 2 = 0 then
+          let k = 1 + rnd 2 in
+          Fill (rnd (nframes - k) * frame, k * frame, 0)
+        else
+          let len = frame + rnd frame in
+          Fill (min (boundary - rnd frame) (mem_size - len), len, rnd 256)
+      | _ ->
+        let len = 1 + rnd (2 * frame) in
+        let a = max 0 (min (boundary - rnd frame) (mem_size - len)) in
+        (match rnd 3 with
+         | 0 -> Read_bytes (a, len)
+         | 1 -> Blit (a, len)
+         | _ -> Is_zero (a, len)))
 
 let cap_root = Cap.make_root ~base:0 ~top:(1 lsl 40) ()
 
 let cap_for cursor =
   Cap.set_bounds (Cap.set_addr cap_root (cursor land lnot 15)) ~len:64
+
+let blit_pattern dst len =
+  Bytes.init len (fun i -> Char.chr ((dst + (i * 13)) land 0xff))
+
+let bytes_hash b = Hashtbl.hash (Digest.bytes b)
 
 (* Replay the trace on the optimized implementation; fold every observable
    value into a checksum. *)
@@ -284,7 +347,10 @@ let replay_opt mem trace =
       | Move (src, dst, len) -> Tagmem.move mem ~src ~dst ~len
       | Fill (a, len, b) -> Tagmem.fill mem a len b
       | Scan (a, len) ->
-        List.iter mix (Tagmem.scan_tags mem a len))
+        List.iter mix (Tagmem.scan_tags mem a len)
+      | Read_bytes (a, len) -> mix (bytes_hash (Tagmem.read_bytes mem a len))
+      | Blit (a, len) -> Tagmem.blit_bytes mem ~dst:a (blit_pattern a len)
+      | Is_zero (a, len) -> mix (Bool.to_int (Tagmem.is_zero mem a len)))
     trace;
   !acc
 
@@ -306,7 +372,10 @@ let replay_ref mem trace =
       | Move (src, dst, len) -> Ref_tagmem.move mem ~src ~dst ~len
       | Fill (a, len, b) -> Ref_tagmem.fill mem a len b
       | Scan (a, len) ->
-        List.iter mix (Ref_tagmem.scan_tags mem a len))
+        List.iter mix (Ref_tagmem.scan_tags mem a len)
+      | Read_bytes (a, len) -> mix (bytes_hash (Ref_tagmem.read_bytes mem a len))
+      | Blit (a, len) -> Ref_tagmem.blit_bytes mem ~dst:a (blit_pattern a len)
+      | Is_zero (a, len) -> mix (Bool.to_int (Ref_tagmem.is_zero mem a len)))
     trace;
   !acc
 

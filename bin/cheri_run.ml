@@ -280,7 +280,12 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
          syscalls:     %d\nL2 misses:    %d\n"
         (Abi.to_string abi) p.Proc.ctx.Cpu.instret p.Proc.ctx.Cpu.cycles
         p.Proc.syscall_count
-        (Cache.l2_misses (Cheri_kernel.Kstate.hierarchy k))
+        (Cache.l2_misses (Cheri_kernel.Kstate.hierarchy k));
+      let mem = k.Cheri_kernel.Kstate.mem in
+      let resident = Cheri_tagmem.Tagmem.resident_frames mem in
+      Printf.eprintf "resident frames: %d of %d (%d KiB)\n" resident
+        (Cheri_tagmem.Phys.total_frames k.Cheri_kernel.Kstate.phys)
+        (resident * Cheri_tagmem.Phys.page_size / 1024)
     end;
     if astats then begin
       let module Absint = Cheri_analysis.Absint in

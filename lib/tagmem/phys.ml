@@ -9,17 +9,20 @@ let page_shift = 12
 
 type t = {
   mem : Tagmem.t;
-  mutable free : int list;   (* frame numbers *)
+  mutable free : int list;   (* freed frame numbers, most recent first *)
+  mutable next_fresh : int;  (* frames [next_fresh, total) were never handed out *)
   mutable free_count : int;
   refcount : int array;
   total : int;
 }
 
+(* Allocation order is that of one list holding the freed frames, newest
+   first, followed by the never-used frames in ascending order: the fresh
+   tail is a bump pointer, so creation does not build it. *)
 let create mem =
   let total = Tagmem.size mem / page_size in
   (* Frame 0 is reserved so that physical address 0 is never handed out. *)
-  let rec frames i acc = if i < 1 then acc else frames (i - 1) (i :: acc) in
-  { mem; free = frames (total - 1) []; free_count = total - 1;
+  { mem; free = []; next_fresh = 1; free_count = total - 1;
     refcount = Array.make total 0; total }
 
 let mem t = t.mem
@@ -29,15 +32,19 @@ let free_frames t = t.free_count
 exception Out_of_memory
 
 let alloc_frame t =
-  match t.free with
-  | [] -> raise Out_of_memory
-  | f :: rest ->
-    t.free <- rest;
-    t.free_count <- t.free_count - 1;
-    t.refcount.(f) <- 1;
-    let pa = f * page_size in
-    Tagmem.fill t.mem pa page_size 0;
-    f
+  let f =
+    match t.free with
+    | f :: rest -> t.free <- rest; f
+    | [] ->
+      if t.next_fresh >= t.total then raise Out_of_memory;
+      let f = t.next_fresh in
+      t.next_fresh <- f + 1;
+      f
+  in
+  t.free_count <- t.free_count - 1;
+  t.refcount.(f) <- 1;
+  Tagmem.fill t.mem (f * page_size) page_size 0;
+  f
 
 let incref t f =
   if f <= 0 || f >= t.total || t.refcount.(f) = 0 then invalid_arg "Phys.incref";

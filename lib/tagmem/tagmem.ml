@@ -8,43 +8,69 @@
    capability memory observe the address (as on real hardware, where the
    cursor occupies the low 64 bits of the encoding).
 
+   The store is frame-sparse, so creating a memory costs nothing
+   proportional to its size beyond the tag bitset.
+
    Layout invariants (see docs/TAGMEM.md):
+   - [frames.(f)] holds the 4 KiB of frame [f]; every frame starts as the
+     shared, never-written [zero_frame] and gets its own buffer on its
+     first write ([materialize]);
    - [tagbits] packs one tag bit per granule, LSB-first within each byte,
      and is padded to a whole number of 64-bit words so that range scans
      can test eight bitset bytes (= 1 KiB of memory) per load;
-   - [caps.(g)] is [Some c] iff bit [g] of [tagbits] is set — the bit is
-     the ground truth, the slot array is the direct-indexed side table;
+   - tag bit [g] set => [slots.(g / 256)] is that frame's own slot array
+     (allocated on its first tagged store) and slot [g mod 256] is
+     [Some c]; a clear bit has a [None] slot or no slot array at all;
    - every store path clears overlapped tag bits *and* their slots before
      touching the raw bytes, so a data write can never leave a stale
      capability reachable. *)
 
 module Cap = Cheri_cap.Cap
 
-type t = {
-  bytes : Bytes.t;
-  tagbits : Bytes.t;              (* packed tag bitset, 1 bit per granule *)
-  caps : Cap.t option array;      (* granule -> stored capability *)
-  size : int;
-  ngranules : int;
-}
+let frame_shift = 12
+let frame_size = 1 lsl frame_shift
+let frame_mask = frame_size - 1
 
 let granule = Cap.sizeof
 let granule_shift = 4
 let () = assert (granule = 1 lsl granule_shift)
 
+(* Granules per frame, and the shift from a granule to its frame. *)
+let slot_shift = frame_shift - granule_shift
+let slot_mask = (1 lsl slot_shift) - 1
+
+(* Every unwritten frame is this one buffer. Nothing ever writes it: each
+   write path swaps in a private buffer first. *)
+let zero_frame = Bytes.make frame_size '\000'
+
+let no_slots : Cap.t option array = [||]
+
+type t = {
+  frames : Bytes.t array;            (* frame -> data, [zero_frame] if unwritten *)
+  slots : Cap.t option array array;  (* frame -> granule slots, or [no_slots] *)
+  tagbits : Bytes.t;                 (* packed tag bitset, 1 bit per granule *)
+  size : int;
+  ngranules : int;
+}
+
 let create ~size =
   if size <= 0 || size land (granule - 1) <> 0 then
     invalid_arg "Tagmem.create: size must be a positive multiple of 16";
   let ngranules = size / granule in
+  let nframes = (size + frame_mask) lsr frame_shift in
   (* Pad the bitset to 64-bit words so word-at-a-time scans never need a
      bounds check of their own. *)
   let nbytes = ((ngranules + 7) lsr 3 + 7) land lnot 7 in
-  { bytes = Bytes.make size '\000';
+  { frames = Array.make nframes zero_frame;
+    slots = Array.make nframes no_slots;
     tagbits = Bytes.make nbytes '\000';
-    caps = Array.make ngranules None;
     size; ngranules }
 
 let size t = t.size
+
+(* Frames holding their own buffer; the rest read as the zero frame. *)
+let resident_frames t =
+  Array.fold_left (fun n f -> if f == zero_frame then n else n + 1) 0 t.frames
 
 (* Cold out-of-range path, kept out of line so [check] stays tiny. *)
 let[@inline never] oob addr len =
@@ -57,6 +83,52 @@ let[@inline] check t addr len =
 (* Addresses are validated non-negative by [check], so the granule index is
    a plain shift (a signed division by 16 would need a fixup branch). *)
 let[@inline] granule_of addr = addr lsr granule_shift
+
+(* --- Frames and slots ---------------------------------------------------- *)
+
+let[@inline never] materialize t fi =
+  let f = Bytes.make frame_size '\000' in
+  Array.unsafe_set t.frames fi f;
+  f
+
+(* The frame to read [addr] from, and the frame to write it to. *)
+let[@inline] rframe t addr = Array.unsafe_get t.frames (addr lsr frame_shift)
+
+let[@inline] wframe t addr =
+  let fi = addr lsr frame_shift in
+  let f = Array.unsafe_get t.frames fi in
+  if f == zero_frame then materialize t fi else f
+
+let[@inline never] materialize_slots t fi =
+  let s = Array.make (1 lsl slot_shift) None in
+  Array.unsafe_set t.slots fi s;
+  s
+
+(* Only valid while tag bit [g] is set: the frame's slot array exists. *)
+let[@inline] slot t g =
+  Array.unsafe_get (Array.unsafe_get t.slots (g lsr slot_shift)) (g land slot_mask)
+
+let[@inline] slot_clear t g =
+  Array.unsafe_set (Array.unsafe_get t.slots (g lsr slot_shift)) (g land slot_mask)
+    None
+
+let slot_set t g c =
+  let fi = g lsr slot_shift in
+  let s = Array.unsafe_get t.slots fi in
+  let s = if s == no_slots then materialize_slots t fi else s in
+  Array.unsafe_set s (g land slot_mask) c
+
+(* Call [f fi off pos n] for each frame piece of [addr, addr+len): the [n]
+   bytes at offset [off] of frame [fi] are bytes [pos, pos+n) of the range. *)
+let iter_frames addr len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land frame_mask in
+    let n = min (frame_size - off) (len - !pos) in
+    f (a lsr frame_shift) off !pos n;
+    pos := !pos + n
+  done
 
 (* --- Tag bitset primitives ------------------------------------------------ *)
 
@@ -75,7 +147,7 @@ let[@inline] tag_bit_clear t g =
   let m = 1 lsl (g land 7) in
   if b land m <> 0 then begin
     Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-    Array.unsafe_set t.caps g None
+    slot_clear t g
   end
 
 (* Does any granule in [g0, g1] carry a tag? Edge bytes are tested under a
@@ -127,7 +199,7 @@ let clear_tags_covering_count t addr len =
       if b land m = 0 then 0
       else begin
         Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-        Array.unsafe_set t.caps g0 None;
+        slot_clear t g0;
         1
       end
     end else begin
@@ -147,7 +219,7 @@ let clear_tags_covering_count t addr len =
             for g = lo to hi do
               if b land (1 lsl (g land 7)) <> 0 then begin
                 incr cleared;
-                Array.unsafe_set t.caps g None
+                slot_clear t g
               end
             done;
             Bytes.unsafe_set t.tagbits !bi (Char.unsafe_chr (b land lnot mask))
@@ -196,30 +268,53 @@ let scan_tags t addr len =
 
 let read_u8 t addr =
   check t addr 1;
-  Bytes.get_uint8 t.bytes addr
+  Char.code (Bytes.unsafe_get (rframe t addr) (addr land frame_mask))
 
 let write_u8 t addr v =
   check t addr 1;
   tag_bit_clear t (granule_of addr);
-  Bytes.set_uint8 t.bytes addr (v land 0xff)
+  Bytes.unsafe_set (wframe t addr) (addr land frame_mask)
+    (Char.unsafe_chr (v land 0xff))
 
 (* 63-bit OCaml ints are zero-extended into the stored 64-bit pattern, so a
    word store writes exactly the bytes the per-byte loop used to. *)
 let int63_mask = 0x7FFF_FFFF_FFFF_FFFFL
 
+(* Accesses that cross a frame boundary go byte by byte, each byte through
+   its own frame; the little-endian accumulation matches the word paths. *)
+let[@inline never] read_int_straddle t addr len =
+  let v = ref 0 in
+  for i = len - 1 downto 0 do
+    let a = addr + i in
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get (rframe t a) (a land frame_mask))
+  done;
+  !v
+
+let[@inline never] write_int_straddle t addr len v =
+  clear_tags_covering t addr len;
+  for i = 0 to len - 1 do
+    let a = addr + i in
+    Bytes.unsafe_set (wframe t a) (a land frame_mask)
+      (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+  done
+
 let read_int t addr ~len =
   check t addr len;
-  match len with
-  | 8 -> Int64.to_int (Bytes.get_int64_le t.bytes addr)
-  | 4 -> Int32.to_int (Bytes.get_int32_le t.bytes addr) land 0xFFFF_FFFF
-  | 2 -> Bytes.get_uint16_le t.bytes addr
-  | 1 -> Bytes.get_uint8 t.bytes addr
-  | _ ->
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get t.bytes (addr + i))
-    done;
-    !v
+  let off = addr land frame_mask in
+  if off + len > frame_size then read_int_straddle t addr len
+  else
+    let f = rframe t addr in
+    match len with
+    | 8 -> Int64.to_int (Bytes.get_int64_le f off)
+    | 4 -> Int32.to_int (Bytes.get_int32_le f off) land 0xFFFF_FFFF
+    | 2 -> Bytes.get_uint16_le f off
+    | 1 -> Bytes.get_uint8 f off
+    | _ ->
+      let v = ref 0 in
+      for i = len - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.unsafe_get f (off + i))
+      done;
+      !v
 
 (* Clear the (at most two) granule tags a small access overlaps, without
    the generality of the range sweep. *)
@@ -230,24 +325,28 @@ let[@inline] clear_tags_small t addr last =
 
 let write_int t addr ~len v =
   check t addr len;
-  match len with
-  | 8 ->
-    clear_tags_small t addr (addr + 7);
-    Bytes.set_int64_le t.bytes addr (Int64.logand (Int64.of_int v) int63_mask)
-  | 4 ->
-    clear_tags_small t addr (addr + 3);
-    Bytes.set_int32_le t.bytes addr (Int32.of_int v)
-  | 2 ->
-    clear_tags_small t addr (addr + 1);
-    Bytes.set_uint16_le t.bytes addr (v land 0xFFFF)
-  | 1 ->
-    tag_bit_clear t (addr lsr granule_shift);
-    Bytes.set_uint8 t.bytes addr (v land 0xFF)
-  | _ ->
-    clear_tags_covering t addr len;
-    for i = 0 to len - 1 do
-      Bytes.unsafe_set t.bytes (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
+  let off = addr land frame_mask in
+  if off + len > frame_size then write_int_straddle t addr len v
+  else
+    let f = wframe t addr in
+    match len with
+    | 8 ->
+      clear_tags_small t addr (addr + 7);
+      Bytes.set_int64_le f off (Int64.logand (Int64.of_int v) int63_mask)
+    | 4 ->
+      clear_tags_small t addr (addr + 3);
+      Bytes.set_int32_le f off (Int32.of_int v)
+    | 2 ->
+      clear_tags_small t addr (addr + 1);
+      Bytes.set_uint16_le f off (v land 0xFFFF)
+    | 1 ->
+      tag_bit_clear t (addr lsr granule_shift);
+      Bytes.set_uint8 f off (v land 0xFF)
+    | _ ->
+      clear_tags_covering t addr len;
+      for i = 0 to len - 1 do
+        Bytes.unsafe_set f (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+      done
 
 (* Sign-extend an integer read of [len] bytes. *)
 let read_int_signed t addr ~len =
@@ -258,29 +357,76 @@ let read_int_signed t addr ~len =
     let sign = 1 lsl (bits - 1) in
     if v land sign <> 0 then v - (1 lsl bits) else v
 
+(* Copy [len] bytes of memory from [addr] into the start of [buf]. *)
+let read_into t addr buf len =
+  iter_frames addr len (fun fi off pos n ->
+      Bytes.blit (Array.unsafe_get t.frames fi) off buf pos n)
+
+(* Copy all of [buf] into memory at [addr], leaving tags alone. *)
+let write_from t addr buf =
+  iter_frames addr (Bytes.length buf) (fun fi off pos n ->
+      Bytes.blit buf pos (wframe t (fi lsl frame_shift)) off n)
+
 let blit_bytes t ~dst src =
   check t dst (Bytes.length src);
   clear_tags_covering t dst (Bytes.length src);
-  Bytes.blit src 0 t.bytes dst (Bytes.length src)
+  write_from t dst src
 
 let read_bytes t addr len =
   check t addr len;
-  Bytes.sub t.bytes addr len
+  let out = Bytes.create len in
+  read_into t addr out len;
+  out
 
-(* Are all bytes of [addr, addr+len) zero? Eight at a time where possible. *)
+(* Are all bytes of [addr, addr+len) zero? Unwritten frames are; written
+   ones are tested eight bytes at a time where possible. *)
 let is_zero t addr len =
   check t addr len;
-  let last = addr + len in
-  let rec words a =
-    if a + 8 <= last then Bytes.get_int64_le t.bytes a = 0L && words (a + 8)
-    else bytes a
-  and bytes a =
-    a >= last || (Bytes.unsafe_get t.bytes a = '\000' && bytes (a + 1))
+  let rec words f a last =
+    if a + 8 <= last then Bytes.get_int64_le f a = 0L && words f (a + 8) last
+    else bytes f a last
+  and bytes f a last =
+    a >= last || (Bytes.unsafe_get f a = '\000' && bytes f (a + 1) last)
   in
-  words addr
+  let rec go pos =
+    pos >= len
+    ||
+    let a = addr + pos in
+    let off = a land frame_mask in
+    let n = min (frame_size - off) (len - pos) in
+    let f = rframe t a in
+    (f == zero_frame || words f off (off + n)) && go (pos + n)
+  in
+  go 0
 
-(* Digest of the whole data store, hashed in place. *)
-let digest t = Digest.subbytes t.bytes 0 t.size
+(* The digest's scratch image: one per domain, grown to the largest memory
+   digested there. [dirty] marks its frames that may hold nonzero bytes. *)
+type scratch = { mutable img : Bytes.t; mutable dirty : Bytes.t }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { img = Bytes.empty; dirty = Bytes.empty })
+
+(* MD5 of the whole data store, as one contiguous image: resident frames
+   are copied into the scratch image and frames left there by an earlier
+   digest are zeroed again. *)
+let digest t =
+  let s = Domain.DLS.get scratch_key in
+  let nframes = Array.length t.frames in
+  if Bytes.length s.dirty < nframes then begin
+    s.img <- Bytes.make (nframes lsl frame_shift) '\000';
+    s.dirty <- Bytes.make nframes '\000'
+  end;
+  Array.iteri
+    (fun fi f ->
+      if f != zero_frame then begin
+        Bytes.blit f 0 s.img (fi lsl frame_shift) frame_size;
+        Bytes.unsafe_set s.dirty fi '\001'
+      end else if Bytes.unsafe_get s.dirty fi <> '\000' then begin
+        Bytes.fill s.img (fi lsl frame_shift) frame_size '\000';
+        Bytes.unsafe_set s.dirty fi '\000'
+      end)
+    t.frames;
+  Digest.subbytes s.img 0 t.size
 
 (* --- Capability access ----------------------------------------------------- *)
 
@@ -289,27 +435,44 @@ let read_cap t addr =
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
   if tag_bit t g then
-    match Array.unsafe_get t.caps g with
+    match slot t g with
     | Some c -> c
     | None -> assert false   (* bit and slot move together *)
   else
     (* Untagged: reconstruct the cursor from the raw bytes; all other
        fields read as a null-derived pattern. *)
-    Cap.untagged ~addr:(Int64.to_int (Bytes.get_int64_le t.bytes addr))
+    Cap.untagged
+      ~addr:(Int64.to_int (Bytes.get_int64_le (rframe t addr) (addr land frame_mask)))
 
 let write_cap t addr cap =
   check t addr granule;
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
+  let f = wframe t addr and off = addr land frame_mask in
   (* Raw bytes: cursor in the low 8 bytes, a metadata summary above. *)
-  Bytes.set_int64_le t.bytes addr
-    (Int64.logand (Int64.of_int (Cap.addr cap)) int63_mask);
-  Bytes.set_int64_le t.bytes (addr + 8) 0L;
+  Bytes.set_int64_le f off (Int64.logand (Int64.of_int (Cap.addr cap)) int63_mask);
+  Bytes.set_int64_le f (off + 8) 0L;
   if Cap.is_tagged cap then begin
     tag_bit_set t g;
-    Array.unsafe_set t.caps g (Some cap)
+    slot_set t g (Some cap)
   end else
     tag_bit_clear t g
+
+(* Memmove the raw bytes of [src, src+len) to [dst, dst+len). *)
+let copy_bytes t ~src ~dst ~len =
+  let soff = src land frame_mask and doff = dst land frame_mask in
+  if soff + len <= frame_size && doff + len <= frame_size then begin
+    (* Both ends within one frame each: one blit, which is overlap-safe
+       when they share the frame. A zero-to-zero copy changes nothing. *)
+    let sf = rframe t src in
+    if not (sf == zero_frame && rframe t dst == zero_frame) then
+      Bytes.blit sf soff (wframe t dst) doff len
+  end else begin
+    (* Across frames, through a copy of the source: overlap is harmless. *)
+    let tmp = Bytes.create len in
+    read_into t src tmp len;
+    write_from t dst tmp
+  end
 
 (* Copy [len] bytes preserving tags where both source and destination are
    granule-aligned (the capability-aware memcpy of the C runtime). *)
@@ -328,10 +491,10 @@ let move t ~src ~dst ~len =
       let caps = Array.make n None in
       for i = 0 to n - 1 do
         let g = sg0 + i in
-        if tag_bit t g then caps.(i) <- Array.unsafe_get t.caps g
+        if tag_bit t g then caps.(i) <- slot t g
       done;
       clear_tags_covering t dst len;
-      Bytes.blit t.bytes src t.bytes dst len;
+      copy_bytes t ~src ~dst ~len;
       let dg0 = granule_of dst in
       for i = 0 to n - 1 do
         match caps.(i) with
@@ -339,17 +502,29 @@ let move t ~src ~dst ~len =
         | Some _ as c ->
           let g = dg0 + i in
           tag_bit_set t g;
-          Array.unsafe_set t.caps g c
+          slot_set t g c
       done
     end else begin
       (* No source tags (or an unaligned copy, which strips them): a plain
          overlap-safe byte move plus a destination tag sweep. *)
       clear_tags_covering t dst len;
-      Bytes.blit t.bytes src t.bytes dst len
+      copy_bytes t ~src ~dst ~len
     end
   end
 
+(* Zero-filling a whole frame hands it back to the shared zero frame (its
+   tags were just cleared, so its slot array goes too): that is how
+   [Phys.alloc_frame] zeroes frames without allocating. *)
 let fill t addr len byte =
   check t addr len;
   clear_tags_covering t addr len;
-  Bytes.fill t.bytes addr len (Char.chr (byte land 0xff))
+  let c = Char.chr (byte land 0xff) in
+  iter_frames addr len (fun fi off _ n ->
+      if c <> '\000' then Bytes.fill (wframe t (fi lsl frame_shift)) off n c
+      else if n = frame_size then begin
+        Array.unsafe_set t.frames fi zero_frame;
+        Array.unsafe_set t.slots fi no_slots
+      end else begin
+        let f = Array.unsafe_get t.frames fi in
+        if f != zero_frame then Bytes.fill f off n c
+      end)

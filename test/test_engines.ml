@@ -378,7 +378,13 @@ let test_fuzz_engines () =
         s_chain_elide dump
     end
   done;
-  Alcotest.(check int) "engines agree on all seeded programs" 0 !mismatches
+  Alcotest.(check int) "engines agree on all seeded programs" 0 !mismatches;
+  (* Unwritten frames all read from one shared zero frame; a store path
+     that wrote it without first giving the frame its own buffer would
+     show up in every fresh memory. *)
+  let fresh = Tagmem.create ~size:4096 in
+  Alcotest.(check bool) "shared zero frame still zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Tagmem.read_bytes fresh 0 4096))
 
 (* A targeted case the fuzzer hits only occasionally: PCC bounds that end
    in the middle of a decoded block. The hoisted whole-block check must

@@ -1,7 +1,8 @@
 (* Page-table tests: a randomized model check of [Pmap] against a naive
    per-page reference, plus directed checks that the sparse representation
    keeps untouched ASan shadow implicit and leaves fork's charges as they
-   were. *)
+   were, and a replay of the frame allocator against its list-based
+   predecessor. *)
 
 module Cap = Cheri_cap.Cap
 module Tagmem = Cheri_tagmem.Tagmem
@@ -437,7 +438,73 @@ let test_fork_charge_unchanged () =
         expected (p.Proc.ctx.Cheri_isa.Cpu.cycles - before))
     [ Abi.Mips64, 17890; Abi.Cheriabi, 18484; Abi.Asan, 3622480 ]
 
+(* --- Frame allocation order ------------------------------------------------------ *)
+
+(* The frame allocator as it was when it built one list of every free frame
+   at creation: allocation pops the head, a frame freed by its last decref
+   is pushed back on. *)
+module List_phys = struct
+  type t = { mutable free : int list; refcount : int array }
+
+  let create total =
+    let rec frames i acc = if i < 1 then acc else frames (i - 1) (i :: acc) in
+    { free = frames (total - 1) []; refcount = Array.make total 0 }
+
+  let alloc t =
+    match t.free with
+    | [] -> None
+    | f :: rest ->
+      t.free <- rest;
+      t.refcount.(f) <- 1;
+      Some f
+
+  let incref t f = t.refcount.(f) <- t.refcount.(f) + 1
+
+  let decref t f =
+    t.refcount.(f) <- t.refcount.(f) - 1;
+    if t.refcount.(f) = 0 then t.free <- f :: t.free
+end
+
+(* A seeded alloc/incref/decref sequence that runs the pool dry several
+   times: [Phys] must hand out the same frame numbers as the list-based
+   allocator at every step. *)
+let test_phys_order_matches_list () =
+  let total = 48 in
+  let p = Phys.create (Tagmem.create ~size:(total * page)) in
+  let r = List_phys.create total in
+  let st = Random.State.make [| 2019 |] in
+  (* One entry per reference held. *)
+  let held = ref [] in
+  let take_held () =
+    let i = Random.State.int st (List.length !held) in
+    let f = List.nth !held i in
+    held := List.filteri (fun j _ -> j <> i) !held;
+    f
+  in
+  for step = 1 to 4000 do
+    match Random.State.int st 8 with
+    | 0 | 1 | 2 | 3 ->
+      let got = try Some (Phys.alloc_frame p) with Phys.Out_of_memory -> None in
+      Alcotest.(check (option int)) (Printf.sprintf "step %d alloc" step)
+        (List_phys.alloc r) got;
+      Option.iter (fun f -> held := f :: !held) got
+    | 4 when !held <> [] ->
+      let f = List.nth !held (Random.State.int st (List.length !held)) in
+      Phys.incref p f;
+      List_phys.incref r f;
+      held := f :: !held
+    | _ when !held <> [] ->
+      let f = take_held () in
+      Phys.decref p f;
+      List_phys.decref r f;
+      Alcotest.(check int) (Printf.sprintf "step %d free count" step)
+        (List.length r.List_phys.free) (Phys.free_frames p)
+    | _ -> ()
+  done
+
 let suite =
   [ "asan shadow stays untouched", `Quick, test_asan_shadow_untouched;
-    "fork charge unchanged", `Quick, test_fork_charge_unchanged ]
+    "fork charge unchanged", `Quick, test_fork_charge_unchanged;
+    "phys allocation order matches the list allocator", `Quick,
+    test_phys_order_matches_list ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_model

@@ -138,6 +138,146 @@ let test_fill_clears_tags () =
   Tagmem.fill m 0x500 16 0;
   Alcotest.(check bool) "cleared" false (Tagmem.get_tag m 0x500)
 
+(* --- Frame boundaries ------------------------------------------------------- *)
+
+(* Memory is kept in 4 KiB frames; these accesses cross from one frame into
+   the next (or span several) and must behave as on one contiguous store. *)
+
+let frame = 4096
+
+let test_straddle_int () =
+  let b = 3 * frame in
+  (* Into two unwritten frames: each gets a buffer of its own, and the
+     frames nobody wrote still read as zero. *)
+  let m = mk () in
+  Tagmem.write_int m (b - 4) ~len:8 0x0102030405060708;
+  Alcotest.(check int) "into fresh frames" 0x0102030405060708
+    (Tagmem.read_int m (b - 4) ~len:8);
+  Alcotest.(check int) "both frames resident" 2 (Tagmem.resident_frames m);
+  Alcotest.(check bool) "unwritten frames read zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Tagmem.read_bytes m 0 (b - frame)));
+  List.iter
+    (fun (len, v) ->
+      for back = 1 to len - 1 do
+        let a = b - back in
+        Tagmem.write_cap m (b - 16) (some_cap ());
+        Tagmem.write_cap m b (some_cap ());
+        Tagmem.write_int m a ~len v;
+        Alcotest.(check int)
+          (Printf.sprintf "len %d at boundary-%d" len back)
+          v (Tagmem.read_int m a ~len);
+        for i = 0 to len - 1 do
+          Alcotest.(check int) "little-endian byte"
+            ((v lsr (8 * i)) land 0xff) (Tagmem.read_u8 m (a + i))
+        done;
+        Alcotest.(check bool) "tag before the boundary cleared" false
+          (Tagmem.get_tag m (b - 16));
+        Alcotest.(check bool) "tag after the boundary cleared" false
+          (Tagmem.get_tag m b)
+      done)
+    [ 2, 0xbeef; 3, 0xa1b2c3; 4, 0xdeadbeef; 8, 0x1122334455667788 ];
+  (* The top bit of an 8-byte store is zero, as in the word path. *)
+  Tagmem.write_int m (b - 3) ~len:8 (-1);
+  Alcotest.(check int) "top byte" 0x7f (Tagmem.read_u8 m (b + 4));
+  Tagmem.write_int m (b - 1) ~len:2 0xfffe;
+  Alcotest.(check int) "signed straddling read" (-2)
+    (Tagmem.read_int_signed m (b - 1) ~len:2)
+
+let pattern len = Bytes.init len (fun i -> Char.chr (1 + (i * 7) mod 251))
+
+(* A range from the middle of frame 1 to the middle of frame 3. *)
+let span_addr = frame + 0x800
+let span_len = 2 * frame
+
+let test_span_bytes () =
+  let m = mk () in
+  let p = pattern span_len in
+  Alcotest.(check bool) "fresh range is zero" true
+    (Tagmem.is_zero m span_addr span_len);
+  Tagmem.write_cap m (2 * frame) (some_cap ());
+  Tagmem.blit_bytes m ~dst:span_addr p;
+  Alcotest.(check bool) "blit clears a tag it covers" false
+    (Tagmem.get_tag m (2 * frame));
+  Alcotest.(check bytes) "read back" p (Tagmem.read_bytes m span_addr span_len);
+  Alcotest.(check int) "byte before" 0 (Tagmem.read_u8 m (span_addr - 1));
+  Alcotest.(check int) "byte after" 0 (Tagmem.read_u8 m (span_addr + span_len));
+  Alcotest.(check bool) "not zero" false (Tagmem.is_zero m span_addr span_len);
+  Alcotest.(check bool) "zero up to the range" true
+    (Tagmem.is_zero m 0 span_addr);
+  Tagmem.fill m span_addr span_len 0x5a;
+  Alcotest.(check bytes) "filled" (Bytes.make span_len '\x5a')
+    (Tagmem.read_bytes m span_addr span_len);
+  Tagmem.fill m span_addr span_len 0;
+  Alcotest.(check bool) "zero-filled" true (Tagmem.is_zero m span_addr span_len);
+  Alcotest.(check bytes) "zero-filled bytes" (Bytes.make span_len '\000')
+    (Tagmem.read_bytes m span_addr span_len);
+  (* Only the partly covered frames 1 and 3 keep a buffer of their own. *)
+  Alcotest.(check int) "whole frame handed back" 2 (Tagmem.resident_frames m);
+  Tagmem.fill m 0 (1 lsl 16) 0;
+  Alcotest.(check int) "all frames handed back" 0 (Tagmem.resident_frames m)
+
+(* Overlapping moves across frame boundaries, with tagged granules on both
+   sides of a boundary, checked against a contiguous copy of the bytes. *)
+let test_span_move_overlap () =
+  List.iter
+    (fun (src, dst) ->
+      let m = mk () in
+      let p = pattern span_len in
+      Tagmem.blit_bytes m ~dst:src p;
+      let c0 = some_cap ~base:0x100 () and c1 = some_cap ~base:0x200 () in
+      Tagmem.write_cap m (2 * frame - 16) c0;
+      Tagmem.write_cap m (2 * frame) c1;
+      let expect = Tagmem.read_bytes m src span_len in
+      Tagmem.move m ~src ~dst ~len:span_len;
+      let name = Printf.sprintf "move 0x%x -> 0x%x" src dst in
+      Alcotest.(check bytes) name expect (Tagmem.read_bytes m dst span_len);
+      let d = dst - src in
+      Alcotest.(check bool) (name ^ ": cap before the boundary") true
+        (Cap.equal c0 (Tagmem.read_cap m (2 * frame - 16 + d)));
+      Alcotest.(check bool) (name ^ ": cap after the boundary") true
+        (Cap.equal c1 (Tagmem.read_cap m (2 * frame + d))))
+    [ span_addr, span_addr + 48;       (* forward *)
+      span_addr + 48, span_addr;       (* backward *)
+      span_addr, span_addr + frame ]   (* forward by a whole frame *)
+
+let test_write_cap_fresh_frame () =
+  let m = mk () in
+  Alcotest.(check int) "nothing resident" 0 (Tagmem.resident_frames m);
+  let c = some_cap ~base:0x240 () in
+  Tagmem.write_cap m (5 * frame + 0x30) c;
+  Alcotest.(check int) "one frame resident" 1 (Tagmem.resident_frames m);
+  Alcotest.(check bool) "tag set" true (Tagmem.get_tag m (5 * frame + 0x30));
+  Alcotest.(check bool) "cap back" true
+    (Cap.equal c (Tagmem.read_cap m (5 * frame + 0x30)));
+  Alcotest.(check int) "cursor as data" 0x240
+    (Tagmem.read_int m (5 * frame + 0x30) ~len:8)
+
+let check_digest name m =
+  Alcotest.(check string) name
+    (Digest.to_hex (Digest.bytes (Tagmem.read_bytes m 0 (Tagmem.size m))))
+    (Digest.to_hex (Tagmem.digest m))
+
+(* Two memories of different sizes (one ending mid-frame) digested in turn
+   in one domain share one scratch image: frames one of them left there
+   must not leak into the other's digest. *)
+let test_digest_alternating () =
+  let small = mk () and big = Tagmem.create ~size:((1 lsl 17) + 0x830) in
+  Tagmem.write_int small 0x10 ~len:8 0x1234;
+  Tagmem.write_cap big (frame + 0x40) (some_cap ());
+  Tagmem.write_int big ((1 lsl 17) + 0x820) ~len:8 0x77;
+  check_digest "big" big;
+  check_digest "small after big" small;
+  Tagmem.blit_bytes small ~dst:(3 * frame - 5) (pattern 9000);
+  check_digest "small written" small;
+  check_digest "big after small" big;
+  Tagmem.fill small 0 (1 lsl 16) 0;
+  check_digest "small zeroed back" small;
+  Alcotest.(check string) "zeroed digest is the empty image's"
+    (Digest.to_hex (Digest.bytes (Bytes.make (1 lsl 16) '\000')))
+    (Digest.to_hex (Tagmem.digest small));
+  Tagmem.fill big frame frame 0;
+  check_digest "big frame zeroed back" big
+
 (* --- Phys ------------------------------------------------------------------- *)
 
 let test_phys_alloc_free () =
@@ -228,6 +368,11 @@ let suite =
     "overlapping move unaligned", `Quick, test_move_overlap_unaligned;
     "scan tags", `Quick, test_scan_tags;
     "fill clears tags", `Quick, test_fill_clears_tags;
+    "int access straddling frames", `Quick, test_straddle_int;
+    "byte ranges spanning frames", `Quick, test_span_bytes;
+    "overlapping moves spanning frames", `Quick, test_span_move_overlap;
+    "cap store into an unwritten frame", `Quick, test_write_cap_fresh_frame;
+    "digest of alternating memories", `Quick, test_digest_alternating;
     "phys alloc/free", `Quick, test_phys_alloc_free;
     "phys refcount", `Quick, test_phys_refcount;
     "phys alloc zeroes", `Quick, test_phys_alloc_zeroes;

@@ -356,13 +356,12 @@ let simulator () =
 (* --- Execution-engine throughput (docs/INTERP.md) ----------------------------------------------------
 
    Host wall-clock comparison of the interpreters over the Fig. 4 /
-   Fig. 5 workload mix: the reference step engine, the decoded-block
-   engine, and the chaining engine (blocks entered through patched links
-   and inline caches, never returning to dispatch inside hot loops), each
-   with and without check elision where meaningful.  Images are compiled
-   outside the timed region, so the timer wraps pure simulation; every
-   engine must retire exactly the same instruction count (bit-identical
-   contract), which the run asserts. *)
+   Fig. 5 workload mix: the reference step engine and the chaining block
+   engine (blocks entered through patched links and inline caches, never
+   returning to dispatch inside hot loops), the latter with and without
+   check elision.  Images are compiled outside the timed region, so the
+   timer wraps pure simulation; every engine must retire exactly the same
+   instruction count (bit-identical contract), which the run asserts. *)
 
 let opt_json = ref false
 let opt_smoke = ref false
@@ -372,7 +371,7 @@ let opt_smoke = ref false
 let opt_perf = ref false
 
 let engine_bench () =
-  header "Execution-engine throughput: step vs block vs chain (host wall-clock)";
+  header "Execution-engine throughput: step vs chain (host wall-clock)";
   let workloads =
     if !opt_smoke then [ List.hd Mibench.benchmarks ] else Mibench.benchmarks
   in
@@ -447,8 +446,8 @@ let engine_bench () =
   in
   (* Host wall-clock is noisy at the few-percent level, which is the same
      order as the elision win: take the best of [reps] passes per leg so the
-     block vs block+elide comparison (and the @bench-smoke gate built on it)
-     is not decided by scheduler jitter. *)
+     chain vs chain+elide comparison (and the @perf gate built on it) is
+     not decided by scheduler jitter. *)
   let run_engine ~elide ~reps engine =
     Cheri_analysis.Absint.reset_stats ();
     Cheri_analysis.Absint.clear_fact_cache ();
@@ -517,30 +516,25 @@ let engine_bench () =
      multi-percent outlier; best-of-7 there keeps the smoke gates from
      being decided by one noisy pass while staying under a second per
      leg. The full mix runs seconds per pass and keeps best-of-3. *)
-  let block_reps = if !opt_smoke then 7 else 3 in
-  (* Sequenced with explicit lets: the analysis-stats epoch of the LAST
-     pair is read below, and [@]'s right-to-left argument evaluation
-     would otherwise run the chain pair first. *)
+  let chain_reps = if !opt_smoke then 7 else 3 in
+  (* Sequenced with explicit lets: the analysis-stats epoch of the chain
+     pair is read below, and [@]'s right-to-left argument evaluation would
+     otherwise run it first. *)
   let step_leg =
     let i, s, ch, cp, ep = run_engine ~elide:false ~reps:1 Cheri_isa.Cpu.Step in
     [ "step", i, s, ch, (cp, ep) ]
   in
-  let block_legs =
-    run_engine_pair ~reps:block_reps
-      ("block", Cheri_isa.Cpu.Block, false)
-      ("block+elide", Cheri_isa.Cpu.Block, true)
-  in
   let chain_legs =
-    run_engine_pair ~reps:block_reps
-      ("block+chain", Cheri_isa.Cpu.Chain, false)
-      ("block+chain+elide", Cheri_isa.Cpu.Chain, true)
+    run_engine_pair ~reps:chain_reps
+      ("chain", Cheri_isa.Cpu.Chain, false)
+      ("chain+elide", Cheri_isa.Cpu.Chain, true)
   in
-  let legs = step_leg @ block_legs @ chain_legs in
-  (* Stats are reset at the start of every leg pair and only elide legs
-     touch them, so after the fold they describe the block+chain+elide leg
-     across all of its passes: the first pass misses once per exec and runs
-     the lazy superblock fixpoints; later passes hit the image-keyed cache
-     and analyze nothing. *)
+  let legs = step_leg @ chain_legs in
+  (* Stats are reset at the start of the leg pair and only the elide leg
+     touches them, so they describe the chain+elide leg across all of its
+     passes: the first pass misses once per exec and runs the lazy
+     superblock fixpoints; later passes hit the image-keyed cache and
+     analyze nothing. *)
   let fc_hits, fc_misses, sb_eager, sb_lazy =
     let s = Cheri_analysis.Absint.stats in
     ( s.Cheri_analysis.Absint.cs_hits,
@@ -555,6 +549,10 @@ let engine_bench () =
     fc_misses (if fc_misses = 1 then "" else "es")
     sb_eager sb_lazy;
   let mips insns secs = float_of_int insns /. secs /. 1e6 in
+  let leg name = List.find (fun (n, _, _, _, _) -> n = name) legs in
+  let leg_mips name = let _, i, s, _, _ = leg name in mips i s in
+  let leg_ch name = let _, _, _, ch, _ = leg name in ch in
+  let leg_pr name = let _, _, _, _, pr = leg name in pr in
   (* Chain length = blocks executed per dispatch-loop entry; IC hit rate =
      inline-cache key matches over all keyed (non-fall-through) lookups. *)
   let chain_len ch =
@@ -576,13 +574,11 @@ let engine_bench () =
     if total = 0 then 0.0
     else float_of_int ch.ch_dtlb_hits /. float_of_int total
   in
-  (match List.find_opt (fun (n, _, _, _, _) -> n = "block+chain") legs with
-   | Some (_, _, _, ch, _) ->
-     Printf.printf
-       "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
-       ch.Cheri_isa.Bbcache.ch_dtlb_hits ch.Cheri_isa.Bbcache.ch_dtlb_misses
-       (100.0 *. dtlb_rate ch)
-   | None -> ());
+  (let ch = leg_ch "chain" in
+   Printf.printf
+     "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
+     ch.Cheri_isa.Bbcache.ch_dtlb_hits ch.Cheri_isa.Bbcache.ch_dtlb_misses
+     (100.0 *. dtlb_rate ch));
   (* Dynamic elide rate: of the check_cap probes executed by compiled
      blocks, how many ran as check-free closures (tier-1 facts plus guarded
      facts whose entry guard held). *)
@@ -621,21 +617,10 @@ let engine_bench () =
          Printf.printf "%s/step speedup: %.2fx (identical %d retired insns)\n"
            name (mips i s /. mips1) i1)
        rest;
-     (* Regression gate (wired into @bench-smoke): with the image-keyed
-        fact cache and lazy per-superblock analysis, elision must be a net
-        win — if block+elide throughput drops below plain block, the
-        analysis cost is eating the elision benefit again and the run
-        fails rather than letting that land silently.
-
-        Two structural checks are exact: the elide leg must have hit the
-        fact cache on its warm passes, and must not have fallen back to
-        eager whole-image analysis.  The throughput check (--perf only,
-        i.e. the @perf alias, since it times the host) allows a small
-        noise floor: the smoke mix runs ~60ms per pass, where host jitter
-        is the same few percent as the elision win itself; the regression
-        this guards against (re-running fixpoints on every exec) costs far
-        more than 5%, so the floor absorbs host jitter without
-        letting that slip through. *)
+     (* Regression gates (wired into @bench-smoke). Two structural checks
+        on the analysis are exact: the elide leg must have hit the
+        image-keyed fact cache on its warm passes, and must not have fallen
+        back to eager whole-image analysis. *)
      (if !opt_smoke then begin
         if fc_hits = 0 then
           failwith
@@ -645,40 +630,20 @@ let engine_bench () =
             (Printf.sprintf
                "bench-smoke: elide leg ran %d eager superblock fixpoints \
                 (expected lazy analysis only)" sb_eager);
-        let leg name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, i, s, _, _) -> mips i s
-          | None -> 0.0
-        in
-        let leg_ch name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, _, _, ch, _) -> ch
-          | None -> zero_ch
-        in
-        let leg_pr name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, _, _, _, pr) -> pr
-          | None -> (0, 0)
-        in
-        let b = leg "block" and e = leg "block+elide" in
-        if !opt_perf && e < b *. 0.95 then
+        (* Chain gates: chaining exists to beat per-instruction dispatch —
+           a chain leg under twice the step engine's throughput means the
+           links or inline caches stopped carrying the hot loops (it
+           measures several times step), as does an inline-cache hit count
+           of zero on this mix (every workload has monomorphic hot back
+           edges). The throughput comparison is wall-clock, so it runs only
+           under [--perf]; the counter gates below are exact. *)
+        let c = leg_mips "chain" and st = leg_mips "step" in
+        if !opt_perf && c < 2.0 *. st then
           failwith
             (Printf.sprintf
-               "bench-smoke: block+elide regressed below block (%.2f < %.2f \
-                sim-MIPS)" e b);
-        (* Chain gates: chaining exists to beat plain block dispatch — a
-           chain leg at or below plain block means the links or inline
-           caches stopped carrying the hot loops, as does an inline-cache
-           hit count of zero on this mix (every workload has monomorphic
-           hot back edges). The throughput comparison is wall-clock, so it
-           runs only under [--perf]; the counter gates below are exact. *)
-        let c = leg "block+chain" in
-        if !opt_perf && c < b then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: block+chain regressed below plain block (%.2f < \
-                %.2f sim-MIPS)" c b);
-        let cch = leg_ch "block+chain" in
+               "bench-smoke: chain regressed below 2x step (%.2f < 2 x %.2f \
+                sim-MIPS)" c st);
+        let cch = leg_ch "chain" in
         if cch.Cheri_isa.Bbcache.ch_ic_hits = 0 then
           failwith "bench-smoke: chain leg never hit an inline cache";
         if cch.Cheri_isa.Bbcache.ch_chained = 0 then
@@ -707,29 +672,27 @@ let engine_bench () =
                "bench-smoke: chain+elide leg re-ran %d guarded-tier \
                 fixpoints (the combined resolver must serve both tiers \
                 from one scan)" gsb);
-        let ce = leg "block+chain+elide" in
+        let ce = leg_mips "chain+elide" in
         if !opt_perf && ce < c *. 0.85 then
           failwith
             (Printf.sprintf
-               "bench-smoke: block+chain+elide regressed below block+chain \
+               "bench-smoke: chain+elide regressed below chain \
                 (%.2f < 0.85 x %.2f sim-MIPS)" ce c);
         (* The widened data-side TLB must actually serve the chain legs. *)
         if cch.Cheri_isa.Bbcache.ch_dtlb_hits = 0 then
           failwith "bench-smoke: chain leg never hit the data-side TLB";
-        (* Probe gates: elide legs must actually execute check-free
-           closures; non-elide legs must never see one. *)
-        if snd (leg_pr "block+elide") = 0 then
-          failwith "bench-smoke: block+elide leg executed no elided probes";
-        if snd (leg_pr "block+chain+elide") = 0 then
+        (* Probe gates: the elide leg must actually execute check-free
+           closures; the non-elide leg must never see one. *)
+        if snd (leg_pr "chain+elide") = 0 then
           failwith "bench-smoke: chain+elide leg executed no elided probes";
-        if snd (leg_pr "block") <> 0 || snd (leg_pr "block+chain") <> 0 then
+        if snd (leg_pr "chain") <> 0 then
           failwith "bench-smoke: non-elide leg executed elided probes";
         (* Tier-3 gates: the chain+elide leg carries fact tables, so its
            certified prefixes must actually fuse line groups and batch
            same-line tail probes; the factless chain leg has no
            certificates and must never fuse. All three are exact
            structural counts, independent of host timing. *)
-        let cech = leg_ch "block+chain+elide" in
+        let cech = leg_ch "chain+elide" in
         if cech.Cheri_isa.Bbcache.ch_fused_groups = 0 then
           failwith "bench-smoke: chain+elide leg retired no fused groups";
         if cech.Cheri_isa.Bbcache.ch_batched = 0 then
@@ -743,32 +706,12 @@ let engine_bench () =
            fusion or batching being silently disabled. *)
       end);
      if !opt_json then begin
-       let speedup_of name =
-         match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-         | Some (_, i, s, _, _) -> mips i s /. mips1
-         | None -> 0.0
-       in
-       let chain_ch =
-         match
-           List.find_opt (fun (n, _, _, _, _) -> n = "block+chain") legs
-         with
-         | Some (_, _, _, ch, _) -> ch
-         | None -> zero_ch
-       in
+       let speedup_of name = leg_mips name /. mips1 in
+       let chain_ch = leg_ch "chain" in
        (* Tier-3 counters live on the chain+elide leg: fusion and batched
-          probes require fact tables, which only the elide legs carry. *)
-       let ce_ch, ce_insns =
-         match
-           List.find_opt (fun (n, _, _, _, _) -> n = "block+chain+elide") legs
-         with
-         | Some (_, i, _, ch, _) -> ch, i
-         | None -> zero_ch, 0
-       in
-       let probes_of name =
-         match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-         | Some (_, _, _, _, pr) -> pr
-         | None -> (0, 0)
-       in
+          probes require fact tables, which only the elide leg carries. *)
+       let _, ce_insns, _, ce_ch, _ = leg "chain+elide" in
+       let ce_pr = leg_pr "chain+elide" in
        let an_funcs, an_iters, an_checks, an_proved =
          Cheri_analysis.Absint.ipa_totals ()
        in
@@ -778,8 +721,6 @@ let engine_bench () =
          \  \"benchmark\": \"mibench+spec x {mips64,cheriabi} + openssl \
           s_server\",\n\
          \  \"engines\": [\n%s\n  ],\n\
-         \  \"speedup_block_over_step\": %.3f,\n\
-         \  \"speedup_elide_over_step\": %.3f,\n\
          \  \"speedup_chain_over_step\": %.3f,\n\
          \  \"speedup_chain_elide_over_step\": %.3f,\n\
          \  \"chain\": { \"entries\": %d, \"chained\": %d, \
@@ -795,8 +736,6 @@ let engine_bench () =
           \"fixpoint_iterations\": %d, \"checks_provable\": %d, \
           \"checks_total\": %d },\n\
          \  \"check_probes\": {\n\
-         \    \"block_elide\": { \"checked\": %d, \"elided\": %d, \
-          \"elide_rate\": %.3f },\n\
          \    \"chain_elide\": { \"checked\": %d, \"elided\": %d, \
           \"elide_rate\": %.3f }\n\
          \  }\n\
@@ -814,8 +753,7 @@ let engine_bench () =
                    (if ch.ch_entries = 0 then 0.0 else chain_len ch)
                    (ic_rate ch) (elide_rate pr))
                legs))
-         (speedup_of "block") (speedup_of "block+elide")
-         (speedup_of "block+chain") (speedup_of "block+chain+elide")
+         (speedup_of "chain") (speedup_of "chain+elide")
          chain_ch.Cheri_isa.Bbcache.ch_entries
          chain_ch.Cheri_isa.Bbcache.ch_chained
          (chain_len chain_ch)
@@ -836,11 +774,7 @@ let engine_bench () =
          fc_hits fc_misses sb_eager sb_lazy
          Cheri_analysis.Absint.stats.Cheri_analysis.Absint.cs_lazy_gsb
          an_funcs an_iters an_proved an_checks
-         (fst (probes_of "block+elide")) (snd (probes_of "block+elide"))
-         (elide_rate (probes_of "block+elide"))
-         (fst (probes_of "block+chain+elide"))
-         (snd (probes_of "block+chain+elide"))
-         (elide_rate (probes_of "block+chain+elide"));
+         (fst ce_pr) (snd ce_pr) (elide_rate ce_pr);
        close_out oc;
        Printf.printf "wrote BENCH_simulator.json\n"
      end

@@ -36,7 +36,6 @@ let abi_conv =
 let engine_conv =
   let parse = function
     | "step" -> Ok Cpu.Step
-    | "block" -> Ok Cpu.Block
     | "chain" -> Ok Cpu.Chain
     | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
   in
@@ -46,7 +45,6 @@ let engine_conv =
         Fmt.string ppf
           (match e with
            | Cpu.Step -> "step"
-           | Cpu.Block -> "block"
            | Cpu.Chain -> "chain") )
 
 (* Lines the libc prototypes add in front of the user's source: compile
@@ -368,10 +366,9 @@ let cmd =
     Arg.(value & opt engine_conv Cpu.Chain
          & info [ "engine" ]
              ~doc:"Execution engine: $(b,step) (reference per-instruction \
-                   interpreter), $(b,block) (decoded basic-block cache) or \
-                   $(b,chain) (block cache with superblock chaining and \
-                   inline caches; the default). All produce bit-identical \
-                   statistics.")
+                   interpreter) or $(b,chain) (decoded block cache with \
+                   superblock chaining and inline caches; the default). \
+                   Both produce bit-identical statistics.")
   in
   let args =
     Arg.(value & opt_all string [] & info [ "arg" ] ~doc:"Program argument.")
@@ -408,7 +405,7 @@ let cmd =
   let elide =
     Arg.(value & flag
          & info [ "elide-checks" ]
-             ~doc:"Let the block engine skip capability checks the abstract \
+             ~doc:"Let the chain engine skip capability checks the abstract \
                    interpreter proves cannot fail. Observable behaviour and \
                    all statistics remain bit-identical.")
   in

@@ -1619,23 +1619,20 @@ let lazy_facts_of_code ?ddc ?pcc_may regions =
    (the bench installs one image into many kernels; repeated execs of the
    same path reuse the vfs's image), so analysis results are memoized per
    image identity plus everything the facts depend on: the initial DDC and
-   the PCC permission envelope (facts are DDC- and PCC-sensitive), the
-   analysis mode, and the linked code layout (defensive: identical layout
-   is what makes entry-pc-keyed facts transferable between execs; the
-   linker is deterministic per image + ABI, so this key component only
-   guards against that assumption breaking). The cached table is shared by
+   the PCC permission envelope (facts are DDC- and PCC-sensitive), and the
+   linked code layout (defensive: identical layout is what makes
+   entry-pc-keyed facts transferable between execs; the linker is
+   deterministic per image + ABI, so this key component only guards
+   against that assumption breaking). The cached table is shared by
    reference — safe because fact tables are append-only (lazy memoization
    never changes a mask already handed out) and [Bbcache.set_facts] guards
    by physical equality, so two processes exec'ing the same image stop
    thrashing each other's block cache. *)
 
-type fact_mode = Eager | Lazy_sb
-
 type fact_key = {
   fk_img : int;                  (* Sobj.image_id *)
   fk_ddc : Cap.t;
   fk_pcc_may : Perms.t;
-  fk_lazy : bool;
   fk_layout : (int * int) list;  (* (base, instruction count) per region *)
 }
 
@@ -1666,12 +1663,11 @@ let clear_fact_cache () =
       Hashtbl.reset fact_cache;
       Hashtbl.reset sum_cache)
 
-let cached_facts ~image ~ddc ~pcc_may ~mode regions =
+let cached_facts ~image ~ddc ~pcc_may regions =
   let key =
     { fk_img = Cheri_rtld.Sobj.image_id image;
       fk_ddc = ddc;
       fk_pcc_may = pcc_may;
-      fk_lazy = (mode = Lazy_sb);
       fk_layout = List.map (fun (b, insns) -> (b, Array.length insns)) regions }
   in
   Mutex.protect cache_lock (fun () ->
@@ -1681,11 +1677,7 @@ let cached_facts ~image ~ddc ~pcc_may ~mode regions =
         f
       | None ->
         bump (fun () -> stats.cs_misses <- stats.cs_misses + 1);
-        let f =
-          match mode with
-          | Eager -> facts_of_code ~ddc ~pcc_may regions
-          | Lazy_sb -> lazy_facts_of_code ~ddc ~pcc_may regions
-        in
+        let f = lazy_facts_of_code ~ddc ~pcc_may regions in
         Hashtbl.add fact_cache key f;
         f)
 
@@ -2255,7 +2247,6 @@ let cached_ipa ~image ~ddc ~pcc_may ~entries ~got regions =
     ( { fk_img = Cheri_rtld.Sobj.image_id image;
         fk_ddc = ddc;
         fk_pcc_may = pcc_may;
-        fk_lazy = false;
         fk_layout =
           List.map (fun (b, insns) -> (b, Array.length insns)) regions },
       entries,
@@ -2299,15 +2290,14 @@ let ipa_totals () =
 
 (* The standard kernel fact provider (Kstate.config.fact_provider):
    image-cached, user-PCC permission envelope (user code can never hold
-   SYSTEM_REGS — the kernel's user root is derived without it — which is
-   what makes a concrete DDC sound: CWriteDDC must trap). Lazy by default;
-   [Eager] pays the whole image up front, which only wins for processes
-   that execute most of their code. The interprocedural summary table is
-   registered per image as well, unforced: it feeds --analysis-stats and
-   verification, while the dynamic elision path rests on the two fact
+   SYSTEM_REGS — the kernel's user root is derived without it — which is what
+   makes a concrete DDC sound: CWriteDDC must trap). Fact tables are lazy:
+   each superblock is analyzed on first decode. The interprocedural summary
+   table is registered per image as well, unforced: it feeds --analysis-stats
+   and verification, while the dynamic elision path rests on the two fact
    tiers alone (guards are self-validating at block entry). *)
-let provider ?(mode = Lazy_sb) () =
+let provider () =
   let pcc_may = Perms.diff Perms.all Perms.system_regs in
   fun ~image ~ddc ~entries ~got regions ->
     ignore (cached_ipa ~image ~ddc ~pcc_may ~entries ~got regions);
-    cached_facts ~image ~ddc ~pcc_may ~mode regions
+    cached_facts ~image ~ddc ~pcc_may regions

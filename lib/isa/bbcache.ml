@@ -15,19 +15,18 @@
      (vpage -> frame) pair cannot go stale mid-run; the memo is reset on
      every entry);
    - skips the per-instruction fetch: decoding happened at build time;
-   - optionally ([run ~chain:true]) chains blocks: a block exit resolves
-     its successor through a patched direct link (fall-through) or a
-     monomorphic inline cache (jumps, capability jumps), entering the next
-     translated block without returning to the dispatch loop — threaded
-     code in the Deutsch/Schiffman sense, with fuel checked per chained
-     entry and the PCC commit deferred until the chain exits.
+   - chains blocks: a block exit resolves its successor through a patched
+     direct link (fall-through) or a monomorphic inline cache (jumps,
+     capability jumps), entering the next translated block without
+     returning to the dispatch loop — threaded code in the
+     Deutsch/Schiffman sense, with fuel checked per chained entry and the
+     PCC commit deferred until the chain exits.
 
-   Accounting: in plain block mode, per-instruction [Cache.ifetch] probes
-   and cycle accounting stay inside each closure, in program order. In
-   chain mode they are batched per 64-byte instruction line — sound only
-   because the batch is *provably* observation-equivalent: the head fetch
-   of each line runs as a real in-order probe (the only one that can reach
-   the shared L2), and the follow-on fetches are guaranteed IL1 hits whose
+   Accounting: [Cache.ifetch] probes and cycle accounting are batched per
+   64-byte instruction line rather than charged per instruction — sound
+   only because the batch is *provably* observation-equivalent: the head
+   fetch of each line runs as a real in-order probe (the only one that can
+   reach the shared L2), and the follow-on fetches are guaranteed IL1 hits whose
    state effects commute with interleaved data accesses (IL1 shares no
    state with DL1/L2; cycles and instret are sums). See [exec_block] and
    [Cache.repeat_hits]. The contract (docs/INTERP.md) is that [instret],
@@ -57,11 +56,11 @@ type exit_ =
   | Jump_pcc of Cap.t      (* capability jump: replace PCC wholesale *)
   | Stopped of Cpu.stop    (* syscall/rt upcall; PC already committed *)
 
-(* Chain-mode block body: accounting is *batched* per I-cache line instead
-   of being inlined into every closure. [sem] holds pure-semantics
-   closures; [groups] partitions the body indices into maximal runs that
-   share one 64-byte instruction line (the entry pc is fixed per block, so
-   the line phase is static); [basesum.(i)] is the sum of base cycles of
+(* Block body: accounting is *batched* per I-cache line instead of being
+   inlined into every closure. [sem] holds pure-semantics closures;
+   [groups] partitions the body indices into maximal runs that share one
+   64-byte instruction line (the entry pc is fixed per block, so the line
+   phase is static); [basesum.(i)] is the sum of base cycles of
    body insns [0, i). Per group, the head instruction does the one real
    [Cache.ifetch] probe — the only probe that can reach the L2 — and every
    follow-on fetch in the line is a guaranteed IL1 hit whose effects
@@ -86,18 +85,10 @@ type sem_body = {
   fused : (Cpu.ctx -> unit) option array;
 }
 
-(* Body representation. [Acct]: the classic per-instruction closures with
-   accounting inlined (the plain block engine). [Sem]: chain-mode batched
-   accounting. A cache only ever holds one flavor at a time (see
-   [t.chain_mode]); both are bit-identical to [Cpu.step]. *)
-type body =
-  | Acct of (Cpu.ctx -> unit) array
-  | Sem of sem_body
-
 type block = {
   b_entry : int;
   b_ilen : int;                        (* instructions incl. terminator *)
-  b_body : body;                       (* straight-line prefix *)
+  b_body : sem_body;                   (* straight-line prefix *)
   (* Entry guard for tier-2 (guarded) elision facts. The body bakes in the
      union of the unconditional mask and the guarded mask; it may only run
      when every predicate holds on the *entry-time* register state, so the
@@ -109,9 +100,8 @@ type block = {
   b_guard : Facts.gpred array;
   b_term : (Cpu.ctx -> exit_) option;  (* absent: block ended at max size
                                           or at the edge of decoded code *)
-  (* Chain links (the [run ~chain:true] engine). Patched lazily the first
-     time the corresponding exit resolves; [None] / a stale key just means
-     "go through the hashtable". Links point at blocks in the same table,
+  (* Chain links, patched lazily the first time the corresponding exit
+     resolves; [None] / a stale key just means "go through the hashtable". Links point at blocks in the same table,
      so every invalidation path — [invalidate], [set_facts], a [map_gen]
      bump — severs them structurally by resetting the table: a link can
      only be reached through a block the reset just dropped. *)
@@ -133,25 +123,20 @@ type t = {
   mutable map_gen : int;               (* pmap generation at last flush *)
   (* Check-elision facts (lib/analysis/absint.ml). When present, [build]
      compiles memory accesses whose capability check the analysis
-     discharged into [~check:false] closures. Facts are keyed exactly like
+     discharged into check-free closures. Facts are keyed exactly like
      blocks (superblock entry pc -> bitmask), so any entry point gets the
      facts proved for *its* straight-line run. *)
   mutable facts : Facts.t option;
   (* Per-run ifetch translate memo (reset on every [run] entry). *)
   mutable cur_vpage : int;
   mutable cur_pbase : int;
-  (* Which body flavor [build] compiles: [false] = Acct (per-instruction
-     accounting), [true] = Sem (chain-mode batched accounting). Set by
-     [run ~chain]; flipping it flushes the cache so the table never mixes
-     flavors. *)
-  mutable chain_mode : bool;
   (* [exec_block] scratch state, hosted here so executing a block performs
      zero allocation (no flambda: local refs escaping into the trap
      handler would be heap cells). Execution is not reentrant — closures
      never call back into the engine — so one set per cache suffices.
      [x_i]: index of the instruction in flight; [x_gs]/[x_gcost]/[x_gpa]:
      start index, head-probe cost (-1 = none in flight) and head physical
-     address of the Sem line group being executed. *)
+     address of the line group being executed. *)
   mutable x_i : int;
   mutable x_gs : int;
   mutable x_gcost : int;
@@ -164,9 +149,9 @@ type t = {
      consecutive accesses in the same block body, so the value can never
      be another run's: each head overwrites it unconditionally. *)
   mutable x_run_pa : int;
-  (* Chain-mode data-side translate memo: small set-associative software
-     TLBs (2 sets x 2 ways, indexed by vpage parity, MRU way first), split
-     by access kind because read and write rights (and COW) differ. One
+  (* Data-side translate memo: small set-associative software TLBs (2
+     sets x 2 ways, indexed by vpage parity, MRU way first), split by
+     access kind because read and write rights (and COW) differ. One
      entry per side thrashes as soon as a loop touches two pages of the
      same kind per iteration — memcpy-style src/dst streams, a buffer plus
      the stack — which is the common shape of the TLS record loops; four
@@ -183,7 +168,6 @@ type t = {
   (* Visibility counters (bench/docs; not part of the parity contract). *)
   mutable built : int;
   mutable flushes : int;
-  mutable block_runs : int;
   mutable step_falls : int;
   mutable elided_sites : int;          (* check-free closures compiled *)
   (* Chaining counters (bench/docs; not part of the parity contract). *)
@@ -195,7 +179,7 @@ type t = {
   mutable dtlb_hits : int;             (* data-side software-TLB hits *)
   mutable dtlb_misses : int;           (* ... full translates *)
   (* Dynamic check_cap probe counters (bench/docs; not part of the parity
-     contract). Every memory-access closure executed by the block engines
+     contract). Every memory-access closure executed by a compiled block
      bumps exactly one of these: [checked_probes] when the compiled closure
      runs the capability check, [elided_probes] when the analysis discharged
      it (tier-1 mask or a guarded mask whose entry guard held). Accesses
@@ -225,11 +209,10 @@ let create () =
     map_gen = min_int;
     facts = None;
     cur_vpage = -1; cur_pbase = 0;
-    chain_mode = false;
     x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0; x_run_pa = -1;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
-    built = 0; flushes = 0; block_runs = 0; step_falls = 0;
+    built = 0; flushes = 0; step_falls = 0;
     elided_sites = 0;
     chain_entries = 0; chained = 0; ic_hits = 0; ic_misses = 0; ic_mega = 0;
     dtlb_hits = 0; dtlb_misses = 0;
@@ -327,7 +310,7 @@ let translate_exec t m pc =
     pa
   end
 
-(* Chain-mode data translates. A natural-aligned access of <= 16 bytes
+(* Data-side translates. A natural-aligned access of <= 16 bytes
    never crosses a page, so one (vpage -> frame base) pair resolves the
    whole access. Misses go through the real [m.translate], which raises
    page faults exactly as the step engine; hits are sound because nothing
@@ -392,7 +375,7 @@ let translate_wr t m vaddr =
     pa
   end
 
-(* Fast-path capability probe for the chain engine's memory closures:
+(* Fast-path capability probe for the compiled memory closures:
    pure field reads, no exception frame, same predicate as
    [Cap.check_access_at]. On failure the caller re-runs [Cpu.check_cap],
    which performs the architecturally-ordered checks and raises the exact
@@ -432,10 +415,10 @@ let rec guard_ok_from (ctx : Cpu.ctx) (preds : Facts.gpred array) i n =
 let guard_ok (ctx : Cpu.ctx) (preds : Facts.gpred array) =
   guard_ok_from ctx preds 0 (Array.length preds)
 
-(* Per-instruction accounting prologue, shared by every [Acct] closure:
-   charge the ifetch (through the memoized exec translate) plus base
-   cycles, and retire the instruction — exactly what [Cpu.step] does
-   before executing, so a faulting instruction still counts, as there. *)
+(* Per-instruction accounting prologue of the terminator closures: charge
+   the ifetch (through the memoized exec translate) plus base cycles, and
+   retire the instruction — exactly what [Cpu.step] does before executing,
+   so a faulting terminator still counts, as there. *)
 let account t m pc base ctx =
   let ipa = translate_exec t m pc in
   ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.ifetch m.Cpu.hier ipa + base;
@@ -443,109 +426,32 @@ let account t m pc base ctx =
 
 (* --- Block compilation ---------------------------------------------------- *)
 
-(* Straight-line instruction at [pc] -> closure. The hottest ALU forms get
-   specialized closures (no re-dispatch per execution); everything else
-   funnels through the one shared semantics function, [Cpu.exec_straight].
-   The fuzzer exercises both paths against the step engine.
+(* Straight-line instruction at [pc] -> pure-semantics closure. Block
+   bodies batch fetch/cycle/instret accounting per I-cache line (see
+   [exec_block]), so closures carry no accounting. The hottest ALU and
+   capability-inspection forms get specialized closures (no re-dispatch
+   per execution); everything else funnels through the one shared
+   semantics function, [Cpu.exec_straight]. The fuzzer exercises both
+   paths against the step engine.
 
    [elide] means the absint facts discharged this instruction's capability
-   check: the memory arms then compile a [~check:false] closure. Only the
+   check: the memory arms then compile a check-free closure. Only the
    [Cpu.check_cap] probe disappears — a pure test with no statistics side
    effects — so retired instructions, cycles and cache counters are
-   untouched, which is what keeps elided runs bit-identical. *)
-let compile_straight t m ~pc ~elide insn =
-  let base = Insn.base_cycles insn in
-  let check = not elide in
-  if elide then t.elided_sites <- t.elided_sites + 1;
-  (* Dynamic probe accounting: one bump per executed memory access, on the
-     side the compiled closure actually took ([check] is baked in). *)
-  let count_probe () =
-    if check then t.checked_probes <- t.checked_probes + 1
-    else t.elided_probes <- t.elided_probes + 1
-  in
-  match insn with
-  | Insn.Li (rd, v) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd v
-  | Insn.Move (rd, rs) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs)
-  | Insn.Addu (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt)
-  | Insn.Addiu (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + i)
-  | Insn.Subu (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt)
-  | Insn.Andi (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs land i)
-  | Insn.Ori (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lor i)
-  | Insn.Sll (rd, rs, sh) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lsl sh)
-  | Insn.Slt (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0)
-  | Insn.Slti (rd, rs, i) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < i then 1 else 0)
-  | Insn.Load { w; signed; rd; base = b; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_load ~check m ctx ~w ~signed ~rd ~base:b ~off
-  | Insn.Store { w; rs; base = b; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_store ~check m ctx ~w ~rs ~base:b ~off
-  | Insn.CLoad { w; signed; rd; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_cload ~check m ctx ~w ~signed ~rd ~cb ~off
-  | Insn.CStore { w; rs; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_cstore ~check m ctx ~w ~rs ~cb ~off
-  | Insn.CLC { cd; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_clc ~check m ctx ~cd ~cb ~off
-  | Insn.CSC { cs; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_csc ~check m ctx ~cs ~cb ~off
-  | Insn.CIncOffsetImm (cd, cb, i) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) i)
-  | Insn.CMove (cd, cb) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_creg ctx cd (Cpu.rd_creg ctx cb)
-  | Insn.Nop ->
-    fun ctx -> account t m pc base ctx
-  | insn ->
-    fun ctx -> account t m pc base ctx; Cpu.exec_straight m ctx ~pc insn
-
-(* The same specialization with NO inlined accounting: the chain engine's
-   [Sem] bodies batch fetch/cycle/instret accounting per I-cache line
-   (see [exec_block]), so closures carry pure semantics only. The [elide]
-   contract is identical to [compile_straight].
+   untouched, which is what keeps elided runs bit-identical.
 
    Memory arms inline [Cpu.mem_read]/[Cpu.mem_write] with the data-side
    translate memo substituted — check order (capability probe, alignment,
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
-   cross-checks every path. More ALU and capability-inspection forms are
-   specialized than in [compile_straight]: with accounting hoisted out,
-   closure dispatch is the dominant cost, so avoiding the second match in
-   [Cpu.exec_straight] pays here. *)
+   cross-checks every path. *)
 let compile_sem t m ~pc ~elide insn =
   let check = not elide in
   if elide then t.elided_sites <- t.elided_sites + 1;
   let hier = m.Cpu.hier in
   let mem = m.Cpu.mem in
-  (* Same dynamic probe accounting as [compile_straight]. *)
+  (* Dynamic probe accounting: one bump per executed memory access, on the
+     side the compiled closure actually took ([check] is baked in). *)
   let count_probe () =
     if check then t.checked_probes <- t.checked_probes + 1
     else t.elided_probes <- t.elided_probes + 1
@@ -1176,7 +1082,7 @@ let fuse t sem mems s e =
    the first instruction is outside decoded code: the step fallback then
    reproduces the fetch fault with exact accounting. Build never touches
    translate, caches or counters, so it is invisible to the statistics.
-   The body flavor follows [t.chain_mode] (see [body]). *)
+   *)
 let build t m entry =
   let body = ref [] in
   let bases = ref [] in
@@ -1193,13 +1099,10 @@ let build t m entry =
   in
   let emask = fmask lor gmask in
   (* Tier-3 certificate: trap-free prefix length and same-line access
-     runs, keyed like the masks. Only consulted in chain mode (fusion and
-     batched probes live in [Sem] bodies). Pulled after [mask]/[guarded]
-     so a lazy fact table resolves each entry exactly once. *)
+     runs, keyed like the masks. Pulled after [mask]/[guarded] so a lazy
+     fact table resolves each entry exactly once. *)
   let cert =
-    if t.chain_mode then
-      match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
-    else Facts.no_cert
+    match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
   in
   let rmap = Array.make max_block R_none in
   Array.iter
@@ -1214,12 +1117,9 @@ let build t m entry =
        if Insn.is_terminator insn then term := Some (compile_term t m ~pc insn)
        else begin
          let elide = (emask lsr !n) land 1 = 1 in
-         if t.chain_mode then begin
-           body := compile_sem_run t m ~pc ~elide ~run:rmap.(!n) insn :: !body;
-           bases := Insn.base_cycles insn :: !bases;
-           mems := is_memop insn :: !mems
-         end
-         else body := compile_straight t m ~pc ~elide insn :: !body
+         body := compile_sem_run t m ~pc ~elide ~run:rmap.(!n) insn :: !body;
+         bases := Insn.base_cycles insn :: !bases;
+         mems := is_memop insn :: !mems
        end;
        incr n
      done
@@ -1228,36 +1128,30 @@ let build t m entry =
   else begin
     t.built <- t.built + 1;
     let closures = Array.of_list (List.rev !body) in
-    let b_body =
-      if t.chain_mode then begin
-        let nbody = Array.length closures in
-        let basesum = Array.make (nbody + 1) 0 in
-        List.iteri
-          (fun i b -> basesum.(nbody - i) <- b)
-          !bases;
-        for i = 1 to nbody do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
-        let groups = make_groups entry nbody in
-        let prefix = cert.Facts.ct_prefix in
-        let fused =
-          if prefix <= 0 then Array.make (Array.length groups) None
-          else begin
-            let memarr = Array.make nbody false in
-            List.iteri (fun i b -> memarr.(nbody - 1 - i) <- b) !mems;
-            Array.map
-              (fun packed ->
-                 let s = packed lsr 16 in
-                 let e = s + (packed land 0xffff) - 1 in
-                 if e < prefix then Some (fuse t closures memarr s e)
-                 else None)
-              groups
-          end
-        in
-        Sem { sem = closures; groups; basesum; fused }
+    let nbody = Array.length closures in
+    let basesum = Array.make (nbody + 1) 0 in
+    List.iteri
+      (fun i b -> basesum.(nbody - i) <- b)
+      !bases;
+    for i = 1 to nbody do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
+    let groups = make_groups entry nbody in
+    let prefix = cert.Facts.ct_prefix in
+    let fused =
+      if prefix <= 0 then Array.make (Array.length groups) None
+      else begin
+        let memarr = Array.make nbody false in
+        List.iteri (fun i b -> memarr.(nbody - 1 - i) <- b) !mems;
+        Array.map
+          (fun packed ->
+             let s = packed lsr 16 in
+             let e = s + (packed land 0xffff) - 1 in
+             if e < prefix then Some (fuse t closures memarr s e)
+             else None)
+          groups
       end
-      else Acct closures
     in
     Some { b_entry = entry; b_ilen = !n;
-           b_body;
+           b_body = { sem = closures; groups; basesum; fused };
            b_guard = (if gmask = 0 then [||] else gpreds);
            b_term = !term;
            b_fall = None;
@@ -1318,7 +1212,7 @@ type bexit =
    the bounds, so the iterated [set_addr] commits of the step engine
    produce exactly this capability.
 
-   [Sem] bodies batch the accounting per line group. Exactness argument:
+   Bodies batch the accounting per line group. Exactness argument:
    within a group only the head fetch can miss (and thus probe the L2) —
    it runs as a real, in-order [Cache.ifetch]. Follow-on fetches are
    guaranteed IL1 hits; their effects (clock, final LRU stamp, hit count,
@@ -1330,7 +1224,7 @@ type bexit =
    every counter and every cache bit identical to the step engine. A
    page fault on the head probe itself commits nothing for the group,
    again as the step engine (translate raises before any accounting). *)
-(* Commit the accounting batch for the Sem line group in flight through
+(* Commit the accounting batch for the line group in flight through
    body index [j] inclusive: the head probe's cost, one IL1-hit cycle and
    one retirement per follow-on, their base cycles, and the IL1 repeat
    batch. No-op when no group is in flight ([t.x_gcost < 0]). *)
@@ -1354,40 +1248,33 @@ let exec_block t m b (ctx : Cpu.ctx) =
   t.x_i <- 0;
   t.x_gcost <- -1;
   try
-    (match b.b_body with
-     | Acct body ->
-       let n = Array.length body in
-       for i = 0 to n - 1 do
-         t.x_i <- i;
-         (Array.unsafe_get body i) ctx
-       done
-     | Sem sb ->
-       let groups = sb.groups in
-       let sem = sb.sem in
-       let fused = sb.fused in
-       for g = 0 to Array.length groups - 1 do
-         let packed = Array.unsafe_get groups g in
-         let s = packed lsr 16 in
-         t.x_i <- s;
-         t.x_gs <- s;
-         let pa = translate_exec t m (entry + (4 * s)) in
-         t.x_gpa <- pa;
-         t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
-         let e = s + (packed land 0xffff) - 1 in
-         (match Array.unsafe_get fused g with
-          | Some f ->
-            (* Certified group: one indirect call; [f] keeps [t.x_i]
-               exact at every possible repair point (memory members). *)
-            t.fused_groups <- t.fused_groups + 1;
-            t.fused_insns <- t.fused_insns + (e - s + 1);
-            f ctx
-          | None ->
-            for j = s to e do
-              t.x_i <- j;
-              (Array.unsafe_get sem j) ctx
-            done);
-         commit_sem t m sb ctx e
-       done);
+    let sb = b.b_body in
+    let groups = sb.groups in
+    let sem = sb.sem in
+    let fused = sb.fused in
+    for g = 0 to Array.length groups - 1 do
+      let packed = Array.unsafe_get groups g in
+      let s = packed lsr 16 in
+      t.x_i <- s;
+      t.x_gs <- s;
+      let pa = translate_exec t m (entry + (4 * s)) in
+      t.x_gpa <- pa;
+      t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
+      let e = s + (packed land 0xffff) - 1 in
+      (match Array.unsafe_get fused g with
+       | Some f ->
+         (* Certified group: one indirect call; [f] keeps [t.x_i]
+            exact at every possible repair point (memory members). *)
+         t.fused_groups <- t.fused_groups + 1;
+         t.fused_insns <- t.fused_insns + (e - s + 1);
+         f ctx
+       | None ->
+         for j = s to e do
+           t.x_i <- j;
+           (Array.unsafe_get sem j) ctx
+         done);
+      commit_sem t m sb ctx e
+    done;
     match b.b_term with
     | None -> Bx_next (entry + (4 * b.b_ilen))
     | Some term ->
@@ -1401,11 +1288,11 @@ let exec_block t m b (ctx : Cpu.ctx) =
        | Stopped s -> Bx_stop s)
   with
   | Trap.Trap cause ->
-    (match b.b_body with Sem sb -> commit_sem t m sb ctx t.x_i | Acct _ -> ());
+    commit_sem t m b.b_body ctx t.x_i;
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc (entry + (4 * t.x_i));
     Bx_stop (Cpu.Stop_trap cause)
   | Cap.Cap_error v ->
-    (match b.b_body with Sem sb -> commit_sem t m sb ctx t.x_i | Acct _ -> ());
+    commit_sem t m b.b_body ctx t.x_i;
     let pc = entry + (4 * t.x_i) in
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc pc;
     Bx_stop (Cpu.Stop_trap (Trap.Cap_fault { violation = v; reg = -1; vaddr = pc }))
@@ -1473,7 +1360,7 @@ let cjump_succ t m b pc' =
 
 (* --- Dispatch loop ---------------------------------------------------------- *)
 
-(* Run under the block engine until a stop or until [fuel] instructions
+(* Run under the block cache until a stop or until [fuel] instructions
    have executed — same contract as [Cpu.run]. [map_gen] is the owning
    pmap's generation counter: a change means pages were unmapped or
    re-protected, so decoded blocks are flushed. Whole blocks run only
@@ -1481,10 +1368,9 @@ let cjump_succ t m b pc' =
    hoisted check cannot cover) the engine single-steps, which makes
    mid-block quantum stops replay exactly.
 
-   [chain] enables superblock chaining: after a block exits, its successor
-   is resolved through the patched links / inline caches and entered
-   directly, without returning here for a hashtable lookup or a PCC
-   commit. A chain keeps running while (a) the successor exists, (b) the
+   Blocks chain: after a block exits, its successor is resolved through
+   the patched links / inline caches and entered directly, without
+   returning here for a hashtable lookup or a PCC commit. A chain keeps running while (a) the successor exists, (b) the
    remaining fuel covers it whole — the per-chain fuel check; when the
    quantum expires exactly at a chain-internal block boundary,
    [nb.b_ilen <= 0] fails and the chain stops precisely there, and when it
@@ -1494,14 +1380,7 @@ let cjump_succ t m b pc' =
    the straight-line prefix from the entry, so they hold no matter how
    control arrived). Between chained blocks the PCC address is left stale
    (see [bexit]); it is materialized whenever the chain exits. *)
-let run ?(map_gen = 0) ?(chain = false) t m (ctx : Cpu.ctx) ~fuel =
-  if chain <> t.chain_mode then begin
-    if Hashtbl.length t.blocks > 0 then begin
-      Hashtbl.reset t.blocks;
-      t.flushes <- t.flushes + 1
-    end;
-    t.chain_mode <- chain
-  end;
+let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
   if map_gen <> t.map_gen then begin
     if Hashtbl.length t.blocks > 0 then begin
       Hashtbl.reset t.blocks;
@@ -1519,49 +1398,36 @@ let run ?(map_gen = 0) ?(chain = false) t m (ctx : Cpu.ctx) ~fuel =
     match lookup_or_build t m pc with
     | Some b when b.b_ilen <= !remaining && block_ok ctx b
                   && (Array.length b.b_guard = 0 || guard_ok ctx b.b_guard) ->
-      if chain then begin
-        t.chain_entries <- t.chain_entries + 1;
-        let cur = ref b in
-        let chaining = ref true in
-        while !chaining do
-          let b = !cur in
-          t.block_runs <- t.block_runs + 1;
-          remaining := !remaining - b.b_ilen;
-          match exec_block t m b ctx with
-          | Bx_stop s ->
-            result := Some s;
-            running := false;
-            chaining := false
-          | Bx_next pc' ->
-            (match chain_succ t m b pc' with
-             | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
-                            && (Array.length nb.b_guard = 0
-                                || guard_ok ctx nb.b_guard) ->
-               t.chained <- t.chained + 1;
-               cur := nb
-             | _ ->
-               ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc';
-               chaining := false)
-          | Bx_pcc ->
-            (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
-             | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb
-                            && (Array.length nb.b_guard = 0
-                                || guard_ok ctx nb.b_guard) ->
-               t.chained <- t.chained + 1;
-               cur := nb
-             | _ -> chaining := false)
-        done
-      end
-      else begin
-        t.block_runs <- t.block_runs + 1;
+      t.chain_entries <- t.chain_entries + 1;
+      let cur = ref b in
+      let chaining = ref true in
+      while !chaining do
+        let b = !cur in
         remaining := !remaining - b.b_ilen;
         match exec_block t m b ctx with
         | Bx_stop s ->
           result := Some s;
-          running := false
-        | Bx_next pc' -> ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc'
-        | Bx_pcc -> ()
-      end
+          running := false;
+          chaining := false
+        | Bx_next pc' ->
+          (match chain_succ t m b pc' with
+           | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
+                          && (Array.length nb.b_guard = 0
+                              || guard_ok ctx nb.b_guard) ->
+             t.chained <- t.chained + 1;
+             cur := nb
+           | _ ->
+             ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc';
+             chaining := false)
+        | Bx_pcc ->
+          (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
+           | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb
+                          && (Array.length nb.b_guard = 0
+                              || guard_ok ctx nb.b_guard) ->
+             t.chained <- t.chained + 1;
+             cur := nb
+           | _ -> chaining := false)
+      done
     | _ ->
       t.step_falls <- t.step_falls + 1;
       decr remaining;

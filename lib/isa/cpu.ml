@@ -30,10 +30,9 @@ type stop =
 
 (* Execution engine selector (kernel config / --engine flag). *)
 type engine =
-  | Step                  (* reference per-instruction interpreter *)
-  | Block                 (* decoded basic-block cache, see Bbcache *)
-  | Chain                 (* block cache + superblock chaining / inline
-                             caches, see Bbcache.run ~chain *)
+  | Step                  (* reference per-instruction interpreter: the oracle *)
+  | Chain                 (* decoded block cache with superblock chaining and
+                             inline caches, see Bbcache.run *)
 
 type machine = {
   mem : Tagmem.t;
@@ -150,37 +149,32 @@ let div_operands ctx rs rt =
   if a = min_int && b = -1 then Trap.raise_trap Trap.Overflow;
   (a, b)
 
-(* The [check] flag lets the block engine skip the capability probe when
-   static analysis has discharged it (facts from [Facts]/absint). Only the
-   [check_cap] probe is elidable: alignment checks, translation, cache
-   accounting and value-dependent checks (see [do_csc]) always run. *)
-
-let do_load ?(check = true) m ctx ~w ~signed ~rd ~base ~off =
+let do_load m ctx ~w ~signed ~rd ~base ~off =
   let vaddr = rd_gpr ctx base + off in
-  if check then check_cap ctx.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
+  check_cap ctx.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
   wr_gpr ctx rd (mem_read m ctx vaddr w ~signed)
 
-let do_store ?(check = true) m ctx ~w ~rs ~base ~off =
+let do_store m ctx ~w ~rs ~base ~off =
   let vaddr = rd_gpr ctx base + off in
-  if check then check_cap ctx.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
+  check_cap ctx.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
   mem_write m ctx vaddr w (rd_gpr ctx rs)
 
-let do_cload ?(check = true) m ctx ~w ~signed ~rd ~cb ~off =
+let do_cload m ctx ~w ~signed ~rd ~cb ~off =
   let cap = rd_creg ctx cb in
   let vaddr = Cap.addr cap + off in
-  if check then check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
+  check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
   wr_gpr ctx rd (mem_read m ctx vaddr w ~signed)
 
-let do_cstore ?(check = true) m ctx ~w ~rs ~cb ~off =
+let do_cstore m ctx ~w ~rs ~cb ~off =
   let cap = rd_creg ctx cb in
   let vaddr = Cap.addr cap + off in
-  if check then check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
+  check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
   mem_write m ctx vaddr w (rd_gpr ctx rs)
 
-let do_clc ?(check = true) m ctx ~cd ~cb ~off =
+let do_clc m ctx ~cd ~cb ~off =
   let cap = rd_creg ctx cb in
   let vaddr = Cap.addr cap + off in
-  if check then check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
+  check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
   let loaded = mem_read_cap m ctx vaddr in
   (* Without LOAD_CAP the tag is stripped on load. *)
   let loaded =
@@ -189,10 +183,10 @@ let do_clc ?(check = true) m ctx ~cd ~cb ~off =
   in
   wr_creg ctx cd loaded
 
-let do_csc ?(check = true) m ctx ~cs ~cb ~off =
+let do_csc m ctx ~cs ~cb ~off =
   let cap = rd_creg ctx cb in
   let vaddr = Cap.addr cap + off in
-  if check then check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
+  check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
   let v = rd_creg ctx cs in
   if Cap.is_tagged v then begin
     if not (Perms.has (Cap.perms cap) Perms.store_cap) then

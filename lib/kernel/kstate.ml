@@ -64,7 +64,7 @@ type config = {
 }
 
 let default_config () =
-  { (* Chaining block engine by default: bit-identical to Step/Block (the
+  { (* Chaining block engine by default: bit-identical to Step (the
        differential fuzzer and kernel parity tests enforce it), so every
        workload run in the suite also exercises the chained paths. *)
     engine = Cpu.Chain;

@@ -200,12 +200,12 @@ let run ?(max_steps = max_int) k =
              let stop =
                match k.Kstate.config.Kstate.engine with
                | Cpu.Step -> Cpu.run k.Kstate.machine p.Proc.ctx ~fuel
-               | (Cpu.Block | Cpu.Chain) as e ->
+               | Cpu.Chain ->
                  (* [fuel] is the scheduler quantum: the block cache checks
-                    it per block — and, when chaining, per chained entry —
-                    so preemption lands on exactly the same instruction as
-                    the step engine (mid-block expiry single-steps). *)
-                 Bbcache.run ~chain:(e = Cpu.Chain)
+                    it per chained block entry, so preemption lands on
+                    exactly the same instruction as the step engine
+                    (mid-block expiry single-steps). *)
+                 Bbcache.run
                    ~map_gen:(Pmap.generation (Addr_space.pmap p.Proc.asp))
                    k.Kstate.bb k.Kstate.machine p.Proc.ctx ~fuel
              in

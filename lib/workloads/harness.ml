@@ -31,15 +31,15 @@ let status_string m =
 
 (* Run [src] (linked against libc) under [abi] and measure. [engine]
    selects the interpreter (default: the kernel config's default, i.e. the
-   block engine); [quantum] overrides the scheduler timeslice, which the
+   chain engine); [quantum] overrides the scheduler timeslice, which the
    engine-parity tests use to force mid-block preemption; [elide] installs
-   the abstract interpreter as the kernel's fact provider, so the block
+   the abstract interpreter as the kernel's fact provider, so the chain
    engine compiles out statically proved capability checks (the metrics
    must nevertheless be bit-identical — eliding a proved check is a pure
    no-op). *)
 let run ?opts ?(extra_libs = []) ?(argv = [ "prog" ])
     ?(max_steps = 400_000_000) ?l2_size ?engine ?quantum ?(elide = false)
-    ?(fact_mode = Cheri_analysis.Absint.Lazy_sb) ~abi src =
+    ~abi src =
   let k = Kernel.boot ?l2_size () in
   (match engine with
    | Some e -> k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- e
@@ -49,7 +49,7 @@ let run ?opts ?(extra_libs = []) ?(argv = [ "prog" ])
    | None -> ());
   if elide then
     k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.fact_provider <-
-      Some (Cheri_analysis.Absint.provider ~mode:fact_mode ());
+      Some (Cheri_analysis.Absint.provider ());
   Cheri_libc.Runtime.install k;
   let image =
     Stdlib_src.build_image ?opts ~abi ~name:"bench" ~extra_libs src

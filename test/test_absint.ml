@@ -290,7 +290,7 @@ let test_directed_must () =
          attributed to the pc of the block that actually faulted, so the
          dynamic trap pc must still cross-reference the absint claim. *)
       let m, ctx, _mem = Test_engines.setup insns 1 in
-      (match Bbcache.run ~chain:true (Bbcache.create ()) m ctx ~fuel:50 with
+      (match Bbcache.run (Bbcache.create ()) m ctx ~fuel:50 with
        | Some (Cpu.Stop_trap _) ->
          Alcotest.(check int) (name ^ ": chained trap pc") pc_expect
            (Cap.addr ctx.Cpu.pcc)
@@ -342,12 +342,12 @@ let test_directed_elision () =
   Alcotest.(check bool) "post-setbounds repeat access elidable" true
     (Facts.elidable sc.Absint.sc_facts ~entry:code_base ~index:2)
 
-(* --- 3b. Guarded (tier-2) elision in the block engines ----------------------- *)
+(* --- 3b. Guarded (tier-2) elision in the chain engine ------------------------ *)
 
 (* First accesses through an unknown capability register are never
    unconditionally elidable (the scan's entry state is Top), but the scan
    emits a guarded fact: one register predicate that licenses eliding every
-   check it hulls. The engines evaluate the predicate on the entry-time
+   check it hulls. The engine evaluates the predicate on the entry-time
    register state — a valid wide capability passes (checks compiled out),
    an untagged one fails (exact single-step fallback reproducing the
    reference trap). *)
@@ -368,42 +368,36 @@ let test_guarded_elision () =
      && Array.for_all
           (fun p -> p.Facts.gp_reg = 1 && not p.Facts.gp_ddc)
           preds);
-  List.iter
-    (fun chain ->
-      let label = if chain then "chain" else "block" in
-      (* Valid wide capability in c1: the guard holds, both probes are
-         elided, and the snapshot matches the reference interpreter. *)
-      let step = Test_engines.run_step insns 3 in
-      let m, ctx, mem = Test_engines.setup insns 3 in
-      let facts =
-        Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns) ]
-      in
-      let bb = Bbcache.create () in
-      Bbcache.set_facts bb (Some facts);
-      let stop = Bbcache.run ~chain bb m ctx ~fuel:50 in
-      Alcotest.(check string) (label ^ ": guarded parity") step
-        (Test_engines.snapshot stop m ctx mem);
-      Alcotest.(check int) (label ^ ": guard held, probes elided") 2
-        bb.Bbcache.elided_probes;
-      Alcotest.(check int) (label ^ ": guard held, nothing checked") 0
-        bb.Bbcache.checked_probes;
-      (* Untagged capability in c6: the same program shape now fails the
-         guard at block entry; the engine falls back to exact single-step
-         and reproduces the reference trap with no probe accounted. *)
-      let insns6 = guarded_prog 6 in
-      let step6 = Test_engines.run_step insns6 3 in
-      let m, ctx, mem = Test_engines.setup insns6 3 in
-      let facts =
-        Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns6) ]
-      in
-      let bb = Bbcache.create () in
-      Bbcache.set_facts bb (Some facts);
-      let stop = Bbcache.run ~chain bb m ctx ~fuel:50 in
-      Alcotest.(check string) (label ^ ": failed-guard parity") step6
-        (Test_engines.snapshot stop m ctx mem);
-      Alcotest.(check int) (label ^ ": failed guard, nothing elided") 0
-        bb.Bbcache.elided_probes)
-    [ false; true ]
+  (* Valid wide capability in c1: the guard holds, both probes are
+     elided, and the snapshot matches the reference interpreter. *)
+  let step = Test_engines.run_step insns 3 in
+  let m, ctx, mem = Test_engines.setup insns 3 in
+  let facts =
+    Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns) ]
+  in
+  let bb = Bbcache.create () in
+  Bbcache.set_facts bb (Some facts);
+  let stop = Bbcache.run bb m ctx ~fuel:50 in
+  Alcotest.(check string) "guarded parity" step
+    (Test_engines.snapshot stop m ctx mem);
+  Alcotest.(check int) "guard held, probes elided" 2 bb.Bbcache.elided_probes;
+  Alcotest.(check int) "guard held, nothing checked" 0
+    bb.Bbcache.checked_probes;
+  (* Untagged capability in c6: the same program shape now fails the
+     guard at block entry; the engine falls back to exact single-step
+     and reproduces the reference trap with no probe accounted. *)
+  let insns6 = guarded_prog 6 in
+  let step6 = Test_engines.run_step insns6 3 in
+  let m, ctx, mem = Test_engines.setup insns6 3 in
+  let facts =
+    Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns6) ]
+  in
+  let bb = Bbcache.create () in
+  Bbcache.set_facts bb (Some facts);
+  let stop = Bbcache.run bb m ctx ~fuel:50 in
+  Alcotest.(check string) "failed-guard parity" step6
+    (Test_engines.snapshot stop m ctx mem);
+  Alcotest.(check int) "failed guard, nothing elided" 0 bb.Bbcache.elided_probes
 
 (* --- 3c. Branch refinement at the interprocedural flow level ----------------- *)
 

@@ -1,19 +1,20 @@
-(* Engine equivalence: the decoded basic-block engine (Bbcache) must be
+(* Engine equivalence: the chaining block engine (Bbcache) must be
    observationally identical to the reference step interpreter (Cpu.step).
 
    Two layers of evidence:
 
    1. A differential fuzzer over seeded random programs — arithmetic,
       branches, capability derivation, loads/stores of data and
-      capabilities, sealing, traps, syscalls — executed seven ways (step;
-      block in one run; block in small fuel chunks, which forces mid-block
-      preemption and resume; block with the abstract interpreter's
-      proved-safe capability checks elided, with the fact table computed
-      both eagerly and lazily per superblock; block with superblock
-      chaining; chaining with elision) on identical fresh machines. The
-      full observable state is compared: every GPR and capability
-      register, PCC, DDC, instret, cycles, the stop reason, per-level
-      cache hit/miss counters, memory bytes and tag placement.
+      capabilities, sealing, traps, syscalls — executed six ways (step;
+      chain in one run; chain with the abstract interpreter's proved-safe
+      capability checks elided, with the fact table computed both eagerly
+      and lazily per superblock; chain in small fuel chunks, which forces
+      mid-block and mid-chain preemption and resume; and chunked chain
+      with lazy facts, where quanta also expire around guarded and fused
+      blocks) on identical fresh machines. The full observable state is
+      compared: every GPR and capability register, PCC, DDC, instret,
+      cycles, the stop reason, per-level cache hit/miss counters, memory
+      bytes and tag placement.
 
    2. Kernel-level parity: a compiled program run end-to-end through the
       scheduler under every engine (including with a tiny prime quantum so
@@ -268,99 +269,71 @@ let run_step insns seed =
   let stop = Cpu.run m ctx ~fuel in
   snapshot stop m ctx mem
 
-let run_block insns seed =
-  let m, ctx, mem = setup insns seed in
-  let bb = Bbcache.create () in
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
+(* Elision facts for the fuzzed program, computed against the machine's
+   initial DDC. [eager_facts] runs the abstract interpreter's whole-image
+   scan, proving capability checks safe up front. [lazy_facts] has the
+   same contract, but the table is a pull-through — each superblock's
+   fixpoint runs the first time the engine decodes that entry pc — and the
+   resolved masks must be identical to the eager scan's. Eliding a check is a pure no-op when the proof is
+   right, so either way the full snapshot — down to cycle and cache
+   counters — must still match the step engine exactly. *)
+let eager_facts ddc insns =
+  Cheri_analysis.Absint.facts_of_code ~ddc [ (code_base, insns) ]
 
-(* Elided: block engine consuming the abstract interpreter's proved-safe
-   facts (computed against the same initial DDC the machine starts with),
-   so provably-passing capability checks are compiled out. Eliding a check
-   is a pure no-op when the proof is right, so the full snapshot — down to
-   cycle and cache counters — must still match the step engine exactly. *)
-let run_block_elide insns seed =
-  let m, ctx, mem = setup insns seed in
-  let facts =
-    Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
+let lazy_facts ddc insns =
+  Cheri_analysis.Absint.lazy_facts_of_code ~ddc [ (code_base, insns) ]
 
-(* Lazy facts: the same elision contract, but the fact table is a
-   pull-through — each superblock's fixpoint runs the first time the block
-   engine decodes that entry pc, instead of up front for every pc. The
-   resolved masks must be identical to the eager scan's, so the full
-   snapshot must again match the step engine bit for bit. *)
-let run_block_lazy insns seed =
-  let m, ctx, mem = setup insns seed in
-  let facts =
-    Cheri_analysis.Absint.lazy_facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
-(* Chained: the block engine with superblock chaining and inline caches —
-   block exits resolve their successor through patched links and enter it
-   directly, deferring the PCC commit until the chain breaks. Chaining is
-   pure dispatch elision, so the full snapshot must match step exactly. *)
-let run_block_chain insns seed =
+(* The chain engine: superblock chaining and inline caches — block exits
+   resolve their successor through patched links and enter it directly,
+   deferring the PCC commit until the chain breaks. [facts] installs an
+   elision table (chained entries must consult it exactly as
+   dispatch-loop entries do: facts are keyed by superblock entry pc and
+   conditional only on the straight-line prefix, so they hold however
+   control arrives). [chunk] splits the same total fuel into quanta, so
+   expiry lands mid-block, mid-chain and inside guarded or fused blocks,
+   and the engine must fall back to exact single-stepping. Returns the
+   snapshot and the cache, for coverage counters. *)
+let run_chain ?facts ?(chunk = fuel) insns seed =
   let m, ctx, mem = setup insns seed in
   let bb = Bbcache.create () in
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
-(* Chaining and check elision composed: chained entries must consult the
-   fact table exactly as dispatch-loop entries do (facts are keyed by
-   superblock entry pc and conditional only on the straight-line prefix,
-   so they hold however control arrives). *)
-let run_block_chain_elide insns seed =
-  let m, ctx, mem = setup insns seed in
-  let facts =
-    Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
-(* Chunked: total fuel identical, but split so quantum expiry lands
-   mid-block and the engine must fall back to exact single-stepping. *)
-let run_block_chunked insns seed ~chunk =
-  let m, ctx, mem = setup insns seed in
-  let bb = Bbcache.create () in
+  Option.iter (fun f -> Bbcache.set_facts bb (Some (f ctx.Cpu.ddc insns))) facts;
   let remaining = ref fuel in
   let stop = ref None in
   while !stop = None && !remaining > 0 do
     let f = min chunk !remaining in
+    let before = ctx.Cpu.instret in
     stop := Bbcache.run bb m ctx ~fuel:f;
+    (* Same fuel contract as [Cpu.run]: a quantum retires exactly [f]
+       instructions unless the run stops early. *)
+    let used = ctx.Cpu.instret - before in
+    if used > f || (!stop = None && used <> f) then
+      Alcotest.failf "seed %d: quantum of %d retired %d" seed f used;
     remaining := !remaining - f
   done;
-  snapshot !stop m ctx mem
+  (snapshot !stop m ctx mem, bb)
 
 let test_fuzz_engines () =
   let programs = 120 in
   let mismatches = ref 0 in
+  (* Coverage of the chunked + lazy-facts configuration: quanta that
+     expire around guarded and fused blocks. *)
+  let chunk_fused = ref 0 and chunk_elided = ref 0 and chunk_falls = ref 0 in
   for seed = 1 to programs do
     let insns, rnd = gen_program (seed * 7919) in
-    let s_step = run_step insns seed in
-    let s_block = run_block insns seed in
-    let s_elide = run_block_elide insns seed in
-    let s_lazy = run_block_lazy insns seed in
-    let s_chain = run_block_chain insns seed in
-    let s_chain_elide = run_block_chain_elide insns seed in
     let chunk = 3 + rnd 7 in
-    let s_chunk = run_block_chunked insns seed ~chunk in
-    if s_step <> s_block || s_step <> s_chunk || s_step <> s_elide
-       || s_step <> s_lazy || s_step <> s_chain || s_step <> s_chain_elide
-    then begin
+    let s_step = run_step insns seed in
+    let s_chunk_lazy, bb = run_chain ~facts:lazy_facts ~chunk insns seed in
+    chunk_fused := !chunk_fused + bb.Bbcache.fused_groups;
+    chunk_elided := !chunk_elided + bb.Bbcache.elided_probes;
+    chunk_falls := !chunk_falls + bb.Bbcache.step_falls;
+    let runs =
+      [ "chain", fst (run_chain insns seed);
+        "chain+elide", fst (run_chain ~facts:eager_facts insns seed);
+        "chain+lazy", fst (run_chain ~facts:lazy_facts insns seed);
+        "chunked", fst (run_chain ~chunk insns seed);
+        "chunked+lazy", s_chunk_lazy ]
+    in
+    if List.exists (fun (_, s) -> s <> s_step) runs then begin
       incr mismatches;
       let dump =
         String.concat "\n"
@@ -370,15 +343,17 @@ let test_fuzz_engines () =
                  (Insn.to_string insn))
              insns))
       in
-      Printf.printf
-        "seed %d diverged (chunk=%d)\n--- step ---\n%s\n--- block ---\n%s\n\
-         --- chunked ---\n%s\n--- elided ---\n%s\n--- lazy ---\n%s\n\
-         --- chain ---\n%s\n--- chain+elide ---\n%s\n--- program ---\n%s\n"
-        seed chunk s_step s_block s_chunk s_elide s_lazy s_chain
-        s_chain_elide dump
+      Printf.printf "seed %d diverged (chunk=%d)\n--- step ---\n%s\n" seed
+        chunk s_step;
+      List.iter (fun (l, s) -> Printf.printf "--- %s ---\n%s\n" l s) runs;
+      Printf.printf "--- program ---\n%s\n" dump
     end
   done;
   Alcotest.(check int) "engines agree on all seeded programs" 0 !mismatches;
+  Alcotest.(check bool) "chunked+lazy ran fused groups" true (!chunk_fused > 0);
+  Alcotest.(check bool) "chunked+lazy elided probes" true (!chunk_elided > 0);
+  Alcotest.(check bool) "chunked+lazy single-stepped quantum edges" true
+    (!chunk_falls > 0);
   (* Unwritten frames all read from one shared zero frame; a store path
      that wrote it without first giving the frame its own buffer would
      show up in every fresh memory. *)
@@ -408,7 +383,7 @@ let test_pcc_midblock_bounds () =
           else Bbcache.run (Bbcache.create ()) m ctx ~fuel
         in
         snapshot stop m ctx mem)
-      [ `Step; `Block ]
+      [ `Step; `Chain ]
   in
   match results with
   | [ a; b ] -> Alcotest.(check string) "prefix executes, then faults" a b
@@ -436,7 +411,7 @@ let chain_vs_step ?(name = "chain matches step") ?(run_fuel = fuel)
   let bb = Bbcache.create () in
   let facts = Option.map (fun f -> f ctx) facts_of in
   (match facts with Some f -> Bbcache.set_facts bb (Some f) | None -> ());
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel:run_fuel in
+  let stop = Bbcache.run bb m ctx ~fuel:run_fuel in
   let s_chain = snapshot stop m ctx mem in
   Alcotest.(check string) name s_step s_chain;
   (bb, Bbcache.chain_stats bb, ctx, facts, stop)
@@ -602,7 +577,7 @@ let test_chain_fuel_boundaries () =
     let stop_s = Cpu.run m_s ctx_s ~fuel:f in
     let s_step = snapshot stop_s m_s ctx_s mem_s in
     let m, ctx, mem = setup insns 9 in
-    let stop = Bbcache.run ~chain:true (Bbcache.create ()) m ctx ~fuel:f in
+    let stop = Bbcache.run (Bbcache.create ()) m ctx ~fuel:f in
     let s_chain = snapshot stop m ctx mem in
     Alcotest.(check string) (Printf.sprintf "fuel=%d" f) s_step s_chain
   done;
@@ -615,7 +590,7 @@ let test_chain_fuel_boundaries () =
   let remaining = ref 500 in
   while !stop = None && !remaining > 0 do
     let f = min 37 !remaining in
-    stop := Bbcache.run ~chain:true bb m ctx ~fuel:f;
+    stop := Bbcache.run bb m ctx ~fuel:f;
     remaining := !remaining - f
   done;
   let s_chunked = snapshot !stop m ctx mem in
@@ -749,7 +724,7 @@ let test_chain_fuel_mid_fused_group () =
     let m, ctx, mem = setup insns 11 in
     let bb = Bbcache.create () in
     Bbcache.set_facts bb (Some (facts_of ctx));
-    let stop = Bbcache.run ~chain:true bb m ctx ~fuel:f in
+    let stop = Bbcache.run bb m ctx ~fuel:f in
     Alcotest.(check string) (Printf.sprintf "fused fuel=%d" f)
       s_step (snapshot stop m ctx mem)
   done;
@@ -759,7 +734,7 @@ let test_chain_fuel_mid_fused_group () =
   let stop = ref None and remaining = ref 500 in
   while !stop = None && !remaining > 0 do
     let f = min 37 !remaining in
-    stop := Bbcache.run ~chain:true bb m ctx ~fuel:f;
+    stop := Bbcache.run bb m ctx ~fuel:f;
     remaining := !remaining - f
   done;
   let m_s, ctx_s, mem_s = setup insns 11 in
@@ -906,8 +881,7 @@ let check_parity ?quantum abi =
       Alcotest.(check int) (label ^ ": instructions") i1 i2;
       Alcotest.(check int) (label ^ ": cycles") c1 c2;
       Alcotest.(check int) (label ^ ": L2 misses") l1 l2)
-    [ "block", Cpu.Block, false;
-      "chain", Cpu.Chain, false;
+    [ "chain", Cpu.Chain, false;
       "chain+elide", Cpu.Chain, true ]
 
 let test_kernel_parity () =
@@ -939,7 +913,7 @@ let test_counter_reset_on_new_facts () =
   Bbcache.set_facts bb (Some facts_a);
   (* The loop must run to its Break terminator (surfaced as a trap), not
      die early on the guarded load. *)
-  (match Bbcache.run ~chain:true bb m ctx ~fuel with
+  (match Bbcache.run bb m ctx ~fuel with
    | Some (Cpu.Stop_trap (Trap.Break_trap _)) -> ()
    | r -> Alcotest.failf "loop program stopped early: %s" (stop_str r));
   Alcotest.(check bool) "chain entries accumulated" true
@@ -978,7 +952,7 @@ let test_kernel_parity_tiny_quantum () =
   check_parity ~quantum:37 Abi.Cheriabi
 
 let suite =
-  [ "differential fuzz: step vs block", `Quick, test_fuzz_engines;
+  [ "differential fuzz: step vs chain", `Quick, test_fuzz_engines;
     "PCC bounds mid-block", `Quick, test_pcc_midblock_bounds;
     "chain: self-loop", `Quick, test_chain_self_loop;
     "chain: ping-pong", `Quick, test_chain_ping_pong;

@@ -279,7 +279,7 @@ let test_annot_free () =
 
 (* --- Satellite regressions: both engines must agree on these -------------------- *)
 
-(* Run the same program under the step engine and the block engine. *)
+(* Run the same program under the step engine and the chain engine. *)
 let run_both items =
   let items = items @ [ Asm.I (Insn.Break 0) ] in
   let m1, ctx1, _ = bare items in
@@ -315,7 +315,7 @@ let test_jump_alignment_traps () =
   in
   let r1, r2 = run_both prog in
   expect_unaligned "step/jr" r1 ~jump_pc:0x1004;
-  expect_unaligned "block/jr" r2 ~jump_pc:0x1004;
+  expect_unaligned "chain/jr" r2 ~jump_pc:0x1004;
   (* Jalr: the alignment check precedes the link-register write. *)
   let prog =
     [ Asm.I (Insn.Li (Reg.t0, 0x2002));
@@ -324,9 +324,9 @@ let test_jump_alignment_traps () =
   in
   let (s1, c1), (s2, c2) = run_both prog in
   expect_unaligned "step/jalr" (s1, c1) ~jump_pc:0x1008;
-  expect_unaligned "block/jalr" (s2, c2) ~jump_pc:0x1008;
+  expect_unaligned "chain/jalr" (s2, c2) ~jump_pc:0x1008;
   Alcotest.(check int) "step: link reg untouched" 1234 (gpr c1 (Reg.t0 + 1));
-  Alcotest.(check int) "block: link reg untouched" 1234 (gpr c2 (Reg.t0 + 1))
+  Alcotest.(check int) "chain: link reg untouched" 1234 (gpr c2 (Reg.t0 + 1))
 
 (* A taken Beq-family branch checks its target too. *)
 let test_branch_alignment_traps () =
@@ -336,7 +336,7 @@ let test_branch_alignment_traps () =
   in
   let r1, r2 = run_both prog in
   expect_unaligned "step/bgtz" r1 ~jump_pc:0x1004;
-  expect_unaligned "block/bgtz" r2 ~jump_pc:0x1004;
+  expect_unaligned "chain/bgtz" r2 ~jump_pc:0x1004;
   (* Not taken: the bogus target is never inspected. *)
   let prog =
     [ Asm.I (Insn.Li (Reg.t0, -3));
@@ -363,12 +363,12 @@ let test_div_overflow_traps () =
     run_both (div_prog (fun rd rs rt -> Insn.Div (rd, rs, rt)))
   in
   expect_overflow "step/div" s1;
-  expect_overflow "block/div" s2;
+  expect_overflow "chain/div" s2;
   let (s1, _), (s2, _) =
     run_both (div_prog (fun rd rs rt -> Insn.Rem (rd, rs, rt)))
   in
   expect_overflow "step/rem" s1;
-  expect_overflow "block/rem" s2;
+  expect_overflow "chain/rem" s2;
   (* min_int / 1 and ordinary negative division still work. *)
   let stop, ctx, _ =
     run

@@ -585,6 +585,7 @@ let engine_bench () =
   let elide_rate (cp, ep) =
     if cp + ep = 0 then 0.0 else float_of_int ep /. float_of_int (cp + ep)
   in
+  Printf.printf "build profile: %s\n" Build_info.profile;
   Printf.printf "%-18s %14s %10s %10s %10s %8s %8s\n" "engine" "sim insns"
     "host s" "sim-MIPS/s" "chain-len" "IC-hit" "elided";
   List.iter
@@ -720,6 +721,7 @@ let engine_bench () =
          "{\n\
          \  \"benchmark\": \"mibench+spec x {mips64,cheriabi} + openssl \
           s_server\",\n\
+         \  \"build_profile\": %S,\n\
          \  \"engines\": [\n%s\n  ],\n\
          \  \"speedup_chain_over_step\": %.3f,\n\
          \  \"speedup_chain_elide_over_step\": %.3f,\n\
@@ -740,6 +742,7 @@ let engine_bench () =
           \"elide_rate\": %.3f }\n\
          \  }\n\
           }\n"
+         Build_info.profile
          (String.concat ",\n"
             (List.map
                (fun (name, insns, secs, ch, pr) ->

@@ -1579,8 +1579,8 @@ let facts_of_code ?ddc ?pcc_may regions =
    re-running the fixpoint the way the old two-resolver split did, so
    [stats.cs_lazy_gsb] — extra fixpoints charged to the guarded tier —
    stays 0 on the block-build path. Resolved entries are memoized inside
-   the table, so re-decodes (context switch / generation flushes) and
-   cached re-execs are hash lookups. *)
+   the table, so re-decodes (a forked child's fresh block table,
+   generation flushes) and cached re-execs are hash lookups. *)
 let lazy_facts_of_code ?ddc ?pcc_may regions =
   let env = make_env ?ddc ?pcc_may () in
   let ddc_dead = env.e_ddc.a_tag = No in

@@ -37,9 +37,14 @@
    Whenever a block cannot be run exactly — PCC that does not cover the
    whole block, fuel that would expire mid-block, an undecodable entry —
    the engine falls back to [Cpu.step] for one instruction, which is
-   always exact. Invalidation (context switch, exec, munmap/mprotect via
-   the pmap generation) is the caller's job: see [invalidate] and the
-   [map_gen] argument. *)
+   always exact.
+
+   Decoded blocks live in a per-address-space [space]; the engine [t]
+   holds only what is shared by every space of one machine (scratch
+   state, the data-side TLB and the counters). A context switch is a
+   pointer swap ([switch]), not a flush. Invalidation of one space (exec,
+   munmap/mprotect via the pmap generation) is the caller's job: see
+   [reset_space] and the [map_gen] argument. *)
 
 module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
@@ -49,12 +54,16 @@ module Tagmem = Cheri_tagmem.Tagmem
 let page_shift = Cheri_tagmem.Phys.page_shift
 let page_mask = Cheri_tagmem.Phys.page_size - 1
 
-(* How a block hands control back to the dispatch loop. *)
-type exit_ =
-  | Fall                   (* fall through to entry + 4*ilen *)
-  | Jump of int            (* taken branch/jump within the current PCC *)
-  | Jump_pcc of Cap.t      (* capability jump: replace PCC wholesale *)
-  | Stopped of Cpu.stop    (* syscall/rt upcall; PC already committed *)
+(* How a terminator (and then a whole block) hands control back: an
+   unboxed [int], so no exit allocates. A 4-aligned value is the next pc —
+   a taken branch or jump target ([Cpu.check_branch_target] guarantees the
+   alignment), or, from [exec_block], the fall-through address. The codes
+   below are negative and odd, so they collide with neither: decoded code
+   only lives at non-negative addresses. *)
+let exit_fall = -1   (* terminator only: fall through to entry + 4*ilen *)
+let exit_pcc = -3    (* capability jump: ctx.pcc already replaced wholesale *)
+let exit_stop = -5   (* syscall/rt upcall or trap: cause in [t.stop],
+                        ctx.pcc committed *)
 
 (* Block body: accounting is *batched* per I-cache line instead of being
    inlined into every closure. [sem] holds pure-semantics closures;
@@ -98,27 +107,33 @@ type block = {
      performance, never correctness. Empty for blocks with no guarded
      facts, which therefore pay nothing. *)
   b_guard : Facts.gpred array;
-  b_term : (Cpu.ctx -> exit_) option;  (* absent: block ended at max size
+  b_term : (Cpu.ctx -> int) option;    (* absent: block ended at max size
                                           or at the edge of decoded code *)
   (* Chain links, patched lazily the first time the corresponding exit
-     resolves; [None] / a stale key just means "go through the hashtable". Links point at blocks in the same table,
-     so every invalidation path — [invalidate], [set_facts], a [map_gen]
-     bump — severs them structurally by resetting the table: a link can
-     only be reached through a block the reset just dropped. *)
+     resolves; [None] / a stale key just means "go through the hashtable".
+     Links point at blocks in the same space's table, so every
+     invalidation path — [reset_space], [set_facts], a
+     [map_gen] bump — severs them structurally by resetting that table: a
+     link can only be reached through a block the reset just dropped. *)
   mutable b_fall : block option;       (* successor at entry + 4*ilen *)
-  (* Monomorphic inline cache for [Jump] exits (taken branches, J/Jal and
+  (* Monomorphic inline cache for next-pc exits (taken branches, J/Jal and
      the register-indirect Jr/Jalr): last target pc and its block. *)
   mutable b_jump_key : int;
   mutable b_jump : block option;
   mutable b_jump_misses : int;
-  (* Same, for [Jump_pcc] exits (CJR/CJALR through the capability GOT),
+  (* Same, for [exit_pcc] exits (CJR/CJALR through the capability GOT),
      keyed by the target capability's address. *)
   mutable b_cjump_key : int;
   mutable b_cjump : block option;
   mutable b_cjump_misses : int;
 }
 
-type t = {
+(* One address space's decoded blocks. Blocks bake in the decoded code
+   and the elision facts of one process image, so each process owns its
+   space (the kernel keeps it in [Proc.t]): a context switch installs the
+   next process's space instead of flushing, and fork gives the child a
+   fresh one. *)
+type space = {
   blocks : (int, block) Hashtbl.t;     (* entry pc -> decoded block *)
   mutable map_gen : int;               (* pmap generation at last flush *)
   (* Check-elision facts (lib/analysis/absint.ml). When present, [build]
@@ -127,6 +142,15 @@ type t = {
      blocks (superblock entry pc -> bitmask), so any entry point gets the
      facts proved for *its* straight-line run. *)
   mutable facts : Facts.t option;
+}
+
+(* The engine: one per machine. Closures compiled into any space capture
+   it for their scratch state and counters, so the counters aggregate
+   over every process the machine runs. *)
+type t = {
+  mutable space : space;               (* the running process's blocks *)
+  (* Cause of the last [exit_stop] exit. *)
+  mutable stop : Cpu.stop;
   (* Per-run ifetch translate memo (reset on every [run] entry). *)
   mutable cur_vpage : int;
   mutable cur_pbase : int;
@@ -204,10 +228,14 @@ let max_block = 64
    site is megamorphic and the hashtable is the stable answer. *)
 let ic_mega_threshold = 8
 
+(* Tables start small: a machine may spawn hundreds of short-lived
+   processes, and the table grows with the code a process runs. *)
+let create_space () =
+  { blocks = Hashtbl.create 16; map_gen = min_int; facts = None }
+
 let create () =
-  { blocks = Hashtbl.create 1024;
-    map_gen = min_int;
-    facts = None;
+  { space = create_space ();
+    stop = Cpu.Stop_syscall;
     cur_vpage = -1; cur_pbase = 0;
     x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0; x_run_pa = -1;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
@@ -220,12 +248,15 @@ let create () =
     fused_groups = 0; fused_insns = 0; batched_probes = 0 }
 
 (* Reset the dynamic visibility counters (chain/IC and probe counters).
-   Called when the installed fact table changes identity — a new analysis
-   epoch — so warm- and cold-run statistics stay comparable: without this a
-   long-lived cache would carry IC-miss and probe counts across fact-cache
-   invalidations and --analysis-stats would blend epochs. Deliberately NOT
-   called from [invalidate]: that runs on every context switch and resetting
-   there would zero mid-run accumulation the bench legs rely on. *)
+   Called when a space's installed fact table changes identity — a new
+   analysis epoch — so warm- and cold-run statistics stay comparable:
+   without this a long-lived cache would carry IC-miss and probe counts
+   across fact-cache invalidations and --analysis-stats would blend
+   epochs. Exec of a process that had a table starts a new epoch too, so
+   the kernel calls this there. Deliberately NOT called from
+   [reset_space] (a process exit is no new epoch), nor when a fresh space
+   adopts its first table (fork child, spawned image): resetting there
+   would zero accumulation the bench legs rely on. *)
 let reset_dyn_counters t =
   t.chain_entries <- 0;
   t.chained <- 0;
@@ -262,40 +293,48 @@ let chain_stats t =
     ch_fused_groups = t.fused_groups; ch_fused_insns = t.fused_insns;
     ch_batched = t.batched_probes }
 
-(* Drop every decoded block (context switch, exec image replacement).
-   Facts are left attached: they are keyed by entry pc against the owning
-   process's image, and the kernel re-asserts them via [set_facts] on every
-   dispatch (dropping them when the owner or its address space changed). *)
 let dtlb_reset t =
   Array.fill t.d_rd_vp 0 4 (-1);
   Array.fill t.d_wr_vp 0 4 (-1)
 
-let invalidate t =
-  Hashtbl.reset t.blocks;
-  t.map_gen <- min_int;
-  t.cur_vpage <- -1;
-  dtlb_reset t;
-  t.flushes <- t.flushes + 1
-
-(* Install (or clear) the elision fact table. Compiled closures bake the
-   elision decision in, so any change of table identity flushes the block
-   cache. Compared by physical identity: the kernel calls this once per
-   dispatch with the same table, which must not thrash the cache. *)
-let set_facts t facts =
-  let same =
-    match t.facts, facts with
-    | None, None -> true
-    | Some a, Some b -> a == b
-    | _ -> false
-  in
-  if not same then begin
-    t.facts <- facts;
-    reset_dyn_counters t;
-    if Hashtbl.length t.blocks > 0 then begin
-      Hashtbl.reset t.blocks;
-      t.flushes <- t.flushes + 1
-    end
+let flush t sp =
+  if Hashtbl.length sp.blocks > 0 then begin
+    Hashtbl.reset sp.blocks;
+    t.flushes <- t.flushes + 1
   end
+
+(* Make [sp] the space the engine runs (context switch). Nothing is
+   flushed: [run] resets the per-run translate memos on every entry. *)
+let switch t sp = t.space <- sp
+
+(* The image behind [sp] is gone (exec replaced it, or its process
+   exited): drop the blocks (and the closures they hold) and the facts,
+   back to a fresh space's state, so a new image's facts are adopted as by
+   a fresh space. Not counted in [flushes], which counts blocks a running
+   image loses. [sp] need not be the running space — the kernel execs a
+   spawned process outside its dispatch — and the running space is left
+   alone. *)
+let reset_space sp =
+  Hashtbl.reset sp.blocks;
+  sp.map_gen <- min_int;
+  sp.facts <- None
+
+(* Install (or clear) the running space's elision fact table. Compiled
+   closures bake the elision decision in, so any change of table identity
+   flushes the space. Compared by physical identity: the kernel calls this
+   once per dispatch with the same table, which must not thrash the
+   space. Replacing or dropping a table the space already had starts a new
+   analysis epoch ([reset_dyn_counters]); a space adopting its first table
+   (fork child, spawned or exec'd image) does not. *)
+let set_facts t facts =
+  let sp = t.space in
+  match sp.facts, facts with
+  | None, None -> ()
+  | Some a, Some b when a == b -> ()
+  | old, _ ->
+    if Option.is_some old then reset_dyn_counters t;
+    sp.facts <- facts;
+    flush t sp
 
 (* Instruction-side translate, memoized at page granularity within one
    [run] (the kernel only remaps/evicts pages *between* runs). May raise
@@ -931,7 +970,9 @@ let compile_sem_run t m ~pc ~elide ~run insn =
    write on capability jumps. During block execution [ctx.pcc] is still
    the block-entry PCC, whose non-address fields are exactly those of the
    step engine's PCC at [pc] (set_addr never changes them in bounds), so
-   link capabilities built from it are bit-identical. *)
+   link capabilities built from it are bit-identical. Returns an exit
+   code (see [exit_fall]); a capability jump installs the target PCC
+   itself, after every check that can trap. *)
 let compile_term t m ~pc insn =
   let base = Insn.base_cycles insn in
   let branch cond target =
@@ -940,9 +981,9 @@ let compile_term t m ~pc insn =
       if cond ctx then begin
         Cpu.check_branch_target target;
         ctx.Cpu.cycles <- ctx.Cpu.cycles + 1;
-        Jump target
+        target
       end
-      else Fall
+      else exit_fall
   in
   match insn with
   | Insn.Beq (rs, rt, tg) ->
@@ -954,26 +995,26 @@ let compile_term t m ~pc insn =
   | Insn.Bltz (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs < 0) tg
   | Insn.Bgez (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs >= 0) tg
   | Insn.J tg ->
-    fun ctx -> account t m pc base ctx; Cpu.check_branch_target tg; Jump tg
+    fun ctx -> account t m pc base ctx; Cpu.check_branch_target tg; tg
   | Insn.Jal tg ->
     fun ctx ->
       account t m pc base ctx;
       Cpu.check_branch_target tg;
       Cpu.wr_gpr ctx Reg.ra (pc + 4);
-      Jump tg
+      tg
   | Insn.Jr rs ->
     fun ctx ->
       account t m pc base ctx;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
-      Jump tg
+      tg
   | Insn.Jalr (rd, rs) ->
     fun ctx ->
       account t m pc base ctx;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
       Cpu.wr_gpr ctx rd (pc + 4);
-      Jump tg
+      tg
   | Insn.CJR cb ->
     fun ctx ->
       account t m pc base ctx;
@@ -981,13 +1022,14 @@ let compile_term t m ~pc insn =
       if not (Cap.is_tagged target) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
       Cpu.check_branch_target (Cap.addr target);
-      Jump_pcc target
+      ctx.Cpu.pcc <- target;
+      exit_pcc
   | Insn.CJAL (cd, tg) ->
     fun ctx ->
       account t m pc base ctx;
       Cpu.check_branch_target tg;
       Cpu.wr_creg ctx cd (Cap.set_addr ctx.Cpu.pcc (pc + 4));
-      Jump tg
+      tg
   | Insn.CJALR (cd, cb) ->
     fun ctx ->
       account t m pc base ctx;
@@ -996,17 +1038,21 @@ let compile_term t m ~pc insn =
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
       Cpu.check_branch_target (Cap.addr target);
       Cpu.wr_creg ctx cd (Cap.set_addr ctx.Cpu.pcc (pc + 4));
-      Jump_pcc target
+      ctx.Cpu.pcc <- target;
+      exit_pcc
   | Insn.Syscall ->
     fun ctx ->
       account t m pc base ctx;
       ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
-      Stopped Cpu.Stop_syscall
+      t.stop <- Cpu.Stop_syscall;
+      exit_stop
   | Insn.Rt n ->
+    let stop = Cpu.Stop_rt n in
     fun ctx ->
       account t m pc base ctx;
       ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
-      Stopped (Cpu.Stop_rt n)
+      t.stop <- stop;
+      exit_stop
   | Insn.Break n ->
     fun ctx ->
       account t m pc base ctx;
@@ -1093,16 +1139,17 @@ let build t m entry =
      predicates the run loop evaluates at every entry into this block. The
      body bakes in the union; a block with guarded bits only runs when its
      guard holds (else: exact single-step fallback). *)
-  let fmask = match t.facts with Some f -> Facts.mask f entry | None -> 0 in
+  let facts = t.space.facts in
+  let fmask = match facts with Some f -> Facts.mask f entry | None -> 0 in
   let gmask, gpreds =
-    match t.facts with Some f -> Facts.guarded f entry | None -> (0, [||])
+    match facts with Some f -> Facts.guarded f entry | None -> (0, [||])
   in
   let emask = fmask lor gmask in
   (* Tier-3 certificate: trap-free prefix length and same-line access
      runs, keyed like the masks. Pulled after [mask]/[guarded] so a lazy
      fact table resolves each entry exactly once. *)
   let cert =
-    match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
+    match facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
   in
   let rmap = Array.make max_block R_none in
   Array.iter
@@ -1159,13 +1206,15 @@ let build t m entry =
            b_cjump_key = min_int; b_cjump = None; b_cjump_misses = 0 }
   end
 
-(* Find the decoded block at [pc], building (and caching) it on demand. *)
+(* Find the running space's decoded block at [pc], building (and caching)
+   it on demand. *)
 let lookup_or_build t m pc =
-  match Hashtbl.find t.blocks pc with
+  let blocks = t.space.blocks in
+  match Hashtbl.find blocks pc with
   | b -> Some b
   | exception Not_found ->
     (match build t m pc with
-     | Some b -> Hashtbl.add t.blocks pc b; Some b
+     | Some b -> Hashtbl.add blocks pc b; Some b
      | None -> None)
 
 (* --- Block execution ------------------------------------------------------- *)
@@ -1184,25 +1233,23 @@ let block_ok (ctx : Cpu.ctx) b =
   && b.b_entry + (4 * b.b_ilen) <= Cap.top p
 
 (* The bounds half of [block_ok] alone — valid when the tag/seal/execute
-   half is already known to hold for [ctx.pcc], i.e. across [Bx_next]
-   chain hops, which never touch the PCC object (only [Bx_pcc] replaces
-   it, and that path re-runs the full check). *)
+   half is already known to hold for [ctx.pcc], i.e. across next-pc chain
+   hops, which never touch the PCC object (only an [exit_pcc] exit
+   replaces it, and that path re-runs the full check). *)
 let bounds_ok (ctx : Cpu.ctx) b =
   let p = ctx.Cpu.pcc in
   b.b_entry >= Cap.base p && b.b_entry + (4 * b.b_ilen) <= Cap.top p
 
-(* How a block's execution left the machine. Splitting this out of the
-   PCC lets chained runs defer the [set_addr] commit: between two chained
-   in-bounds blocks the commit is a pure address rewrite (the target is
-   inside the bounds, the bounds are inside the representable window, so
-   tag and every other field are untouched) — skipping it and keeping the
-   next pc as an integer is bit-exact. *)
-type bexit =
-  | Bx_next of int        (* continue at pc; ctx.pcc address NOT committed *)
-  | Bx_pcc                (* capability jump: ctx.pcc replaced wholesale *)
-  | Bx_stop of Cpu.stop   (* syscall/rt/trap; ctx.pcc committed *)
+(* Execute [b] and return how it left the machine: a next pc (ctx.pcc's
+   address NOT committed), [exit_pcc] (ctx.pcc replaced wholesale) or
+   [exit_stop] (syscall/rt/trap, cause in [t.stop], ctx.pcc committed).
+   Returning the next pc as an integer lets chained runs defer the
+   [set_addr] commit: between two chained in-bounds blocks the commit is a
+   pure address rewrite (the target is inside the bounds, the bounds are
+   inside the representable window, so tag and every other field are
+   untouched) — skipping it is bit-exact.
 
-(* Execute [b]. The caller guarantees [block_ok] held on entry; [ctx.pcc]'s
+   The caller guarantees [block_ok] held on entry; [ctx.pcc]'s
    *address* may be stale mid-chain (closures bake their pc; only the PCC's
    non-address fields are consulted by the body and terminator closures).
    On a mid-block trap the PCC is materialized at the faulting instruction
@@ -1276,30 +1323,28 @@ let exec_block t m b (ctx : Cpu.ctx) =
       commit_sem t m sb ctx e
     done;
     match b.b_term with
-    | None -> Bx_next (entry + (4 * b.b_ilen))
+    | None -> entry + (4 * b.b_ilen)
     | Some term ->
       t.x_i <- b.b_ilen - 1;
-      (match term ctx with
-       | Fall -> Bx_next (entry + (4 * b.b_ilen))
-       | Jump tg -> Bx_next tg
-       | Jump_pcc cap ->
-         ctx.Cpu.pcc <- cap;
-         Bx_pcc
-       | Stopped s -> Bx_stop s)
+      let x = term ctx in
+      if x = exit_fall then entry + (4 * b.b_ilen) else x
   with
   | Trap.Trap cause ->
     commit_sem t m b.b_body ctx t.x_i;
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc (entry + (4 * t.x_i));
-    Bx_stop (Cpu.Stop_trap cause)
+    t.stop <- Cpu.Stop_trap cause;
+    exit_stop
   | Cap.Cap_error v ->
     commit_sem t m b.b_body ctx t.x_i;
     let pc = entry + (4 * t.x_i) in
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc pc;
-    Bx_stop (Cpu.Stop_trap (Trap.Cap_fault { violation = v; reg = -1; vaddr = pc }))
+    t.stop <-
+      Cpu.Stop_trap (Trap.Cap_fault { violation = v; reg = -1; vaddr = pc });
+    exit_stop
 
 (* --- Chaining -------------------------------------------------------------- *)
 
-(* Successor block for a [Bx_next pc'] transition out of [b], patching the
+(* Successor block for a next-pc transition to [pc'] out of [b], patching the
    chain link on the way. The fall-through address gets a dedicated direct
    link; every other target goes through the monomorphic inline cache
    (last pc + its block), degrading to a plain hashtable lookup once the
@@ -1333,7 +1378,7 @@ let chain_succ t m b pc' =
     | None -> None
   end
 
-(* Same, for [Bx_pcc] (capability-jump) exits; [pc'] is the address of the
+(* Same, for [exit_pcc] (capability-jump) exits; [pc'] is the address of the
    already-committed target capability. The cache maps pc -> block just
    like the hashtable does; whether the *capability* covers that block is
    re-decided by [block_ok] at every chained entry, so two GOT targets
@@ -1360,10 +1405,10 @@ let cjump_succ t m b pc' =
 
 (* --- Dispatch loop ---------------------------------------------------------- *)
 
-(* Run under the block cache until a stop or until [fuel] instructions
-   have executed — same contract as [Cpu.run]. [map_gen] is the owning
-   pmap's generation counter: a change means pages were unmapped or
-   re-protected, so decoded blocks are flushed. Whole blocks run only
+(* Run the running space's blocks until a stop or until [fuel]
+   instructions have executed — same contract as [Cpu.run]. [map_gen] is
+   the owning pmap's generation counter: a change means pages were
+   unmapped or re-protected, so the space's decoded blocks are flushed. Whole blocks run only
    when the remaining fuel covers them; otherwise (and for any block the
    hoisted check cannot cover) the engine single-steps, which makes
    mid-block quantum stops replay exactly.
@@ -1379,14 +1424,12 @@ let cjump_succ t m b pc' =
    which also re-validates the facts keying (facts are conditional only on
    the straight-line prefix from the entry, so they hold no matter how
    control arrived). Between chained blocks the PCC address is left stale
-   (see [bexit]); it is materialized whenever the chain exits. *)
+   (see [exec_block]); it is materialized whenever the chain exits. *)
 let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
-  if map_gen <> t.map_gen then begin
-    if Hashtbl.length t.blocks > 0 then begin
-      Hashtbl.reset t.blocks;
-      t.flushes <- t.flushes + 1
-    end;
-    t.map_gen <- map_gen
+  let sp = t.space in
+  if map_gen <> sp.map_gen then begin
+    flush t sp;
+    sp.map_gen <- map_gen
   end;
   t.cur_vpage <- -1;
   dtlb_reset t;
@@ -1404,22 +1447,13 @@ let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
       while !chaining do
         let b = !cur in
         remaining := !remaining - b.b_ilen;
-        match exec_block t m b ctx with
-        | Bx_stop s ->
-          result := Some s;
+        let x = exec_block t m b ctx in
+        if x = exit_stop then begin
+          result := Some t.stop;
           running := false;
           chaining := false
-        | Bx_next pc' ->
-          (match chain_succ t m b pc' with
-           | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
-                          && (Array.length nb.b_guard = 0
-                              || guard_ok ctx nb.b_guard) ->
-             t.chained <- t.chained + 1;
-             cur := nb
-           | _ ->
-             ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc';
-             chaining := false)
-        | Bx_pcc ->
+        end
+        else if x = exit_pcc then
           (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
            | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb
                           && (Array.length nb.b_guard = 0
@@ -1427,6 +1461,16 @@ let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
              t.chained <- t.chained + 1;
              cur := nb
            | _ -> chaining := false)
+        else
+          (match chain_succ t m b x with
+           | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
+                          && (Array.length nb.b_guard = 0
+                              || guard_ok ctx nb.b_guard) ->
+             t.chained <- t.chained + 1;
+             cur := nb
+           | _ ->
+             ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc x;
+             chaining := false)
       done
     | _ ->
       t.step_falls <- t.step_falls + 1;

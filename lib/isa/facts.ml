@@ -22,10 +22,10 @@
    block-build path ([guarded] right after [mask] is a pure hash hit).
    Resolved entries are memoized, zero or not, so a superblock's fixpoint
    runs at most once for the lifetime of the table no matter how often its
-   block is rebuilt (context switches, pmap-generation flushes). Lazy
-   resolution only ever *adds* memoized entries; it never changes a mask
-   already handed out, so compiled blocks that baked a mask in stay
-   consistent with the table.
+   block is rebuilt (a forked child's fresh block table, pmap-generation
+   flushes). Lazy resolution only ever *adds* memoized entries; it never
+   changes a mask already handed out, so compiled blocks that baked a
+   mask in stay consistent with the table.
 
    Domain safety: tables are shared by reference across OCaml domains (the
    fleet layer runs one simulated machine per domain against the same

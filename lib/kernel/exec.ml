@@ -131,9 +131,15 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
   p.Proc.ctx <- Cpu.create_ctx ();
   p.Proc.comm <- image.Sobj.img_name;
   Proc.clear_code p;
-  (* Exec keeps the pid, so the context-switch flush in [Loop] would not
-     fire: the old image's decoded blocks must die here. *)
-  Cheri_isa.Bbcache.invalidate k.Kstate.bb;
+  (* The old image's decoded blocks die with it. Reset [p]'s own table,
+     never the engine's running one: a spawn execs outside [p]'s dispatch.
+     Replacing an image that had a fact table starts a new analysis epoch,
+     so the old program's chain and probe rates do not leak into the new
+     one's. *)
+  let bb_space = p.Proc.bb_space in
+  if Option.is_some bb_space.Cheri_isa.Bbcache.facts then
+    Cheri_isa.Bbcache.reset_dyn_counters k.Kstate.bb;
+  Cheri_isa.Bbcache.reset_space bb_space;
   let link = Rtld.link ~abi image in
   p.Proc.linked <- Some link;
   (* Map text and data for every object. *)

@@ -92,11 +92,10 @@ type t = {
   phys : Phys.t;
   swap : Swap.t;
   machine : Cpu.machine;
-  (* Decoded basic-block cache for the block engine. One cache serves the
-     whole machine: it is flushed on context switch (the decoded code maps
-     are per-process), on exec, and on pmap generation changes. *)
+  (* The chain engine: scratch state and counters for the whole machine.
+     Decoded blocks live in each process's own table ([Proc.bb_space]),
+     which a context switch installs instead of flushing. *)
   bb : Cheri_isa.Bbcache.t;
-  mutable bb_owner : int;               (* pid whose blocks are cached; -1 none *)
   procs : (int, Proc.t) Hashtbl.t;
   mutable runq : int list;              (* round-robin order *)
   vfs : Vfs.t;
@@ -142,7 +141,7 @@ let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
   in
   let kernel_root = reset_root in
   { mem; phys; swap; machine;
-    bb = Cheri_isa.Bbcache.create (); bb_owner = -1;
+    bb = Cheri_isa.Bbcache.create ();
     procs = Hashtbl.create 16; runq = [];
     vfs = Vfs.create ();
     next_pid = 1;
@@ -213,6 +212,7 @@ let exit_proc k (p : Proc.t) status =
    | None -> ());
   Cheri_vm.Addr_space.destroy p.Proc.asp;
   Proc.clear_code p;
+  Cheri_isa.Bbcache.reset_space p.Proc.bb_space;
   p.Proc.state <- Proc.Zombie status;
   k.runq <- List.filter (fun pid -> pid <> p.Proc.pid) k.runq;
   (match find_proc k p.Proc.parent with

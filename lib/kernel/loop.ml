@@ -17,23 +17,19 @@ module Addr_space = Cheri_vm.Addr_space
 
 let install_machine k (p : Proc.t) =
   let pmap = Addr_space.pmap p.Proc.asp in
-  (* The block cache decodes through this process's fetch callback; blocks
-     from another address space are meaningless, so flush on real context
-     switches (not on every quantum of a single process). *)
-  if k.Kstate.bb_owner <> p.Proc.pid then begin
-    Bbcache.invalidate k.Kstate.bb;
-    k.Kstate.bb_owner <- p.Proc.pid
-  end;
+  (* Decoded blocks are per address space: install this process's table
+     (a pointer swap; blocks survive the other processes' timeslices). *)
+  Bbcache.switch k.Kstate.bb p.Proc.bb_space;
   (* Check-elision facts ride along with the block cache: they apply only
      while the code they were proved against is still mapped unchanged.
      On a pmap-generation mismatch, consult the mutation log: if every
      intervening mutation (munmap/mprotect ranges) missed the fact set's
      code regions — the common case being heap churn — the facts stay
-     valid and only their generation stamp is refreshed (decoded blocks
-     were still flushed by Bbcache's own map_gen check, but rebuilding
-     them from retained facts is cheap; re-analysis is not). If the log
-     window no longer covers the gap, or a mutation hit analyzed code,
-     drop the facts conservatively. *)
+     valid and only their generation stamp is refreshed (the process's
+     decoded blocks are still flushed by Bbcache's own map_gen check, but
+     rebuilding them from retained facts is cheap; re-analysis is not).
+     If the log window no longer covers the gap, or a mutation hit
+     analyzed code, drop the facts conservatively. *)
   let facts =
     match p.Proc.facts with
     | Some _ when p.Proc.facts_gen = Pmap.generation pmap -> p.Proc.facts

@@ -2,8 +2,9 @@
 
    One thread per process (the structure allows more). Each process has an
    ABI, an address space with its own abstract principal, a capability
-   register context, a descriptor table, signal state, and the decoded
-   code map for its mapped text regions. *)
+   register context, a descriptor table, signal state, the decoded
+   code map for its mapped text regions, and the chain engine's decoded
+   blocks for that code. *)
 
 module Cap = Cheri_cap.Cap
 module Cpu = Cheri_isa.Cpu
@@ -66,6 +67,10 @@ type t = {
      capabilities survive the round trip through kernel memory (4,
      "System calls"). *)
   mutable kevents : (int * Uarg.uptr) list;
+  (* The chain engine's block table for this address space, installed by
+     Loop.install_machine on dispatch. Exec resets it, exit releases it;
+     fork gives the child a fresh one. *)
+  bb_space : Cheri_isa.Bbcache.space;
 }
 
 let create ~pid ~parent ~abi ~asp =
@@ -87,7 +92,8 @@ let create ~pid ~parent ~abi ~asp =
     facts = None;
     facts_gen = min_int;
     fact_regions = [];
-    kevents = [] }
+    kevents = [];
+    bb_space = Cheri_isa.Bbcache.create_space () }
 
 let is_runnable p = p.state = Runnable
 let is_zombie p = match p.state with Zombie _ -> true | _ -> false

@@ -485,13 +485,13 @@ let sys_fork k (p : Proc.t) = function
     child.Proc.comm <- p.Proc.comm;
     child.Proc.ps_strings <- p.Proc.ps_strings;
     (* The child shares the parent's image and DDC, so the proved facts
-       carry over *by reference* — the table is append-only and
-       Bbcache.set_facts guards by physical identity, so sharing (rather
-       than copying) means parent/child context switches re-assert the
-       same table without flushing the block cache, and a lazy table's
-       memoized superblocks are paid for once across the whole process
-       tree. Stamped under the child's own pmap generation, with the same
-       code-range dependencies for partial invalidation. *)
+       carry over *by reference* — the table is append-only, so sharing
+       (rather than copying) means the child's fresh block table
+       ([Proc.create] gives it one) adopts the parent's table without a
+       new analysis epoch, and a lazy table's memoized superblocks are
+       paid for once across the whole process tree. Stamped under the
+       child's own pmap generation, with the same code-range dependencies
+       for partial invalidation. *)
     child.Proc.facts <- p.Proc.facts;
     child.Proc.facts_gen <- Pmap.generation (Addr_space.pmap casp);
     child.Proc.fact_regions <- p.Proc.fact_regions;

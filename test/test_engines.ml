@@ -25,7 +25,10 @@
    cache monomorphic/megamorphic behavior on both integer-indirect and
    capability-indirect jumps, fuel expiry at chain-internal block
    boundaries, chains crossing facts-elided entries, mid-chain trap
-   attribution, and mprotect-driven chain severing through the kernel. *)
+   attribution, and mprotect-driven chain severing through the kernel;
+   and the per-process block tables: no re-decode across fork ping-pong
+   context switches, exec into an image at reused addresses, and a
+   munmap that flushes only its own process's table. *)
 
 module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
@@ -830,6 +833,286 @@ int main(int argc, char **argv) {
         (Bbcache.chain_stats bb).Bbcache.ch_fused_groups)
     [ Abi.Mips64; Abi.Cheriabi ]
 
+(* --- Per-address-space block tables ------------------------------------------- *)
+
+(* A kernel on [engine] with [progs] installed, as (path, image) pairs,
+   and unless [facts] is false the fleet's fact provider. Simulated RAM is
+   small because [Fleet.snapshot] digests all of it. *)
+let boot_engine ~engine ?quantum ?(facts = true) ~abi progs =
+  let k = Kernel.boot ~mem_size:(4 * 1024 * 1024) () in
+  k.Kstate.config.Kstate.engine <- engine;
+  Option.iter (fun q -> k.Kstate.config.Kstate.quantum <- q) quantum;
+  if facts then
+    k.Kstate.config.Kstate.fact_provider <-
+      Some (Cheri_analysis.Absint.provider ());
+  Cheri_libc.Runtime.install k;
+  List.iter
+    (fun (path, image) ->
+      Cheri_kernel.Vfs.add_exe k.Kstate.vfs path ~abi image)
+    progs;
+  k
+
+(* Run the machine to quiescence; [p] must exit 0. Its final snapshot. *)
+let finish k (p : Proc.t) =
+  let _ = Kernel.run k in
+  let status = Kernel.status_of k p.Proc.pid in
+  if status <> Some (Proc.Exited 0) then
+    Alcotest.failf "%s did not exit cleanly (%s)" p.Proc.comm
+      (String.concat "; " p.Proc.fault_log);
+  Cheri_fleet.Fleet.snapshot k p status
+
+let pingpong_rounds = 24
+
+(* A parent and its forked child hand a byte back and forth over two
+   pipes: every round blocks each side once, so the run is one context
+   switch after another. *)
+let pingpong_src =
+  Printf.sprintf
+    {|
+int main(int argc, char **argv) {
+  int req[2];
+  int rsp[2];
+  char b[1];
+  int i;
+  int j;
+  int acc = 0;
+  pipe(req);
+  pipe(rsp);
+  int pid = fork();
+  for (i = 0; i < %d; i = i + 1) {
+    if (pid == 0) {
+      read(req[0], b, 1);
+      for (j = 0; j < 200; j = j + 1) acc = acc + (j + b[0]) %% 13;
+      b[0] = acc %% 100;
+      write(rsp[1], b, 1);
+    } else {
+      b[0] = i;
+      write(req[1], b, 1);
+      read(rsp[0], b, 1);
+      acc = acc + b[0];
+      print_str(".");
+    }
+  }
+  if (pid == 0) exit(0);
+  int st = 0;
+  wait(&st);
+  print_int(acc);
+  return 0;
+}
+|}
+    pingpong_rounds
+
+(* Context switches do not flush: once both processes have run every path
+   of a round, the chain engine decodes nothing more and flushes nothing,
+   however often parent and child trade the CPU. *)
+let test_space_pingpong () =
+  List.iter
+    (fun abi ->
+      let image = Stdlib_src.build_image ~abi ~name:"pp" pingpong_src in
+      (* [sample] runs at every runtime upcall (the parent's per-round
+         print among them): a hook outside the simulated machine, so it
+         moves no preemption point. *)
+      let run engine ~sample =
+        let k = boot_engine ~engine ~abi [ "/bin/pp", image ] in
+        let p = Kernel.spawn k ~path:"/bin/pp" ~argv:[ "pp" ] () in
+        let rt = Option.get k.Kstate.rt_handler in
+        k.Kstate.rt_handler <- Some (fun k q n -> sample k p; rt k q n);
+        (k, finish k p)
+      in
+      let _, want = run Cpu.Step ~sample:(fun _ _ -> ()) in
+      (* Blocks built at every upcall inside the steady-state window: two
+         rounds done (all round code decoded in both processes), and the
+         last two not begun (no exit paths yet). *)
+      let steady = ref [] in
+      let sample k (p : Proc.t) =
+        let dots =
+          Cheri_fleet.Fleet.count_marker (Buffer.contents p.Proc.console) '.'
+        in
+        if dots >= 2 && dots <= pingpong_rounds - 2 then
+          steady :=
+            (k.Kstate.bb.Bbcache.built, k.Kstate.bb.Bbcache.flushes)
+            :: !steady
+      in
+      let k, got = run Cpu.Chain ~sample in
+      let label = Abi.to_string abi in
+      Alcotest.(check string) (label ^ ": snapshot equals step's") want got;
+      Alcotest.(check bool) (label ^ ": many steady-state samples") true
+        (List.length !steady >= 10);
+      let first, _ = List.nth !steady (List.length !steady - 1) in
+      List.iter
+        (fun (built, flushes) ->
+          Alcotest.(check int) (label ^ ": no block built after round 2")
+            first built;
+          Alcotest.(check int) (label ^ ": no flush in round 2..") 0
+            flushes)
+        !steady;
+      Alcotest.(check int) (label ^ ": no flush in the whole run") 0
+        k.Kstate.bb.Bbcache.flushes)
+    [ Abi.Mips64; Abi.Cheriabi ]
+
+(* The parent and its child run different images at the same text
+   addresses: the child decodes the parent's code, execs another image
+   laid out from the same base, and both keep running interleaved. *)
+let exec_parent_src = {|
+int work(int n) {
+  int i;
+  int acc = 0;
+  for (i = 0; i < n; i = i + 1) acc = acc + i % 7;
+  return acc;
+}
+
+int main(int argc, char **argv) {
+  int pid = fork();
+  int acc = work(2000);
+  if (pid == 0) {
+    char *nargv[2];
+    nargv[0] = "other";
+    nargv[1] = 0;
+    execve("/bin/other", nargv, (char**)0);
+    exit(99);
+  }
+  acc = acc + work(3000);
+  int st = 0;
+  wait(&st);
+  print_int(acc);
+  print_int(st >> 8);
+  return 0;
+}
+|}
+
+let exec_other_src = {|
+int main(int argc, char **argv) {
+  int i;
+  int acc = 1;
+  for (i = 0; i < 3000; i = i + 1) acc = (acc * 3 + i) % 251;
+  for (i = 0; i < 3000; i = i + 1) acc = (acc * 5 + i) % 241;
+  return acc % 100;
+}
+|}
+
+let text_base abi image =
+  let link = Cheri_rtld.Rtld.link ~abi image in
+  (List.hd link.Cheri_rtld.Rtld.lk_placed).Cheri_rtld.Rtld.pl_text_base
+
+(* Exec must reset the child's own table: a block decoded from the
+   parent's image at an address the new image reuses would otherwise run
+   the old code. Without facts nothing else would flush it (a new fact
+   table would). *)
+let test_space_exec_same_addresses () =
+  let images abi =
+    ( Stdlib_src.build_image ~abi ~name:"parent" exec_parent_src,
+      Stdlib_src.build_image ~abi ~name:"other" exec_other_src )
+  in
+  let mips = images Abi.Mips64 and cheri = images Abi.Cheriabi in
+  List.iter
+    (fun (abi, (parent, other), facts) ->
+      Alcotest.(check int) "both images share their text base"
+        (text_base abi parent) (text_base abi other);
+      let run engine =
+        let k =
+          boot_engine ~engine ~quantum:300 ~facts ~abi
+            [ "/bin/parent", parent; "/bin/other", other ]
+        in
+        let p = Kernel.spawn k ~path:"/bin/parent" ~argv:[ "parent" ] () in
+        finish k p
+      in
+      let want = run Cpu.Step in
+      Alcotest.(check string)
+        (Printf.sprintf "%s%s: chain snapshot equals step's"
+           (Abi.to_string abi) (if facts then "+facts" else ""))
+        want (run Cpu.Chain))
+    [ Abi.Mips64, mips, false; Abi.Cheriabi, cheri, false;
+      Abi.Cheriabi, cheri, true ]
+
+let hot_src = {|
+int main(int argc, char **argv) {
+  int i;
+  int acc = 0;
+  for (i = 0; i < 20000; i = i + 1) acc = acc + i % 7;
+  print_int(acc);
+  return 0;
+}
+|}
+
+(* Unmapping code in one process (its signal trampoline page) bumps that
+   process's pmap generation: its table is flushed when it is next
+   dispatched, and the other process's table keeps every block. *)
+let test_space_munmap_local () =
+  let k =
+    boot_engine ~engine:Cpu.Chain ~quantum:1000 ~abi:Abi.Mips64
+      [ "/bin/hot", Stdlib_src.build_image ~abi:Abi.Mips64 ~name:"hot" hot_src ]
+  in
+  let a = Kernel.spawn k ~path:"/bin/hot" ~argv:[ "a" ] () in
+  let b = Kernel.spawn k ~path:"/bin/hot" ~argv:[ "b" ] () in
+  let _ = Kernel.run ~max_steps:20_000 k in
+  let some_block (p : Proc.t) =
+    match
+      Hashtbl.fold (fun pc blk acc -> (pc, blk) :: acc)
+        p.Proc.bb_space.Bbcache.blocks []
+    with
+    | x :: _ -> x
+    | [] -> Alcotest.fail "process decoded no blocks"
+  in
+  let a_pc, a_blk = some_block a and b_pc, b_blk = some_block b in
+  let flushes0 = k.Kstate.bb.Bbcache.flushes in
+  Addr_space.unmap a.Proc.asp ~start:Cheri_kernel.Exec.sigcode_base
+    ~len:Cheri_tagmem.Phys.page_size;
+  let _ = Kernel.run ~max_steps:20_000 k in
+  Alcotest.(check int) "exactly one table flushed" (flushes0 + 1)
+    k.Kstate.bb.Bbcache.flushes;
+  Alcotest.(check bool) "unmapping process re-decoded" true
+    (match Hashtbl.find_opt a.Proc.bb_space.Bbcache.blocks a_pc with
+     | Some blk -> blk != a_blk
+     | None -> true);
+  Alcotest.(check bool) "other process kept its blocks" true
+    (match Hashtbl.find_opt b.Proc.bb_space.Bbcache.blocks b_pc with
+     | Some blk -> blk == b_blk
+     | None -> false);
+  let _ = Kernel.run k in
+  let expect =
+    let acc = ref 0 in
+    for i = 0 to 19999 do acc := !acc + (i mod 7) done;
+    string_of_int !acc
+  in
+  List.iter
+    (fun (p : Proc.t) ->
+      Alcotest.(check string) "output" expect
+        (String.trim (Buffer.contents p.Proc.console)))
+    [ a; b ]
+
+(* Exec replacing an image that had a fact table starts a new analysis
+   epoch: the engine's chain/IC and probe counters restart, so the old
+   program's rates do not leak into the new one's. Spawning a process (a
+   fresh table adopting its first facts) keeps them. *)
+let test_space_exec_epoch () =
+  let abi = Abi.Cheriabi in
+  let image = Stdlib_src.build_image ~abi ~name:"hot" hot_src in
+  let k =
+    boot_engine ~engine:Cpu.Chain ~quantum:1000 ~abi [ "/bin/hot", image ]
+  in
+  let bb = k.Kstate.bb in
+  let a = Kernel.spawn k ~path:"/bin/hot" ~argv:[ "a" ] () in
+  let _ = Kernel.run ~max_steps:20_000 k in
+  let entries = bb.Bbcache.chain_entries in
+  Alcotest.(check bool) "chain entries accumulated" true (entries > 0);
+  Alcotest.(check bool) "running process adopted its facts" true
+    (Option.is_some a.Proc.bb_space.Bbcache.facts);
+  let b = Kernel.spawn k ~path:"/bin/hot" ~argv:[ "b" ] () in
+  Alcotest.(check int) "spawn keeps chain entries" entries
+    bb.Bbcache.chain_entries;
+  let _ = Kernel.run ~max_steps:20_000 k in
+  Alcotest.(check bool) "both ran elided probes" true
+    (bb.Bbcache.elided_probes > 0
+     && Option.is_some b.Proc.bb_space.Bbcache.facts);
+  Cheri_kernel.Exec.exec_image k a ~abi ~image ~argv:[ "a" ] ~envv:[];
+  Alcotest.(check int) "exec resets chain entries" 0
+    bb.Bbcache.chain_entries;
+  Alcotest.(check int) "exec resets elided probes" 0 bb.Bbcache.elided_probes;
+  Alcotest.(check int) "exec empties the table" 0
+    (Hashtbl.length a.Proc.bb_space.Bbcache.blocks);
+  Alcotest.(check bool) "b keeps its blocks" true
+    (Hashtbl.length b.Proc.bb_space.Bbcache.blocks > 0)
+
 (* --- Kernel-level parity --------------------------------------------------------- *)
 
 let parity_src = {|
@@ -889,11 +1172,13 @@ let test_kernel_parity () =
   check_parity Abi.Cheriabi
 
 (* Dynamic counters (chain entries, inline-cache hits/misses, check_cap
-   probes) survive map invalidation — that runs on every context switch
-   and the bench accumulates across timeslices — but installing a fact
-   table with a *different identity* starts a new measurement regime:
-   set_facts must zero them, so e.g. a megamorphic miss count from the
-   previous program's facts cannot leak into the new program's rates. *)
+   probes) survive re-asserting the same facts, a table reset and a fresh
+   table adopting its first facts — these happen mid-run (every dispatch,
+   exit, fork) and the bench accumulates across them — but replacing a
+   space's fact table with one of a
+   *different identity* starts a new measurement regime: set_facts must
+   zero them, so e.g. a megamorphic miss count from the previous
+   program's facts cannot leak into the new program's rates. *)
 let test_counter_reset_on_new_facts () =
   let loop_t = code_base + 8 in
   let insns =
@@ -921,14 +1206,27 @@ let test_counter_reset_on_new_facts () =
   Alcotest.(check bool) "elided probes accumulated" true
     (bb.Bbcache.elided_probes > 0);
   let probes = bb.Bbcache.elided_probes in
-  (* Map invalidation (context switch) drops compiled blocks but must not
-     disturb the dynamic counters. *)
-  Bbcache.invalidate bb;
-  Alcotest.(check int) "invalidate keeps probe counters" probes
-    bb.Bbcache.elided_probes;
-  (* Reasserting the same table (every kernel dispatch does) is a no-op. *)
+  let built = bb.Bbcache.built in
+  (* Reasserting the table the space already holds (every kernel dispatch
+     does) is a no-op: counters and compiled blocks stay. *)
   Bbcache.set_facts bb (Some facts_a);
   Alcotest.(check int) "same facts keep probe counters" probes
+    bb.Bbcache.elided_probes;
+  Alcotest.(check bool) "same facts keep the blocks" true
+    (Hashtbl.length bb.Bbcache.space.Bbcache.blocks > 0);
+  (match Bbcache.run bb m ctx ~fuel with
+   | Some (Cpu.Stop_trap (Trap.Break_trap _)) -> ()
+   | r -> Alcotest.failf "rerun stopped early: %s" (stop_str r));
+  Alcotest.(check int) "same facts rebuild nothing" built bb.Bbcache.built;
+  let probes = bb.Bbcache.elided_probes in
+  (* Resetting the table (process exit) drops compiled blocks and facts
+     but must not disturb the dynamic counters. *)
+  Bbcache.reset_space bb.Bbcache.space;
+  Alcotest.(check int) "table reset keeps probe counters" probes
+    bb.Bbcache.elided_probes;
+  (* The reset space adopting a table, as a fresh one does, keeps them. *)
+  Bbcache.set_facts bb (Some facts_a);
+  Alcotest.(check int) "adopting facts keeps probe counters" probes
     bb.Bbcache.elided_probes;
   (* A fresh table identity resets every dynamic counter. *)
   let facts_b =
@@ -967,6 +1265,11 @@ let suite =
     "chain: fuel expiry mid-fused-group", `Quick,
     test_chain_fuel_mid_fused_group;
     "chain: mprotect severs chains", `Quick, test_chain_mprotect_severs;
+    "spaces: fork ping-pong decodes once", `Quick, test_space_pingpong;
+    "spaces: exec at the same addresses", `Quick,
+    test_space_exec_same_addresses;
+    "spaces: munmap flushes one table", `Quick, test_space_munmap_local;
+    "spaces: exec starts a counter epoch", `Quick, test_space_exec_epoch;
     "counter reset on new facts", `Quick, test_counter_reset_on_new_facts;
     "kernel parity", `Quick, test_kernel_parity;
     "kernel parity, tiny quantum", `Quick, test_kernel_parity_tiny_quantum ]

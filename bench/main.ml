@@ -358,9 +358,8 @@ let simulator () =
    Host wall-clock comparison of the interpreters over the Fig. 4 /
    Fig. 5 workload mix: the reference step engine and the chaining block
    engine (blocks entered through patched links and inline caches, never
-   returning to dispatch inside hot loops), the latter with and without
-   check elision.  Images are compiled outside the timed region, so the
-   timer wraps pure simulation; every engine must retire exactly the same
+   returning to dispatch inside hot loops). Images are compiled outside
+   the timed region, so the timer wraps pure simulation; every engine must retire exactly the same
    instruction count (bit-identical contract), which the run asserts. *)
 
 let opt_json = ref false
@@ -394,15 +393,11 @@ let engine_bench () =
              ~extra_libs:[ "libssl", Openssl_sim.libssl_src ]
              Openssl_sim.server_src ) ])
   in
-  (* One full pass over the mix. The fact cache is deliberately NOT cleared
-     here: within a leg, passes after the first hit the image-keyed cache, so
-     best-of-N measures the amortized (steady-state) cost of elision rather
-     than the one-off analysis of a cold cache. *)
+  (* One full pass over the mix. *)
   let zero_ch =
     { Cheri_isa.Bbcache.ch_entries = 0; ch_chained = 0;
       ch_ic_hits = 0; ch_ic_misses = 0; ch_ic_mega = 0;
-      ch_dtlb_hits = 0; ch_dtlb_misses = 0;
-      ch_fused_groups = 0; ch_fused_insns = 0; ch_batched = 0 }
+      ch_dtlb_hits = 0; ch_dtlb_misses = 0; ch_fused_insns = 0 }
   in
   let add_ch a b =
     let open Cheri_isa.Bbcache in
@@ -413,18 +408,13 @@ let engine_bench () =
       ch_ic_mega = a.ch_ic_mega + b.ch_ic_mega;
       ch_dtlb_hits = a.ch_dtlb_hits + b.ch_dtlb_hits;
       ch_dtlb_misses = a.ch_dtlb_misses + b.ch_dtlb_misses;
-      ch_fused_groups = a.ch_fused_groups + b.ch_fused_groups;
-      ch_fused_insns = a.ch_fused_insns + b.ch_fused_insns;
-      ch_batched = a.ch_batched + b.ch_batched }
+      ch_fused_insns = 0 }
   in
-  let run_pass ~elide engine =
+  let run_pass engine =
     List.fold_left
-      (fun (insns, secs, ch, checked, elided) (label, abi, argv, image) ->
+      (fun (insns, secs, ch) (label, abi, argv, image) ->
         let k = Cheri_kernel.Kernel.boot () in
         k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-        if elide then
-          k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.fact_provider <-
-            Some (Cheri_analysis.Absint.provider ());
         Cheri_libc.Runtime.install k;
         Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs "/bin/bench" ~abi
           image;
@@ -436,123 +426,55 @@ let engine_bench () =
         (match status with
          | Some _ -> ()
          | None -> failwith (Printf.sprintf "engine bench: %s ran away" label));
-        let bb = k.Cheri_kernel.Kstate.bb in
         ( insns + p.Cheri_kernel.Proc.ctx.Cheri_isa.Cpu.instret,
           secs +. dt,
-          add_ch ch (Cheri_isa.Bbcache.chain_stats bb),
-          checked + bb.Cheri_isa.Bbcache.checked_probes,
-          elided + bb.Cheri_isa.Bbcache.elided_probes ))
-      (0, 0.0, zero_ch, 0, 0) images
+          add_ch ch (Cheri_isa.Bbcache.chain_stats k.Cheri_kernel.Kstate.bb) ))
+      (0, 0.0, zero_ch) images
   in
-  (* Host wall-clock is noisy at the few-percent level, which is the same
-     order as the elision win: take the best of [reps] passes per leg so the
-     chain vs chain+elide comparison (and the @perf gate built on it) is
-     not decided by scheduler jitter. *)
-  let run_engine ~elide ~reps engine =
-    Cheri_analysis.Absint.reset_stats ();
-    Cheri_analysis.Absint.clear_fact_cache ();
+  (* Host wall-clock is noisy: take the best of [reps] passes per leg so
+     the chain-vs-step comparison (and the @perf gate built on it) is not
+     decided by scheduler jitter. *)
+  let run_engine ~reps engine =
     let rec go n acc =
       if n = 0 then acc
       else begin
-        let i, s, ch, cp, ep = run_pass ~elide engine in
+        let i, s, ch = run_pass engine in
         (match acc with
-         | Some (i0, _, _, _, _) when i0 <> i ->
+         | Some (i0, _, _) when i0 <> i ->
            failwith
              (Printf.sprintf
                 "engine bench: repeated pass retired %d insns, expected %d" i
                 i0)
          | _ -> ());
         let best =
-          match acc with Some (_, s0, _, _, _) -> Float.min s0 s | None -> s
+          match acc with Some (_, s0, _) -> Float.min s0 s | None -> s
         in
-        (* The chain stats (and probe counts) are deterministic across passes
-           of one leg (same images, same schedule), so keeping the latest
-           pass's totals is keeping any pass's. *)
-        go (n - 1) (Some (i, best, ch, cp, ep))
+        (* The chain stats are deterministic across passes of one leg
+           (same images, same schedule), so keeping the latest pass's
+           totals is keeping any pass's. *)
+        go (n - 1) (Some (i, best, ch))
       end
     in
     match go reps None with
     | Some r -> r
     | None -> assert false
   in
-  (* The elide-vs-plain comparisons (and the @bench-smoke gates built on
-     them) are between near-equal quantities, so they must not be decided
-     by host drift: a brief stall that lands entirely inside one leg
-     shows up as a fake multi-percent regression. [run_engine_pair]
-     therefore interleaves single passes of the two legs round-robin —
-     any stall is shared by both sides of the comparison — and takes each
-     leg's best pass, with one stats/fact-cache epoch for the pair (the
-     non-elide leg installs no provider, so the analysis counters after a
-     pair describe its elide leg alone, exactly as before). *)
-  let run_engine_pair ~reps (name_a, eng_a, elide_a) (name_b, eng_b, elide_b) =
-    Cheri_analysis.Absint.reset_stats ();
-    Cheri_analysis.Absint.clear_fact_cache ();
-    let best = [| None; None |] in
-    for _ = 1 to reps do
-      List.iteri
-        (fun idx (elide, engine) ->
-          let i, s, ch, cp, ep = run_pass ~elide engine in
-          (match best.(idx) with
-           | Some (i0, _, _, _, _) when i0 <> i ->
-             failwith
-               (Printf.sprintf
-                  "engine bench: repeated pass retired %d insns, expected %d"
-                  i i0)
-           | _ -> ());
-          let b =
-            match best.(idx) with
-            | Some (_, s0, _, _, _) -> Float.min s0 s
-            | None -> s
-          in
-          best.(idx) <- Some (i, b, ch, cp, ep))
-        [ (elide_a, eng_a); (elide_b, eng_b) ]
-    done;
-    match best with
-    | [| Some (ia, sa, cha, cpa, epa); Some (ib, sb, chb, cpb, epb) |] ->
-      [ name_a, ia, sa, cha, (cpa, epa); name_b, ib, sb, chb, (cpb, epb) ]
-    | _ -> assert false
-  in
   (* Smoke legs are ~40ms a pass, where a single descheduling event is a
      multi-percent outlier; best-of-7 there keeps the smoke gates from
      being decided by one noisy pass while staying under a second per
      leg. The full mix runs seconds per pass and keeps best-of-3. *)
   let chain_reps = if !opt_smoke then 7 else 3 in
-  (* Sequenced with explicit lets: the analysis-stats epoch of the chain
-     pair is read below, and [@]'s right-to-left argument evaluation would
-     otherwise run it first. *)
-  let step_leg =
-    let i, s, ch, cp, ep = run_engine ~elide:false ~reps:1 Cheri_isa.Cpu.Step in
-    [ "step", i, s, ch, (cp, ep) ]
+  let legs =
+    List.map
+      (fun (name, reps, engine) ->
+        let i, s, ch = run_engine ~reps engine in
+        (name, i, s, ch))
+      [ ("step", 1, Cheri_isa.Cpu.Step);
+        ("chain", chain_reps, Cheri_isa.Cpu.Chain) ]
   in
-  let chain_legs =
-    run_engine_pair ~reps:chain_reps
-      ("chain", Cheri_isa.Cpu.Chain, false)
-      ("chain+elide", Cheri_isa.Cpu.Chain, true)
-  in
-  let legs = step_leg @ chain_legs in
-  (* Stats are reset at the start of the leg pair and only the elide leg
-     touches them, so they describe the chain+elide leg across all of its
-     passes: the first pass misses once per exec and runs the lazy
-     superblock fixpoints; later passes hit the image-keyed cache and
-     analyze nothing. *)
-  let fc_hits, fc_misses, sb_eager, sb_lazy =
-    let s = Cheri_analysis.Absint.stats in
-    ( s.Cheri_analysis.Absint.cs_hits,
-      s.Cheri_analysis.Absint.cs_misses,
-      s.Cheri_analysis.Absint.cs_eager_sb,
-      s.Cheri_analysis.Absint.cs_lazy_sb )
-  in
-  Printf.printf
-    "fact cache (elide leg): %d hit%s, %d miss%s; superblocks analyzed: %d \
-     eager, %d lazy\n"
-    fc_hits (if fc_hits = 1 then "" else "s")
-    fc_misses (if fc_misses = 1 then "" else "es")
-    sb_eager sb_lazy;
   let mips insns secs = float_of_int insns /. secs /. 1e6 in
-  let leg name = List.find (fun (n, _, _, _, _) -> n = name) legs in
-  let leg_mips name = let _, i, s, _, _ = leg name in mips i s in
-  let leg_ch name = let _, _, _, ch, _ = leg name in ch in
-  let leg_pr name = let _, _, _, _, pr = leg name in pr in
+  let leg name = List.find (fun (n, _, _, _) -> n = name) legs in
+  let leg_mips name = let _, i, s, _ = leg name in mips i s in
   (* Chain length = blocks executed per dispatch-loop entry; IC hit rate =
      inline-cache key matches over all keyed (non-fall-through) lookups. *)
   let chain_len ch =
@@ -574,214 +496,92 @@ let engine_bench () =
     if total = 0 then 0.0
     else float_of_int ch.ch_dtlb_hits /. float_of_int total
   in
-  (let ch = leg_ch "chain" in
-   Printf.printf
-     "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
-     ch.Cheri_isa.Bbcache.ch_dtlb_hits ch.Cheri_isa.Bbcache.ch_dtlb_misses
-     (100.0 *. dtlb_rate ch));
-  (* Dynamic elide rate: of the check_cap probes executed by compiled
-     blocks, how many ran as check-free closures (tier-1 facts plus guarded
-     facts whose entry guard held). *)
-  let elide_rate (cp, ep) =
-    if cp + ep = 0 then 0.0 else float_of_int ep /. float_of_int (cp + ep)
-  in
+  let _, _, _, chain_ch = leg "chain" in
+  Printf.printf
+    "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
+    chain_ch.Cheri_isa.Bbcache.ch_dtlb_hits
+    chain_ch.Cheri_isa.Bbcache.ch_dtlb_misses
+    (100.0 *. dtlb_rate chain_ch);
   Printf.printf "build profile: %s\n" Build_info.profile;
-  Printf.printf "%-18s %14s %10s %10s %10s %8s %8s\n" "engine" "sim insns"
-    "host s" "sim-MIPS/s" "chain-len" "IC-hit" "elided";
+  Printf.printf "%-18s %14s %10s %10s %10s %8s\n" "engine" "sim insns"
+    "host s" "sim-MIPS/s" "chain-len" "IC-hit";
   List.iter
-    (fun (name, insns, secs, ch, pr) ->
-      let open Cheri_isa.Bbcache in
-      let el =
-        if fst pr + snd pr = 0 then "-"
-        else Printf.sprintf "%.1f%%" (100.0 *. elide_rate pr)
-      in
-      if ch.ch_entries = 0 then
-        Printf.printf "%-18s %14d %10.3f %10.2f %10s %8s %8s\n" name insns secs
-          (mips insns secs) "-" "-" el
+    (fun (name, insns, secs, ch) ->
+      if ch.Cheri_isa.Bbcache.ch_entries = 0 then
+        Printf.printf "%-18s %14d %10.3f %10.2f %10s %8s\n" name insns secs
+          (mips insns secs) "-" "-"
       else
-        Printf.printf "%-18s %14d %10.3f %10.2f %10.2f %7.1f%% %8s\n" name
-          insns secs (mips insns secs) (chain_len ch) (100.0 *. ic_rate ch) el)
+        Printf.printf "%-18s %14d %10.3f %10.2f %10.2f %7.1f%%\n" name
+          insns secs (mips insns secs) (chain_len ch) (100.0 *. ic_rate ch))
     legs;
-  (match legs with
-   | (_, i1, s1, _, _) :: rest ->
-     List.iter
-       (fun (name, i, _, _, _) ->
-         if i <> i1 then
-           failwith
-             (Printf.sprintf
-                "engine parity violated: step retired %d insns, %s %d" i1 name
-                i))
-       rest;
-     let mips1 = mips i1 s1 in
-     List.iter
-       (fun (name, i, s, _, _) ->
-         Printf.printf "%s/step speedup: %.2fx (identical %d retired insns)\n"
-           name (mips i s /. mips1) i1)
-       rest;
-     (* Regression gates (wired into @bench-smoke). Two structural checks
-        on the analysis are exact: the elide leg must have hit the
-        image-keyed fact cache on its warm passes, and must not have fallen
-        back to eager whole-image analysis. *)
-     (if !opt_smoke then begin
-        if fc_hits = 0 then
-          failwith
-            "bench-smoke: elide leg never hit the fact cache on warm passes";
-        if sb_eager > 0 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: elide leg ran %d eager superblock fixpoints \
-                (expected lazy analysis only)" sb_eager);
-        (* Chain gates: chaining exists to beat per-instruction dispatch —
-           a chain leg under twice the step engine's throughput means the
-           links or inline caches stopped carrying the hot loops (it
-           measures several times step), as does an inline-cache hit count
-           of zero on this mix (every workload has monomorphic hot back
-           edges). The throughput comparison is wall-clock, so it runs only
-           under [--perf]; the counter gates below are exact. *)
-        let c = leg_mips "chain" and st = leg_mips "step" in
-        if !opt_perf && c < 2.0 *. st then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: chain regressed below 2x step (%.2f < 2 x %.2f \
-                sim-MIPS)" c st);
-        let cch = leg_ch "chain" in
-        if cch.Cheri_isa.Bbcache.ch_ic_hits = 0 then
-          failwith "bench-smoke: chain leg never hit an inline cache";
-        if cch.Cheri_isa.Bbcache.ch_chained = 0 then
-          failwith "bench-smoke: chain leg never chained a block";
-        (* Elision on top of chaining must not cost throughput: with the
-           combined lazy resolver one scan serves both fact tiers, and the
-           chained hot path skips guard evaluation entirely for unguarded
-           blocks, so the elide leg runs strictly less work per hop than
-           plain chain. The regression class this hunts — analysis work
-           creeping back onto the exec path, concretely the guarded-fact
-           prescan re-running each superblock fixpoint a second time — is
-           gated EXACTLY via [cs_lazy_gsb]: the combined resolver keeps it
-           at 0, and any revival of the split-resolver shape trips it
-           deterministically, independent of host timing. (That original
-           regression cost 0.16% of throughput — an order of magnitude
-           below the ±5-8% jitter of these ~40ms legs even with paired
-           best-of-7 passes, so a wall-clock >= gate here would be a coin
-           flip while still missing the real thing. The throughput floor
-           below is a backstop against catastrophic regressions only.) *)
-        let gsb =
-          Cheri_analysis.Absint.stats.Cheri_analysis.Absint.cs_lazy_gsb
-        in
-        if gsb > 0 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: chain+elide leg re-ran %d guarded-tier \
-                fixpoints (the combined resolver must serve both tiers \
-                from one scan)" gsb);
-        let ce = leg_mips "chain+elide" in
-        if !opt_perf && ce < c *. 0.85 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: chain+elide regressed below chain \
-                (%.2f < 0.85 x %.2f sim-MIPS)" ce c);
-        (* The widened data-side TLB must actually serve the chain legs. *)
-        if cch.Cheri_isa.Bbcache.ch_dtlb_hits = 0 then
-          failwith "bench-smoke: chain leg never hit the data-side TLB";
-        (* Probe gates: the elide leg must actually execute check-free
-           closures; the non-elide leg must never see one. *)
-        if snd (leg_pr "chain+elide") = 0 then
-          failwith "bench-smoke: chain+elide leg executed no elided probes";
-        if snd (leg_pr "chain") <> 0 then
-          failwith "bench-smoke: non-elide leg executed elided probes";
-        (* Tier-3 gates: the chain+elide leg carries fact tables, so its
-           certified prefixes must actually fuse line groups and batch
-           same-line tail probes; the factless chain leg has no
-           certificates and must never fuse. All three are exact
-           structural counts, independent of host timing. *)
-        let cech = leg_ch "chain+elide" in
-        if cech.Cheri_isa.Bbcache.ch_fused_groups = 0 then
-          failwith "bench-smoke: chain+elide leg retired no fused groups";
-        if cech.Cheri_isa.Bbcache.ch_batched = 0 then
-          failwith "bench-smoke: chain+elide leg batched no data probes";
-        if cch.Cheri_isa.Bbcache.ch_fused_groups <> 0 then
-          failwith "bench-smoke: factless chain leg fused a group"
-        (* The chain+elide >= chain throughput relation itself is covered
-           by the 0.85-floor backstop above: on these ~40ms legs the
-           honest ratio sits within the host jitter band, so the exact
-           counters here — not a wall-clock coin flip — are what catch
-           fusion or batching being silently disabled. *)
-      end);
-     if !opt_json then begin
-       let speedup_of name = leg_mips name /. mips1 in
-       let chain_ch = leg_ch "chain" in
-       (* Tier-3 counters live on the chain+elide leg: fusion and batched
-          probes require fact tables, which only the elide leg carries. *)
-       let _, ce_insns, _, ce_ch, _ = leg "chain+elide" in
-       let ce_pr = leg_pr "chain+elide" in
-       let an_funcs, an_iters, an_checks, an_proved =
-         Cheri_analysis.Absint.ipa_totals ()
-       in
-       let oc = open_out "BENCH_simulator.json" in
-       Printf.fprintf oc
-         "{\n\
-         \  \"benchmark\": \"mibench+spec x {mips64,cheriabi} + openssl \
-          s_server\",\n\
-         \  \"build_profile\": %S,\n\
-         \  \"engines\": [\n%s\n  ],\n\
-         \  \"speedup_chain_over_step\": %.3f,\n\
-         \  \"speedup_chain_elide_over_step\": %.3f,\n\
-         \  \"chain\": { \"entries\": %d, \"chained\": %d, \
-          \"avg_chain_length\": %.3f, \"ic_hits\": %d, \"ic_misses\": %d, \
-          \"ic_megamorphic\": %d, \"ic_hit_rate\": %.3f, \
-          \"dtlb_hits\": %d, \"dtlb_misses\": %d, \"dtlb_hit_rate\": %.3f },\n\
-         \  \"tier3\": { \"fused_groups\": %d, \"fused_insns\": %d, \
-          \"fused_insn_rate\": %.3f, \"batched_probes\": %d },\n\
-         \  \"fact_cache\": { \"hits\": %d, \"misses\": %d, \
-          \"superblocks_eager\": %d, \"superblocks_lazy\": %d, \
-          \"guarded_prescans\": %d },\n\
-         \  \"analysis\": { \"functions_summarized\": %d, \
-          \"fixpoint_iterations\": %d, \"checks_provable\": %d, \
-          \"checks_total\": %d },\n\
-         \  \"check_probes\": {\n\
-         \    \"chain_elide\": { \"checked\": %d, \"elided\": %d, \
-          \"elide_rate\": %.3f }\n\
-         \  }\n\
-          }\n"
-         Build_info.profile
-         (String.concat ",\n"
-            (List.map
-               (fun (name, insns, secs, ch, pr) ->
-                 let open Cheri_isa.Bbcache in
-                 Printf.sprintf
-                   "    { \"engine\": %S, \"instructions\": %d, \
-                    \"host_seconds\": %.3f, \"sim_mips\": %.3f, \
-                    \"chain_length\": %.3f, \"ic_hit_rate\": %.3f, \
-                    \"elide_rate\": %.3f }"
-                   name insns secs (mips insns secs)
-                   (if ch.ch_entries = 0 then 0.0 else chain_len ch)
-                   (ic_rate ch) (elide_rate pr))
-               legs))
-         (speedup_of "chain") (speedup_of "chain+elide")
-         chain_ch.Cheri_isa.Bbcache.ch_entries
-         chain_ch.Cheri_isa.Bbcache.ch_chained
-         (chain_len chain_ch)
-         chain_ch.Cheri_isa.Bbcache.ch_ic_hits
-         chain_ch.Cheri_isa.Bbcache.ch_ic_misses
-         chain_ch.Cheri_isa.Bbcache.ch_ic_mega
-         (ic_rate chain_ch)
-         chain_ch.Cheri_isa.Bbcache.ch_dtlb_hits
-         chain_ch.Cheri_isa.Bbcache.ch_dtlb_misses
-         (dtlb_rate chain_ch)
-         ce_ch.Cheri_isa.Bbcache.ch_fused_groups
-         ce_ch.Cheri_isa.Bbcache.ch_fused_insns
-         (if ce_insns = 0 then 0.0
-          else
-            float_of_int ce_ch.Cheri_isa.Bbcache.ch_fused_insns
-            /. float_of_int ce_insns)
-         ce_ch.Cheri_isa.Bbcache.ch_batched
-         fc_hits fc_misses sb_eager sb_lazy
-         Cheri_analysis.Absint.stats.Cheri_analysis.Absint.cs_lazy_gsb
-         an_funcs an_iters an_proved an_checks
-         (fst ce_pr) (snd ce_pr) (elide_rate ce_pr);
-       close_out oc;
-       Printf.printf "wrote BENCH_simulator.json\n"
-     end
-   | [] -> assert false)
+  let _, i1, s1, _ = leg "step" and _, i2, _, _ = leg "chain" in
+  if i2 <> i1 then
+    failwith
+      (Printf.sprintf
+         "engine parity violated: step retired %d insns, chain %d" i1 i2);
+  let speedup = leg_mips "chain" /. mips i1 s1 in
+  Printf.printf "chain/step speedup: %.2fx (identical %d retired insns)\n"
+    speedup i1;
+  (* Regression gates (wired into @bench-smoke). Chaining exists to beat
+     per-instruction dispatch — a chain leg under twice the step engine's
+     throughput means the links or inline caches stopped carrying the hot
+     loops (it measures several times step), as does an inline-cache hit
+     count of zero on this mix (every workload has monomorphic hot back
+     edges). The throughput comparison is wall-clock, so it runs only
+     under [--perf]; the counter gates are exact. *)
+  if !opt_smoke then begin
+    let c = leg_mips "chain" and st = leg_mips "step" in
+    if !opt_perf && c < 2.0 *. st then
+      failwith
+        (Printf.sprintf
+           "bench-smoke: chain regressed below 2x step (%.2f < 2 x %.2f \
+            sim-MIPS)" c st);
+    if chain_ch.Cheri_isa.Bbcache.ch_ic_hits = 0 then
+      failwith "bench-smoke: chain leg never hit an inline cache";
+    if chain_ch.Cheri_isa.Bbcache.ch_chained = 0 then
+      failwith "bench-smoke: chain leg never chained a block";
+    (* The widened data-side TLB must actually serve the chain leg. *)
+    if chain_ch.Cheri_isa.Bbcache.ch_dtlb_hits = 0 then
+      failwith "bench-smoke: chain leg never hit the data-side TLB"
+  end;
+  if !opt_json then begin
+    let oc = open_out "BENCH_simulator.json" in
+    Printf.fprintf oc
+      "{\n\
+      \  \"benchmark\": \"mibench+spec x {mips64,cheriabi} + openssl \
+       s_server\",\n\
+      \  \"build_profile\": %S,\n\
+      \  \"engines\": [\n%s\n  ],\n\
+      \  \"speedup_chain_over_step\": %.3f,\n\
+      \  \"chain\": { \"entries\": %d, \"chained\": %d, \
+       \"avg_chain_length\": %.3f, \"ic_hits\": %d, \"ic_misses\": %d, \
+       \"ic_megamorphic\": %d, \"ic_hit_rate\": %.3f, \
+       \"dtlb_hits\": %d, \"dtlb_misses\": %d, \"dtlb_hit_rate\": %.3f }\n\
+       }\n"
+      Build_info.profile
+      (String.concat ",\n"
+         (List.map
+            (fun (name, insns, secs, ch) ->
+              Printf.sprintf
+                "    { \"engine\": %S, \"instructions\": %d, \
+                 \"host_seconds\": %.3f, \"sim_mips\": %.3f, \
+                 \"chain_length\": %.3f, \"ic_hit_rate\": %.3f }"
+                name insns secs (mips insns secs) (chain_len ch) (ic_rate ch))
+            legs))
+      speedup
+      chain_ch.Cheri_isa.Bbcache.ch_entries
+      chain_ch.Cheri_isa.Bbcache.ch_chained
+      (chain_len chain_ch)
+      chain_ch.Cheri_isa.Bbcache.ch_ic_hits
+      chain_ch.Cheri_isa.Bbcache.ch_ic_misses
+      chain_ch.Cheri_isa.Bbcache.ch_ic_mega
+      (ic_rate chain_ch)
+      chain_ch.Cheri_isa.Bbcache.ch_dtlb_hits
+      chain_ch.Cheri_isa.Bbcache.ch_dtlb_misses
+      (dtlb_rate chain_ch);
+    close_out oc;
+    Printf.printf "wrote BENCH_simulator.json\n"
+  end
 
 (* --- Fleet: multicore machine sharding (docs/FLEET.md) ----------------------------- *)
 
@@ -926,8 +726,6 @@ let fleet_bench () =
     cores
     (if cores = 1 then "" else "s");
   let specs = Fleet.traffic_mix ~machines ~rounds () in
-  Cheri_analysis.Absint.reset_stats ();
-  Cheri_analysis.Absint.clear_fact_cache ();
   (* The scaling gate compares two wall-clock rates, so measure them
      PAIRED (alternating single-domain and sharded runs — host stalls
      land on both sides) and keep each side's best-throughput report.
@@ -1180,8 +978,6 @@ let malloc_contention () =
           ms_argv = [ "malloc_mc" ]; ms_max_steps = 200_000_000;
           ms_marker = '#' })
   in
-  Cheri_analysis.Absint.reset_stats ();
-  Cheri_analysis.Absint.clear_fact_cache ();
   (* Paired wall-clock measurement, exactly as the fleet bench: simulated
      results are identical across reps, "best" only picks a clock. *)
   let reps = if !opt_smoke then 3 else 1 in

@@ -60,7 +60,7 @@ let externs_lines =
    markers the program prints per completed unit of work (as the TLS
    traffic workload does); programs that print none simply report no
    requests. *)
-let run_fleet ~abi ~engine ~elide ~no_libc ~opts ~file ~args ~fleet_n ~domains
+let run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
     src =
   let module Fleet = Cheri_fleet.Fleet in
   let image =
@@ -78,7 +78,7 @@ let run_fleet ~abi ~engine ~elide ~no_libc ~opts ~file ~args ~fleet_n ~domains
           ms_max_steps = 400_000_000;
           ms_marker = '#' })
   in
-  let r = Fleet.run ~engine ~elide ~domains specs in
+  let r = Fleet.run ~engine ~domains specs in
   Printf.printf "%-24s %6s %6s %12s %9s %8s  %s\n" "machine" "domain" "stolen"
     "sim insns" "requests" "host s" "status";
   Array.iter
@@ -107,14 +107,14 @@ let run_fleet ~abi ~engine ~elide ~no_libc ~opts ~file ~args ~fleet_n ~domains
   else 1
 
 let run file abi engine args dump_asm stats trace no_libc clc_small lint
-    verify elide astats fleet_n domains =
+    verify astats fleet_n domains =
   let src = read_file file in
   let opts =
     { (Cheri_cc.Compile.default_options abi) with clc_large_imm = not clc_small }
   in
   if fleet_n > 0 then begin
     match
-      run_fleet ~abi ~engine ~elide ~no_libc ~opts ~file ~args ~fleet_n
+      run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n
         ~domains src
     with
     | code -> code
@@ -142,47 +142,8 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
       Printf.eprintf "%s: link error: %s\n" file msg;
       2
     | link ->
-      let module Cap = Cheri_cap.Cap in
-      let module Perms = Cheri_cap.Perms in
-      let module Rtld = Cheri_rtld.Rtld in
       let module Absint = Cheri_analysis.Absint in
-      let ddc =
-        match abi with
-        | Abi.Cheriabi -> Cheri_cap.Cap.null
-        | Abi.Mips64 | Abi.Asan ->
-          (* The narrowed user root the kernel installs as legacy DDC. *)
-          let module A = Cheri_vm.Addr_space in
-          Cap.and_perms
-            (Cap.set_bounds
-               (Cap.set_addr
-                  (Cap.make_root ~base:0 ~top:(1 lsl 48) ())
-                  A.user_base_default)
-               ~len:(A.user_top_default - A.user_base_default))
-            (Perms.diff Perms.all Perms.system_regs)
-      in
-      let entries =
-        link.Rtld.lk_entry
-        :: Hashtbl.fold
-             (fun _ def acc ->
-               match def with
-               | Rtld.Dfunc (_, addr) -> addr :: acc
-               | Rtld.Ddata _ | Rtld.Dtls _ -> acc)
-             link.Rtld.lk_symtab []
-        |> List.sort_uniq compare
-      in
-      let got =
-        List.filter_map
-          (fun (name, off) ->
-            match Hashtbl.find_opt link.Rtld.lk_symtab name with
-            | Some (Rtld.Dfunc (_, addr)) -> Some (off, addr)
-            | _ -> None)
-          link.Rtld.lk_got
-        |> List.sort compare
-      in
-      let r =
-        Absint.verify ~ddc ~pcc_may:(Perms.diff Perms.all Perms.system_regs)
-          ~entries ~got link.Rtld.lk_code
-      in
+      let r = Cheri_workloads.Harness.verify_image ~abi link in
       if r.Absint.r_diags = [] then begin
         Printf.printf
           "%s: no verifier diagnostics (%d checks, %d elidable, %d guarded; \
@@ -242,9 +203,6 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
   else begin
     let k = Kernel.boot () in
     k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-    if elide then
-      k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.fact_provider <-
-        Some (Cheri_analysis.Absint.provider ());
     Cheri_libc.Runtime.install k;
     let collector = Trace.collector () in
     if trace then begin
@@ -285,47 +243,22 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
         (Cheri_tagmem.Phys.total_frames k.Cheri_kernel.Kstate.phys)
         (resident * Cheri_tagmem.Phys.page_size / 1024)
     end;
-    if astats then begin
-      let module Absint = Cheri_analysis.Absint in
-      let module Bbcache = Cheri_isa.Bbcache in
-      let s = Absint.stats in
-      let funcs, iters, checks, proved = Absint.ipa_totals () in
-      let bb = k.Cheri_kernel.Kstate.bb in
-      let checked = bb.Bbcache.checked_probes
-      and elided = bb.Bbcache.elided_probes in
-      let rate a b = if a + b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int (a + b) in
-      Printf.eprintf
-        "--- analysis stats ---\n\
-         functions summarized:  %d (%d fixpoint iterations)\n\
-         checks provable:       %d of %d flow sites\n\
-         facts cache:           %d hits, %d misses (%.1f%% hit rate)\n\
-         superblocks analyzed:  %d eager, %d lazy, %d guarded pre-scans\n\
-         dynamic probes:        %d checked, %d elided (%.1f%% elided)\n"
-        funcs iters proved checks s.Absint.cs_hits s.Absint.cs_misses
-        (rate s.Absint.cs_hits s.Absint.cs_misses)
-        s.Absint.cs_eager_sb s.Absint.cs_lazy_sb s.Absint.cs_lazy_gsb
-        checked elided (rate elided checked);
-      (* Tier-3 coverage: static certificates from the lazy analysis path,
-         plus the chain engine's dynamic fusion / batched-probe counters. *)
-      let h = Absint.lazy_cert_hist in
-      let fused_pct =
-        let i = p.Proc.ctx.Cpu.instret in
-        if i = 0 then 0.0
-        else 100.0 *. float_of_int bb.Bbcache.fused_insns /. float_of_int i
-      in
-      Printf.eprintf
-        "tier-3 certificates:   %d superblocks, %d certified insns (lazy)\n\
-         cert prefix histogram: 0:%d 1-8:%d 9-16:%d 17-24:%d 25-32:%d \
-         33-40:%d 41-48:%d 49+:%d\n\
-         fused groups:          %d executed, %d insns (%.1f%% of retired)\n\
-         batched data probes:   %d (%.1f%% of compiled accesses)\n"
-        s.Absint.cs_cert_sb s.Absint.cs_cert_insns
-        h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
-        bb.Bbcache.fused_groups bb.Bbcache.fused_insns fused_pct
-        bb.Bbcache.batched_probes
-        (rate bb.Bbcache.batched_probes
-           (checked + elided - bb.Bbcache.batched_probes))
-    end;
+    (* Static lines come from the analysis run on the spawned image
+       itself, as --verify runs it; the probe line is the chain engine's
+       dynamic count. *)
+    (match astats, p.Proc.linked with
+     | true, Some link ->
+       let module Absint = Cheri_analysis.Absint in
+       let r = Cheri_workloads.Harness.verify_image ~abi link in
+       Printf.eprintf
+         "--- analysis stats ---\n\
+          functions summarized:  %d (%d fixpoint iterations)\n\
+          checks provable:       %d of %d flow sites\n\
+          dynamic probes:        %d checked\n"
+         r.Absint.r_funcs r.Absint.r_iters r.Absint.r_flow_elided
+         r.Absint.r_flow_sites
+         k.Cheri_kernel.Kstate.bb.Cheri_isa.Bbcache.checked_probes
+     | _ -> ());
     if trace then begin
       let events = Trace.to_list collector in
       let regions =
@@ -398,25 +331,19 @@ let cmd =
          & info [ "verify" ]
              ~doc:"Run the machine-level capability abstract interpreter over \
                    the linked image instead of executing: report statically \
-                   provable capability violations and check-elision counts. \
+                   provable capability violations and statically provable \
+                   check counts. \
                    Exits 0 if clean, 1 with diagnostics, 2 on compile or \
                    link errors.")
-  in
-  let elide =
-    Arg.(value & flag
-         & info [ "elide-checks" ]
-             ~doc:"Let the chain engine skip capability checks the abstract \
-                   interpreter proves cannot fail. Observable behaviour and \
-                   all statistics remain bit-identical.")
   in
   let astats =
     Arg.(value & flag
          & info [ "analysis-stats" ]
-             ~doc:"After the run, print check-elision analysis statistics: \
-                   functions summarized, interprocedural fixpoint \
-                   iterations, statically provable checks, fact-cache hit \
-                   rate and the dynamic checked/elided probe counts. Most \
-                   useful together with $(b,--elide-checks).")
+             ~doc:"After the run, print the capability abstract \
+                   interpreter's statistics for the program's image \
+                   (functions summarized, fixpoint iterations, statically \
+                   provable checks) and the chain engine's dynamic count \
+                   of capability checks.")
   in
   let fleet =
     Arg.(value & opt int 0
@@ -436,7 +363,7 @@ let cmd =
   Cmd.v
     (Cmd.info "cheri_run" ~doc:"Run a CSmall program on the CheriABI simulator")
     Term.(const run $ file $ abi $ engine $ args $ dump $ stats $ trace
-          $ no_libc $ clc_small $ lint $ verify $ elide $ astats $ fleet
+          $ no_libc $ clc_small $ lint $ verify $ astats $ fleet
           $ domains)
 
 let () = exit (Cmd.eval' cmd)

@@ -14,14 +14,12 @@
    verified as well. The output is stable across runs and is diffed
    against a checked-in baseline by the @verify alias. *)
 
-module Cap = Cheri_cap.Cap
-module Perms = Cheri_cap.Perms
 module Abi = Cheri_core.Abi
 module Rtld = Cheri_rtld.Rtld
-module Addr_space = Cheri_vm.Addr_space
 module Absint = Cheri_analysis.Absint
 module Compat = Cheri_workloads.Compat
 module Stdlib_src = Cheri_workloads.Stdlib_src
+module Harness = Cheri_workloads.Harness
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,23 +27,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-(* The initial DDC the kernel installs for each ABI (Exec.exec_image):
-   NULL under CheriABI — the heart of the ABI — and the narrowed user
-   root on legacy MIPS (Kstate.boot). *)
-let initial_ddc = function
-  | Abi.Cheriabi -> Cap.null
-  | Abi.Mips64 | Abi.Asan ->
-    let reset_root = Cap.make_root ~base:0 ~top:(1 lsl 48) () in
-    Cap.and_perms
-      (Cap.set_bounds
-         (Cap.set_addr reset_root Addr_space.user_base_default)
-         ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
-      (Perms.diff Perms.all Perms.system_regs)
-
-(* User PCC never carries System_regs (Kstate.boot narrows it away before
-   any user capability is derived). *)
-let pcc_may = Perms.diff Perms.all Perms.system_regs
 
 type totals = {
   mutable t_must : int;
@@ -87,32 +68,7 @@ let verify_named ~abi name src =
   | exception Rtld.Link_error msg ->
     Printf.printf "  (not linkable: %s)\n" msg
   | link ->
-    let entries =
-      link.Rtld.lk_entry
-      :: Hashtbl.fold
-           (fun _ def acc ->
-             match def with
-             | Rtld.Dfunc (_, addr) -> addr :: acc
-             | Rtld.Ddata _ | Rtld.Dtls _ -> acc)
-           link.Rtld.lk_symtab []
-      |> List.sort_uniq compare
-    in
-    (* GOT byte offset -> resolved function entry, exactly the view
-       Exec hands the kernel fact provider: it lets the CFG turn CJALR
-       through a constant GOT slot into a real call edge. *)
-    let got =
-      List.filter_map
-        (fun (name, off) ->
-          match Hashtbl.find_opt link.Rtld.lk_symtab name with
-          | Some (Rtld.Dfunc (_, addr)) -> Some (off, addr)
-          | _ -> None)
-        link.Rtld.lk_got
-      |> List.sort compare
-    in
-    let r =
-      Absint.verify ~ddc:(initial_ddc abi) ~pcc_may ~entries ~got
-        link.Rtld.lk_code
-    in
+    let r = Harness.verify_image ~abi link in
     if r.Absint.r_diags = [] then Printf.printf "  (clean)\n"
     else
       List.iter

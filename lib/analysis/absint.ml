@@ -10,16 +10,16 @@
      unaligned jump targets, division by zero). Surfaced through
      [cheri_run --verify] and the bin/cheri_verify corpus driver.
 
-   - [scan_code] / [facts_of_code]: a per-superblock pass producing the
-     check-elision fact table the block engine consumes (Facts,
-     bbcache.ml). A fact (entry, i) means: *if* execution proceeds
-     straight-line from [entry] through instruction [i], the capability
-     check guarding [i]'s memory access cannot fail. Each superblock is
-     analyzed from a Top entry state (only a concrete DDC and PCC
-     permission bound are assumed), so the claim holds no matter how
-     control reached [entry] — wild indirect jumps included. The same
-     pass computes the dual "must-trap" table the soundness oracle in
-     test/test_absint.ml replays dynamically.
+   - [scan_code]: a per-superblock pass producing the static
+     check-discharge fact table (facts.ml) that [verify] reports. A fact
+     (entry, i) means: *if* execution proceeds straight-line from [entry]
+     through instruction [i], the capability check guarding [i]'s memory
+     access cannot fail. Each superblock is analyzed from a Top entry
+     state (only a concrete DDC and PCC permission bound are assumed), so
+     the claim holds no matter how control reached [entry] — wild
+     indirect jumps included. The same pass computes the dual "must-trap"
+     table. The soundness oracle in test/test_absint.ml replays both
+     dynamically; no execution engine consumes them.
 
    The domain tracks, per capability register (and per csp-relative spill
    slot in [verify]'s trusted mode): tag and seal as three-valued facts,
@@ -34,7 +34,6 @@ module Perms = Cheri_cap.Perms
 module Compress = Cheri_cap.Compress
 module Insn = Cheri_isa.Insn
 module Reg = Cheri_isa.Reg
-module Facts = Cheri_isa.Facts
 module IMap = Map.Make (Int)
 
 (* --- Domain ---------------------------------------------------------------- *)
@@ -923,64 +922,21 @@ let make_env ?ddc ?(pcc_may = Perms.all) () =
   in
   { e_ddc; e_pcc_may = pcc_may }
 
-(* --- Analysis-cost statistics ----------------------------------------------
+(* --- Inert statistics shim -----------------------------------------------
 
-   Global, resettable counters for the fact-cache/lazy-analysis machinery:
-   how many provider calls hit the image-keyed cache, and how many
-   superblock fixpoints actually ran, split by whether they were paid up
-   front (eager [scan_code]) or on first decode (lazy tables). Surfaced by
-   bench/main.ml and BENCH_simulator.json. *)
+   Nothing bumps these: the kernel runs no analysis. They stay, reading 0,
+   only because simbench/simbench.ml still reads and resets them. *)
 
 type cache_stats = {
-  mutable cs_hits : int;       (* provider calls answered from the cache *)
-  mutable cs_misses : int;     (* provider calls that ran (or deferred) analysis *)
-  mutable cs_eager_sb : int;   (* superblock fixpoints run eagerly *)
-  mutable cs_lazy_sb : int;    (* superblock fixpoints run on first decode *)
-  mutable cs_lazy_gsb : int;   (* guarded pre-scans that re-ran a fixpoint
-                                  (0 since the combined resolver serves
-                                  both tiers from one scan) *)
-  mutable cs_funcs : int;      (* functions summarized (interprocedural) *)
-  mutable cs_iters : int;      (* interprocedural worklist iterations *)
-  mutable cs_cert_sb : int;    (* lazily-resolved superblocks with a
-                                  nonempty tier-3 certificate *)
-  mutable cs_cert_insns : int; (* ... total certified-prefix instructions *)
+  mutable cs_misses : int;
+  mutable cs_lazy_sb : int;
 }
 
-let stats = { cs_hits = 0; cs_misses = 0; cs_eager_sb = 0; cs_lazy_sb = 0;
-              cs_lazy_gsb = 0; cs_funcs = 0; cs_iters = 0;
-              cs_cert_sb = 0; cs_cert_insns = 0 }
-
-(* Certified-prefix length histogram over lazily-resolved superblocks
-   (same buckets as [sc_cert_hist]; bucket 0 counts uncertified blocks).
-   Guarded by [stats_lock] like the counters above. *)
-let lazy_cert_hist = Array.make 8 0
-
-(* Domain safety: the image-keyed memo tables below are shared by reference
-   across the fleet's domains (each domain's kernel calls the provider),
-   and [stats] is bumped from lazy resolvers running inside any domain's
-   block build. [cache_lock] serializes table lookups/inserts and forces;
-   [stats_lock] serializes counter updates. They are distinct locks because
-   forcing a cached IPA thunk under [cache_lock] re-enters the summarizer,
-   which bumps counters — with one (non-reentrant) lock that would
-   self-deadlock. Ordering is always cache_lock -> stats_lock, or either
-   alone; never the reverse. Reading [stats] fields directly stays lock-free
-   and is meaningful once domains have been joined. *)
-let cache_lock = Mutex.create ()
-let stats_lock = Mutex.create ()
-let bump f = Mutex.protect stats_lock f
+let stats = { cs_misses = 0; cs_lazy_sb = 0 }
 
 let reset_stats () =
-  bump (fun () ->
-      stats.cs_hits <- 0;
-      stats.cs_misses <- 0;
-      stats.cs_eager_sb <- 0;
-      stats.cs_lazy_sb <- 0;
-      stats.cs_lazy_gsb <- 0;
-      stats.cs_funcs <- 0;
-      stats.cs_iters <- 0;
-      stats.cs_cert_sb <- 0;
-      stats.cs_cert_insns <- 0;
-      Array.fill lazy_cert_hist 0 (Array.length lazy_cert_hist) 0)
+  stats.cs_misses <- 0;
+  stats.cs_lazy_sb <- 0
 
 (* Per-instruction trap classification against the abstract pre-state, for
    the tier-3 certificate scan:
@@ -1047,14 +1003,12 @@ let insn_trap_class st (insn : Insn.t) =
      | None -> 2)
   | _ -> 2
 
-(* One superblock fixpoint: the straight-line scan the block engine's
-   decoded blocks mirror, from a Top state at instruction index [e] of the
-   region at [base], bounded by [Bbcache.max_block]. Returns the elision
-   bitmask, the must-trap bitmask, the (sites, elided) counts, and the
+(* One superblock fixpoint: the straight-line run the chain engine
+   decodes, from a Top state at instruction index [e] of the region at
+   [base], bounded by [Bbcache.max_block]. Returns the elision bitmask,
+   the must-trap bitmask, the (sites, elided) counts, and the
    per-instruction trap classes (for the tier-3 certificate scan; indices
-   past the scanned body keep the conservative class 2). This is the unit
-   of work both the eager whole-image scan and the lazy pull-through table
-   share. *)
+   past the scanned body keep the conservative class 2). *)
 let scan_superblock env insns ~e =
   let n = Array.length insns in
   let st = fresh_st env in
@@ -1109,10 +1063,9 @@ let scan_superblock env insns ~e =
    any [CWriteDDC] in the prefix.
 
    Soundness is by construction and entirely independent of the
-   interprocedural layer: the predicate conjunction is evaluated against
-   the real register file at every block entry (bbcache), and a guard that
-   holds implies every guarded check passes. Wild control flow at worst
-   makes guards fail, which falls back to the exact path.
+   interprocedural layer: a guard that holds on the real register file at
+   superblock entry implies every guarded check passes, however control
+   arrived (the oracle in test/test_absint.ml replays exactly this).
 
    This is also what discharges strided loops: the loop body is a block,
    its guard is evaluated once per iteration (the "one loop-entry
@@ -1287,16 +1240,13 @@ let guard_scan ~ddc_dead insns ~e ~fmask =
 (* --- Tier-3 certificate scan ------------------------------------------------
 
    Computes a [Facts.cert] for one superblock from the combined elision
-   mask ([emask = fmask lor gmask] — exactly the bits the compiled body
-   elides when it runs), the guard predicates, and the per-instruction
-   trap classes of the Top-entry fixpoint.
+   mask ([emask = fmask lor gmask]), the guard predicates, and the
+   per-instruction trap classes of the Top-entry fixpoint.
 
    Trap-freedom prefix: the maximal body prefix in which every instruction
-   is class 0 (cannot trap at all), a data access (always acceptable: the
-   access closure is a *repair point* — the engine records the exact
-   instruction index before it runs, so its dynamic faults — a failed
-   capability check, page fault, alignment, CSC value checks — trap with
-   exact attribution whether or not the check was discharged), or a
+   is class 0 (cannot trap at all), a data access (always acceptable: a
+   *repair point* whose dynamic faults — a failed capability check, page
+   fault, alignment, CSC value checks — the claim does not cover), or a
    cursor move rescued by a tier-2 guard:
    if the source capability chains back (through the same CMove /
    constant-offset moves tier 2 tracks) to an entry register carrying a
@@ -1307,36 +1257,27 @@ let guard_scan ~ddc_dead insns ~e ~fmask =
    additionally needs the tag, which the guard also preserves: its window
    hulls every tracked intermediate cursor position (see [move_cursor]),
    so no move on the chain can have stripped it. The claims are
-   conditional on the guard exactly like the guarded mask itself: the
-   engine never runs the compiled body when the guard fails.
+   conditional on the guard exactly like the guarded mask itself.
 
    Access runs: maximal sequences of *consecutive* data accesses (no other
    memory operation between members — this is what guarantees the head's
    DL1 line cannot be evicted before the last member probes it), all
-   within the certified prefix, within one instruction-line group (the
-   fused-dispatch unit), homogeneous in kind (all reads or all writes, so
+   within the certified prefix, within one instruction-line group,
+   homogeneous in kind (all reads or all writes, so
    one translation covers COW/dirty semantics for the whole run), whose
    addresses are exact syntactic deltas from one chain: capability
    accesses through the same tracked entry register, legacy accesses
    through the same tracked entry GPR, or absolute (constant-address)
-   accesses. The run proof is purely about the *address*: follower
-   closures still evaluate their capability check (unless elided),
-   alignment check and CSC value checks at runtime on the syntactically
-   recomputed vaddr — what they skip is the translate and the cache
-   probe, which the delta identity and the head's translation make
-   redundant. The hulled window [ar_lo, ar_hi) spans at most one 64-byte
-   line; whether the physical window actually sits inside a single line
-   is rechecked at runtime against the head's translated address, falling
-   back to exact per-access probes when it does not. *)
+   accesses. The run proof is purely about the *address*: the hulled
+   window [ar_lo, ar_hi) spans at most one 64-byte line. *)
 let cert_scan insns ~entry ~e ~gmask ~(preds : Facts.gpred array)
     ~(tcls : int array) =
   let n = Array.length insns in
   let line_shift = Cheri_tagmem.Cache.line_shift in
   let line_size = Cheri_tagmem.Cache.line_size in
   (* A capability-form guard predicate on entry register [r0]? Only kept
-     predicates that the engine will actually evaluate count, i.e. only
-     when the guarded mask is nonempty ([Facts.add_guarded] drops guards
-     that license nothing, and the engine attaches predicates only then). *)
+     predicates count, i.e. only when the guarded mask is nonempty
+     ([Facts.add_guarded] drops guards that license nothing). *)
   let guard_on r0 =
     gmask <> 0
     && Array.exists
@@ -1534,7 +1475,6 @@ let scan_code ?ddc ?pcc_may regions =
       for e = 0 to n - 1 do
         let entry = base + (4 * e) in
         let fmask, mmask, s, el, tcls = scan_superblock env insns ~e in
-        bump (fun () -> stats.cs_eager_sb <- stats.cs_eager_sb + 1);
         Facts.add_mask facts ~entry fmask;
         let gmask, preds = guard_scan ~ddc_dead insns ~e ~fmask in
         Facts.add_guarded facts ~entry gmask preds;
@@ -1566,120 +1506,9 @@ let scan_code ?ddc ?pcc_may regions =
     sc_cert_sb = !cert_sb; sc_cert_insns = !cert_insns;
     sc_runs = !nruns; sc_run_accesses = !run_accs; sc_cert_hist = hist }
 
-let facts_of_code ?ddc ?pcc_may regions =
-  (scan_code ?ddc ?pcc_may regions).sc_facts
-
-(* Lazy variant: a pull-through [Facts.t] whose per-entry fixpoint runs the
-   first time the block engine decodes that superblock ([Facts.mask] at
-   build time), so a process only pays analysis for code it executes. The
-   masks are exactly [scan_code]'s — same environment, same straight-line
-   scan — the resolver just picks out one entry. One scan serves both
-   tiers: the guarded pre-scan reuses the fixpoint's unconditional mask
-   (guard bits must exclude everything tier 1 already proved) instead of
-   re-running the fixpoint the way the old two-resolver split did, so
-   [stats.cs_lazy_gsb] — extra fixpoints charged to the guarded tier —
-   stays 0 on the block-build path. Resolved entries are memoized inside
-   the table, so re-decodes (a forked child's fresh block table,
-   generation flushes) and cached re-execs are hash lookups. *)
-let lazy_facts_of_code ?ddc ?pcc_may regions =
-  let env = make_env ?ddc ?pcc_may () in
-  let ddc_dead = env.e_ddc.a_tag = No in
-  let resolve entry =
-    let rec find = function
-      | [] -> (0, Facts.no_guard, Facts.no_cert)
-      | (base, insns) :: rest ->
-        if entry >= base
-           && entry < base + (4 * Array.length insns)
-           && (entry - base) land 3 = 0
-        then begin
-          let e = (entry - base) / 4 in
-          let fmask, _, _, _, tcls = scan_superblock env insns ~e in
-          let (gmask, preds) as guard = guard_scan ~ddc_dead insns ~e ~fmask in
-          let cert = cert_scan insns ~entry ~e ~gmask ~preds ~tcls in
-          bump (fun () ->
-              stats.cs_lazy_sb <- stats.cs_lazy_sb + 1;
-              let p = cert.Facts.ct_prefix in
-              lazy_cert_hist.(cert_bucket p) <-
-                lazy_cert_hist.(cert_bucket p) + 1;
-              if p > 0 then begin
-                stats.cs_cert_sb <- stats.cs_cert_sb + 1;
-                stats.cs_cert_insns <- stats.cs_cert_insns + p
-              end);
-          (fmask, guard, cert)
-        end
-        else find rest
-    in
-    find regions
-  in
-  Facts.create_lazy ~resolve ()
-
-(* --- Image-keyed fact cache -------------------------------------------------
-
-   [Sobj.image] values are immutable and shared across kernels and execs
-   (the bench installs one image into many kernels; repeated execs of the
-   same path reuse the vfs's image), so analysis results are memoized per
-   image identity plus everything the facts depend on: the initial DDC and
-   the PCC permission envelope (facts are DDC- and PCC-sensitive), and the
-   linked code layout (defensive: identical layout is what makes
-   entry-pc-keyed facts transferable between execs; the linker is
-   deterministic per image + ABI, so this key component only guards
-   against that assumption breaking). The cached table is shared by
-   reference — safe because fact tables are append-only (lazy memoization
-   never changes a mask already handed out) and [Bbcache.set_facts] guards
-   by physical equality, so two processes exec'ing the same image stop
-   thrashing each other's block cache. *)
-
-type fact_key = {
-  fk_img : int;                  (* Sobj.image_id *)
-  fk_ddc : Cap.t;
-  fk_pcc_may : Perms.t;
-  fk_layout : (int * int) list;  (* (base, instruction count) per region *)
-}
-
-let fact_cache : (fact_key, Facts.t) Hashtbl.t = Hashtbl.create 16
-
-(* Interprocedural-analysis results for one image: the per-function
-   summary table plus the counters --analysis-stats reports. Cached
-   alongside the fact tables under the same key discipline, one step
-   lazier: the thunk only runs if something actually asks for the stats
-   (or the summaries), so plain execution never pays for CFG recovery. *)
-type ipa = {
-  ip_funcs : int;                     (* functions summarized *)
-  ip_iters : int;                     (* outer worklist iterations *)
-  ip_checks : int;                    (* flow-level check sites swept *)
-  ip_proved : int;                    (* ... statically provable *)
-  ip_sums : (int, summary) Hashtbl.t; (* function root -> summary *)
-}
-
-(* Keyed by the fact key plus the linkage view (entry points and GOT map)
-   the CFG was recovered from — defensively, like fk_layout: the linker is
-   deterministic per image + ABI. *)
-let sum_cache
-    : (fact_key * int list * (int * int) list, ipa Lazy.t) Hashtbl.t =
-  Hashtbl.create 16
-
-let clear_fact_cache () =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.reset fact_cache;
-      Hashtbl.reset sum_cache)
-
-let cached_facts ~image ~ddc ~pcc_may regions =
-  let key =
-    { fk_img = Cheri_rtld.Sobj.image_id image;
-      fk_ddc = ddc;
-      fk_pcc_may = pcc_may;
-      fk_layout = List.map (fun (b, insns) -> (b, Array.length insns)) regions }
-  in
-  Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt fact_cache key with
-      | Some f ->
-        bump (fun () -> stats.cs_hits <- stats.cs_hits + 1);
-        f
-      | None ->
-        bump (fun () -> stats.cs_misses <- stats.cs_misses + 1);
-        let f = lazy_facts_of_code ~ddc ~pcc_may regions in
-        Hashtbl.add fact_cache key f;
-        f)
+(* Inert: there is no fact cache. Kept only because simbench/simbench.ml
+   still calls it. *)
+let clear_fact_cache () = ()
 
 let must_traps sc ~entry ~index =
   index >= 0 && index <= Facts.max_index
@@ -2188,9 +2017,35 @@ let summarize env cfg =
     end
   done;
   if !overflow then Hashtbl.iter (fun _ su -> su.su_poison <- true) sums;
-  stats.cs_funcs <- stats.cs_funcs + nfuncs;
-  stats.cs_iters <- stats.cs_iters + !iters;
   (sums, !iters)
+
+(* The linkage view [verify] recovers the CFG from, for a linked image:
+   function entry points (the exec entry plus every exported function) and
+   the GOT map (byte offset -> resolved function entry), which lets the
+   CFG turn CJALR through a constant GOT slot into a real call edge.
+   Sorted, so equal links give equal views. *)
+let linkage (link : Cheri_rtld.Rtld.t) =
+  let module Rtld = Cheri_rtld.Rtld in
+  let entries =
+    link.Rtld.lk_entry
+    :: Hashtbl.fold
+         (fun _ def acc ->
+           match def with
+           | Rtld.Dfunc (_, addr) -> addr :: acc
+           | Rtld.Ddata _ | Rtld.Dtls _ -> acc)
+         link.Rtld.lk_symtab []
+    |> List.sort_uniq compare
+  in
+  let got =
+    List.filter_map
+      (fun (name, off) ->
+        match Hashtbl.find_opt link.Rtld.lk_symtab name with
+        | Some (Rtld.Dfunc (_, addr)) -> Some (off, addr)
+        | _ -> None)
+      link.Rtld.lk_got
+    |> List.sort compare
+  in
+  (entries, got)
 
 let verify ?ddc ?pcc_may ?(got = []) ~entries regions =
   let env = make_env ?ddc ?pcc_may () in
@@ -2240,64 +2095,11 @@ let verify ?ddc ?pcc_may ?(got = []) ~entries regions =
     r_run_accesses = sc.sc_run_accesses;
     r_cert_hist = sc.sc_cert_hist }
 
-(* --- Cached interprocedural results + the kernel fact provider ------------- *)
-
-let cached_ipa ~image ~ddc ~pcc_may ~entries ~got regions =
-  let key =
-    ( { fk_img = Cheri_rtld.Sobj.image_id image;
-        fk_ddc = ddc;
-        fk_pcc_may = pcc_may;
-        fk_layout =
-          List.map (fun (b, insns) -> (b, Array.length insns)) regions },
-      entries,
-      got )
-  in
-  Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt sum_cache key with
-      | Some l -> l
-      | None ->
-        let l =
-          lazy
-            (let env = make_env ~ddc ~pcc_may () in
-             let cfg = Cfg.build ~entries ~got regions in
-             let sums, iters = summarize env cfg in
-             let checks = ref 0 and proved = ref 0 in
-             List.iter
-               (fun (root, members) ->
-                 let r = analyze_fn env ~sums cfg root members in
-                 checks := !checks + r.fr_sites;
-                 proved := !proved + r.fr_elided)
-               cfg.Cfg.funcs;
-             { ip_funcs = List.length cfg.Cfg.funcs; ip_iters = iters;
-               ip_checks = !checks; ip_proved = !proved; ip_sums = sums })
-        in
-        Hashtbl.add sum_cache key l;
-        l)
-
-(* Force and aggregate every cached interprocedural result (what
-   --analysis-stats reports after a run). Forcing happens under
-   [cache_lock]: OCaml 5 [Lazy.t] is not domain-safe (a concurrent force
-   raises [RacyLazy]), so the registered thunks are only ever forced
-   serialized here. The provider itself never forces. *)
-let ipa_totals () =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.fold
-        (fun _ l (f, i, c, p) ->
-          let ipa = Lazy.force l in
-          (f + ipa.ip_funcs, i + ipa.ip_iters, c + ipa.ip_checks,
-           p + ipa.ip_proved))
-        sum_cache (0, 0, 0, 0))
-
-(* The standard kernel fact provider (Kstate.config.fact_provider):
-   image-cached, user-PCC permission envelope (user code can never hold
-   SYSTEM_REGS — the kernel's user root is derived without it — which is what
-   makes a concrete DDC sound: CWriteDDC must trap). Fact tables are lazy:
-   each superblock is analyzed on first decode. The interprocedural summary
-   table is registered per image as well, unforced: it feeds --analysis-stats
-   and verification, while the dynamic elision path rests on the two fact
-   tiers alone (guards are self-validating at block entry). *)
-let provider () =
-  let pcc_may = Perms.diff Perms.all Perms.system_regs in
-  fun ~image ~ddc ~entries ~got regions ->
-    ignore (cached_ipa ~image ~ddc ~pcc_may ~entries ~got regions);
-    cached_facts ~image ~ddc ~pcc_may regions
+(* Inert: the kernel never calls a fact provider, and this one does
+   nothing. Kept, with its labels, only because simbench/simbench.ml
+   still installs it (Kstate.config.fact_provider). *)
+let provider ()
+    ~image:(_ : Cheri_rtld.Sobj.image) ~ddc:(_ : Cap.t)
+    ~entries:(_ : int list) ~got:(_ : (int * int) list)
+    (_ : (int * Insn.t array) list) =
+  ()

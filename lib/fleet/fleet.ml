@@ -9,15 +9,7 @@
 
    Shared BY REFERENCE across domains (immutable or internally locked):
    - compiled program images ([Sobj.image]): built up front in the
-     spawning domain, read-only afterwards;
-   - the image-keyed fact tables and the interprocedural summary cache
-     ([Absint.cached_facts]/[Absint.cached_ipa]): mutex-guarded memo
-     tables, with the per-table [Facts.t] lock serializing lazy
-     resolution. Masks are deterministic functions of the entry pc, so
-     whichever domain resolves an entry first, every machine observes the
-     same facts — the phys-eq [Bbcache.set_facts] contract that already
-     let one domain's processes share a table extends unchanged across
-     domains.
+     spawning domain, read-only afterwards.
 
    OWNED per machine (never shared): kernel state, processes, address
    spaces, tagged memory, cache hierarchy, the block/chain cache and its
@@ -47,7 +39,6 @@ module Kernel = Cheri_kernel.Kernel
 module Kstate = Cheri_kernel.Kstate
 module Proc = Cheri_kernel.Proc
 module Vfs = Cheri_kernel.Vfs
-module Absint = Cheri_analysis.Absint
 module Runtime = Cheri_libc.Runtime
 module Malloc_impl = Cheri_libc.Malloc_impl
 module Stdlib_src = Cheri_workloads.Stdlib_src
@@ -152,15 +143,12 @@ let count_marker s c =
   !n
 
 (* Boot, run to completion in [chunk_insns] chunks, stamp request markers,
-   snapshot. [engine]/[elide] configure the kernel exactly as the engine
-   bench does; the fact provider hits the shared (domain-safe) Absint
-   caches. *)
-let run_machine ?(engine = Cpu.Chain) ?(elide = true) spec =
+   snapshot. [engine] configures the kernel exactly as the engine bench
+   does. *)
+let run_machine ?(engine = Cpu.Chain) spec =
   let host0 = Unix.gettimeofday () in
   let k = Kernel.boot () in
   k.Kstate.config.Kstate.engine <- engine;
-  if elide then
-    k.Kstate.config.Kstate.fact_provider <- Some (Absint.provider ());
   Runtime.install k;
   Vfs.add_exe k.Kstate.vfs spec.ms_path ~abi:spec.ms_abi spec.ms_image;
   let p = Kernel.spawn k ~path:spec.ms_path ~argv:spec.ms_argv () in
@@ -309,7 +297,7 @@ let percentile sorted q =
    contract). [~oversubscribe:true] disables the cap: the differential
    tests use it to force REAL cross-domain execution even on a one-core
    host, where correctness, not throughput, is being tested. *)
-let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
+let run ?(engine = Cpu.Chain) ?(oversubscribe = false)
     ~domains specs =
   if domains < 1 then invalid_arg "Fleet.run: domains < 1";
   let workers =
@@ -327,7 +315,7 @@ let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
       match next_task sc d with
       | None -> ()
       | Some (i, stolen) ->
-        let r = run_machine ~engine ~elide specs.(i) in
+        let r = run_machine ~engine specs.(i) in
         results.(i) <- Some { r with mr_domain = d; mr_stolen = stolen };
         busy.(d) <- busy.(d) +. r.mr_host_seconds;
         loop ()

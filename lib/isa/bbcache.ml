@@ -80,41 +80,20 @@ type sem_body = {
   sem : (Cpu.ctx -> unit) array;
   groups : int array;                  (* (start lsl 16) lor length, per line *)
   basesum : int array;                 (* prefix sums of Insn.base_cycles *)
-  (* Tier-3 group fusion: for each line group that lies entirely inside the
-     block's trap-freedom certificate ([Facts.cert]), a single closure that
-     runs every member in order — one indirect call per group instead of
-     the per-member dispatch loop. Inside a certified prefix only memory
-     accesses can trap (page fault, alignment, CSC value checks — the
-     capability checks themselves were discharged by tiers 1/2 and the
-     capability-arithmetic instructions were proven trap-free), so the
-     fused closure updates [t.x_i] only immediately before memory members:
-     the generic trap handler then attributes the exact faulting PC, and
-     [commit_sem] commits exactly the retired prefix, as the per-member
-     loop would. [None] for groups not fully certified. *)
-  fused : (Cpu.ctx -> unit) option array;
 }
 
 type block = {
   b_entry : int;
   b_ilen : int;                        (* instructions incl. terminator *)
   b_body : sem_body;                   (* straight-line prefix *)
-  (* Entry guard for tier-2 (guarded) elision facts. The body bakes in the
-     union of the unconditional mask and the guarded mask; it may only run
-     when every predicate holds on the *entry-time* register state, so the
-     engine evaluates the conjunction at each acceptance site (dispatch,
-     chained fall/jump, capability jump) right next to [block_ok]. A
-     failing guard falls back to the exact single-step path — guards gate
-     performance, never correctness. Empty for blocks with no guarded
-     facts, which therefore pay nothing. *)
-  b_guard : Facts.gpred array;
   b_term : (Cpu.ctx -> int) option;    (* absent: block ended at max size
                                           or at the edge of decoded code *)
   (* Chain links, patched lazily the first time the corresponding exit
      resolves; [None] / a stale key just means "go through the hashtable".
      Links point at blocks in the same space's table, so every
-     invalidation path — [reset_space], [set_facts], a
-     [map_gen] bump — severs them structurally by resetting that table: a
-     link can only be reached through a block the reset just dropped. *)
+     invalidation path — [reset_space] or a [map_gen] bump — severs them
+     structurally by resetting that table: a link can only be reached
+     through a block the reset just dropped. *)
   mutable b_fall : block option;       (* successor at entry + 4*ilen *)
   (* Monomorphic inline cache for next-pc exits (taken branches, J/Jal and
      the register-indirect Jr/Jalr): last target pc and its block. *)
@@ -129,19 +108,12 @@ type block = {
 }
 
 (* One address space's decoded blocks. Blocks bake in the decoded code
-   and the elision facts of one process image, so each process owns its
-   space (the kernel keeps it in [Proc.t]): a context switch installs the
-   next process's space instead of flushing, and fork gives the child a
-   fresh one. *)
+   of one process image, so each process owns its space (the kernel keeps
+   it in [Proc.t]): a context switch installs the next process's space
+   instead of flushing, and fork gives the child a fresh one. *)
 type space = {
   blocks : (int, block) Hashtbl.t;     (* entry pc -> decoded block *)
   mutable map_gen : int;               (* pmap generation at last flush *)
-  (* Check-elision facts (lib/analysis/absint.ml). When present, [build]
-     compiles memory accesses whose capability check the analysis
-     discharged into check-free closures. Facts are keyed exactly like
-     blocks (superblock entry pc -> bitmask), so any entry point gets the
-     facts proved for *its* straight-line run. *)
-  mutable facts : Facts.t option;
 }
 
 (* The engine: one per machine. Closures compiled into any space capture
@@ -165,14 +137,6 @@ type t = {
   mutable x_gs : int;
   mutable x_gcost : int;
   mutable x_gpa : int;
-  (* Physical address of the head access of the tier-3 access run in
-     flight, or -1 when the run's head line-fit check failed (the whole
-     hulled window must sit inside one 64-byte line at runtime; the
-     analysis proves the deltas, the head proves the placement). Set
-     by every run-head closure before its tails execute — tails are
-     consecutive accesses in the same block body, so the value can never
-     be another run's: each head overwrites it unconditionally. *)
-  mutable x_run_pa : int;
   (* Data-side translate memo: small set-associative software TLBs (2
      sets x 2 ways, indexed by vpage parity, MRU way first), split by
      access kind because read and write rights (and COW) differ. One
@@ -193,7 +157,6 @@ type t = {
   mutable built : int;
   mutable flushes : int;
   mutable step_falls : int;
-  mutable elided_sites : int;          (* check-free closures compiled *)
   (* Chaining counters (bench/docs; not part of the parity contract). *)
   mutable chain_entries : int;         (* dispatch-loop entries into a chain *)
   mutable chained : int;               (* block->block hops without dispatch *)
@@ -202,24 +165,14 @@ type t = {
   mutable ic_mega : int;               (* megamorphic hashtable fallbacks *)
   mutable dtlb_hits : int;             (* data-side software-TLB hits *)
   mutable dtlb_misses : int;           (* ... full translates *)
-  (* Dynamic check_cap probe counters (bench/docs; not part of the parity
-     contract). Every memory-access closure executed by a compiled block
-     bumps exactly one of these: [checked_probes] when the compiled closure
-     runs the capability check, [elided_probes] when the analysis discharged
-     it (tier-1 mask or a guarded mask whose entry guard held). Accesses
-     executed on the single-step fallback path are not counted — they are
-     outside the compiled-block world these counters describe. *)
+  (* Capability checks run by compiled memory-access closures (bench/docs;
+     not part of the parity contract): one per executed access. Accesses
+     on the single-step fallback path are not counted — they are outside
+     the compiled-block world this counter describes. *)
   mutable checked_probes : int;
-  mutable elided_probes : int;
-  (* Tier-3 visibility counters (bench/docs; not part of the parity
-     contract). [fused_groups]/[fused_insns]: line groups (and their
-     member instructions) executed through a fused single-call closure.
-     [batched_probes]: data accesses that took the batched guaranteed-hit
-     fast path ([Cache.daccess_repeats]) instead of a full
-     translate + [Cache.data_access] sequence. *)
-  mutable fused_groups : int;
-  mutable fused_insns : int;
-  mutable batched_probes : int;
+  (* Inert, always 0: every access is checked. Kept only because
+     simbench/simbench.ml still reads it. *)
+  elided_probes : int;
 }
 
 let max_block = 64
@@ -230,33 +183,26 @@ let ic_mega_threshold = 8
 
 (* Tables start small: a machine may spawn hundreds of short-lived
    processes, and the table grows with the code a process runs. *)
-let create_space () =
-  { blocks = Hashtbl.create 16; map_gen = min_int; facts = None }
+let create_space () = { blocks = Hashtbl.create 16; map_gen = min_int }
 
 let create () =
   { space = create_space ();
     stop = Cpu.Stop_syscall;
     cur_vpage = -1; cur_pbase = 0;
-    x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0; x_run_pa = -1;
+    x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
     built = 0; flushes = 0; step_falls = 0;
-    elided_sites = 0;
     chain_entries = 0; chained = 0; ic_hits = 0; ic_misses = 0; ic_mega = 0;
     dtlb_hits = 0; dtlb_misses = 0;
-    checked_probes = 0; elided_probes = 0;
-    fused_groups = 0; fused_insns = 0; batched_probes = 0 }
+    checked_probes = 0; elided_probes = 0 }
 
-(* Reset the dynamic visibility counters (chain/IC and probe counters).
-   Called when a space's installed fact table changes identity — a new
-   analysis epoch — so warm- and cold-run statistics stay comparable:
-   without this a long-lived cache would carry IC-miss and probe counts
-   across fact-cache invalidations and --analysis-stats would blend
-   epochs. Exec of a process that had a table starts a new epoch too, so
-   the kernel calls this there. Deliberately NOT called from
-   [reset_space] (a process exit is no new epoch), nor when a fresh space
-   adopts its first table (fork child, spawned image): resetting there
-   would zero accumulation the bench legs rely on. *)
+(* Reset the dynamic visibility counters (chain/IC, TLB and probe
+   counters). The kernel calls this when exec replaces an image that ran,
+   so the old program's rates do not leak into the new one's. Not called
+   from [reset_space] (a process exit is no new program), nor when a
+   spawned process execs into its fresh space: the bench legs accumulate
+   over the processes one machine spawns. *)
 let reset_dyn_counters t =
   t.chain_entries <- 0;
   t.chained <- 0;
@@ -265,11 +211,7 @@ let reset_dyn_counters t =
   t.ic_mega <- 0;
   t.dtlb_hits <- 0;
   t.dtlb_misses <- 0;
-  t.checked_probes <- 0;
-  t.elided_probes <- 0;
-  t.fused_groups <- 0;
-  t.fused_insns <- 0;
-  t.batched_probes <- 0
+  t.checked_probes <- 0
 
 (* Chain/IC statistics snapshot, for the bench legs and tests. *)
 type chain_stats = {
@@ -280,9 +222,9 @@ type chain_stats = {
   ch_ic_mega : int;
   ch_dtlb_hits : int;
   ch_dtlb_misses : int;
-  ch_fused_groups : int;
+  (* Inert, always 0: there is no group fusion. Kept only because
+     simbench/simbench.ml still reads it. *)
   ch_fused_insns : int;
-  ch_batched : int;
 }
 
 let chain_stats t =
@@ -290,8 +232,7 @@ let chain_stats t =
     ch_ic_hits = t.ic_hits; ch_ic_misses = t.ic_misses;
     ch_ic_mega = t.ic_mega;
     ch_dtlb_hits = t.dtlb_hits; ch_dtlb_misses = t.dtlb_misses;
-    ch_fused_groups = t.fused_groups; ch_fused_insns = t.fused_insns;
-    ch_batched = t.batched_probes }
+    ch_fused_insns = 0 }
 
 let dtlb_reset t =
   Array.fill t.d_rd_vp 0 4 (-1);
@@ -308,33 +249,14 @@ let flush t sp =
 let switch t sp = t.space <- sp
 
 (* The image behind [sp] is gone (exec replaced it, or its process
-   exited): drop the blocks (and the closures they hold) and the facts,
-   back to a fresh space's state, so a new image's facts are adopted as by
-   a fresh space. Not counted in [flushes], which counts blocks a running
+   exited): drop the blocks (and the closures they hold), back to a fresh
+   space's state. Not counted in [flushes], which counts blocks a running
    image loses. [sp] need not be the running space — the kernel execs a
    spawned process outside its dispatch — and the running space is left
    alone. *)
 let reset_space sp =
   Hashtbl.reset sp.blocks;
-  sp.map_gen <- min_int;
-  sp.facts <- None
-
-(* Install (or clear) the running space's elision fact table. Compiled
-   closures bake the elision decision in, so any change of table identity
-   flushes the space. Compared by physical identity: the kernel calls this
-   once per dispatch with the same table, which must not thrash the
-   space. Replacing or dropping a table the space already had starts a new
-   analysis epoch ([reset_dyn_counters]); a space adopting its first table
-   (fork child, spawned or exec'd image) does not. *)
-let set_facts t facts =
-  let sp = t.space in
-  match sp.facts, facts with
-  | None, None -> ()
-  | Some a, Some b when a == b -> ()
-  | old, _ ->
-    if Option.is_some old then reset_dyn_counters t;
-    sp.facts <- facts;
-    flush t sp
+  sp.map_gen <- min_int
 
 (* Instruction-side translate, memoized at page granularity within one
    [run] (the kernel only remaps/evicts pages *between* runs). May raise
@@ -426,34 +348,6 @@ let cap_ok (c : Cap.t) perm vaddr len =
   && vaddr >= c.Cap.base
   && vaddr + len <= c.Cap.top
 
-(* Entry-guard evaluation for tier-2 elision facts. Each predicate is a
-   sufficient condition, derived syntactically by the analysis, for every
-   guarded check in the block body to pass: the named capability (or the
-   DDC, for legacy accesses relative to a general register) must be tagged,
-   unsealed, carry the demanded permissions, and cover the hulled footprint
-   [[addr + gp_lo, addr + gp_hi]] — which includes every intermediate
-   cursor position, so in-body [CIncOffset*] arithmetic cannot strip a tag
-   the guard vouched for. Pure field reads, evaluated against the state at
-   block entry, before any closure runs. *)
-let rec guard_ok_from (ctx : Cpu.ctx) (preds : Facts.gpred array) i n =
-  i >= n
-  || (let p = Array.unsafe_get preds i in
-      let c, a =
-        if p.Facts.gp_ddc then ctx.Cpu.ddc, ctx.Cpu.gpr.(p.Facts.gp_reg)
-        else
-          let c = ctx.Cpu.creg.(p.Facts.gp_reg) in
-          (c, c.Cap.addr)
-      in
-      c.Cap.tag
-      && c.Cap.otype = Cap.otype_unsealed
-      && c.Cap.perms land p.Facts.gp_perms = p.Facts.gp_perms
-      && a + p.Facts.gp_lo >= c.Cap.base
-      && a + p.Facts.gp_hi <= c.Cap.top
-      && guard_ok_from ctx preds (i + 1) n)
-
-let guard_ok (ctx : Cpu.ctx) (preds : Facts.gpred array) =
-  guard_ok_from ctx preds 0 (Array.length preds)
-
 (* Per-instruction accounting prologue of the terminator closures: charge
    the ifetch (through the memoized exec translate) plus base cycles, and
    retire the instruction — exactly what [Cpu.step] does before executing,
@@ -473,28 +367,14 @@ let account t m pc base ctx =
    semantics function, [Cpu.exec_straight]. The fuzzer exercises both
    paths against the step engine.
 
-   [elide] means the absint facts discharged this instruction's capability
-   check: the memory arms then compile a check-free closure. Only the
-   [Cpu.check_cap] probe disappears — a pure test with no statistics side
-   effects — so retired instructions, cycles and cache counters are
-   untouched, which is what keeps elided runs bit-identical.
-
    Memory arms inline [Cpu.mem_read]/[Cpu.mem_write] with the data-side
    translate memo substituted — check order (capability probe, alignment,
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
    cross-checks every path. *)
-let compile_sem t m ~pc ~elide insn =
-  let check = not elide in
-  if elide then t.elided_sites <- t.elided_sites + 1;
+let compile_sem t m ~pc insn =
   let hier = m.Cpu.hier in
   let mem = m.Cpu.mem in
-  (* Dynamic probe accounting: one bump per executed memory access, on the
-     side the compiled closure actually took ([check] is baked in). *)
-  let count_probe () =
-    if check then t.checked_probes <- t.checked_probes + 1
-    else t.elided_probes <- t.elided_probes + 1
-  in
   match insn with
   | Insn.Li (rd, v) -> fun ctx -> Cpu.wr_gpr ctx rd v
   | Insn.Move (rd, rs) -> fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs)
@@ -540,9 +420,9 @@ let compile_sem t m ~pc ~elide insn =
       Cpu.wr_gpr ctx rd (if ua < ub then 1 else 0)
   | Insn.Load { w; signed; rd; base = b; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
+      if not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_rd t m vaddr in
@@ -552,9 +432,9 @@ let compile_sem t m ~pc ~elide insn =
          else Tagmem.read_int mem pa ~len:w)
   | Insn.Store { w; rs; base = b; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
+      if not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_wr t m vaddr in
@@ -562,10 +442,10 @@ let compile_sem t m ~pc ~elide insn =
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLoad { w; signed; rd; cb; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let cap = Cpu.rd_creg ctx cb in
       let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr w) then
+      if not (cap_ok cap Perms.load vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_rd t m vaddr in
@@ -575,10 +455,10 @@ let compile_sem t m ~pc ~elide insn =
          else Tagmem.read_int mem pa ~len:w)
   | Insn.CStore { w; rs; cb; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let cap = Cpu.rd_creg ctx cb in
       let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr w) then
+      if not (cap_ok cap Perms.store vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_wr t m vaddr in
@@ -586,10 +466,10 @@ let compile_sem t m ~pc ~elide insn =
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLC { cd; cb; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let cap = Cpu.rd_creg ctx cb in
       let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
+      if not (cap_ok cap Perms.load vaddr Cap.sizeof) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
       Cpu.check_align vaddr Cap.sizeof;
       let pa = translate_rd t m vaddr in
@@ -602,10 +482,10 @@ let compile_sem t m ~pc ~elide insn =
       Cpu.wr_creg ctx cd loaded
   | Insn.CSC { cs; cb; off } ->
     fun ctx ->
-      count_probe ();
+      t.checked_probes <- t.checked_probes + 1;
       let cap = Cpu.rd_creg ctx cb in
       let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr Cap.sizeof) then
+      if not (cap_ok cap Perms.store vaddr Cap.sizeof) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
       let v = Cpu.rd_creg ctx cs in
       if Cap.is_tagged v then begin
@@ -650,319 +530,6 @@ let compile_sem t m ~pc ~elide insn =
     fun ctx -> Cpu.wr_gpr ctx rd (Cap.otype (Cpu.rd_creg ctx cb))
   | Insn.Nop -> fun _ctx -> ()
   | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn
-
-(* Tier-3 access-run role of a body instruction (from [Facts.cert]):
-   [R_head (lo, hi)] marks the first access of a certified same-line run
-   ([lo, hi) is the hulled byte window of the whole run relative to the
-   head's vaddr); [R_tail delta] marks a follow-on access whose vaddr is
-   provably head_vaddr + delta. *)
-type run_info =
-  | R_none
-  | R_head of int * int
-  | R_tail of int
-
-(* [compile_sem] with the access-run fast paths. Every run member keeps
-   its own capability check (unless tier 1/2 elided it), its alignment
-   check and — for CSC — the stored-value rights checks, all evaluated at
-   runtime on the syntactically recomputed vaddr, so each trap the step
-   engine would raise fires here too, with the identical cause and
-   payload. What the certificate lets tails skip is only the address
-   work: the TLB translate and the real [Cache.data_access] probe.
-
-   Heads run the exact sequence (checks, translate, real probe) and then
-   publish [t.x_run_pa]: the head's physical address if the hulled byte
-   window [pa+lo, pa+hi) of the whole run sits inside one 64-byte line,
-   else -1. Testing the fit on the physical address is the same as
-   testing it on the virtual one because pages are line-aligned (the
-   address phase mod 64 is translation-invariant); fit implies the whole
-   run shares the head's line and therefore its page, so every tail's
-   physical address is exactly head_pa + delta and its translate could
-   neither fault nor disagree. For write runs, kind homogeneity (enforced
-   by the analysis) means the head's write translate already performed
-   COW and dirty marking for the shared page. Tails with a published head
-   therefore replace translate + [Cache.data_access] with the
-   guaranteed-hit batch [Cache.daccess_repeats] — exact because run
-   members are *consecutive* data accesses, so the head's DL1 line is
-   still resident (see cache.ml). A tail that finds [t.x_run_pa = -1]
-   runs the exact sequence instead: the fast path gates performance,
-   never correctness. *)
-let compile_sem_run t m ~pc ~elide ~run insn =
-  let check = not elide in
-  let hier = m.Cpu.hier in
-  let mem = m.Cpu.mem in
-  let count_probe () =
-    if check then t.checked_probes <- t.checked_probes + 1
-    else t.elided_probes <- t.elided_probes + 1
-  in
-  let site () = if elide then t.elided_sites <- t.elided_sites + 1 in
-  (* Publish the head's pa for the run's tails, or -1 when the hulled
-     window leaves the head's cache line. *)
-  let publish lo hi pa =
-    t.x_run_pa <-
-      (if ((pa + lo) land (Cache.line_size - 1)) + (hi - lo)
-          <= Cache.line_size
-       then pa
-       else -1)
-  in
-  match run, insn with
-  | R_none, _ -> compile_sem t m ~pc ~elide insn
-  | R_head (lo, hi), Insn.Load { w; signed; rd; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
-  | R_tail delta, Insn.Load { w; signed; rd; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-  | R_head (lo, hi), Insn.Store { w; rs; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-  | R_tail delta, Insn.Store { w; rs; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-  | R_head (lo, hi), Insn.CLoad { w; signed; rd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
-  | R_tail delta, Insn.CLoad { w; signed; rd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-  | R_head (lo, hi), Insn.CStore { w; rs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-  | R_tail delta, Insn.CStore { w; rs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-  | R_head (lo, hi), Insn.CLC { cd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      let loaded = Tagmem.read_cap mem pa in
-      let loaded =
-        if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-        else Cap.clear_tag loaded
-      in
-      Cpu.wr_creg ctx cd loaded
-  | R_tail delta, Insn.CLC { cd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
-      Cpu.check_align vaddr Cap.sizeof;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        let loaded = Tagmem.read_cap mem pa in
-        let loaded =
-          if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-          else Cap.clear_tag loaded
-        in
-        Cpu.wr_creg ctx cd loaded
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-        let loaded = Tagmem.read_cap mem pa in
-        let loaded =
-          if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-          else Cap.clear_tag loaded
-        in
-        Cpu.wr_creg ctx cd loaded
-      end
-  | R_head (lo, hi), Insn.CSC { cs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
-      let v = Cpu.rd_creg ctx cs in
-      if Cap.is_tagged v then begin
-        if not (Perms.has (Cap.perms cap) Perms.store_cap) then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Cap.perms v) Perms.global))
-           && not (Perms.has (Cap.perms cap) Perms.store_local_cap)
-        then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
-            ~vaddr
-      end;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      Tagmem.write_cap mem pa v
-  | R_tail delta, Insn.CSC { cs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
-      let v = Cpu.rd_creg ctx cs in
-      if Cap.is_tagged v then begin
-        if not (Perms.has (Cap.perms cap) Perms.store_cap) then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Cap.perms v) Perms.global))
-           && not (Perms.has (Cap.perms cap) Perms.store_local_cap)
-        then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
-            ~vaddr
-      end;
-      Cpu.check_align vaddr Cap.sizeof;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_cap mem pa v
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-        Tagmem.write_cap mem pa v
-      end
-  | (R_head _ | R_tail _), _ ->
-    (* Run info on a non-memory instruction means the certificate and the
-       decoded code disagree — compile the exact closure. *)
-    compile_sem t m ~pc ~elide insn
 
 (* Terminator at [pc] -> exit closure. Mirrors the control arms of
    [Cpu.step] exactly, including the +1 taken-branch cycle, the alignment
@@ -1081,49 +648,6 @@ let make_groups entry nbody =
     Array.of_list (List.rev !gs)
   end
 
-(* The body instructions that can still trap inside a certified prefix:
-   their page-fault / alignment / CSC value checks are runtime events the
-   analysis does not discharge, so fused closures keep them as exact
-   repair points ([t.x_i] updated before each). *)
-let is_memop = function
-  | Insn.Load _ | Insn.Store _ | Insn.CLoad _ | Insn.CStore _
-  | Insn.CLC _ | Insn.CSC _ -> true
-  | _ -> false
-
-(* Fuse the member closures of line group [s, e] into one closure. The
-   caller ([exec_block]) sets [t.x_i <- s] before the call; members that
-   can trap ([is_memop]) re-point [t.x_i] at themselves first, so a trap
-   anywhere in the fused group attributes the exact faulting pc and
-   commits exactly the retired prefix — bit-identical to the per-member
-   dispatch loop. Non-memory members were proven trap-free by the
-   certificate (under the block guard, which held at entry), so skipping
-   their [x_i] updates is unobservable. *)
-let fuse t sem mems s e =
-  let n = e - s + 1 in
-  let cls = Array.init n (fun k -> Array.get sem (s + k)) in
-  (* [x_i] to publish before each member: its own index for possible
-     repair points (memory ops), -1 to skip the store entirely. The
-     head's store is always redundant — [exec_block] sets [t.x_i <- s]
-     before entering the fused closure. *)
-  let xi =
-    Array.init n (fun k ->
-        if k > 0 && Array.get mems (s + k) then s + k else -1)
-  in
-  if Array.for_all (fun i -> i < 0) xi then
-    (* No repair points past the head: nothing in the group can move
-       [x_i], so run the members with no per-member bookkeeping at all. *)
-    fun ctx ->
-      for k = 0 to n - 1 do
-        (Array.unsafe_get cls k) ctx
-      done
-  else
-    fun ctx ->
-      for k = 0 to n - 1 do
-        let i = Array.unsafe_get xi k in
-        if i >= 0 then t.x_i <- i;
-        (Array.unsafe_get cls k) ctx
-      done
-
 (* Decode a maximal block starting at [entry]. Returns [None] when even
    the first instruction is outside decoded code: the step fallback then
    reproduces the fetch fault with exact accounting. Build never touches
@@ -1132,41 +656,16 @@ let fuse t sem mems s e =
 let build t m entry =
   let body = ref [] in
   let bases = ref [] in
-  let mems = ref [] in
   let term = ref None in
   let n = ref 0 in
-  (* Unconditional (tier-1) mask, plus the guarded (tier-2) mask whose
-     predicates the run loop evaluates at every entry into this block. The
-     body bakes in the union; a block with guarded bits only runs when its
-     guard holds (else: exact single-step fallback). *)
-  let facts = t.space.facts in
-  let fmask = match facts with Some f -> Facts.mask f entry | None -> 0 in
-  let gmask, gpreds =
-    match facts with Some f -> Facts.guarded f entry | None -> (0, [||])
-  in
-  let emask = fmask lor gmask in
-  (* Tier-3 certificate: trap-free prefix length and same-line access
-     runs, keyed like the masks. Pulled after [mask]/[guarded] so a lazy
-     fact table resolves each entry exactly once. *)
-  let cert =
-    match facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
-  in
-  let rmap = Array.make max_block R_none in
-  Array.iter
-    (fun r ->
-       rmap.(r.Facts.ar_head) <- R_head (r.Facts.ar_lo, r.Facts.ar_hi);
-       Array.iter (fun (j, d) -> rmap.(j) <- R_tail d) r.Facts.ar_tail)
-    cert.Facts.ct_runs;
   (try
      while !term = None && !n < max_block do
        let pc = entry + (4 * !n) in
        let insn = m.Cpu.fetch pc in
        if Insn.is_terminator insn then term := Some (compile_term t m ~pc insn)
        else begin
-         let elide = (emask lsr !n) land 1 = 1 in
-         body := compile_sem_run t m ~pc ~elide ~run:rmap.(!n) insn :: !body;
-         bases := Insn.base_cycles insn :: !bases;
-         mems := is_memop insn :: !mems
+         body := compile_sem t m ~pc insn :: !body;
+         bases := Insn.base_cycles insn :: !bases
        end;
        incr n
      done
@@ -1182,24 +681,8 @@ let build t m entry =
       !bases;
     for i = 1 to nbody do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
     let groups = make_groups entry nbody in
-    let prefix = cert.Facts.ct_prefix in
-    let fused =
-      if prefix <= 0 then Array.make (Array.length groups) None
-      else begin
-        let memarr = Array.make nbody false in
-        List.iteri (fun i b -> memarr.(nbody - 1 - i) <- b) !mems;
-        Array.map
-          (fun packed ->
-             let s = packed lsr 16 in
-             let e = s + (packed land 0xffff) - 1 in
-             if e < prefix then Some (fuse t closures memarr s e)
-             else None)
-          groups
-      end
-    in
     Some { b_entry = entry; b_ilen = !n;
-           b_body = { sem = closures; groups; basesum; fused };
-           b_guard = (if gmask = 0 then [||] else gpreds);
+           b_body = { sem = closures; groups; basesum };
            b_term = !term;
            b_fall = None;
            b_jump_key = min_int; b_jump = None; b_jump_misses = 0;
@@ -1298,7 +781,6 @@ let exec_block t m b (ctx : Cpu.ctx) =
     let sb = b.b_body in
     let groups = sb.groups in
     let sem = sb.sem in
-    let fused = sb.fused in
     for g = 0 to Array.length groups - 1 do
       let packed = Array.unsafe_get groups g in
       let s = packed lsr 16 in
@@ -1308,18 +790,10 @@ let exec_block t m b (ctx : Cpu.ctx) =
       t.x_gpa <- pa;
       t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
       let e = s + (packed land 0xffff) - 1 in
-      (match Array.unsafe_get fused g with
-       | Some f ->
-         (* Certified group: one indirect call; [f] keeps [t.x_i]
-            exact at every possible repair point (memory members). *)
-         t.fused_groups <- t.fused_groups + 1;
-         t.fused_insns <- t.fused_insns + (e - s + 1);
-         f ctx
-       | None ->
-         for j = s to e do
-           t.x_i <- j;
-           (Array.unsafe_get sem j) ctx
-         done);
+      for j = s to e do
+        t.x_i <- j;
+        (Array.unsafe_get sem j) ctx
+      done;
       commit_sem t m sb ctx e
     done;
     match b.b_term with
@@ -1420,10 +894,9 @@ let cjump_succ t m b pc' =
    quantum expires exactly at a chain-internal block boundary,
    [nb.b_ilen <= 0] fails and the chain stops precisely there, and when it
    expires mid-block the dispatch loop's single-step path replays the
-   partial block exactly — and (c) [block_ok] holds at the chained entry,
-   which also re-validates the facts keying (facts are conditional only on
-   the straight-line prefix from the entry, so they hold no matter how
-   control arrived). Between chained blocks the PCC address is left stale
+   partial block exactly — and (c) the hoisted PCC check holds at the
+   chained entry ([block_ok] after a capability jump, [bounds_ok] after a
+   next-pc exit). Between chained blocks the PCC address is left stale
    (see [exec_block]); it is materialized whenever the chain exits. *)
 let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
   let sp = t.space in
@@ -1439,8 +912,7 @@ let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
   while !running && !remaining > 0 do
     let pc = Cap.addr ctx.Cpu.pcc in
     match lookup_or_build t m pc with
-    | Some b when b.b_ilen <= !remaining && block_ok ctx b
-                  && (Array.length b.b_guard = 0 || guard_ok ctx b.b_guard) ->
+    | Some b when b.b_ilen <= !remaining && block_ok ctx b ->
       t.chain_entries <- t.chain_entries + 1;
       let cur = ref b in
       let chaining = ref true in
@@ -1455,17 +927,13 @@ let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
         end
         else if x = exit_pcc then
           (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
-           | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb
-                          && (Array.length nb.b_guard = 0
-                              || guard_ok ctx nb.b_guard) ->
+           | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb ->
              t.chained <- t.chained + 1;
              cur := nb
            | _ -> chaining := false)
         else
           (match chain_succ t m b x with
-           | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
-                          && (Array.length nb.b_guard = 0
-                              || guard_ok ctx nb.b_guard) ->
+           | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb ->
              t.chained <- t.chained + 1;
              cur := nb
            | _ ->

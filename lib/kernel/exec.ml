@@ -133,11 +133,11 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
   Proc.clear_code p;
   (* The old image's decoded blocks die with it. Reset [p]'s own table,
      never the engine's running one: a spawn execs outside [p]'s dispatch.
-     Replacing an image that had a fact table starts a new analysis epoch,
+     Replacing an image that ran restarts the engine's dynamic counters,
      so the old program's chain and probe rates do not leak into the new
      one's. *)
   let bb_space = p.Proc.bb_space in
-  if Option.is_some bb_space.Cheri_isa.Bbcache.facts then
+  if Hashtbl.length bb_space.Cheri_isa.Bbcache.blocks > 0 then
     Cheri_isa.Bbcache.reset_dyn_counters k.Kstate.bb;
   Cheri_isa.Bbcache.reset_space bb_space;
   let link = Rtld.link ~abi image in
@@ -250,43 +250,6 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
      (match abi with
       | Abi.Asan -> ctx.Cpu.gpr.(Reg.s5) <- shadow_base
       | Abi.Mips64 | Abi.Cheriabi -> ()));
-  (* Static check-elision facts over the fresh image, computed under the
-     process's actual initial DDC (the provider may answer from its
-     image-keyed cache). Stamped with the pmap generation and the code
-     ranges they were proved against, so Loop can invalidate them exactly
-     when a later address-space mutation actually touches analyzed code. *)
-  (match k.Kstate.config.Kstate.fact_provider with
-   | Some f ->
-     let code = List.map (fun (base, _, insns) -> (base, insns)) p.Proc.code in
-     (* Linkage view for the provider's interprocedural layer: function
-        entry points (exec entry + every exported function) and the GOT
-        map (byte offset -> resolved function address). Sorted so the
-        provider's caches can key on them structurally. *)
-     let entries =
-       link.Rtld.lk_entry
-       :: Hashtbl.fold
-            (fun _ d acc ->
-              match d with Rtld.Dfunc (_, a) -> a :: acc | _ -> acc)
-            link.Rtld.lk_symtab []
-       |> List.sort_uniq compare
-     in
-     let got =
-       List.filter_map
-         (fun (name, off) ->
-           match Hashtbl.find_opt link.Rtld.lk_symtab name with
-           | Some (Rtld.Dfunc (_, a)) -> Some (off, a)
-           | _ -> None)
-         link.Rtld.lk_got
-       |> List.sort compare
-     in
-     p.Proc.facts <- Some (f ~image ~ddc:ctx.Cpu.ddc ~entries ~got code);
-     p.Proc.facts_gen <-
-       Cheri_vm.Pmap.generation (Addr_space.pmap p.Proc.asp);
-     p.Proc.fact_regions <-
-       List.map (fun (base, top, _) -> (base, top)) p.Proc.code
-   | None ->
-     p.Proc.facts <- None;
-     p.Proc.fact_regions <- []);
   Kstate.charge k p 4000  (* image setup cost *)
 
 (* Create a process running the executable at [path]. *)

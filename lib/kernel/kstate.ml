@@ -48,19 +48,13 @@ type config = {
   mutable fork_base_cost : int;
   mutable fork_page_cost : int;
   mutable fork_cap_frame_cost : int;    (* extra for capability context *)
-  (* Check-elision fact provider (--elide-checks). When set, exec_image
-     runs it over the freshly linked image (with the process's initial
-     DDC) and attaches the resulting fact table to the process; the block
-     engine then compiles proved-safe memory accesses without their
-     capability check. None (the default) disables elision entirely.
-     The [image] is passed so providers can memoize analysis by image
-     identity (Absint.provider keys its fact cache on Sobj.image_id plus
-     the DDC, since facts are DDC-dependent): re-exec'ing a shared image
-     is then a hash lookup instead of a whole-image re-analysis. *)
+  (* Inert: the kernel never calls it. Kept, with the type of
+     [Absint.provider], only because simbench/simbench.ml still sets
+     it. *)
   mutable fact_provider :
     (image:Cheri_rtld.Sobj.image -> ddc:Cheri_cap.Cap.t ->
      entries:int list -> got:(int * int) list ->
-     (int * Cheri_isa.Insn.t array) list -> Cheri_isa.Facts.t) option;
+     (int * Cheri_isa.Insn.t array) list -> unit) option;
 }
 
 let default_config () =

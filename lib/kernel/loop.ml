@@ -20,44 +20,6 @@ let install_machine k (p : Proc.t) =
   (* Decoded blocks are per address space: install this process's table
      (a pointer swap; blocks survive the other processes' timeslices). *)
   Bbcache.switch k.Kstate.bb p.Proc.bb_space;
-  (* Check-elision facts ride along with the block cache: they apply only
-     while the code they were proved against is still mapped unchanged.
-     On a pmap-generation mismatch, consult the mutation log: if every
-     intervening mutation (munmap/mprotect ranges) missed the fact set's
-     code regions — the common case being heap churn — the facts stay
-     valid and only their generation stamp is refreshed (the process's
-     decoded blocks are still flushed by Bbcache's own map_gen check, but
-     rebuilding them from retained facts is cheap; re-analysis is not).
-     If the log window no longer covers the gap, or a mutation hit
-     analyzed code, drop the facts conservatively. *)
-  let facts =
-    match p.Proc.facts with
-    | Some _ when p.Proc.facts_gen = Pmap.generation pmap -> p.Proc.facts
-    | Some _ ->
-      let keep =
-        p.Proc.fact_regions <> []
-        && (match Pmap.mutations_since pmap ~gen:p.Proc.facts_gen with
-            | None -> false
-            | Some ranges ->
-              List.for_all
-                (fun (v, l) ->
-                  not
-                    (List.exists
-                       (fun (b, top) -> v < top && v + l > b)
-                       p.Proc.fact_regions))
-                ranges)
-      in
-      if keep then begin
-        p.Proc.facts_gen <- Pmap.generation pmap;
-        p.Proc.facts
-      end
-      else begin
-        p.Proc.facts <- None;
-        None
-      end
-    | None -> None
-  in
-  Bbcache.set_facts k.Kstate.bb facts;
   k.Kstate.machine.Cpu.translate <-
     (fun v ~write ~exec -> Pmap.translate pmap v ~write ~exec);
   k.Kstate.machine.Cpu.fetch <- Proc.fetch p;

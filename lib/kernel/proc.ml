@@ -52,16 +52,6 @@ type t = {
   mutable syscall_count : int;
   mutable comm : string;                      (* executable name *)
   mutable ps_strings : int;                   (* args block address *)
-  (* Check-elision facts computed over this process's image at exec time
-     (Kstate.config.fact_provider), plus the pmap generation they were
-     computed under and the code ranges they depend on. On a generation
-     mismatch, Loop.install_machine keeps the facts alive if every
-     intervening pmap mutation (Pmap.mutations_since) missed
-     [fact_regions] — munmap of a heap page must not throw away code
-     analysis — and drops them otherwise. *)
-  mutable facts : Cheri_isa.Facts.t option;
-  mutable facts_gen : int;
-  mutable fact_regions : (int * int) list;    (* (base, top) byte ranges *)
   (* kevent-style registrations: user data pointers the kernel holds for
      later return. Stored as full [Uarg.uptr] values so that CheriABI
      capabilities survive the round trip through kernel memory (4,
@@ -89,9 +79,6 @@ let create ~pid ~parent ~abi ~asp =
     syscall_count = 0;
     comm = "";
     ps_strings = 0;
-    facts = None;
-    facts_gen = min_int;
-    fact_regions = [];
     kevents = [];
     bb_space = Cheri_isa.Bbcache.create_space () }
 

@@ -72,9 +72,8 @@ let find_export t name =
    [img_id] is a process-unique identity stamped at construction. Images
    are immutable once built and shared freely (the same image is installed
    into many kernels by the bench and test harnesses), so the id is a
-   stable cache key for per-image derived artifacts — notably the
-   check-elision fact cache (lib/analysis/absint.ml), which memoizes
-   analysis results per (image, analysis-parameters). *)
+   stable key for per-image derived artifacts and for grouping machines
+   that run one image. *)
 type image = {
   img_id : int;
   img_name : string;

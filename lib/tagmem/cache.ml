@@ -73,6 +73,15 @@ let[@inline] hit_way t w =
   t.hits <- t.hits + 1;
   true
 
+(* Way of the row starting at [base] that holds [tag], searching from way
+   index [i]; -1 if none. Top level rather than a local closure: without
+   flambda a local [let rec] allocates its closure on every call, and this
+   search runs on every L2 probe and every batched line group. *)
+let rec find_way t base tag i =
+  if i >= base + t.ways then -1
+  else if Array.unsafe_get t.tags i = tag then i
+  else find_way t base tag (i + 1)
+
 (* Probe a single line. Returns true on hit; on miss the line is filled. *)
 let access_line t line =
   let set = line land t.set_mask in
@@ -88,12 +97,8 @@ let access_line t line =
     else if Array.unsafe_get t.tags (base + 3) = tag then hit_way t (base + 3)
     else fill_line t base tag
   end else begin
-    let rec find i =
-      if i >= base + t.ways then fill_line t base tag
-      else if Array.unsafe_get t.tags i = tag then hit_way t i
-      else find (i + 1)
-    in
-    find base
+    let w = find_way t base tag base in
+    if w < 0 then fill_line t base tag else hit_way t w
   end
 
 (* Probe an access of [len] bytes at [addr]; true iff all lines hit. *)
@@ -160,33 +165,19 @@ let repeat_hits t line k =
     let set = line land t.set_mask in
     let tag = line lsr t.set_shift in
     let base = set * t.ways in
-    let rec find i =
-      if i >= base + t.ways then -1
-      else if Array.unsafe_get t.tags i = tag then i
-      else find (i + 1)
-    in
-    match find base with
-    | -1 -> for _ = 1 to k do ignore (access_line t line) done
-    | w ->
+    let w = find_way t base tag base in
+    if w < 0 then for _ = 1 to k do ignore (access_line t line) done
+    else begin
       t.clock <- t.clock + k;
       Array.unsafe_set t.lru w t.clock;
       t.hits <- t.hits + k
+    end
   end
 
 (* [k] guaranteed-hit instruction fetches of the line holding physical
    address [pa]; returns nothing — the per-fetch cycle cost is the
    constant [h.l1_hit_cycles], which the caller adds itself. *)
 let ifetch_repeats h pa k = repeat_hits h.il1 (pa lsr h.il1.line_shift) k
-
-(* Data-side mirror of [ifetch_repeats]: [k] guaranteed-hit data accesses
-   of the DL1 line holding [pa]. The guarantee is the caller's (the chain
-   engine's batched access runs): the run's head access just performed a
-   real [data_access] on the same line, and no other data access runs
-   between the members of a run, so the line cannot have been evicted —
-   an access to the resident line itself only promotes it. As with
-   [repeat_hits], an absent line degrades to real probes, which is exact
-   by definition. *)
-let daccess_repeats h pa k = repeat_hits h.dl1 (pa lsr h.dl1.line_shift) k
 
 let l2_misses h = misses h.l2
 

@@ -52,47 +52,14 @@ type t = {
   (* Bumped whenever mappings are removed or re-protected; the block-cache
      engine compares it to decide when decoded blocks may be stale. *)
   mutable generation : int;
-  (* Bounded log of the address ranges behind recent generation bumps,
-     newest first, each stamped with the generation it produced. Lets
-     consumers holding artifacts stamped with an older generation decide
-     whether the intervening mutations actually touched the ranges they
-     depend on (check-elision facts survive a heap-page munmap this way).
-     Bounded: when the window no longer covers a consumer's generation
-     gap, [mutations_since] answers None and the consumer must assume the
-     worst. *)
-  mutable mut_log : (int * int * int) list;   (* (generation, vaddr, len) *)
 }
-
-let mut_log_max = 32
 
 let page_size = Phys.page_size
 let vpn_of v = v lsr Phys.page_shift
 
 let create ~phys ~swap ~root =
   { table = Hashtbl.create 256; ranges = []; mapped = 0; phys; swap; root;
-    faults = 0; cow_copies = 0; generation = 0; mut_log = [] }
-
-(* Record one range mutation: bump the generation and remember the range
-   (bounded window). *)
-let log_mutation t ~vaddr ~len =
-  t.generation <- t.generation + 1;
-  let log = (t.generation, vaddr, len) :: t.mut_log in
-  t.mut_log <-
-    (if List.length log > mut_log_max then List.filteri (fun i _ -> i < mut_log_max) log
-     else log)
-
-(* The ranges mutated since generation [gen], if the log window still
-   covers every bump in between; None means "unknown, assume anything
-   changed". *)
-let mutations_since t ~gen =
-  let expected = t.generation - gen in
-  if expected <= 0 then Some []
-  else begin
-    let got = List.filter (fun (g, _, _) -> g > gen) t.mut_log in
-    if List.length got = expected then
-      Some (List.map (fun (_, v, l) -> (v, l)) got)
-    else None
-  end
+    faults = 0; cow_copies = 0; generation = 0 }
 
 (* Mapped pages, touched or not (fork charges per page from this). *)
 let entry_count t = t.mapped
@@ -209,7 +176,7 @@ let enter_frame t ~vaddr ~frame ~prot ~cow =
     { state = Present frame; prot; cow; accessed = false }
 
 let protect_range t ~vaddr ~len ~prot =
-  log_mutation t ~vaddr ~len;
+  t.generation <- t.generation + 1;
   let first = vpn_of vaddr and last = vpn_of (vaddr + len - 1) in
   if first <= last then begin
     List.iter (fun (_, e) -> e.prot <- prot) (touched_in t ~first ~last);
@@ -219,7 +186,7 @@ let protect_range t ~vaddr ~len ~prot =
   end
 
 let remove_range t ~vaddr ~len =
-  log_mutation t ~vaddr ~len;
+  t.generation <- t.generation + 1;
   let first = vpn_of vaddr and last = vpn_of (vaddr + len - 1) in
   if first <= last then begin
     drop_touched t ~first ~last;
@@ -413,10 +380,10 @@ let fork_into t child ~on_rederive =
           accessed = false })
     (touched t)
 
-(* Tear down all mappings (process exit / exec). Logged as a whole-address-
-   space mutation: everything any consumer depends on is gone. *)
+(* Tear down all mappings (process exit / exec): a mutation like any other
+   removal. *)
 let destroy t =
-  log_mutation t ~vaddr:0 ~len:max_int;
+  t.generation <- t.generation + 1;
   List.iter (fun (_, e) -> release t e) (touched t);
   Hashtbl.reset t.table;
   t.ranges <- [];

@@ -29,16 +29,39 @@ let status_string m =
   | Some (Proc.Signaled s) -> Signo.name s
   | None -> "running"
 
+(* The capability abstract interpreter over a linked image, under the
+   initial DDC the kernel installs for [abi] (Exec.exec_image): NULL under
+   CheriABI — the heart of the ABI — and the narrowed user root as legacy
+   DDC otherwise (Kstate.boot). User PCC never carries System_regs, which
+   is what makes a concrete DDC sound: CWriteDDC must trap. This is what
+   [cheri_run --verify], [cheri_run --analysis-stats] and cheri_verify
+   report. *)
+let verify_image ~abi link =
+  let module Cap = Cheri_cap.Cap in
+  let module Perms = Cheri_cap.Perms in
+  let user_perms = Perms.diff Perms.all Perms.system_regs in
+  let ddc =
+    match abi with
+    | Abi.Cheriabi -> Cap.null
+    | Abi.Mips64 | Abi.Asan ->
+      let module A = Cheri_vm.Addr_space in
+      Cap.and_perms
+        (Cap.set_bounds
+           (Cap.set_addr (Cap.make_root ~base:0 ~top:(1 lsl 48) ())
+              A.user_base_default)
+           ~len:(A.user_top_default - A.user_base_default))
+        user_perms
+  in
+  let entries, got = Cheri_analysis.Absint.linkage link in
+  Cheri_analysis.Absint.verify ~ddc ~pcc_may:user_perms ~entries ~got
+    link.Cheri_rtld.Rtld.lk_code
+
 (* Run [src] (linked against libc) under [abi] and measure. [engine]
    selects the interpreter (default: the kernel config's default, i.e. the
    chain engine); [quantum] overrides the scheduler timeslice, which the
-   engine-parity tests use to force mid-block preemption; [elide] installs
-   the abstract interpreter as the kernel's fact provider, so the chain
-   engine compiles out statically proved capability checks (the metrics
-   must nevertheless be bit-identical — eliding a proved check is a pure
-   no-op). *)
+   engine-parity tests use to force mid-block preemption. *)
 let run ?opts ?(extra_libs = []) ?(argv = [ "prog" ])
-    ?(max_steps = 400_000_000) ?l2_size ?engine ?quantum ?(elide = false)
+    ?(max_steps = 400_000_000) ?l2_size ?engine ?quantum
     ~abi src =
   let k = Kernel.boot ?l2_size () in
   (match engine with
@@ -47,9 +70,6 @@ let run ?opts ?(extra_libs = []) ?(argv = [ "prog" ])
   (match quantum with
    | Some q -> k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.quantum <- q
    | None -> ());
-  if elide then
-    k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.fact_provider <-
-      Some (Cheri_analysis.Absint.provider ());
   Cheri_libc.Runtime.install k;
   let image =
     Stdlib_src.build_image ?opts ~abi ~name:"bench" ~extra_libs src

@@ -1,7 +1,7 @@
 (* Soundness of the machine-level capability abstract interpreter
-   (lib/analysis/absint.ml) — the authority for check elision.
+   (lib/analysis/absint.ml) and its static check-discharge claims.
 
-   The elision contract is conditional: a fact (E, i) claims that IF
+   The discharge contract is conditional: a fact (E, i) claims that IF
    execution proceeds straight-line from superblock entry E through
    instruction i, the capability check at i cannot fail; a must-trap claim
    (E, i) symmetrically says the instruction at i MUST trap. Both are
@@ -20,22 +20,25 @@
       machine actually traps there.
 
    3. Directed elision-positive programs: the second access through an
-      already-checked capability is provably safe.
+      already-checked capability is provably safe; a first access through
+      an entry register is discharged under a guard that holds exactly
+      when the access would pass.
 
    4. A C-level program dereferencing an integer-derived pointer: the
       whole-image verifier locates the must-trap, and the kernel run dies
       with SIGPROT at that very pc (cross-referenced through the enriched
       fault log).
 
-   5. Kernel-level parity: workloads run with and without elision must
-      produce identical output, instruction, cycle and L2 counts. *)
+   5. [cheri_run --analysis-stats]' counts: the analysis run over a
+      spawned process's image agrees with [Absint.verify] over the same
+      image linked independently. *)
 
 module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
 module Insn = Cheri_isa.Insn
 module Cpu = Cheri_isa.Cpu
 module Bbcache = Cheri_isa.Bbcache
-module Facts = Cheri_isa.Facts
+module Facts = Cheri_analysis.Facts
 module Trap = Cheri_isa.Trap
 module Abi = Cheri_core.Abi
 module Absint = Cheri_analysis.Absint
@@ -47,6 +50,27 @@ let code_base = Test_engines.code_base
 let data_base = Test_engines.data_base
 
 (* --- 1. Fuzz oracle ---------------------------------------------------------- *)
+
+(* Does the conjunction of tier-2 guard predicates hold on [ctx]? The
+   executable reading of [Facts.gpred] (see facts.ml): the named
+   capability (or the DDC, for legacy accesses relative to a general
+   register) is tagged, unsealed, carries the demanded permissions and
+   covers the hulled window [addr + gp_lo, addr + gp_hi]. *)
+let guard_holds (ctx : Cpu.ctx) (preds : Facts.gpred array) =
+  Array.for_all
+    (fun p ->
+      let c, a =
+        if p.Facts.gp_ddc then (ctx.Cpu.ddc, ctx.Cpu.gpr.(p.Facts.gp_reg))
+        else
+          let c = ctx.Cpu.creg.(p.Facts.gp_reg) in
+          (c, Cap.addr c)
+      in
+      Cap.is_tagged c
+      && (not (Cap.is_sealed c))
+      && Perms.subset p.Facts.gp_perms (Cap.perms c)
+      && a + p.Facts.gp_lo >= Cap.base c
+      && a + p.Facts.gp_hi <= Cap.top c)
+    preds
 
 (* Does [cause], raised by [insn], contradict an elided check? The elided
    probe is [check_cap] on the addressed capability (or DDC, reg -2):
@@ -108,7 +132,7 @@ let oracle_one seed errors =
        block. *)
     if i = 0 then begin
       let gm, preds = Facts.guarded sc.Absint.sc_facts e in
-      guard_held := gm <> 0 && Bbcache.guard_ok ctx preds;
+      guard_held := gm <> 0 && guard_holds ctx preds;
       cert := Facts.cert sc.Absint.sc_facts e;
       Hashtbl.reset roles;
       Hashtbl.reset head_vaddr;
@@ -180,9 +204,9 @@ let oracle_one seed errors =
              seed pc e i (Trap.to_string cause)
            :: !errors;
        (* Tier-3 trap-freedom: inside the certified prefix a trap may
-          only come from a data access (an exactly-attributed repair
-          point in the fused group). Guard-rescued members condition the
-          certificate exactly as tier-2 masks do. *)
+          only come from a data access (a repair point). Guard-rescued
+          members condition the certificate exactly as tier-2 masks
+          do. *)
        (match insn with
         | Some
             (Insn.Load _ | Insn.Store _ | Insn.CLoad _ | Insn.CStore _
@@ -342,62 +366,59 @@ let test_directed_elision () =
   Alcotest.(check bool) "post-setbounds repeat access elidable" true
     (Facts.elidable sc.Absint.sc_facts ~entry:code_base ~index:2)
 
-(* --- 3b. Guarded (tier-2) elision in the chain engine ------------------------ *)
+(* --- 3b. Guarded (tier-2) elision claims --------------------------------- *)
 
 (* First accesses through an unknown capability register are never
    unconditionally elidable (the scan's entry state is Top), but the scan
    emits a guarded fact: one register predicate that licenses eliding every
-   check it hulls. The engine evaluates the predicate on the entry-time
-   register state — a valid wide capability passes (checks compiled out),
-   an untagged one fails (exact single-step fallback reproducing the
-   reference trap). *)
+   check it hulls. The predicate must hold on an entry state where the
+   accesses pass (a valid wide capability) and fail on one where they trap
+   (an untagged capability). *)
 let guarded_prog cb =
   [| Insn.CLoad { w = 8; signed = false; rd = 8; cb; off = 0 };
      Insn.CLoad { w = 8; signed = false; rd = 9; cb; off = 8 };
      Insn.Break 0 |]
 
 let test_guarded_elision () =
-  let insns = guarded_prog 1 in
-  let sc = Absint.scan_code [ (code_base, insns) ] in
-  Alcotest.(check bool) "first access not unconditionally elidable" false
-    (Facts.elidable sc.Absint.sc_facts ~entry:code_base ~index:0);
-  let gm, preds = Facts.guarded sc.Absint.sc_facts code_base in
-  Alcotest.(check int) "guarded mask covers both checks" 0b11 (gm land 0b11);
-  Alcotest.(check bool) "predicates name the addressed register" true
-    (Array.length preds > 0
-     && Array.for_all
-          (fun p -> p.Facts.gp_reg = 1 && not p.Facts.gp_ddc)
-          preds);
-  (* Valid wide capability in c1: the guard holds, both probes are
-     elided, and the snapshot matches the reference interpreter. *)
-  let step = Test_engines.run_step insns 3 in
-  let m, ctx, mem = Test_engines.setup insns 3 in
-  let facts =
-    Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel:50 in
-  Alcotest.(check string) "guarded parity" step
-    (Test_engines.snapshot stop m ctx mem);
-  Alcotest.(check int) "guard held, probes elided" 2 bb.Bbcache.elided_probes;
-  Alcotest.(check int) "guard held, nothing checked" 0
-    bb.Bbcache.checked_probes;
-  (* Untagged capability in c6: the same program shape now fails the
-     guard at block entry; the engine falls back to exact single-step
-     and reproduces the reference trap with no probe accounted. *)
-  let insns6 = guarded_prog 6 in
-  let step6 = Test_engines.run_step insns6 3 in
-  let m, ctx, mem = Test_engines.setup insns6 3 in
-  let facts =
-    Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns6) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel:50 in
-  Alcotest.(check string) "failed-guard parity" step6
-    (Test_engines.snapshot stop m ctx mem);
-  Alcotest.(check int) "failed guard, nothing elided" 0 bb.Bbcache.elided_probes
+  List.iter
+    (fun (cb, passes) ->
+      let insns = guarded_prog cb in
+      let sc = Absint.scan_code [ (code_base, insns) ] in
+      Alcotest.(check bool) "first access not unconditionally elidable" false
+        (Facts.elidable sc.Absint.sc_facts ~entry:code_base ~index:0);
+      let gm, preds = Facts.guarded sc.Absint.sc_facts code_base in
+      Alcotest.(check int) "guarded mask covers both checks" 0b11
+        (gm land 0b11);
+      Alcotest.(check bool) "predicates name the addressed register" true
+        (Array.length preds > 0
+         && Array.for_all
+              (fun p -> p.Facts.gp_reg = cb && not p.Facts.gp_ddc)
+              preds);
+      let m, ctx, _mem = Test_engines.setup insns 3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "guard on c%d holds iff the accesses pass" cb)
+        passes (guard_holds ctx preds);
+      (* The chain engine ignores the claim: it probes both loads when
+         the guard holds, and traps on the first probe when it fails,
+         landing on the step engine's snapshot either way. *)
+      let step = Test_engines.run_step insns 3 in
+      let m_c, ctx_c, mem_c = Test_engines.setup insns 3 in
+      let bb = Bbcache.create () in
+      let stop = Bbcache.run bb m_c ctx_c ~fuel:50 in
+      Alcotest.(check string) "chain parity" step
+        (Test_engines.snapshot stop m_c ctx_c mem_c);
+      Alcotest.(check int) "chain probes every access it reaches"
+        (if passes then 2 else 1) bb.Bbcache.checked_probes;
+      (* The run itself agrees: both loads retire, or the first traps. *)
+      (match Cpu.run m ctx ~fuel:50 with
+       | Some (Cpu.Stop_trap (Trap.Break_trap _)) ->
+         Alcotest.(check bool) "loads retired" true passes
+       | Some (Cpu.Stop_trap (Trap.Cap_fault _)) ->
+         Alcotest.(check bool) "load trapped" false passes;
+         Alcotest.(check int) "trap at the first load" code_base
+           (Cap.addr ctx.Cpu.pcc)
+       | _ -> Alcotest.fail "unexpected stop"))
+    [ (1, true); (6, false) ]
 
 (* --- 3c. Branch refinement at the interprocedural flow level ----------------- *)
 
@@ -549,26 +570,106 @@ let test_c_level_must_trap () =
   if not named then
     Alcotest.failf "fault log %S names none of the flagged pcs" fault
 
-(* --- 5. Kernel-level elision parity ------------------------------------------ *)
+(* --- 5. --analysis-stats counts --------------------------------------------- *)
 
-let test_kernel_elide_parity () =
+(* [cheri_run --analysis-stats] reports [Harness.verify_image] over the
+   spawned process's own link. Its provable/total flow counts must equal
+   [Absint.verify] over the same image, linked and given its linkage view
+   independently here, under the DDC the kernel actually installed. *)
+let test_analysis_stats_match_verify () =
   List.iter
     (fun abi ->
-      let plain = Harness.run ~abi Test_engines.parity_src in
-      let elided = Harness.run ~elide:true ~abi Test_engines.parity_src in
+      let module Rtld = Cheri_rtld.Rtld in
+      let image =
+        Cheri_workloads.Stdlib_src.build_image ~abi ~name:"stats"
+          Test_engines.parity_src
+      in
+      let k = Cheri_kernel.Kernel.boot () in
+      Cheri_libc.Runtime.install k;
+      Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs "/bin/stats" ~abi
+        image;
+      let status, _, p =
+        Cheri_kernel.Kernel.run_program k ~path:"/bin/stats" ~argv:[ "stats" ]
+      in
+      Alcotest.(check bool) "program exited 0" true
+        (status = Some (Proc.Exited 0));
+      let stats =
+        Cheri_workloads.Harness.verify_image ~abi (Option.get p.Proc.linked)
+      in
+      let link = Rtld.link ~abi image in
+      let entries =
+        link.Rtld.lk_entry
+        :: Hashtbl.fold
+             (fun _ def acc ->
+               match def with Rtld.Dfunc (_, a) -> a :: acc | _ -> acc)
+             link.Rtld.lk_symtab []
+        |> List.sort_uniq compare
+      in
+      let got =
+        List.filter_map
+          (fun (name, off) ->
+            match Hashtbl.find_opt link.Rtld.lk_symtab name with
+            | Some (Rtld.Dfunc (_, a)) -> Some (off, a)
+            | _ -> None)
+          link.Rtld.lk_got
+        |> List.sort compare
+      in
+      let ddc = p.Proc.ctx.Cpu.ddc in
+      let r =
+        Absint.verify ~ddc ~pcc_may:(Perms.diff Perms.all Perms.system_regs)
+          ~entries ~got link.Rtld.lk_code
+      in
       let label = Abi.to_string abi in
-      if not (Harness.ok plain && Harness.ok elided) then
-        Alcotest.failf "%s: parity run failed (%s / %s)" label
-          (Harness.status_string plain)
-          (Harness.status_string elided);
-      Alcotest.(check string) (label ^ ": output") plain.Harness.m_output
-        elided.Harness.m_output;
-      Alcotest.(check int) (label ^ ": instructions")
-        plain.Harness.m_instructions elided.Harness.m_instructions;
-      Alcotest.(check int) (label ^ ": cycles") plain.Harness.m_cycles
-        elided.Harness.m_cycles;
-      Alcotest.(check int) (label ^ ": L2 misses") plain.Harness.m_l2_misses
-        elided.Harness.m_l2_misses)
+      Alcotest.(check bool) (label ^ ": some flow checks") true
+        (r.Absint.r_flow_sites > 0);
+      Alcotest.(check int) (label ^ ": provable checks")
+        r.Absint.r_flow_elided stats.Absint.r_flow_elided;
+      Alcotest.(check int) (label ^ ": total checks") r.Absint.r_flow_sites
+        stats.Absint.r_flow_sites;
+      Alcotest.(check int) (label ^ ": functions") r.Absint.r_funcs
+        stats.Absint.r_funcs)
+    [ Abi.Mips64; Abi.Cheriabi ]
+
+(* The kernel parity program, under both ABIs: the analysis proves some of
+   its checks elidable, yet a run with the fact provider installed (the
+   inert one simbench still sets) is the same run as one without: same
+   output, instruction, cycle and L2-miss counts, and every capability
+   check still probed. *)
+let test_kernel_elide_parity () =
+  let module Kernel = Cheri_kernel.Kernel in
+  let module Kstate = Cheri_kernel.Kstate in
+  List.iter
+    (fun abi ->
+      let label = Abi.to_string abi in
+      let image =
+        Cheri_workloads.Stdlib_src.build_image ~abi ~name:"parity" Test_engines.parity_src
+      in
+      let r = Harness.verify_image ~abi (Cheri_rtld.Rtld.link ~abi image) in
+      Alcotest.(check bool) (label ^ ": some checks provable") true
+        (r.Absint.r_flow_elided > 0);
+      let measure provider =
+        let k = Kernel.boot () in
+        k.Kstate.config.Kstate.engine <- Cpu.Chain;
+        k.Kstate.config.Kstate.fact_provider <- provider;
+        Cheri_libc.Runtime.install k;
+        Cheri_kernel.Vfs.add_exe k.Kstate.vfs "/bin/parity" ~abi image;
+        let status, out, p =
+          Kernel.run_program k ~path:"/bin/parity" ~argv:[ "parity" ]
+        in
+        if status <> Some (Proc.Exited 0) then
+          Alcotest.failf "%s: parity run failed" label;
+        ( out, p.Proc.ctx.Cpu.instret, p.Proc.ctx.Cpu.cycles,
+          Cheri_tagmem.Cache.l2_misses (Kstate.hierarchy k),
+          k.Kstate.bb.Bbcache.checked_probes )
+      in
+      let o1, i1, c1, l1, p1 = measure None in
+      let o2, i2, c2, l2, p2 = measure (Some (Absint.provider ())) in
+      Alcotest.(check string) (label ^ ": output") o1 o2;
+      Alcotest.(check int) (label ^ ": instructions") i1 i2;
+      Alcotest.(check int) (label ^ ": cycles") c1 c2;
+      Alcotest.(check int) (label ^ ": L2 misses") l1 l2;
+      Alcotest.(check bool) (label ^ ": checks probed") true (p1 > 0);
+      Alcotest.(check int) (label ^ ": checked probes") p1 p2)
     [ Abi.Mips64; Abi.Cheriabi ]
 
 let suite =
@@ -580,4 +681,6 @@ let suite =
     "tail calls in the CFG", `Quick, test_tail_call_cfg;
     "C-level must-trap + fault cross-reference", `Quick,
     test_c_level_must_trap;
+    "analysis stats match verify", `Quick,
+    test_analysis_stats_match_verify;
     "kernel elision parity", `Quick, test_kernel_elide_parity ]

@@ -19,7 +19,6 @@ let () =
       "analysis", Test_analysis.suite;
       "absint", Test_absint.suite;
       "gamma", Test_gamma.suite;
-      "factcache", Test_factcache.suite;
       "core", Test_core.suite;
       "workloads", Test_workloads.suite;
       "cache", Test_workloads.cache_suite;

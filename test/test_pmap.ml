@@ -47,28 +47,14 @@ module Model = struct
     root : Cap.t;
     mutable faults : int;
     mutable generation : int;
-    mutable log : (int * int * int) list;   (* newest first, unbounded *)
   }
 
   let create ~phys ~swap ~root =
-    { pages = M.empty; phys; swap; root; faults = 0; generation = 0; log = [] }
+    { pages = M.empty; phys; swap; root; faults = 0; generation = 0 }
 
   let vpn_of v = v / page
 
-  let log_mutation t ~vaddr ~len =
-    t.generation <- t.generation + 1;
-    t.log <- (t.generation, vaddr, len) :: t.log
-
-  (* [Pmap] keeps the last 32 mutations. *)
-  let mutations_since t ~gen =
-    let expected = t.generation - gen in
-    if expected <= 0 then Some []
-    else if expected > 32 then None
-    else
-      Some
-        (List.filter_map
-           (fun (g, v, l) -> if g > gen then Some (v, l) else None)
-           t.log)
+  let bump t = t.generation <- t.generation + 1
 
   let release t e =
     match e.state with
@@ -93,13 +79,13 @@ module Model = struct
     set t (vpn_of vaddr) { state = Present frame; prot; cow; accessed = false }
 
   let protect_range t ~vaddr ~len ~prot =
-    log_mutation t ~vaddr ~len;
+    bump t;
     List.iter
       (fun vpn -> Option.iter (fun e -> e.prot <- prot) (M.find_opt vpn t.pages))
       (vpns ~vaddr ~len)
 
   let remove_range t ~vaddr ~len =
-    log_mutation t ~vaddr ~len;
+    bump t;
     List.iter
       (fun vpn ->
         Option.iter (release t) (M.find_opt vpn t.pages);
@@ -202,7 +188,7 @@ module Model = struct
       t.pages
 
   let destroy t =
-    log_mutation t ~vaddr:0 ~len:max_int;
+    bump t;
     M.iter (fun _ e -> release t e) t.pages;
     t.pages <- M.empty
 end
@@ -279,11 +265,6 @@ let agree ops =
     Pmap.entry_count i = Model.M.cardinal m.Model.pages
     && Pmap.fault_count i = m.Model.faults
     && Pmap.generation i = m.Model.generation
-    && List.for_all
-         (fun back ->
-           let gen = max 0 (m.Model.generation - back) in
-           Pmap.mutations_since i ~gen = Model.mutations_since m ~gen)
-         (List.init 36 Fun.id)
     && List.for_all
          (fun p -> Pmap.resident_pa i (va p) = Model.resident_pa m (va p))
          (List.init window Fun.id)

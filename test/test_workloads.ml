@@ -236,6 +236,14 @@ let test_bug_census () =
         v.Bugs.v_mips64)
     (Bugs.run_all ())
 
+let test_overhead_pct_zero_base () =
+  Alcotest.(check bool) "zero baseline yields nan, not 0%%" true
+    (Float.is_nan (Harness.overhead_pct ~base:0 5));
+  Alcotest.(check bool) "zero/zero is also nan" true
+    (Float.is_nan (Harness.overhead_pct ~base:0 0));
+  Alcotest.(check (float 1e-9)) "live baseline unchanged" 50.0
+    (Harness.overhead_pct ~base:100 150)
+
 let suite =
   [ "benchmark outputs agree", `Slow, test_benchmark_outputs_agree;
     "initdb all ABIs", `Slow, test_initdb_all_abis;
@@ -245,7 +253,8 @@ let suite =
     "table-1 suite shape", `Slow, test_suites_shape;
     "openssl trace properties", `Quick, test_openssl_trace_properties;
     "sysbench shape", `Slow, test_sysbench_shape;
-    "bug census", `Quick, test_bug_census ]
+    "bug census", `Quick, test_bug_census;
+    "overhead_pct zero baseline", `Quick, test_overhead_pct_zero_base ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_differential
 
 (* --- Cache study direction --------------------------------------------------------------- *)

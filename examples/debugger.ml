@@ -68,7 +68,7 @@ let () =
         let v = Kstate.kread_int k target addr ~len:8 in
         Printf.printf "counter (at 0x%x) = %d\n" addr v;
         (* Inspect the stack capability register c11 of the target. *)
-        let csp = target.Proc.ctx.Cheri_isa.Cpu.creg.(Cheri_isa.Reg.csp) in
+        let csp = Cheri_isa.Cpu.rd_creg target.Proc.ctx Cheri_isa.Reg.csp in
         Printf.printf "target $csp: %s\n" (Cap.to_string csp);
         (* Inject a capability to the counter into target memory at a
            scratch location: the kernel rederives it from the target's

@@ -134,7 +134,9 @@ let set_bounds ?(exact = false) c ~len =
   require_unsealed c;
   if len < 0 then error Length_violation;
   let nbase = c.addr and ntop = c.addr + len in
-  if nbase < c.base || ntop > c.top then error Monotonicity_violation;
+  (* [len > c.top - nbase], not [ntop > c.top]: the sum wraps for lengths
+     near max_int, and the difference cannot once [nbase >= c.base]. *)
+  if nbase < c.base || len > c.top - nbase then error Monotonicity_violation;
   if exact then begin
     if not (Compress.is_exact ~base:nbase ~len) then
       error Representability_violation;
@@ -206,3 +208,135 @@ let from_ptr src a =
 
 (* CGetAddr / CToPtr: expose the virtual address. *)
 let to_ptr c = if c.tag then c.addr else 0
+
+(* --- Unboxed register file ----------------------------------------------- *)
+
+(* The capability register file as one int array: register [r] occupies
+   [stride] consecutive words holding its tag (0/1), perms, otype, base,
+   top and addr. Reads and writes of single fields, copies between
+   registers and the cursor derivations below touch those words in place,
+   so the datapath of capability arithmetic allocates nothing.
+
+   Slots are decided at decode time: [rslot r] is where register [r] is
+   read, [wslot r] where it is written. c0's read slot is never written,
+   so it reads NULL; its write slot is a sink past the 32 registers, so a
+   write to c0 needs no runtime test. Both are private ints in range by
+   construction, which is what makes the unchecked accesses below safe.
+
+   The file lives here, beside [t], because [t] is private: every write
+   copies the fields of an existing capability ([set], [load], [move]) or
+   performs one of the monotonic derivations with the same rules as its
+   boxed twin, so no tag is forged through the register file either. *)
+module Regs = struct
+  type cap = t
+  type t = int array
+  type rslot = int
+  type wslot = int
+
+  let nregs = 32
+  let stride = 8
+  let f_tag = 0
+  let f_perms = 1
+  let f_otype = 2
+  let f_base = 3
+  let f_top = 4
+  let f_addr = 5
+  let sink = nregs * stride
+
+  let check_reg r =
+    if r < 0 || r >= nregs then invalid_arg "Cap.Regs: register out of range"
+
+  let rslot r = check_reg r; r * stride
+  let wslot r = check_reg r; if r = 0 then sink else r * stride
+
+  let[@inline] put (a : t) s f v = Array.unsafe_set a (s + f) v
+  let[@inline] field (a : t) s f = Array.unsafe_get a (s + f)
+
+  let[@inline] write a w ~tag ~perms ~otype ~base ~top ~addr =
+    put a w f_tag (if tag then 1 else 0);
+    put a w f_perms perms;
+    put a w f_otype otype;
+    put a w f_base base;
+    put a w f_top top;
+    put a w f_addr addr
+
+  let set a w (c : cap) =
+    write a w ~tag:c.tag ~perms:c.perms ~otype:c.otype ~base:c.base
+      ~top:c.top ~addr:c.addr
+
+  let create () =
+    let a = Array.make ((nregs + 1) * stride) 0 in
+    for r = 0 to nregs do set a (r * stride) null done;
+    a
+
+  let copy = Array.copy
+
+  (* Boxing at the edges of the datapath. *)
+  let get a s =
+    { tag = field a s f_tag <> 0; perms = field a s f_perms;
+      otype = field a s f_otype; base = field a s f_base;
+      top = field a s f_top; addr = field a s f_addr }
+
+  let[@inline] tag a s = field a s f_tag <> 0
+  let[@inline] perms a s = field a s f_perms
+  let[@inline] otype a s = field a s f_otype
+  let[@inline] base a s = field a s f_base
+  let[@inline] top a s = field a s f_top
+  let[@inline] addr a s = field a s f_addr
+  let[@inline] length a s = field a s f_top - field a s f_base
+  let[@inline] offset a s = field a s f_addr - field a s f_base
+
+  (* [check_access_at]'s predicate, as a test: the caller re-runs the
+     boxed check (which raises the architecturally ordered fault) only
+     when this fails. *)
+  let[@inline] access_ok a s ~perm ~addr ~len =
+    field a s f_tag <> 0
+    && field a s f_otype = otype_unsealed
+    && field a s f_perms land perm = perm
+    && addr >= field a s f_base
+    && addr + len <= field a s f_top
+
+  let[@inline] move a ~dst ~src =
+    put a dst f_tag (field a src f_tag);
+    put a dst f_perms (field a src f_perms);
+    put a dst f_otype (field a src f_otype);
+    put a dst f_base (field a src f_base);
+    put a dst f_top (field a src f_top);
+    put a dst f_addr (field a src f_addr)
+
+  let clear_tag a ~dst ~src =
+    move a ~dst ~src;
+    put a dst f_tag 0
+
+  (* [Cap.set_addr] in place. *)
+  let set_addr a ~dst ~src addr =
+    let tag = field a src f_tag <> 0 in
+    if tag && field a src f_otype <> otype_unsealed then error Seal_violation;
+    let base = field a src f_base and top = field a src f_top in
+    let ok = Compress.in_representable_window ~base ~top addr in
+    move a ~dst ~src;
+    put a dst f_addr addr;
+    put a dst f_tag (if tag && ok then 1 else 0)
+
+  let inc_addr a ~dst ~src delta =
+    set_addr a ~dst ~src (field a src f_addr + delta)
+
+  (* [set a w (Cap.set_addr c addr)] without the intermediate record: the
+     CJAL/CJALR link derived from PCC. *)
+  let set_addr_of a w (c : cap) addr =
+    if c.tag && is_sealed c then error Seal_violation;
+    let ok = Compress.in_representable_window ~base:c.base ~top:c.top addr in
+    write a w ~tag:(c.tag && ok) ~perms:c.perms ~otype:c.otype ~base:c.base
+      ~top:c.top ~addr
+
+  (* A capability load: [c] as read from memory, its tag stripped unless
+     [keep_tag]. *)
+  let load a w (c : cap) ~keep_tag =
+    write a w ~tag:(c.tag && keep_tag) ~perms:c.perms ~otype:c.otype
+      ~base:c.base ~top:c.top ~addr:c.addr
+
+  (* [set a w (untagged ~addr)]. *)
+  let set_untagged a w addr =
+    write a w ~tag:false ~perms:null.perms ~otype:null.otype ~base:0 ~top:0
+      ~addr
+end

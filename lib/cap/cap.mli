@@ -133,3 +133,83 @@ val from_ptr : t -> int -> t
 
 (** CGetAddr: the virtual address (0 if untagged — legacy CToPtr). *)
 val to_ptr : t -> int
+
+(** {1 Unboxed register file}
+
+    The capability register file of a CPU context: 32 registers held
+    field by field in one [int array], so that register reads, copies and
+    cursor derivations allocate nothing. Registers are addressed through
+    slots fixed at decode time: {!Regs.rslot} reads, {!Regs.wslot}
+    writes. c0 reads NULL from a slot that is never written; its write
+    slot is a sink, so writes to c0 need no runtime test.
+
+    Every write copies an existing capability or applies a monotonic
+    derivation with the rules of its boxed counterpart above (and raises
+    the same {!Cap_error}); nothing here sets a tag from integers. *)
+module Regs : sig
+  type cap := t
+  type t
+
+  (** Where a register is read. *)
+  type rslot = private int
+
+  (** Where a register is written (c0: the sink). *)
+  type wslot = private int
+
+  val nregs : int
+
+  (** All registers NULL. *)
+  val create : unit -> t
+
+  val copy : t -> t
+
+  (** Raise [Invalid_argument] outside [0, nregs). *)
+  val rslot : int -> rslot
+
+  val wslot : int -> wslot
+
+  (** {2 Boxing} *)
+
+  (** A fresh record of the register's fields. *)
+  val get : t -> rslot -> cap
+
+  val set : t -> wslot -> cap -> unit
+
+  (** {2 Fields} *)
+
+  val tag : t -> rslot -> bool
+  val perms : t -> rslot -> Perms.t
+  val otype : t -> rslot -> int
+  val base : t -> rslot -> int
+  val top : t -> rslot -> int
+  val addr : t -> rslot -> int
+  val length : t -> rslot -> int
+  val offset : t -> rslot -> int
+
+  (** The predicate of {!check_access_at}, without raising. *)
+  val access_ok : t -> rslot -> perm:Perms.t -> addr:int -> len:int -> bool
+
+  (** {2 Derivations in place} *)
+
+  (** CMove. *)
+  val move : t -> dst:wslot -> src:rslot -> unit
+
+  (** {!clear_tag}. *)
+  val clear_tag : t -> dst:wslot -> src:rslot -> unit
+
+  (** {!set_addr}. *)
+  val set_addr : t -> dst:wslot -> src:rslot -> int -> unit
+
+  (** {!inc_addr}. *)
+  val inc_addr : t -> dst:wslot -> src:rslot -> int -> unit
+
+  (** [set r w (set_addr c addr)]. *)
+  val set_addr_of : t -> wslot -> cap -> int -> unit
+
+  (** [set r w c], with the tag cleared unless [keep_tag] (CLC without
+      LOAD_CAP). *)
+  val load : t -> wslot -> cap -> keep_tag:bool -> unit
+
+  (** [set r w (untagged ~addr)]. *)
+  val set_untagged : t -> wslot -> int -> unit
+end

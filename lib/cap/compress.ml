@@ -19,33 +19,59 @@
 (* Mantissa width for the 128-bit format. *)
 let mantissa_width = 14
 
-(* Exponent needed to represent a span of [len] bytes. *)
+(* Longest span the model represents. Lengths are unsigned in the ISA,
+   but beyond 2^61 the rounded length of [crrl] and the [limit lsl e]
+   spans below no longer fit a 63-bit int. *)
+let max_length = 1 lsl 61
+
+(* Bit length of [x >= 0]: the number of bits up to its highest set bit
+   (0 for 0). Six halving steps, no loop over bits and no allocation. *)
+let bit_length x =
+  let x = ref x and n = ref 0 in
+  if !x >= 1 lsl 32 then (n := 32; x := !x lsr 32);
+  if !x >= 1 lsl 16 then (n := !n + 16; x := !x lsr 16);
+  if !x >= 1 lsl 8 then (n := !n + 8; x := !x lsr 8);
+  if !x >= 1 lsl 4 then (n := !n + 4; x := !x lsr 4);
+  if !x >= 1 lsl 2 then (n := !n + 2; x := !x lsr 2);
+  if !x >= 1 lsl 1 then (n := !n + 1; x := !x lsr 1);
+  !n + !x
+
+(* Exponent needed to represent a span of [len] bytes: 0 below the
+   mantissa limit, otherwise the smallest e >= 1 with
+   len <= limit lsl e, which is [bit_length (len - 1)] minus the
+   limit's 13 bits. That formula holds for every non-negative int (the
+   largest, max_int, needs e = 49: limit lsl 49 = 2^62); a negative
+   length, read as the unsigned length it encodes, is longer than all of
+   them and gets that same largest exponent. *)
 let exponent_of_length len =
-  if len < 0 then invalid_arg "Compress.exponent_of_length";
-  let limit = 1 lsl (mantissa_width - 1) in
-  if len < limit then 0
-  else begin
-    (* Smallest e such that len <= (limit lsl e). *)
-    let rec go e span = if len <= span then e else go (e + 1) (span * 2) in
-    go 1 (limit * 2)
-  end
+  let limit_bits = mantissa_width - 1 in
+  if len < 0 then 62 - limit_bits
+  else if len < 1 lsl limit_bits then 0
+  else max 1 (bit_length (len - 1) - limit_bits)
 
 (* Alignment mask (as in the CRAM instruction): base land (cram len) must
-   equal base for exact representation. *)
+   equal base for exact representation. Total: an operand outside
+   [0, max_length] gets the mask of its exponent like any other. *)
 let cram len =
   let e = exponent_of_length len in
   lnot ((1 lsl e) - 1)
 
-(* Representable rounded length (as in the CRRL instruction). *)
+(* Representable rounded length (as in the CRRL instruction). An operand
+   outside [0, max_length] has no representable rounding — the rounded
+   length wraps past the top of the length space — and yields 0, so
+   [crrl len < len] exactly when a positive [len] is too long. *)
 let crrl len =
-  let e = exponent_of_length len in
-  let mask = (1 lsl e) - 1 in
-  let rounded = (len + mask) land lnot mask in
-  (* Rounding may push the length across an exponent boundary; recompute. *)
-  if exponent_of_length rounded = e then rounded
-  else
-    let mask = (1 lsl exponent_of_length rounded) - 1 in
-    (len + mask) land lnot mask
+  if len < 0 || len > max_length then 0
+  else begin
+    let e = exponent_of_length len in
+    let mask = (1 lsl e) - 1 in
+    let rounded = (len + mask) land lnot mask in
+    (* Rounding may push the length across an exponent boundary; recompute. *)
+    if exponent_of_length rounded = e then rounded
+    else
+      let mask = (1 lsl exponent_of_length rounded) - 1 in
+      (len + mask) land lnot mask
+  end
 
 (* Is [base, base+len) exactly representable? *)
 let is_exact ~base ~len = crrl len = len && base land lnot (cram len) = 0
@@ -76,6 +102,13 @@ let representable_slack ~base ~top =
   let e = exponent_of_length (top - base) in
   if e = 0 then 4096 else 1 lsl (e + mantissa_width - 2)
 
-let in_representable_window ~base ~top addr =
+(* Is [addr] inside the representable window of [base, top)? The slack
+   is always positive, so a cursor within [base, top] — the common case
+   of pointer arithmetic — is representable without working out the
+   exponent. [Cap.set_addr] and [Cap.Regs.set_addr] both decide their tag
+   through this one predicate. *)
+let[@inline] in_representable_window ~base ~top addr =
+  (addr >= base && addr <= top)
+  ||
   let slack = representable_slack ~base ~top in
   addr >= base - slack && addr < top + slack

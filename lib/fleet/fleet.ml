@@ -105,8 +105,9 @@ let snapshot k (p : Proc.t) status =
   done;
   Buffer.add_char b '\n';
   for r = 1 to 31 do
-    if not (Cap.equal ctx.Cpu.creg.(r) Cap.null) then
-      Printf.bprintf b "c%d=%s\n" r (Cap.to_string ctx.Cpu.creg.(r))
+    let c = Cpu.rd_creg ctx r in
+    if not (Cap.equal c Cap.null) then
+      Printf.bprintf b "c%d=%s\n" r (Cap.to_string c)
   done;
   let h = Kstate.hierarchy k in
   Printf.bprintf b "il1=%d/%d dl1=%d/%d l2=%d/%d\n"

@@ -47,6 +47,7 @@
    [reset_space] and the [map_gen] argument. *)
 
 module Cap = Cheri_cap.Cap
+module Regs = Cap.Regs
 module Perms = Cheri_cap.Perms
 module Cache = Cheri_tagmem.Cache
 module Tagmem = Cheri_tagmem.Tagmem
@@ -336,11 +337,13 @@ let translate_wr t m vaddr =
     pa
   end
 
-(* Fast-path capability probe for the compiled memory closures:
-   pure field reads, no exception frame, same predicate as
+(* Fast-path DDC probe for the compiled legacy memory closures: pure
+   field reads, no exception frame, same predicate as
    [Cap.check_access_at]. On failure the caller re-runs [Cpu.check_cap],
    which performs the architecturally-ordered checks and raises the exact
-   fault — so the fast path only ever skips work, never changes it. *)
+   fault — so the fast path only ever skips work, never changes it.
+   Capability-relative accesses probe the register file the same way,
+   through [Cap.Regs.access_ok]. *)
 let cap_ok (c : Cap.t) perm vaddr len =
   c.Cap.tag
   && c.Cap.otype = Cap.otype_unsealed
@@ -441,12 +444,13 @@ let compile_sem t m ~pc insn =
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLoad { w; signed; rd; cb; off } ->
+    let s = Regs.rslot cb in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if not (cap_ok cap Perms.load vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
+      let r = ctx.Cpu.creg in
+      let vaddr = Regs.addr r s + off in
+      if not (Regs.access_ok r s ~perm:Perms.load ~addr:vaddr ~len:w) then
+        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_rd t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
@@ -454,45 +458,48 @@ let compile_sem t m ~pc insn =
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
   | Insn.CStore { w; rs; cb; off } ->
+    let s = Regs.rslot cb in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if not (cap_ok cap Perms.store vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
+      let r = ctx.Cpu.creg in
+      let vaddr = Regs.addr r s + off in
+      if not (Regs.access_ok r s ~perm:Perms.store ~addr:vaddr ~len:w) then
+        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
       let pa = translate_wr t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLC { cd; cb; off } ->
+    let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if not (cap_ok cap Perms.load vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
+      let r = ctx.Cpu.creg in
+      let vaddr = Regs.addr r s + off in
+      if not (Regs.access_ok r s ~perm:Perms.load ~addr:vaddr ~len:Cap.sizeof)
+      then
+        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.load ~vaddr
+          ~len:Cap.sizeof;
       Cpu.check_align vaddr Cap.sizeof;
       let pa = translate_rd t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      let loaded = Tagmem.read_cap mem pa in
-      let loaded =
-        if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-        else Cap.clear_tag loaded
-      in
-      Cpu.wr_creg ctx cd loaded
+      (* Without LOAD_CAP the tag is stripped on load. *)
+      Tagmem.load_cap_reg mem pa r d
+        ~keep_tag:(Perms.has (Regs.perms r s) Perms.load_cap)
   | Insn.CSC { cs; cb; off } ->
+    let s = Regs.rslot cb and v = Regs.rslot cs in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if not (cap_ok cap Perms.store vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
-      let v = Cpu.rd_creg ctx cs in
-      if Cap.is_tagged v then begin
-        if not (Perms.has (Cap.perms cap) Perms.store_cap) then
+      let r = ctx.Cpu.creg in
+      let vaddr = Regs.addr r s + off in
+      if not (Regs.access_ok r s ~perm:Perms.store ~addr:vaddr ~len:Cap.sizeof)
+      then
+        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.store ~vaddr
+          ~len:Cap.sizeof;
+      if Regs.tag r v then begin
+        if not (Perms.has (Regs.perms r s) Perms.store_cap) then
           Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Cap.perms v) Perms.global))
-           && not (Perms.has (Cap.perms cap) Perms.store_local_cap)
+        if (not (Perms.has (Regs.perms r v) Perms.global))
+           && not (Perms.has (Regs.perms r s) Perms.store_local_cap)
         then
           Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
             ~vaddr
@@ -500,34 +507,43 @@ let compile_sem t m ~pc insn =
       Cpu.check_align vaddr Cap.sizeof;
       let pa = translate_wr t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      Tagmem.write_cap mem pa v
+      Tagmem.store_cap_reg mem pa r v
   | Insn.CIncOffsetImm (cd, cb, i) ->
-    fun ctx -> Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) i)
+    let s = Regs.rslot cb and d = Regs.wslot cd in
+    fun ctx -> Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s i
   | Insn.CIncOffset (cd, cb, rt) ->
-    fun ctx ->
-      Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) (Cpu.rd_gpr ctx rt))
+    let s = Regs.rslot cb and d = Regs.wslot cd in
+    fun ctx -> Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt)
   | Insn.CSetAddr (cd, cb, rt) ->
-    fun ctx ->
-      Cpu.wr_creg ctx cd (Cap.set_addr (Cpu.rd_creg ctx cb) (Cpu.rd_gpr ctx rt))
+    let s = Regs.rslot cb and d = Regs.wslot cd in
+    fun ctx -> Regs.set_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt)
   | Insn.CClearTag (cd, cb) ->
-    fun ctx -> Cpu.wr_creg ctx cd (Cap.clear_tag (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb and d = Regs.wslot cd in
+    fun ctx -> Regs.clear_tag ctx.Cpu.creg ~dst:d ~src:s
   | Insn.CMove (cd, cb) ->
-    fun ctx -> Cpu.wr_creg ctx cd (Cpu.rd_creg ctx cb)
+    let s = Regs.rslot cb and d = Regs.wslot cd in
+    fun ctx -> Regs.move ctx.Cpu.creg ~dst:d ~src:s
   | Insn.CGetBase (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.base (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.base ctx.Cpu.creg s)
   | Insn.CGetLen (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.length (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.length ctx.Cpu.creg s)
   | Insn.CGetAddr (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.addr (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.addr ctx.Cpu.creg s)
   | Insn.CGetOffset (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.offset (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.offset ctx.Cpu.creg s)
   | Insn.CGetPerm (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.perms (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.perms ctx.Cpu.creg s)
   | Insn.CGetTag (rd, cb) ->
-    fun ctx ->
-      Cpu.wr_gpr ctx rd (if Cap.is_tagged (Cpu.rd_creg ctx cb) then 1 else 0)
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (if Regs.tag ctx.Cpu.creg s then 1 else 0)
   | Insn.CGetType (rd, cb) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cap.otype (Cpu.rd_creg ctx cb))
+    let s = Regs.rslot cb in
+    fun ctx -> Cpu.wr_gpr ctx rd (Regs.otype ctx.Cpu.creg s)
   | Insn.Nop -> fun _ctx -> ()
   | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn
 
@@ -583,28 +599,33 @@ let compile_term t m ~pc insn =
       Cpu.wr_gpr ctx rd (pc + 4);
       tg
   | Insn.CJR cb ->
+    let s = Regs.rslot cb in
     fun ctx ->
       account t m pc base ctx;
-      let target = Cpu.rd_creg ctx cb in
-      if not (Cap.is_tagged target) then
+      let r = ctx.Cpu.creg in
+      if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
-      Cpu.check_branch_target (Cap.addr target);
-      ctx.Cpu.pcc <- target;
+      Cpu.check_branch_target (Regs.addr r s);
+      ctx.Cpu.pcc <- Regs.get r s;
       exit_pcc
   | Insn.CJAL (cd, tg) ->
+    let d = Regs.wslot cd in
     fun ctx ->
       account t m pc base ctx;
       Cpu.check_branch_target tg;
-      Cpu.wr_creg ctx cd (Cap.set_addr ctx.Cpu.pcc (pc + 4));
+      Regs.set_addr_of ctx.Cpu.creg d ctx.Cpu.pcc (pc + 4);
       tg
   | Insn.CJALR (cd, cb) ->
+    let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx ->
       account t m pc base ctx;
-      let target = Cpu.rd_creg ctx cb in
-      if not (Cap.is_tagged target) then
+      let r = ctx.Cpu.creg in
+      if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
-      Cpu.check_branch_target (Cap.addr target);
-      Cpu.wr_creg ctx cd (Cap.set_addr ctx.Cpu.pcc (pc + 4));
+      Cpu.check_branch_target (Regs.addr r s);
+      (* Box the target before the link write: cd may be cb. *)
+      let target = Regs.get r s in
+      Regs.set_addr_of r d ctx.Cpu.pcc (pc + 4);
       ctx.Cpu.pcc <- target;
       exit_pcc
   | Insn.Syscall ->

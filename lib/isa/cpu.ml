@@ -46,7 +46,8 @@ type machine = {
 
 type ctx = {
   gpr : int array;           (* 32 integer registers; index 0 reads as 0 *)
-  creg : Cap.t array;        (* 32 capability registers *)
+  creg : Cap.Regs.t;         (* 32 capability registers, unboxed; c0 reads
+                                NULL (docs/INTERP.md) *)
   mutable pcc : Cap.t;       (* program-counter capability; cursor = pc *)
   mutable ddc : Cap.t;       (* default data capability *)
   mutable instret : int;
@@ -61,22 +62,26 @@ let create_machine ~mem ~hier =
 
 let create_ctx () =
   { gpr = Array.make 32 0;
-    creg = Array.make 32 Cap.null;
+    creg = Cap.Regs.create ();
     pcc = Cap.null;
     ddc = Cap.null;
     instret = 0;
     cycles = 0 }
 
 let copy_ctx c =
-  { gpr = Array.copy c.gpr; creg = Array.copy c.creg;
+  { gpr = Array.copy c.gpr; creg = Cap.Regs.copy c.creg;
     pcc = c.pcc; ddc = c.ddc; instret = c.instret; cycles = c.cycles }
 
 (* --- Register access -------------------------------------------------------- *)
 
 let rd_gpr ctx r = if r = 0 then 0 else ctx.gpr.(r)
 let wr_gpr ctx r v = if r <> 0 then ctx.gpr.(r) <- v
-let rd_creg ctx r = if r = 0 then Cap.null else ctx.creg.(r)
-let wr_creg ctx r v = if r <> 0 then ctx.creg.(r) <- v
+(* The boxed view of the capability file: the step engine, which stays the
+   oracle on the [Cap] API, and every consumer outside the datapath
+   (syscalls, signal frames, exec, ptrace, snapshots) read and write
+   capability registers through these two. Writes to c0 are discarded. *)
+let rd_creg ctx r = Cap.Regs.get ctx.creg (Cap.Regs.rslot r)
+let wr_creg ctx r v = Cap.Regs.set ctx.creg (Cap.Regs.wslot r) v
 
 (* --- Memory access ----------------------------------------------------------- *)
 
@@ -143,11 +148,9 @@ let check_branch_target t =
 
 (* Signed division operands: divide-by-zero traps, and so does the
    INT_MIN / -1 overflow that OCaml's [/] and [mod] silently wrap. *)
-let div_operands ctx rs rt =
-  let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
+let check_div a b =
   if b = 0 then Trap.raise_trap Trap.Div_by_zero;
-  if a = min_int && b = -1 then Trap.raise_trap Trap.Overflow;
-  (a, b)
+  if a = min_int && b = -1 then Trap.raise_trap Trap.Overflow
 
 let do_load m ctx ~w ~signed ~rd ~base ~off =
   let vaddr = rd_gpr ctx base + off in
@@ -209,10 +212,12 @@ let exec_straight m ctx ~pc (insn : Insn.t) =
   | Subu (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs - rd_gpr ctx rt)
   | Mul (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs * rd_gpr ctx rt)
   | Div (rd, rs, rt) ->
-    let a, b = div_operands ctx rs rt in
+    let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
+    check_div a b;
     wr_gpr ctx rd (a / b)
   | Rem (rd, rs, rt) ->
-    let a, b = div_operands ctx rs rt in
+    let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
+    check_div a b;
     wr_gpr ctx rd (a mod b)
   | And_ (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs land rd_gpr ctx rt)
   | Andi (rd, rs, i) -> wr_gpr ctx rd (rd_gpr ctx rs land i)

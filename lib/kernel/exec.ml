@@ -237,9 +237,9 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
        [ stack_cap; pcc; args_cap; cgp ];
      ctx.Cpu.pcc <- pcc;
      ctx.Cpu.ddc <- Cap.null;   (* the heart of CheriABI *)
-     ctx.Cpu.creg.(Reg.csp) <- Cap.set_addr stack_cap (align_down hdr 16);
-     ctx.Cpu.creg.(Reg.ca0) <- args_cap;
-     ctx.Cpu.creg.(Reg.cgp) <- cgp
+     Cpu.wr_creg ctx Reg.csp (Cap.set_addr stack_cap (align_down hdr 16));
+     Cpu.wr_creg ctx Reg.ca0 args_cap;
+     Cpu.wr_creg ctx Reg.cgp cgp
    | `Legacy (argc, argv_base, envv_base, sp) ->
      ctx.Cpu.pcc <- Cap.set_addr root link.Rtld.lk_entry;
      ctx.Cpu.ddc <- root;

@@ -50,7 +50,7 @@ let marshal_args (p : Proc.t) spec =
           incr ii;
           Uarg.UInt v
         | Sysno.APtr ->
-          let c = ctx.Cpu.creg.(Reg.ca0 + !ci) in
+          let c = Cpu.rd_creg ctx (Reg.ca0 + !ci) in
           incr ci;
           Uarg.UPtr (Uarg.Ucap c))
       spec
@@ -73,7 +73,7 @@ let do_syscall k (p : Proc.t) =
        | Sys_impl.RInt v -> ctx.Cpu.gpr.(Reg.v0) <- v
        | Sys_impl.RPtr (Uarg.Uaddr a) -> ctx.Cpu.gpr.(Reg.v0) <- a
        | Sys_impl.RPtr (Uarg.Ucap c) ->
-         ctx.Cpu.creg.(Reg.ca0) <- c;
+         Cpu.wr_creg ctx Reg.ca0 c;
          ctx.Cpu.gpr.(Reg.v0) <- 0
        | Sys_impl.RNone -> ()
      with
@@ -82,7 +82,7 @@ let do_syscall k (p : Proc.t) =
        (* Pointer-returning syscalls signal errors in the result
           capability register too: an untagged value holding -errno. *)
        if p.Proc.abi = Abi.Cheriabi then
-         ctx.Cpu.creg.(Reg.ca0) <- Cap.set_addr Cap.null (-(Errno.to_code e))
+         Cpu.wr_creg ctx Reg.ca0 (Cap.set_addr Cap.null (-(Errno.to_code e)))
      | Sys_impl.Restart ->
        (* Re-execute the SYSCALL instruction after wakeup. *)
        ctx.Cpu.pcc <- Cap.set_addr entry_pcc (Cap.addr entry_pcc - 4))

@@ -41,7 +41,7 @@ let getregs_bytes (t : Proc.t) =
 (* Capability-register dump: tag, perms, base, top, addr (5 x 8 bytes). *)
 let getcap_bytes (t : Proc.t) reg =
   if reg < 0 || reg > 31 then err Errno.EINVAL;
-  let c = t.Proc.ctx.Cpu.creg.(reg) in
+  let c = Cpu.rd_creg t.Proc.ctx reg in
   let out = Bytes.create 40 in
   let put i v = Bytes.set_int64_le out (i * 8) (Int64.of_int v) in
   put 0 (if Cap.is_tagged c then 1 else 0);

@@ -33,7 +33,7 @@ let write_frame k p frame =
   Kstate.kwrite_cap k p (frame + 256) ctx.Cpu.pcc;
   Kstate.kwrite_cap k p (frame + 272) ctx.Cpu.ddc;
   for i = 1 to 31 do
-    Kstate.kwrite_cap k p (frame + 288 + ((i - 1) * 16)) ctx.Cpu.creg.(i)
+    Kstate.kwrite_cap k p (frame + 288 + ((i - 1) * 16)) (Cpu.rd_creg ctx i)
   done
 
 let read_frame k p frame =
@@ -44,7 +44,7 @@ let read_frame k p frame =
   ctx.Cpu.pcc <- Kstate.kread_cap k p (frame + 256);
   ctx.Cpu.ddc <- Kstate.kread_cap k p (frame + 272);
   for i = 1 to 31 do
-    ctx.Cpu.creg.(i) <- Kstate.kread_cap k p (frame + 288 + ((i - 1) * 16))
+    Cpu.wr_creg ctx i (Kstate.kread_cap k p (frame + 288 + ((i - 1) * 16)))
   done
 
 (* Push a signal frame and enter the handler. *)
@@ -52,7 +52,7 @@ let deliver_to_handler k (p : Proc.t) sig_ handler =
   let ctx = p.Proc.ctx in
   let sp_now =
     match p.Proc.abi with
-    | Abi.Cheriabi -> Cap.addr ctx.Cpu.creg.(Reg.csp)
+    | Abi.Cheriabi -> Cap.addr (Cpu.rd_creg ctx Reg.csp)
     | Abi.Mips64 | Abi.Asan -> ctx.Cpu.gpr.(Reg.sp)
   in
   let frame = (sp_now - frame_size) land lnot 15 in
@@ -69,8 +69,8 @@ let deliver_to_handler k (p : Proc.t) sig_ handler =
          Perms.code
      in
      Kstate.trace_grant k p ~origin:"signal" tramp;
-     ctx.Cpu.creg.(Reg.csp) <- Cap.set_addr ctx.Cpu.creg.(Reg.csp) frame;
-     ctx.Cpu.creg.(Reg.cra) <- tramp;
+     Cpu.wr_creg ctx Reg.csp (Cap.set_addr (Cpu.rd_creg ctx Reg.csp) frame);
+     Cpu.wr_creg ctx Reg.cra tramp;
      ctx.Cpu.pcc <- hcap
    | (Abi.Mips64 | Abi.Asan), Uarg.Uaddr a ->
      ctx.Cpu.gpr.(Reg.sp) <- frame;

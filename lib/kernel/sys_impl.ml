@@ -476,7 +476,7 @@ let sys_fork k (p : Proc.t) = function
     let child = Proc.create ~pid ~parent:p.Proc.pid ~abi:p.Proc.abi ~asp:casp in
     child.Proc.ctx <- Cpu.copy_ctx p.Proc.ctx;
     child.Proc.ctx.Cpu.gpr.(Reg.v0) <- 0;
-    child.Proc.ctx.Cpu.creg.(Reg.ca0) <- Cap.null;
+    Cpu.wr_creg child.Proc.ctx Reg.ca0 Cap.null;
     child.Proc.fds <- Array.map (fun e -> Option.iter Vfs.ref_entry e; e) p.Proc.fds;
     child.Proc.code <- p.Proc.code;
     child.Proc.linked <- p.Proc.linked;

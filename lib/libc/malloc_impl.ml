@@ -507,6 +507,9 @@ let malloc k (p : Proc.t) len =
   drain_shard k p h aff;
   aff.sh_mallocs <- aff.sh_mallocs + 1;
   let rlen = Compress.crrl len in
+  (* Longer than any capability can bound ([Compress.max_length]): no
+     representable rounding exists, and crrl says so by coming out short. *)
+  if rlen < len then raise (Alloc_fault Errno.ENOMEM);
   let addr, parent, ci, blen =
     match class_of_size rlen with
     | Some ci ->

@@ -35,7 +35,7 @@ let arg_int (p : Proc.t) i = p.Proc.ctx.Cpu.gpr.(Reg.a0 + i)
 
 let arg_ptr (p : Proc.t) i =
   match p.Proc.abi with
-  | Abi.Cheriabi -> Rcap p.Proc.ctx.Cpu.creg.(Reg.ca0 + i)
+  | Abi.Cheriabi -> Rcap (Cpu.rd_creg p.Proc.ctx (Reg.ca0 + i))
   | Abi.Mips64 | Abi.Asan -> Raddr p.Proc.ctx.Cpu.gpr.(Reg.a0 + i)
 
 let ref_addr = function
@@ -47,8 +47,8 @@ let ret_int (p : Proc.t) v = p.Proc.ctx.Cpu.gpr.(Reg.v0) <- v
 let ret_ptr k (p : Proc.t) ~addr ~cap =
   p.Proc.ctx.Cpu.gpr.(Reg.v0) <- addr;
   match p.Proc.abi, cap with
-  | Abi.Cheriabi, Some c -> p.Proc.ctx.Cpu.creg.(Reg.ca0) <- c
-  | Abi.Cheriabi, None -> p.Proc.ctx.Cpu.creg.(Reg.ca0) <- Cap.null
+  | Abi.Cheriabi, Some c -> Cpu.wr_creg p.Proc.ctx Reg.ca0 c
+  | Abi.Cheriabi, None -> Cpu.wr_creg p.Proc.ctx Reg.ca0 Cap.null
   | (Abi.Mips64 | Abi.Asan), _ -> ignore k
 
 (* Check that [r] authorizes an access of [len] with [perm]; returns the
@@ -204,14 +204,13 @@ let revoke_range k (p : Proc.t) ~base ~top =
           end)
         (Cheri_tagmem.Tagmem.scan_tags mem pa Cheri_tagmem.Phys.page_size));
   let ctx = p.Proc.ctx in
-  Array.iteri
-    (fun i c ->
-      if i > 0 && Cap.is_tagged c && Cap.base c < top && Cap.top c > base
-      then begin
-        ctx.Cpu.creg.(i) <- Cap.clear_tag c;
-        incr revoked
-      end)
-    ctx.Cpu.creg;
+  for i = 1 to Cap.Regs.nregs - 1 do
+    let c = Cpu.rd_creg ctx i in
+    if Cap.is_tagged c && Cap.base c < top && Cap.top c > base then begin
+      Cpu.wr_creg ctx i (Cap.clear_tag c);
+      incr revoked
+    end
+  done;
   (* The sweep visits every resident page: a real cost, charged as such. *)
   K.charge k p (200 + (!pages * 80));
   !revoked

@@ -19,8 +19,9 @@
      and is padded to a whole number of 64-bit words so that range scans
      can test eight bitset bytes (= 1 KiB of memory) per load;
    - tag bit [g] set => [slots.(g / 256)] is that frame's own slot array
-     (allocated on its first tagged store) and slot [g mod 256] is
-     [Some c]; a clear bit has a [None] slot or no slot array at all;
+     (allocated on its first tagged store) and slot [g mod 256] holds the
+     tagged capability; a clear bit has a [Cap.null] slot or no slot array
+     at all;
    - every store path clears overlapped tag bits *and* their slots before
      touching the raw bytes, so a data write can never leave a stale
      capability reachable. *)
@@ -43,11 +44,11 @@ let slot_mask = (1 lsl slot_shift) - 1
    write path swaps in a private buffer first. *)
 let zero_frame = Bytes.make frame_size '\000'
 
-let no_slots : Cap.t option array = [||]
+let no_slots : Cap.t array = [||]
 
 type t = {
   frames : Bytes.t array;            (* frame -> data, [zero_frame] if unwritten *)
-  slots : Cap.t option array array;  (* frame -> granule slots, or [no_slots] *)
+  slots : Cap.t array array;         (* frame -> granule slots, or [no_slots] *)
   tagbits : Bytes.t;                 (* packed tag bitset, 1 bit per granule *)
   size : int;
   ngranules : int;
@@ -100,7 +101,7 @@ let[@inline] wframe t addr =
   if f == zero_frame then materialize t fi else f
 
 let[@inline never] materialize_slots t fi =
-  let s = Array.make (1 lsl slot_shift) None in
+  let s = Array.make (1 lsl slot_shift) Cap.null in
   Array.unsafe_set t.slots fi s;
   s
 
@@ -110,7 +111,7 @@ let[@inline] slot t g =
 
 let[@inline] slot_clear t g =
   Array.unsafe_set (Array.unsafe_get t.slots (g lsr slot_shift)) (g land slot_mask)
-    None
+    Cap.null
 
 let slot_set t g c =
   let fi = g lsr slot_shift in
@@ -434,29 +435,49 @@ let read_cap t addr =
   check t addr granule;
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
-  if tag_bit t g then
-    match slot t g with
-    | Some c -> c
-    | None -> assert false   (* bit and slot move together *)
+  if tag_bit t g then slot t g
   else
     (* Untagged: reconstruct the cursor from the raw bytes; all other
        fields read as a null-derived pattern. *)
     Cap.untagged
       ~addr:(Int64.to_int (Bytes.get_int64_le (rframe t addr) (addr land frame_mask)))
 
-let write_cap t addr cap =
+(* [read_cap] straight into capability register slot [w], with the tag
+   stripped unless [keep_tag] (CLC): the register file copies the slot's
+   fields, so the load allocates nothing. *)
+let load_cap_reg t addr regs w ~keep_tag =
   check t addr granule;
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
+  if tag_bit t g then Cap.Regs.load regs w (slot t g) ~keep_tag
+  else
+    Cap.Regs.set_untagged regs w
+      (Int64.to_int (Bytes.get_int64_le (rframe t addr) (addr land frame_mask)))
+
+(* The raw bytes of a capability store: cursor in the low 8 bytes, a
+   metadata summary above. Returns the granule, whose tag the caller
+   sets or clears. *)
+let write_cap_bytes t addr cursor =
+  check t addr granule;
+  Cap.check_cap_alignment addr;
   let f = wframe t addr and off = addr land frame_mask in
-  (* Raw bytes: cursor in the low 8 bytes, a metadata summary above. *)
-  Bytes.set_int64_le f off (Int64.logand (Int64.of_int (Cap.addr cap)) int63_mask);
+  Bytes.set_int64_le f off (Int64.logand (Int64.of_int cursor) int63_mask);
   Bytes.set_int64_le f (off + 8) 0L;
+  granule_of addr
+
+let write_cap t addr cap =
+  let g = write_cap_bytes t addr (Cap.addr cap) in
   if Cap.is_tagged cap then begin
     tag_bit_set t g;
-    slot_set t g (Some cap)
+    slot_set t g cap
   end else
     tag_bit_clear t g
+
+(* [write_cap] of capability register slot [s] (CSC): only a tagged
+   value is boxed, since only a tagged value needs a slot. *)
+let store_cap_reg t addr regs s =
+  if Cap.Regs.tag regs s then write_cap t addr (Cap.Regs.get regs s)
+  else tag_bit_clear t (write_cap_bytes t addr (Cap.Regs.addr regs s))
 
 (* Memmove the raw bytes of [src, src+len) to [dst, dst+len). *)
 let copy_bytes t ~src ~dst ~len =
@@ -488,7 +509,7 @@ let move t ~src ~dst ~len =
     if aligned && range_has_tags t sg0 (granule_of (src + len - 1)) then begin
       (* Collect source granule caps first so overlapping moves are safe. *)
       let n = len / granule in
-      let caps = Array.make n None in
+      let caps = Array.make n Cap.null in
       for i = 0 to n - 1 do
         let g = sg0 + i in
         if tag_bit t g then caps.(i) <- slot t g
@@ -497,12 +518,12 @@ let move t ~src ~dst ~len =
       copy_bytes t ~src ~dst ~len;
       let dg0 = granule_of dst in
       for i = 0 to n - 1 do
-        match caps.(i) with
-        | None -> ()
-        | Some _ as c ->
+        let c = caps.(i) in
+        if Cap.is_tagged c then begin
           let g = dg0 + i in
           tag_bit_set t g;
           slot_set t g c
+        end
       done
     end else begin
       (* No source tags (or an unaligned copy, which strips them): a plain

@@ -62,7 +62,7 @@ let guard_holds (ctx : Cpu.ctx) (preds : Facts.gpred array) =
       let c, a =
         if p.Facts.gp_ddc then (ctx.Cpu.ddc, ctx.Cpu.gpr.(p.Facts.gp_reg))
         else
-          let c = ctx.Cpu.creg.(p.Facts.gp_reg) in
+          let c = Cpu.rd_creg ctx p.Facts.gp_reg in
           (c, Cap.addr c)
       in
       Cap.is_tagged c

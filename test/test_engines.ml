@@ -155,12 +155,13 @@ let gen_insn rnd ~len =
       | 1 -> Insn.Rt (rnd 8)
       | 2 -> Insn.Break (1 + rnd 7)
       | _ -> Insn.CGetPerm (g (), c ()))
-  (* CRRL/CRAM are covered by the directed ISA tests; with fully random
-     operands they hit Compress's Invalid_argument (a pre-existing
-     property of both engines, not an engine difference). *)
-  | 24 -> (match rnd 2 with
+  (* CRRL/CRAM are total: the value pool's negative and huge operands
+     included. *)
+  | 24 -> (match rnd 4 with
       | 0 -> Insn.CGetOffset (g (), c ())
-      | _ -> Insn.CGetType (g (), c ()))
+      | 1 -> Insn.CGetType (g (), c ())
+      | 2 -> Insn.CRRL (g (), g ())
+      | _ -> Insn.CRAM (g (), g ()))
   | _ -> if rnd 4 = 0 then Insn.Annot "fuzz" else Insn.Nop
 
 let gen_program seed =
@@ -194,18 +195,18 @@ let setup insns seed =
   ctx.Cpu.pcc <- Cap.set_addr root code_base;
   ctx.Cpu.ddc <- root;
   let data = Cap.set_bounds (Cap.set_addr root data_base) ~len:data_len in
-  ctx.Cpu.creg.(1) <- data;
-  ctx.Cpu.creg.(2) <-
-    Cap.set_bounds (Cap.set_addr root (data_base + 0x1000)) ~len:0x40;
+  Cpu.wr_creg ctx 1 data;
+  Cpu.wr_creg ctx 2
+    (Cap.set_bounds (Cap.set_addr root (data_base + 0x1000)) ~len:0x40);
   (* No LOAD_CAP/STORE_CAP: CLC strips tags, CSC of tagged values faults. *)
-  ctx.Cpu.creg.(3) <-
-    Cap.and_perms data Perms.(union load (union store global));
+  Cpu.wr_creg ctx 3
+    (Cap.and_perms data Perms.(union load (union store global)));
   (* Local (non-GLOBAL) capability: exercises the store-local rule. *)
-  ctx.Cpu.creg.(4) <- Cap.and_perms data (Perms.diff Perms.all Perms.global);
+  Cpu.wr_creg ctx 4 (Cap.and_perms data (Perms.diff Perms.all Perms.global));
   (* Sealing capability: its address is the otype. *)
-  ctx.Cpu.creg.(5) <- Cap.set_addr root (5 + rnd 3);
-  ctx.Cpu.creg.(6) <- Cap.clear_tag (Cap.inc_addr data (8 * rnd 16));
-  ctx.Cpu.creg.(7) <- Cap.set_bounds (Cap.set_addr root data_base) ~len:16;
+  Cpu.wr_creg ctx 5 (Cap.set_addr root (5 + rnd 3));
+  Cpu.wr_creg ctx 6 (Cap.clear_tag (Cap.inc_addr data (8 * rnd 16)));
+  Cpu.wr_creg ctx 7 (Cap.set_bounds (Cap.set_addr root data_base) ~len:16);
   let pool = value_pool (Array.length insns) in
   for r = 1 to 15 do
     ctx.Cpu.gpr.(r) <- pool.(rnd (Array.length pool))
@@ -216,7 +217,7 @@ let setup insns seed =
     Tagmem.write_int mem (data_base + (8 * i)) ~len:8 (lcg st)
   done;
   Tagmem.write_cap mem (data_base + 0x1000) data;
-  Tagmem.write_cap mem (data_base + 0x1010) ctx.Cpu.creg.(4);
+  Tagmem.write_cap mem (data_base + 0x1010) (Cpu.rd_creg ctx 4);
   (m, ctx, mem)
 
 (* --- Observable-state snapshot --------------------------------------------------- *)
@@ -247,8 +248,9 @@ let snapshot stop (m : Cpu.machine) (ctx : Cpu.ctx) mem =
   done;
   Buffer.add_char b '\n';
   for r = 1 to 31 do
-    if not (Cap.equal ctx.Cpu.creg.(r) Cap.null) then
-      Printf.bprintf b "c%d=%s\n" r (cap_str ctx.Cpu.creg.(r))
+    let c = Cpu.rd_creg ctx r in
+    if not (Cap.equal c Cap.null) then
+      Printf.bprintf b "c%d=%s\n" r (cap_str c)
   done;
   let h = m.Cpu.hier in
   Printf.bprintf b "il1=%d/%d dl1=%d/%d l2=%d/%d\n"
@@ -333,6 +335,45 @@ let test_fuzz_engines () =
   let fresh = Tagmem.create ~size:4096 in
   Alcotest.(check bool) "shared zero frame still zero" true
     (Bytes.for_all (fun c -> c = '\000') (Tagmem.read_bytes fresh 0 4096))
+
+(* CRRL/CRAM on operands no capability length can have: a negative
+   length and one past [Compress.max_length]. Both once escaped the
+   engines (an uncaught Invalid_argument; an exponent search that never
+   returned); now both engines retire them to the documented results and
+   agree on the whole machine state. *)
+let test_crrl_cram_out_of_range () =
+  let t0 = 12 in
+  let huge = (1 lsl 61) + 1 in
+  let insns =
+    [| Insn.Li (t0, -1);
+       Insn.CRRL (t0 + 1, t0);
+       Insn.CRAM (t0 + 2, t0);
+       Insn.Li (t0, huge);
+       Insn.CRRL (t0 + 3, t0);
+       Insn.CRAM (t0 + 4, t0);
+       Insn.Break 0 |]
+  in
+  let run engine =
+    let m, ctx, mem = setup insns 1 in
+    let stop =
+      match engine with
+      | `Step -> Cpu.run m ctx ~fuel
+      | `Chain -> Bbcache.run (Bbcache.create ()) m ctx ~fuel
+    in
+    (match stop with
+     | Some (Cpu.Stop_trap (Trap.Break_trap 0)) -> ()
+     | s -> Alcotest.failf "did not reach the break: %s" (stop_str s));
+    (ctx, snapshot stop m ctx mem)
+  in
+  let ctx, s_step = run `Step in
+  let _, s_chain = run `Chain in
+  Alcotest.(check string) "step and chain agree" s_step s_chain;
+  let gpr r = ctx.Cpu.gpr.(r) in
+  let top_mask = lnot ((1 lsl 49) - 1) in
+  Alcotest.(check int) "crrl -1" 0 (gpr (t0 + 1));
+  Alcotest.(check int) "cram -1" top_mask (gpr (t0 + 2));
+  Alcotest.(check int) "crrl 2^61+1" 0 (gpr (t0 + 3));
+  Alcotest.(check int) "cram 2^61+1" top_mask (gpr (t0 + 4))
 
 (* A targeted case the fuzzer hits only occasionally: PCC bounds that end
    in the middle of a decoded block. The hoisted whole-block check must
@@ -1084,23 +1125,26 @@ let test_kernel_parity () =
   check_parity Abi.Cheriabi
 
 (* Allocation budget of the chain engine's hot path: a compute-bound
-   mips64 program run to completion on a booted machine may allocate at
-   most 0.2 OCaml minor words per retired instruction. Only the run is
+   program run to completion on a booted machine may allocate at most
+   [bound] OCaml minor words per retired instruction. Only the run is
    measured — compile, boot and spawn are outside the window. Per-access
    closures or boxed values on the execution path (a local [let rec] in a
-   cache way search costs a closure per line group) show up here long
-   before they show up as time. *)
-let test_chain_minor_words () =
-  let abi = Abi.Mips64 in
+   cache way search costs a closure per line group; a fresh [Cap.t] per
+   capability-register write costs seven words) show up here long before
+   they show up as time. One row per ABI, each bound about twice what the
+   engine measures: mips64 security-sha (0.105 when set), and CheriABI
+   network-dijkstra, whose pointer arithmetic and capability loads run
+   through the unboxed register file. *)
+let chain_minor_words ~abi ~bench ~bound () =
   let image =
-    Stdlib_src.build_image ~abi ~name:"sha"
-      (Option.get (Cheri_workloads.Mibench.find "security-sha"))
+    Stdlib_src.build_image ~abi ~name:bench
+      (Option.get (Cheri_workloads.Mibench.find bench))
   in
   let k = Kernel.boot () in
   k.Kstate.config.Kstate.engine <- Cpu.Chain;
   Cheri_libc.Runtime.install k;
-  Cheri_kernel.Vfs.add_exe k.Kstate.vfs "/bin/sha" ~abi image;
-  let p = Kernel.spawn k ~path:"/bin/sha" ~argv:[ "sha" ] () in
+  Cheri_kernel.Vfs.add_exe k.Kstate.vfs ("/bin/" ^ bench) ~abi image;
+  let p = Kernel.spawn k ~path:("/bin/" ^ bench) ~argv:[ bench ] () in
   let w0 = Gc.minor_words () in
   let _ = Kernel.run k in
   let words = Gc.minor_words () -. w0 in
@@ -1108,9 +1152,13 @@ let test_chain_minor_words () =
     (Kernel.status_of k p.Proc.pid = Some (Proc.Exited 0));
   let insns = p.Proc.ctx.Cpu.instret in
   let per_insn = words /. float_of_int insns in
-  if per_insn > 0.2 then
-    Alcotest.failf "%.0f minor words over %d instructions = %.3f per insn > 0.2"
-      words insns per_insn
+  if per_insn > bound then
+    Alcotest.failf "%s/%s: %.0f minor words over %d instructions = %.3f per insn > %g"
+      (Abi.to_string abi) bench words insns per_insn bound
+
+let test_chain_minor_words () =
+  chain_minor_words ~abi:Abi.Mips64 ~bench:"security-sha" ~bound:0.2 ();
+  chain_minor_words ~abi:Abi.Cheriabi ~bench:"network-dijkstra" ~bound:0.11 ()
 
 let test_kernel_parity_tiny_quantum () =
   (* A prime quantum far below block size: almost every timeslice ends
@@ -1120,6 +1168,7 @@ let test_kernel_parity_tiny_quantum () =
 let suite =
   [ "differential fuzz: step vs chain", `Quick, test_fuzz_engines;
     "PCC bounds mid-block", `Quick, test_pcc_midblock_bounds;
+    "CRRL/CRAM out of range", `Quick, test_crrl_cram_out_of_range;
     "chain: self-loop", `Quick, test_chain_self_loop;
     "chain: ping-pong", `Quick, test_chain_ping_pong;
     "chain: megamorphic Jr inline cache", `Quick, test_chain_ic_megamorphic;

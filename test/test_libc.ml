@@ -203,6 +203,24 @@ let test_memcpy_unaligned_strips () =
   | Some (Proc.Exited c) -> Alcotest.failf "survived with exit %d" c
   | _ -> Alcotest.fail "expected SIGPROT"
 
+(* A request longer than any capability can bound has no CRRL rounding:
+   malloc must fail with NULL (once, this looped forever in the
+   compression model's exponent search). *)
+let test_malloc_unrepresentable_null () =
+  List.iter
+    (fun abi ->
+      check_ok ~abi
+        {|
+          int main(int argc, char **argv) {
+            char *p = malloc((1 << 61) + 1);
+            assert(p == 0);
+            char *q = malloc(16);
+            assert(q != 0);
+            return 0;
+          }
+        |})
+    [ Abi.Cheriabi; Abi.Mips64 ]
+
 let test_strlen_respects_bounds () =
   let status, _, _ =
     run_c ~abi:Abi.Cheriabi
@@ -301,6 +319,8 @@ let suite =
     test_large_alloc_unmapped_after_free;
     "memcpy preserves capabilities", `Quick, test_memcpy_preserves_caps;
     "unaligned copies strip tags", `Quick, test_memcpy_unaligned_strips;
+    "malloc of an unrepresentable length is NULL", `Quick,
+    test_malloc_unrepresentable_null;
     "strlen respects bounds", `Quick, test_strlen_respects_bounds;
     "calloc/realloc chain", `Quick, test_calloc_and_realloc_chain;
     "realloc rebounds", `Quick, test_realloc_rebounds;

@@ -111,13 +111,13 @@ let test_cheriabi_initial_registers () =
     (Perms.has (Cap.perms pcc) Perms.store);
   Alcotest.(check bool) "pcc bounded under 1MiB" true (Cap.length pcc < 1 lsl 20);
   (* Stack capability covers exactly the stack region. *)
-  let csp = ctx.Cpu.creg.(Reg.csp) in
+  let csp = Cpu.rd_creg ctx Reg.csp in
   Alcotest.(check int) "csp base" Exec.stack_base (Cap.base csp);
   Alcotest.(check int) "csp top" Exec.stack_top (Cap.top csp);
   Alcotest.(check bool) "csp not executable" false
     (Perms.has (Cap.perms csp) Perms.execute);
   (* The argument capability is small and inside the stack region. *)
-  let args = ctx.Cpu.creg.(Reg.ca0) in
+  let args = Cpu.rd_creg ctx Reg.ca0 in
   Alcotest.(check int) "args header is 48 bytes" 48 (Cap.length args);
   Alcotest.(check bool) "args within stack" true
     (Cap.base args >= Exec.stack_base && Cap.top args <= Exec.stack_top)
@@ -141,7 +141,7 @@ let test_cheriabi_argv_caps_bounded () =
   let k, p = spawn_idle Abi.Cheriabi in
   (* Read argv[1]'s capability from the argument block: it must be bounded
      to exactly its string. *)
-  let hdr = Cap.addr p.Proc.ctx.Cpu.creg.(Reg.ca0) in
+  let hdr = Cap.addr (Cpu.rd_creg p.Proc.ctx Reg.ca0) in
   let argv_cap = Kstate.kread_cap k p (hdr + 16) in
   Alcotest.(check bool) "argv array cap tagged" true (Cap.is_tagged argv_cap);
   let arg1 = Kstate.kread_cap k p (Cap.base argv_cap + Cap.sizeof) in

@@ -261,16 +261,18 @@ let reset_space sp =
 
 (* Instruction-side translate, memoized at page granularity within one
    [run] (the kernel only remaps/evicts pages *between* runs). May raise
-   a page fault, exactly as the step engine's fetch translate would. *)
-let translate_exec t m pc =
+   a page fault, exactly as the step engine's fetch translate would. The
+   hit compiles inline; the miss is out of line. *)
+let[@inline never] translate_exec_miss t m pc vp =
+  let pa = m.Cpu.translate pc ~write:false ~exec:true in
+  t.cur_vpage <- vp;
+  t.cur_pbase <- pa - (pc land page_mask);
+  pa
+
+let[@inline] translate_exec t m pc =
   let vp = pc lsr page_shift in
   if vp = t.cur_vpage then t.cur_pbase + (pc land page_mask)
-  else begin
-    let pa = m.Cpu.translate pc ~write:false ~exec:true in
-    t.cur_vpage <- vp;
-    t.cur_pbase <- pa - (pc land page_mask);
-    pa
-  end
+  else translate_exec_miss t m pc vp
 
 (* Data-side translates. A natural-aligned access of <= 16 bytes
    never crosses a page, so one (vpage -> frame base) pair resolves the
@@ -282,38 +284,21 @@ let translate_exec t m pc =
    and installs in its place. A fault in [m.translate] propagates before
    any array write, so a faulting access never perturbs the TLB. Indices
    are [2*(vp land 1)] and [+1] into length-4 arrays, in range by
-   construction. *)
-let translate_rd t m vaddr =
-  let vp = vaddr lsr page_shift in
-  let s = (vp land 1) * 2 in
-  let vps = t.d_rd_vp and pbs = t.d_rd_pb in
-  if Array.unsafe_get vps s = vp then begin
-    t.dtlb_hits <- t.dtlb_hits + 1;
-    Array.unsafe_get pbs s + (vaddr land page_mask)
-  end
-  else if Array.unsafe_get vps (s + 1) = vp then begin
-    t.dtlb_hits <- t.dtlb_hits + 1;
-    let pb = Array.unsafe_get pbs (s + 1) in
-    Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
-    Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
-    Array.unsafe_set vps s vp;
-    Array.unsafe_set pbs s pb;
-    pb + (vaddr land page_mask)
-  end
-  else begin
-    let pa = m.Cpu.translate vaddr ~write:false ~exec:false in
-    t.dtlb_misses <- t.dtlb_misses + 1;
-    Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
-    Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
-    Array.unsafe_set vps s vp;
-    Array.unsafe_set pbs s (pa - (vaddr land page_mask));
-    pa
-  end
+   construction. Both hits compile inline into the memory closures; the
+   miss is out of line. *)
+let[@inline never] dtlb_miss t m (vps : int array) (pbs : int array) vaddr vp s
+    ~write =
+  let pa = m.Cpu.translate vaddr ~write ~exec:false in
+  t.dtlb_misses <- t.dtlb_misses + 1;
+  Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
+  Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
+  Array.unsafe_set vps s vp;
+  Array.unsafe_set pbs s (pa - (vaddr land page_mask));
+  pa
 
-let translate_wr t m vaddr =
+let[@inline] dtlb t m (vps : int array) (pbs : int array) vaddr ~write =
   let vp = vaddr lsr page_shift in
   let s = (vp land 1) * 2 in
-  let vps = t.d_wr_vp and pbs = t.d_wr_pb in
   if Array.unsafe_get vps s = vp then begin
     t.dtlb_hits <- t.dtlb_hits + 1;
     Array.unsafe_get pbs s + (vaddr land page_mask)
@@ -327,15 +312,13 @@ let translate_wr t m vaddr =
     Array.unsafe_set pbs s pb;
     pb + (vaddr land page_mask)
   end
-  else begin
-    let pa = m.Cpu.translate vaddr ~write:true ~exec:false in
-    t.dtlb_misses <- t.dtlb_misses + 1;
-    Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
-    Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
-    Array.unsafe_set vps s vp;
-    Array.unsafe_set pbs s (pa - (vaddr land page_mask));
-    pa
-  end
+  else dtlb_miss t m vps pbs vaddr vp s ~write
+
+let[@inline] translate_rd t m vaddr =
+  dtlb t m t.d_rd_vp t.d_rd_pb vaddr ~write:false
+
+let[@inline] translate_wr t m vaddr =
+  dtlb t m t.d_wr_vp t.d_wr_pb vaddr ~write:true
 
 (* Fast-path DDC probe for the compiled legacy memory closures: pure
    field reads, no exception frame, same predicate as
@@ -344,7 +327,7 @@ let translate_wr t m vaddr =
    fault — so the fast path only ever skips work, never changes it.
    Capability-relative accesses probe the register file the same way,
    through [Cap.Regs.access_ok]. *)
-let cap_ok (c : Cap.t) perm vaddr len =
+let[@inline] cap_ok (c : Cap.t) perm vaddr len =
   c.Cap.tag
   && c.Cap.otype = Cap.otype_unsealed
   && c.Cap.perms land perm = perm
@@ -355,7 +338,7 @@ let cap_ok (c : Cap.t) perm vaddr len =
    the ifetch (through the memoized exec translate) plus base cycles, and
    retire the instruction — exactly what [Cpu.step] does before executing,
    so a faulting terminator still counts, as there. *)
-let account t m pc base ctx =
+let[@inline] account t m pc base ctx =
   let ipa = translate_exec t m pc in
   ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.ifetch m.Cpu.hier ipa + base;
   ctx.Cpu.instret <- ctx.Cpu.instret + 1
@@ -379,49 +362,71 @@ let compile_sem t m ~pc insn =
   let hier = m.Cpu.hier in
   let mem = m.Cpu.mem in
   match insn with
-  | Insn.Li (rd, v) -> fun ctx -> Cpu.wr_gpr ctx rd v
-  | Insn.Move (rd, rs) -> fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs)
+  | Insn.Li (rd, v) ->
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d v
+  | Insn.Move (rd, rs) ->
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs)
   | Insn.Addu (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt)
   | Insn.Addiu (rd, rs, i) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + i)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + i)
   | Insn.Subu (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt)
   | Insn.Mul (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs * Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs * Cpu.rd_gpr ctx rt)
   | Insn.And_ (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs land Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land Cpu.rd_gpr ctx rt)
   | Insn.Andi (rd, rs, i) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs land i)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land i)
   | Insn.Or_ (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lor Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor Cpu.rd_gpr ctx rt)
   | Insn.Ori (rd, rs, i) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lor i)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor i)
   | Insn.Xor_ (rd, rs, rt) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lxor Cpu.rd_gpr ctx rt)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor Cpu.rd_gpr ctx rt)
   | Insn.Xori (rd, rs, i) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lxor i)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor i)
   | Insn.Sll (rd, rs, sh) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lsl sh)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsl sh)
   | Insn.Srl (rd, rs, sh) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lsr sh)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsr sh)
   | Insn.Sra (rd, rs, sh) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs asr sh)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs asr sh)
   | Insn.Slt (rd, rs, rt) ->
+    let d = Cpu.gpr_wslot rd in
     fun ctx ->
-      Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0)
+      Cpu.wr_gpr ctx d (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0)
   | Insn.Slti (rd, rs, i) ->
-    fun ctx -> Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < i then 1 else 0)
+    let d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (if Cpu.rd_gpr ctx rs < i then 1 else 0)
   | Insn.Sltu (rd, rs, rt) ->
+    let d = Cpu.gpr_wslot rd in
     fun ctx ->
       let ua = Cpu.rd_gpr ctx rs lxor min_int
       and ub = Cpu.rd_gpr ctx rt lxor min_int in
-      Cpu.wr_gpr ctx rd (if ua < ub then 1 else 0)
+      Cpu.wr_gpr ctx d (if ua < ub then 1 else 0)
   | Insn.Sltiu (rd, rs, i) ->
+    let d = Cpu.gpr_wslot rd in
     fun ctx ->
       let ua = Cpu.rd_gpr ctx rs lxor min_int and ub = i lxor min_int in
-      Cpu.wr_gpr ctx rd (if ua < ub then 1 else 0)
+      Cpu.wr_gpr ctx d (if ua < ub then 1 else 0)
   | Insn.Load { w; signed; rd; base = b; off } ->
+    let d = Cpu.gpr_wslot rd in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
       let vaddr = Cpu.rd_gpr ctx b + off in
@@ -430,7 +435,7 @@ let compile_sem t m ~pc insn =
       Cpu.check_align vaddr w;
       let pa = translate_rd t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
+      Cpu.wr_gpr ctx d
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
   | Insn.Store { w; rs; base = b; off } ->
@@ -444,7 +449,7 @@ let compile_sem t m ~pc insn =
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLoad { w; signed; rd; cb; off } ->
-    let s = Regs.rslot cb in
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
     fun ctx ->
       t.checked_probes <- t.checked_probes + 1;
       let r = ctx.Cpu.creg in
@@ -454,7 +459,7 @@ let compile_sem t m ~pc insn =
       Cpu.check_align vaddr w;
       let pa = translate_rd t m vaddr in
       ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
+      Cpu.wr_gpr ctx d
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
   | Insn.CStore { w; rs; cb; off } ->
@@ -524,26 +529,26 @@ let compile_sem t m ~pc insn =
     let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx -> Regs.move ctx.Cpu.creg ~dst:d ~src:s
   | Insn.CGetBase (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.base ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.base ctx.Cpu.creg s)
   | Insn.CGetLen (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.length ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.length ctx.Cpu.creg s)
   | Insn.CGetAddr (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.addr ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.addr ctx.Cpu.creg s)
   | Insn.CGetOffset (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.offset ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.offset ctx.Cpu.creg s)
   | Insn.CGetPerm (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.perms ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.perms ctx.Cpu.creg s)
   | Insn.CGetTag (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (if Regs.tag ctx.Cpu.creg s then 1 else 0)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (if Regs.tag ctx.Cpu.creg s then 1 else 0)
   | Insn.CGetType (rd, cb) ->
-    let s = Regs.rslot cb in
-    fun ctx -> Cpu.wr_gpr ctx rd (Regs.otype ctx.Cpu.creg s)
+    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+    fun ctx -> Cpu.wr_gpr ctx d (Regs.otype ctx.Cpu.creg s)
   | Insn.Nop -> fun _ctx -> ()
   | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn
 
@@ -583,7 +588,7 @@ let compile_term t m ~pc insn =
     fun ctx ->
       account t m pc base ctx;
       Cpu.check_branch_target tg;
-      Cpu.wr_gpr ctx Reg.ra (pc + 4);
+      Cpu.wr_gpr ctx (Cpu.gpr_wslot Reg.ra) (pc + 4);
       tg
   | Insn.Jr rs ->
     fun ctx ->
@@ -592,11 +597,12 @@ let compile_term t m ~pc insn =
       Cpu.check_branch_target tg;
       tg
   | Insn.Jalr (rd, rs) ->
+    let d = Cpu.gpr_wslot rd in
     fun ctx ->
       account t m pc base ctx;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
-      Cpu.wr_gpr ctx rd (pc + 4);
+      Cpu.wr_gpr ctx d (pc + 4);
       tg
   | Insn.CJR cb ->
     let s = Regs.rslot cb in
@@ -669,11 +675,13 @@ let make_groups entry nbody =
     Array.of_list (List.rev !gs)
   end
 
-(* Decode a maximal block starting at [entry]. Returns [None] when even
-   the first instruction is outside decoded code: the step fallback then
-   reproduces the fetch fault with exact accounting. Build never touches
-   translate, caches or counters, so it is invisible to the statistics.
-   *)
+(* Decode a maximal block starting at [entry]. A block ends before the
+   first instruction [Cpu.decode] rejects: one outside decoded code (a
+   fetch fault) or one with an out-of-range register operand (a reserved
+   instruction). Returns [None] when that is the first instruction: the
+   step fallback then raises the trap with exact accounting. Build never
+   touches translate, caches or counters, so it is invisible to the
+   statistics. *)
 let build t m entry =
   let body = ref [] in
   let bases = ref [] in
@@ -682,7 +690,7 @@ let build t m entry =
   (try
      while !term = None && !n < max_block do
        let pc = entry + (4 * !n) in
-       let insn = m.Cpu.fetch pc in
+       let insn = Cpu.decode m pc in
        if Insn.is_terminator insn then term := Some (compile_term t m ~pc insn)
        else begin
          body := compile_sem t m ~pc insn :: !body;

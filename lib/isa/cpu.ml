@@ -45,7 +45,8 @@ type machine = {
 }
 
 type ctx = {
-  gpr : int array;           (* 32 integer registers; index 0 reads as 0 *)
+  gpr : int array;           (* 32 integer registers, then r0's write sink
+                                (see "Register access" below) *)
   creg : Cap.Regs.t;         (* 32 capability registers, unboxed; c0 reads
                                 NULL (docs/INTERP.md) *)
   mutable pcc : Cap.t;       (* program-counter capability; cursor = pc *)
@@ -60,8 +61,11 @@ let create_machine ~mem ~hier =
     fetch = (fun v -> Trap.raise_trap (Trap.Fetch_fault { vaddr = v }));
     tracer = None }
 
+(* Slot 32 of [gpr]: where writes to r0 land. *)
+let gpr_sink = 32
+
 let create_ctx () =
-  { gpr = Array.make 32 0;
+  { gpr = Array.make (gpr_sink + 1) 0;
     creg = Cap.Regs.create ();
     pcc = Cap.null;
     ddc = Cap.null;
@@ -74,8 +78,17 @@ let copy_ctx c =
 
 (* --- Register access -------------------------------------------------------- *)
 
-let rd_gpr ctx r = if r = 0 then 0 else ctx.gpr.(r)
-let wr_gpr ctx r v = if r <> 0 then ctx.gpr.(r) <- v
+(* The integer file has one invariant: [gpr.(0) = 0]. Writes name a write
+   slot, resolved from the register once ([gpr_wslot], at decode in the
+   chain engine): r0's is the sink [gpr_sink], which no reader and no
+   renderer (snapshot, signal frame, ptrace) ever shows. Outside the
+   engines, writers name a fixed non-zero register (syscall results,
+   exec's argument registers, [Signal_dispatch.read_frame] restoring
+   r1..r31), so nothing ever writes slot 0. Register operands are
+   range-checked once, at decode ([decode]), so a read is one load. *)
+let[@inline] gpr_wslot r = if r = 0 then gpr_sink else r
+let[@inline] rd_gpr ctx r = Array.unsafe_get ctx.gpr r
+let[@inline] wr_gpr ctx w v = Array.unsafe_set ctx.gpr w v
 (* The boxed view of the capability file: the step engine, which stays the
    oracle on the [Cap] API, and every consumer outside the datapath
    (syscalls, signal frames, exec, ptrace, snapshots) read and write
@@ -85,16 +98,23 @@ let wr_creg ctx r v = Cap.Regs.set ctx.creg (Cap.Regs.wslot r) v
 
 (* --- Memory access ----------------------------------------------------------- *)
 
-let check_align vaddr w =
-  if w > 1 && vaddr land (w - 1) <> 0 then
-    Trap.raise_trap (Trap.Unaligned { vaddr; width = w })
+(* Hit paths here are [@inline], so they compile into the chain engine's
+   closures; every trap raise is [@inline never], so the closures carry
+   only a call to it (docs/INTERP.md, "The hot path"). *)
+let[@inline never] unaligned vaddr w =
+  Trap.raise_trap (Trap.Unaligned { vaddr; width = w })
 
-let cap_fault violation ~reg ~vaddr =
+let[@inline] check_align vaddr w =
+  if w > 1 && vaddr land (w - 1) <> 0 then unaligned vaddr w
+
+let[@inline never] cap_fault violation ~reg ~vaddr =
   Trap.raise_trap (Trap.Cap_fault { violation; reg; vaddr })
 
 (* Check a data access through capability [c] (register [reg] for fault
-   reporting) at absolute [vaddr]. *)
-let check_cap c ~reg ~perm ~vaddr ~len =
+   reporting) at absolute [vaddr]. The engines' inline probes call it only
+   when their fast predicate fails, to raise the architecturally ordered
+   fault. *)
+let[@inline never] check_cap c ~reg ~perm ~vaddr ~len =
   try Cap.check_access_at c ~perm ~addr:vaddr ~len
   with Cap.Cap_error v -> cap_fault v ~reg ~vaddr
 
@@ -143,8 +163,7 @@ let derive ~reg ~pc f =
    before any architectural side effect (link-register writes included), so
    a misaligned target raises a precise [Unaligned] trap instead of
    surfacing later as a confusing fetch fault. *)
-let check_branch_target t =
-  if t land 3 <> 0 then Trap.raise_trap (Trap.Unaligned { vaddr = t; width = 4 })
+let[@inline] check_branch_target t = if t land 3 <> 0 then unaligned t 4
 
 (* Signed division operands: divide-by-zero traps, and so does the
    INT_MIN / -1 overflow that OCaml's [/] and [mod] silently wrap. *)
@@ -155,7 +174,7 @@ let check_div a b =
 let do_load m ctx ~w ~signed ~rd ~base ~off =
   let vaddr = rd_gpr ctx base + off in
   check_cap ctx.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-  wr_gpr ctx rd (mem_read m ctx vaddr w ~signed)
+  wr_gpr ctx (gpr_wslot rd) (mem_read m ctx vaddr w ~signed)
 
 let do_store m ctx ~w ~rs ~base ~off =
   let vaddr = rd_gpr ctx base + off in
@@ -166,7 +185,7 @@ let do_cload m ctx ~w ~signed ~rd ~cb ~off =
   let cap = rd_creg ctx cb in
   let vaddr = Cap.addr cap + off in
   check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-  wr_gpr ctx rd (mem_read m ctx vaddr w ~signed)
+  wr_gpr ctx (gpr_wslot rd) (mem_read m ctx vaddr w ~signed)
 
 let do_cstore m ctx ~w ~rs ~cb ~off =
   let cap = rd_creg ctx cb in
@@ -205,43 +224,51 @@ let do_csc m ctx ~cs ~cb ~off =
    call this, so straight-line semantics exist in exactly one place. *)
 let exec_straight m ctx ~pc (insn : Insn.t) =
   match insn with
-  | Insn.Li (rd, v) -> wr_gpr ctx rd v
-  | Move (rd, rs) -> wr_gpr ctx rd (rd_gpr ctx rs)
-  | Addu (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs + rd_gpr ctx rt)
-  | Addiu (rd, rs, i) -> wr_gpr ctx rd (rd_gpr ctx rs + i)
-  | Subu (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs - rd_gpr ctx rt)
-  | Mul (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs * rd_gpr ctx rt)
+  | Insn.Li (rd, v) -> wr_gpr ctx (gpr_wslot rd) v
+  | Move (rd, rs) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs)
+  | Addu (rd, rs, rt) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs + rd_gpr ctx rt)
+  | Addiu (rd, rs, i) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs + i)
+  | Subu (rd, rs, rt) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs - rd_gpr ctx rt)
+  | Mul (rd, rs, rt) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs * rd_gpr ctx rt)
   | Div (rd, rs, rt) ->
     let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
     check_div a b;
-    wr_gpr ctx rd (a / b)
+    wr_gpr ctx (gpr_wslot rd) (a / b)
   | Rem (rd, rs, rt) ->
     let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
     check_div a b;
-    wr_gpr ctx rd (a mod b)
-  | And_ (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs land rd_gpr ctx rt)
-  | Andi (rd, rs, i) -> wr_gpr ctx rd (rd_gpr ctx rs land i)
-  | Or_ (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs lor rd_gpr ctx rt)
-  | Ori (rd, rs, i) -> wr_gpr ctx rd (rd_gpr ctx rs lor i)
-  | Xor_ (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs lxor rd_gpr ctx rt)
-  | Xori (rd, rs, i) -> wr_gpr ctx rd (rd_gpr ctx rs lxor i)
-  | Nor_ (rd, rs, rt) -> wr_gpr ctx rd (lnot (rd_gpr ctx rs lor rd_gpr ctx rt))
-  | Sll (rd, rs, sh) -> wr_gpr ctx rd (rd_gpr ctx rs lsl sh)
-  | Srl (rd, rs, sh) -> wr_gpr ctx rd (rd_gpr ctx rs lsr sh)
-  | Sra (rd, rs, sh) -> wr_gpr ctx rd (rd_gpr ctx rs asr sh)
-  | Sllv (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs lsl (rd_gpr ctx rt land 63))
-  | Srlv (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs lsr (rd_gpr ctx rt land 63))
-  | Srav (rd, rs, rt) -> wr_gpr ctx rd (rd_gpr ctx rs asr (rd_gpr ctx rt land 63))
-  | Slt (rd, rs, rt) -> wr_gpr ctx rd (if rd_gpr ctx rs < rd_gpr ctx rt then 1 else 0)
+    wr_gpr ctx (gpr_wslot rd) (a mod b)
+  | And_ (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs land rd_gpr ctx rt)
+  | Andi (rd, rs, i) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs land i)
+  | Or_ (rd, rs, rt) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lor rd_gpr ctx rt)
+  | Ori (rd, rs, i) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lor i)
+  | Xor_ (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lxor rd_gpr ctx rt)
+  | Xori (rd, rs, i) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lxor i)
+  | Nor_ (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (lnot (rd_gpr ctx rs lor rd_gpr ctx rt))
+  | Sll (rd, rs, sh) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lsl sh)
+  | Srl (rd, rs, sh) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lsr sh)
+  | Sra (rd, rs, sh) -> wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs asr sh)
+  | Sllv (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lsl (rd_gpr ctx rt land 63))
+  | Srlv (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs lsr (rd_gpr ctx rt land 63))
+  | Srav (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (rd_gpr ctx rs asr (rd_gpr ctx rt land 63))
+  | Slt (rd, rs, rt) ->
+    wr_gpr ctx (gpr_wslot rd) (if rd_gpr ctx rs < rd_gpr ctx rt then 1 else 0)
   | Sltu (rd, rs, rt) ->
     (* Unsigned compare on 63-bit OCaml ints: compare shifted. *)
     let a = rd_gpr ctx rs and b = rd_gpr ctx rt in
     let ua = a lxor min_int and ub = b lxor min_int in
-    wr_gpr ctx rd (if ua < ub then 1 else 0)
-  | Slti (rd, rs, i) -> wr_gpr ctx rd (if rd_gpr ctx rs < i then 1 else 0)
+    wr_gpr ctx (gpr_wslot rd) (if ua < ub then 1 else 0)
+  | Slti (rd, rs, i) ->
+    wr_gpr ctx (gpr_wslot rd) (if rd_gpr ctx rs < i then 1 else 0)
   | Sltiu (rd, rs, i) ->
     let ua = rd_gpr ctx rs lxor min_int and ub = i lxor min_int in
-    wr_gpr ctx rd (if ua < ub then 1 else 0)
+    wr_gpr ctx (gpr_wslot rd) (if ua < ub then 1 else 0)
   | Load { w; signed; rd; base; off } -> do_load m ctx ~w ~signed ~rd ~base ~off
   | Store { w; rs; base; off } -> do_store m ctx ~w ~rs ~base ~off
   | CLoad { w; signed; rd; cb; off } -> do_cload m ctx ~w ~signed ~rd ~cb ~off
@@ -249,13 +276,14 @@ let exec_straight m ctx ~pc (insn : Insn.t) =
   | CLC { cd; cb; off } -> do_clc m ctx ~cd ~cb ~off
   | CSC { cs; cb; off } -> do_csc m ctx ~cs ~cb ~off
   | CMove (cd, cb) -> wr_creg ctx cd (rd_creg ctx cb)
-  | CGetBase (rd, cb) -> wr_gpr ctx rd (Cap.base (rd_creg ctx cb))
-  | CGetLen (rd, cb) -> wr_gpr ctx rd (Cap.length (rd_creg ctx cb))
-  | CGetAddr (rd, cb) -> wr_gpr ctx rd (Cap.addr (rd_creg ctx cb))
-  | CGetOffset (rd, cb) -> wr_gpr ctx rd (Cap.offset (rd_creg ctx cb))
-  | CGetPerm (rd, cb) -> wr_gpr ctx rd (Cap.perms (rd_creg ctx cb))
-  | CGetTag (rd, cb) -> wr_gpr ctx rd (if Cap.is_tagged (rd_creg ctx cb) then 1 else 0)
-  | CGetType (rd, cb) -> wr_gpr ctx rd (Cap.otype (rd_creg ctx cb))
+  | CGetBase (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.base (rd_creg ctx cb))
+  | CGetLen (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.length (rd_creg ctx cb))
+  | CGetAddr (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.addr (rd_creg ctx cb))
+  | CGetOffset (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.offset (rd_creg ctx cb))
+  | CGetPerm (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.perms (rd_creg ctx cb))
+  | CGetTag (rd, cb) ->
+    wr_gpr ctx (gpr_wslot rd) (if Cap.is_tagged (rd_creg ctx cb) then 1 else 0)
+  | CGetType (rd, cb) -> wr_gpr ctx (gpr_wslot rd) (Cap.otype (rd_creg ctx cb))
   | CSetBounds (cd, cb, rt) ->
     let r = derive ~reg:cb ~pc (fun () -> Cap.set_bounds (rd_creg ctx cb) ~len:(rd_gpr ctx rt)) in
     trace_derive m ~pc "csetbounds" r;
@@ -293,8 +321,10 @@ let exec_straight m ctx ~pc (insn : Insn.t) =
   | CUnseal (cd, cb, ct) ->
     let r = derive ~reg:cb ~pc (fun () -> Cap.unseal (rd_creg ctx cb) ~with_:(rd_creg ctx ct)) in
     wr_creg ctx cd r
-  | CRRL (rd, rs) -> wr_gpr ctx rd (Cheri_cap.Compress.crrl (rd_gpr ctx rs))
-  | CRAM (rd, rs) -> wr_gpr ctx rd (Cheri_cap.Compress.cram (rd_gpr ctx rs))
+  | CRRL (rd, rs) ->
+    wr_gpr ctx (gpr_wslot rd) (Cheri_cap.Compress.crrl (rd_gpr ctx rs))
+  | CRAM (rd, rs) ->
+    wr_gpr ctx (gpr_wslot rd) (Cheri_cap.Compress.cram (rd_gpr ctx rs))
   | CReadDDC cd ->
     if not (Perms.has (Cap.perms ctx.pcc) Perms.system_regs) then
       cap_fault (Cap.Permit_violation Perms.system_regs) ~reg:cd ~vaddr:pc;
@@ -310,6 +340,20 @@ let exec_straight m ctx ~pc (insn : Insn.t) =
     (* Terminators run through the engines' control paths. *)
     assert false
 
+(* --- Decode ------------------------------------------------------------------- *)
+
+(* Fetch the instruction at [pc] and validate its register operands: one
+   that names a register outside either file is a reserved instruction.
+   This is the one range check on register operands. The step engine
+   decodes every instruction here, after the fetch is charged and before
+   it retires (the accounting of a fetch fault); the chain engine builds
+   blocks through it and ends a block before such an instruction, so the
+   step fallback raises the trap with the same accounting. *)
+let decode m pc =
+  let insn = m.fetch pc in
+  if not (Insn.regs_valid insn) then Trap.raise_trap Trap.Reserved_instruction;
+  insn
+
 (* --- Step --------------------------------------------------------------------- *)
 
 let step m ctx : stop option =
@@ -320,7 +364,7 @@ let step m ctx : stop option =
      with Cap.Cap_error v -> cap_fault v ~reg:(-1) ~vaddr:pc);
     let ipa = m.translate pc ~write:false ~exec:true in
     ctx.cycles <- ctx.cycles + Cache.ifetch m.hier ipa;
-    let insn = m.fetch pc in
+    let insn = decode m pc in
     ctx.cycles <- ctx.cycles + Insn.base_cycles insn;
     ctx.instret <- ctx.instret + 1;
     let next = ref (pc + 4) in
@@ -346,7 +390,10 @@ let step m ctx : stop option =
        if rd_gpr ctx rs >= 0 then
          (check_branch_target t; next := t; ctx.cycles <- ctx.cycles + 1)
      | J t -> check_branch_target t; next := t
-     | Jal t -> check_branch_target t; wr_gpr ctx Reg.ra (pc + 4); next := t
+     | Jal t ->
+       check_branch_target t;
+       wr_gpr ctx (gpr_wslot Reg.ra) (pc + 4);
+       next := t
      | Jr rs ->
        let t = rd_gpr ctx rs in
        check_branch_target t;
@@ -354,7 +401,7 @@ let step m ctx : stop option =
      | Jalr (rd, rs) ->
        let t = rd_gpr ctx rs in
        check_branch_target t;
-       wr_gpr ctx rd (pc + 4);
+       wr_gpr ctx (gpr_wslot rd) (pc + 4);
        next := t
      | CJR cb ->
        let target = rd_creg ctx cb in

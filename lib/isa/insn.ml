@@ -122,6 +122,38 @@ let is_terminator = function
   | Syscall | Break _ | Rt _ -> true
   | _ -> false
 
+(* Are all register operands in range? Every GPR and capability operand
+   names one of the 32 registers of its file; an instruction that names
+   anything else is reserved ([Cpu.decode] raises
+   [Trap.Reserved_instruction] for it, in both engines). Immediates,
+   shift amounts and targets are not operands here. *)
+let regs_valid i =
+  let ok r = 0 <= r && r < 32 in
+  match i with
+  | Li (a, _) | Jr a | Blez (a, _) | Bgtz (a, _) | Bltz (a, _) | Bgez (a, _)
+  | CJR a | CJAL (a, _) | CReadDDC a | CWriteDDC a -> ok a
+  | Move (a, b) | Jalr (a, b) | Beq (a, b, _) | Bne (a, b, _)
+  | Addiu (a, b, _) | Andi (a, b, _) | Ori (a, b, _) | Xori (a, b, _)
+  | Sll (a, b, _) | Srl (a, b, _) | Sra (a, b, _)
+  | Slti (a, b, _) | Sltiu (a, b, _)
+  | Load { rd = a; base = b; _ } | Store { rs = a; base = b; _ }
+  | CLoad { rd = a; cb = b; _ } | CStore { rs = a; cb = b; _ }
+  | CLC { cd = a; cb = b; _ } | CSC { cs = a; cb = b; _ }
+  | CMove (a, b) | CGetBase (a, b) | CGetLen (a, b) | CGetAddr (a, b)
+  | CGetOffset (a, b) | CGetPerm (a, b) | CGetTag (a, b) | CGetType (a, b)
+  | CSetBoundsImm (a, b, _) | CAndPermImm (a, b, _) | CIncOffsetImm (a, b, _)
+  | CClearTag (a, b) | CRRL (a, b) | CRAM (a, b) | CJALR (a, b) ->
+    ok a && ok b
+  | Addu (a, b, c) | Subu (a, b, c) | Mul (a, b, c) | Div (a, b, c)
+  | Rem (a, b, c) | And_ (a, b, c) | Or_ (a, b, c) | Xor_ (a, b, c)
+  | Nor_ (a, b, c) | Sllv (a, b, c) | Srlv (a, b, c) | Srav (a, b, c)
+  | Slt (a, b, c) | Sltu (a, b, c)
+  | CSetBounds (a, b, c) | CSetBoundsExact (a, b, c) | CAndPerm (a, b, c)
+  | CIncOffset (a, b, c) | CSetAddr (a, b, c) | CFromPtr (a, b, c)
+  | CSeal (a, b, c) | CUnseal (a, b, c) ->
+    ok a && ok b && ok c
+  | J _ | Jal _ | Syscall | Break _ | Rt _ | Annot _ | Nop -> true
+
 (* Capability register written by an instruction, if any. CReadDDC writes
    its destination creg; CWriteDDC writes the special DDC register, not a
    creg, so it reports no definition here. *)

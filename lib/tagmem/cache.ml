@@ -57,8 +57,13 @@ let reset_stats t =
 
 let flush t = Array.fill t.tags 0 (Array.length t.tags) (-1)
 
+(* The probe is split for inlining: the hit path of [data_access]/[ifetch]
+   -> [access] -> [access_line] (an L1 hit) is [@inline] and compiles into
+   the execution engines' closures; fills, the generic way scan,
+   multi-line accesses and the L2/DRAM arms are [@inline never]. *)
+
 (* Miss: evict the LRU way of the row starting at [base]. *)
-let fill_line t base tag =
+let[@inline never] fill_line t base tag =
   t.misses <- t.misses + 1;
   let victim = ref base in
   for i = base + 1 to base + t.ways - 1 do
@@ -82,39 +87,40 @@ let rec find_way t base tag i =
   else if Array.unsafe_get t.tags i = tag then i
   else find_way t base tag (i + 1)
 
+(* Probe of a row whose geometry is not 4-way (the L2). *)
+let[@inline never] access_row t base tag =
+  let w = find_way t base tag base in
+  if w < 0 then fill_line t base tag else hit_way t w
+
 (* Probe a single line. Returns true on hit; on miss the line is filled. *)
-let access_line t line =
+let[@inline] access_line t line =
   let set = line land t.set_mask in
   let tag = line lsr t.set_shift in
   let base = set * t.ways in
   t.clock <- t.clock + 1;
   if t.ways = 4 then begin
-    (* Unrolled scan for the 4-way L1s (covers ways <= 4 via the generic
-       arm below; 4 is the hot geometry). *)
+    (* Unrolled scan for the 4-way L1s, the hot geometry. *)
     if Array.unsafe_get t.tags base = tag then hit_way t base
     else if Array.unsafe_get t.tags (base + 1) = tag then hit_way t (base + 1)
     else if Array.unsafe_get t.tags (base + 2) = tag then hit_way t (base + 2)
     else if Array.unsafe_get t.tags (base + 3) = tag then hit_way t (base + 3)
     else fill_line t base tag
-  end else begin
-    let w = find_way t base tag base in
-    if w < 0 then fill_line t base tag else hit_way t w
   end
+  else access_row t base tag
+
+let[@inline never] access_lines t first last =
+  let ok = ref true in
+  for line = first to last do
+    if not (access_line t line) then ok := false
+  done;
+  !ok
 
 (* Probe an access of [len] bytes at [addr]; true iff all lines hit. *)
-let access t addr len =
+let[@inline] access t addr len =
   let first = addr lsr t.line_shift in
   let last = (addr + (if len > 0 then len - 1 else 0)) lsr t.line_shift in
-  if first = last then
-    (* Fast path: the common <= 8-byte aligned access touches one line. *)
-    access_line t first
-  else begin
-    let ok = ref true in
-    for line = first to last do
-      if not (access_line t line) then ok := false
-    done;
-    !ok
-  end
+  (* Fast path: a natural-aligned access of <= 64 bytes touches one line. *)
+  if first = last then access_line t first else access_lines t first last
 
 (* --- Two-level hierarchy --------------------------------------------------- *)
 
@@ -138,17 +144,17 @@ let create_hierarchy ?(l1_size = 32 * 1024) ?(l2_size = 256 * 1024) () =
     l2_hit_cycles = 9;
     dram_cycles = 36 }
 
+(* Cycle cost of an access that missed its L1: the L2 and DRAM arms. *)
+let[@inline never] l2_access h addr len =
+  if access h.l2 addr len then h.l2_hit_cycles else h.dram_cycles
+
 (* Cycle cost of a data access. *)
-let data_access h addr len =
-  if access h.dl1 addr len then h.l1_hit_cycles
-  else if access h.l2 addr len then h.l2_hit_cycles
-  else h.dram_cycles
+let[@inline] data_access h addr len =
+  if access h.dl1 addr len then h.l1_hit_cycles else l2_access h addr len
 
 (* Cycle cost of an instruction fetch. *)
-let ifetch h addr =
-  if access h.il1 addr 4 then h.l1_hit_cycles
-  else if access h.l2 addr 4 then h.l2_hit_cycles
-  else h.dram_cycles
+let[@inline] ifetch h addr =
+  if access h.il1 addr 4 then h.l1_hit_cycles else l2_access h addr 4
 
 (* Account [k] repeat probes of a line that is guaranteed to hit: the
    caller just probed the line containing [addr] and nothing has touched

@@ -299,7 +299,19 @@ let[@inline never] write_int_straddle t addr len v =
       (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
 
-let read_int t addr ~len =
+(* Widths other than 1, 2, 4 and 8, within one frame. *)
+let[@inline never] read_int_bytes f off len =
+  let v = ref 0 in
+  for i = len - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get f (off + i))
+  done;
+  !v
+
+(* [read_int], [read_int_signed] and [write_int] are [@inline]: an
+   in-frame access of width 1, 2, 4 or 8 compiles into the execution
+   engines' closures. Out-of-range, straddling and odd-width accesses
+   call out of line. *)
+let[@inline] read_int t addr ~len =
   check t addr len;
   let off = addr land frame_mask in
   if off + len > frame_size then read_int_straddle t addr len
@@ -310,12 +322,7 @@ let read_int t addr ~len =
     | 4 -> Int32.to_int (Bytes.get_int32_le f off) land 0xFFFF_FFFF
     | 2 -> Bytes.get_uint16_le f off
     | 1 -> Bytes.get_uint8 f off
-    | _ ->
-      let v = ref 0 in
-      for i = len - 1 downto 0 do
-        v := (!v lsl 8) lor Char.code (Bytes.unsafe_get f (off + i))
-      done;
-      !v
+    | _ -> read_int_bytes f off len
 
 (* Clear the (at most two) granule tags a small access overlaps, without
    the generality of the range sweep. *)
@@ -324,7 +331,13 @@ let[@inline] clear_tags_small t addr last =
   tag_bit_clear t g0;
   if g1 <> g0 then tag_bit_clear t g1
 
-let write_int t addr ~len v =
+let[@inline never] write_int_bytes t f addr off len v =
+  clear_tags_covering t addr len;
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set f (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
+let[@inline] write_int t addr ~len v =
   check t addr len;
   let off = addr land frame_mask in
   if off + len > frame_size then write_int_straddle t addr len v
@@ -343,14 +356,10 @@ let write_int t addr ~len v =
     | 1 ->
       tag_bit_clear t (addr lsr granule_shift);
       Bytes.set_uint8 f off (v land 0xFF)
-    | _ ->
-      clear_tags_covering t addr len;
-      for i = 0 to len - 1 do
-        Bytes.unsafe_set f (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-      done
+    | _ -> write_int_bytes t f addr off len v
 
 (* Sign-extend an integer read of [len] bytes. *)
-let read_int_signed t addr ~len =
+let[@inline] read_int_signed t addr ~len =
   let v = read_int t addr ~len in
   let bits = len * 8 in
   if bits >= 63 then v

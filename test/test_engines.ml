@@ -62,8 +62,11 @@ let value_pool len =
      mem_size; 16; 4096 |]
 
 let gen_insn rnd ~len =
-  let g () = rnd 16 in                  (* gpr operand, 0..15 *)
-  let c () = rnd 8 in                   (* creg operand, 0..7 *)
+  (* Register operands span each whole file, so every register (sp, fp
+     and ra as explicit operands, c8..c31) is compared between the
+     engines; r0 and c0 stay at least 1/16 likely. *)
+  let reg () = if rnd 16 = 0 then 0 else rnd 32 in
+  let g = reg and c = reg in
   let target () =
     (* Mostly valid code addresses, occasionally past the end (fetch
        fault) or misaligned (alignment trap). *)
@@ -207,8 +210,14 @@ let setup insns seed =
   Cpu.wr_creg ctx 5 (Cap.set_addr root (5 + rnd 3));
   Cpu.wr_creg ctx 6 (Cap.clear_tag (Cap.inc_addr data (8 * rnd 16)));
   Cpu.wr_creg ctx 7 (Cap.set_bounds (Cap.set_addr root data_base) ~len:16);
+  (* c8..c31: copies of c1..c7 at shifted addresses, or NULL. *)
+  for r = 8 to 31 do
+    match rnd 8 with
+    | 0 -> ()
+    | k -> Cpu.wr_creg ctx r (Cap.inc_addr (Cpu.rd_creg ctx k) (8 * rnd 4))
+  done;
   let pool = value_pool (Array.length insns) in
-  for r = 1 to 15 do
+  for r = 1 to 31 do
     ctx.Cpu.gpr.(r) <- pool.(rnd (Array.length pool))
   done;
   (* Deterministic initial data-region contents, some of it capabilities
@@ -296,7 +305,7 @@ let run_chain ?(chunk = fuel) insns seed =
   (snapshot !stop m ctx mem, bb)
 
 let test_fuzz_engines () =
-  let programs = 120 in
+  let programs = 1000 in
   let mismatches = ref 0 in
   (* Coverage of the chunked configuration: quanta that expire mid-block
      and fall back to single-stepping. *)
@@ -634,6 +643,91 @@ let test_chain_trap_attribution () =
    | s -> Alcotest.failf "expected a tag fault, got %s" (stop_str s));
   Alcotest.(check int) "PCC names the faulting instruction, not the chain head"
     (code_base + 0x10) (Cap.addr ctx.Cpu.pcc)
+
+(* A register operand outside either file makes a reserved instruction:
+   a precise trap, not a host exception. [Cpu.decode] checks the operands
+   in both engines; the chain engine ends the block before the bad
+   instruction, so the step fallback raises the trap with the same stop,
+   PC, instret and cycles (the snapshot holds all four). *)
+let test_reserved_register_operands () =
+  List.iter
+    (fun (name, bad) ->
+      let insns =
+        [| Insn.Addiu (8, 8, 1); Insn.Addiu (9, 9, 2); bad; Insn.Break 0 |]
+      in
+      let _, _, ctx, stop = chain_vs_step ~name insns in
+      (match stop with
+       | Some (Cpu.Stop_trap Trap.Reserved_instruction) -> ()
+       | s -> Alcotest.failf "%s: expected a reserved instruction, got %s"
+                name (stop_str s));
+      Alcotest.(check int) (name ^ ": PCC names it") (code_base + 8)
+        (Cap.addr ctx.Cpu.pcc);
+      Alcotest.(check int) (name ^ ": it does not retire") 2 ctx.Cpu.instret)
+    [ "addu rs=40", Insn.Addu (3, 40, 1);
+      "addu rd=40", Insn.Addu (40, 1, 1);
+      "jr -1", Insn.Jr (-1);
+      "cmove cb=40", Insn.CMove (3, 40) ]
+
+(* An instruction whose destination is r0 does everything but the write,
+   which lands in the sink slot: r0 (slot 0) still reads 0 afterwards. *)
+let test_r0_destinations () =
+  let t0 = 12 in
+  let r0_zero name ctx =
+    Alcotest.(check int) (name ^ ": r0 slot") 0 ctx.Cpu.gpr.(0)
+  in
+  (* A load into r0 still probes the capability, translates and charges
+     the cache; then [Move] copies r0 out. *)
+  let insns =
+    [| Insn.Li (t0, data_base + 8); Insn.Li (t0 + 1, 77);
+       Insn.Load { w = 8; signed = false; rd = 0; base = t0; off = 0 };
+       Insn.Move (t0 + 1, 0); Insn.Break 0 |]
+  in
+  let bb, st, ctx, stop = chain_vs_step ~name:"load into r0" insns in
+  (match stop with
+   | Some (Cpu.Stop_trap (Trap.Break_trap 0)) -> ()
+   | s -> Alcotest.failf "load into r0: %s" (stop_str s));
+  Alcotest.(check int) "load into r0: probed" 1 bb.Bbcache.checked_probes;
+  Alcotest.(check int) "load into r0: translated" 1
+    (st.Bbcache.ch_dtlb_hits + st.Bbcache.ch_dtlb_misses);
+  Alcotest.(check int) "load into r0: r0 reads 0" 0 ctx.Cpu.gpr.(t0 + 1);
+  r0_zero "load" ctx;
+  (* ... and can fault: DDC ends at [mem_size]. *)
+  let insns =
+    [| Insn.Li (t0, mem_size);
+       Insn.Load { w = 8; signed = true; rd = 0; base = t0; off = 0 };
+       Insn.Break 0 |]
+  in
+  let _, _, ctx, stop = chain_vs_step ~name:"faulting load into r0" insns in
+  (match stop with
+   | Some (Cpu.Stop_trap (Trap.Cap_fault _)) -> ()
+   | s -> Alcotest.failf "faulting load into r0: %s" (stop_str s));
+  Alcotest.(check int) "faulting load into r0: PC" (code_base + 4)
+    (Cap.addr ctx.Cpu.pcc);
+  r0_zero "faulting load" ctx;
+  (* A division into r0 by zero still traps. *)
+  let insns =
+    [| Insn.Li (t0, 5); Insn.Li (t0 + 1, 0); Insn.Div (0, t0, t0 + 1);
+       Insn.Break 0 |]
+  in
+  let _, _, ctx, stop = chain_vs_step ~name:"div into r0" insns in
+  (match stop with
+   | Some (Cpu.Stop_trap Trap.Div_by_zero) -> ()
+   | s -> Alcotest.failf "div into r0: %s" (stop_str s));
+  Alcotest.(check int) "div into r0: PC" (code_base + 8) (Cap.addr ctx.Cpu.pcc);
+  r0_zero "div" ctx;
+  (* Jalr with rd = 0 jumps and links nowhere. *)
+  let insns =
+    [| Insn.Li (t0, code_base + 16); Insn.Li (t0 + 1, 77);
+       Insn.Jalr (0, t0); Insn.Break 1;
+       (* 0x1010: *)
+       Insn.Move (t0 + 1, 0); Insn.Break 0 |]
+  in
+  let _, _, ctx, stop = chain_vs_step ~name:"jalr rd=0" insns in
+  (match stop with
+   | Some (Cpu.Stop_trap (Trap.Break_trap 0)) -> ()
+   | s -> Alcotest.failf "jalr rd=0: %s" (stop_str s));
+  Alcotest.(check int) "jalr rd=0: r0 reads 0" 0 ctx.Cpu.gpr.(t0 + 1);
+  r0_zero "jalr" ctx
 
 (* A chain crossing an entry the analysis proves partly safe: the
    successor block is first reached as a *chained* target (never through
@@ -1169,6 +1263,8 @@ let suite =
   [ "differential fuzz: step vs chain", `Quick, test_fuzz_engines;
     "PCC bounds mid-block", `Quick, test_pcc_midblock_bounds;
     "CRRL/CRAM out of range", `Quick, test_crrl_cram_out_of_range;
+    "reserved register operands", `Quick, test_reserved_register_operands;
+    "r0 destinations", `Quick, test_r0_destinations;
     "chain: self-loop", `Quick, test_chain_self_loop;
     "chain: ping-pong", `Quick, test_chain_ping_pong;
     "chain: megamorphic Jr inline cache", `Quick, test_chain_ic_megamorphic;

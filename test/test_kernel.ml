@@ -17,8 +17,12 @@ module Crt0 = Cheri_libc.Crt0
 module Runtime = Cheri_libc.Runtime
 module Rtnum = Cheri_libc.Rtnum
 
-let boot () =
+module Cpu = Cheri_isa.Cpu
+module Kstate = Cheri_kernel.Kstate
+
+let boot ?engine () =
   let k = Kernel.boot () in
+  Option.iter (fun e -> k.Kstate.config.Kstate.engine <- e) engine;
   Runtime.install k;
   k
 
@@ -311,11 +315,15 @@ let signal_prog = function
         Asm.I (Insn.Li (Reg.a1, Signo.sigusr1));
         Asm.I (Insn.Li (Reg.v0, Sysno.sys_kill));
         Asm.I Insn.Syscall;
-        (* resumed here after the handler returns through sigreturn *)
-        Asm.I (Insn.Li (Reg.v0, 5));
+        (* resumed here after the handler returns through sigreturn;
+           exits 5 only if r0 still reads 0 *)
+        Asm.I (Insn.Addiu (Reg.v0, Reg.zero, 5));
         Asm.I (Insn.CIncOffsetImm (Reg.csp, Reg.csp, 32));
         Asm.I (Insn.CJR Reg.cra);
         Asm.Lbl "handler";
+        (* csp points at the signal frame: make its saved r0 non-zero *)
+        Asm.I (Insn.Li (Reg.t0, 0xdead));
+        Asm.I (Insn.CStore { w = 8; rs = Reg.t0; cb = Reg.csp; off = 0 });
         Asm.I (Insn.Li (Reg.a0, Char.code 'H'));
         Asm.I (Insn.Rt Rtnum.rt_print_char);
         Asm.I (Insn.CJR Reg.cra) ]
@@ -339,24 +347,48 @@ let signal_prog = function
         Asm.I (Insn.Li (Reg.a1, Signo.sigusr1));
         Asm.I (Insn.Li (Reg.v0, Sysno.sys_kill));
         Asm.I Insn.Syscall;
-        Asm.I (Insn.Li (Reg.v0, 5));
+        Asm.I (Insn.Addiu (Reg.v0, Reg.zero, 5));
         Asm.I (Insn.Addiu (Reg.sp, Reg.sp, 32));
         Asm.I (Insn.Jr Reg.ra);
         Asm.Lbl "handler";
+        (* sp points at the signal frame: make its saved r0 non-zero *)
+        Asm.I (Insn.Li (Reg.t0, 0xdead));
+        Asm.I (Insn.Store { w = 8; rs = Reg.t0; base = Reg.sp; off = 0 });
         Asm.I (Insn.Li (Reg.a0, Char.code 'H'));
         Asm.I (Insn.Rt Rtnum.rt_print_char);
         Asm.I (Insn.Jr Reg.ra) ]
 
+(* The handler also writes a non-zero r0 into its frame; sigreturn
+   restores r1..r31 only, so r0 still reads 0 under both engines. *)
 let test_signal_handler () =
   List.iter
-    (fun abi ->
-      let k = boot () in
+    (fun (engine, abi) ->
+      let k = boot ~engine () in
       install_exe k ~path:"/bin/sig" ~abi (signal_prog abi);
       let out = check_exit 5 (run k "/bin/sig") in
       Alcotest.(check string)
         (Printf.sprintf "handler ran under %s" (Abi.to_string abi))
         "H" out)
-    [ Abi.Mips64; Abi.Cheriabi ]
+    [ Cpu.Step, Abi.Mips64; Cpu.Step, Abi.Cheriabi;
+      Cpu.Chain, Abi.Mips64; Cpu.Chain, Abi.Cheriabi ]
+
+(* An image with an out-of-range register operand: the instruction is
+   reserved, so the process gets SIGILL under both engines. *)
+let test_reserved_register_sigill () =
+  let prog =
+    Sobj.make ~name:"ill"
+      ~exports:[ { Sobj.exp_name = "main"; exp_kind = Sobj.Func; exp_off = 0 } ]
+      [ Asm.Lbl "main";
+        Asm.I (Insn.Li (Reg.v0, 1));
+        Asm.I (Insn.Addu (Reg.v0, 40, Reg.zero));
+        Asm.I (Insn.Jr Reg.ra) ]
+  in
+  List.iter
+    (fun engine ->
+      let k = boot ~engine () in
+      install_exe k ~path:"/bin/ill" ~abi:Abi.Mips64 prog;
+      check_signal Signo.sigill (run k "/bin/ill"))
+    [ Cpu.Step; Cpu.Chain ]
 
 (* A CheriABI handler registered from an untagged value cannot be entered:
    provenance is enforced even for signal dispatch. *)
@@ -514,6 +546,8 @@ let suite =
     "fork + wait", `Quick, test_fork_wait;
     "signal handler roundtrip", `Quick, test_signal_handler;
     "forged signal handler rejected", `Quick, test_forged_handler_rejected;
+    "reserved register operand gets SIGILL", `Quick,
+    test_reserved_register_sigill;
     "pipe across fork", `Quick, test_pipe_across_fork;
     "getcwd overflow detected (cheriabi)", `Quick,
     test_getcwd_overflow_detected_cheriabi;

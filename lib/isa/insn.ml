@@ -181,7 +181,7 @@ let gpr_def = function
   | Sllv (rd, _, _) | Srlv (rd, _, _) | Srav (rd, _, _)
   | Slt (rd, _, _) | Sltu (rd, _, _) | Slti (rd, _, _) | Sltiu (rd, _, _)
   | Jalr (rd, _)
-  | Load { rd; _ }
+  | Load { rd; _ } | CLoad { rd; _ }
   | CGetBase (rd, _) | CGetLen (rd, _) | CGetAddr (rd, _)
   | CGetOffset (rd, _) | CGetPerm (rd, _) | CGetTag (rd, _)
   | CGetType (rd, _) | CRRL (rd, _) | CRAM (rd, _) -> Some rd

@@ -513,6 +513,43 @@ let test_tail_call_cfg () =
   Alcotest.(check bool) "callee partitions under its own root" true
     (List.mem g (members g))
 
+(* --- 3e. Callee register writes in the call summary ------------------------ *)
+
+(* The caller proves r8 = data_base, calls g, then loads through r8
+   under a DDC covering all of memory: if the fact survives the call,
+   the load is discharged. It may survive only when g leaves r8 alone.
+   A callee that reloads r8, through a legacy Load or a capability
+   CLoad, must appear in its summary's written registers, so the load
+   after the call stays checked. *)
+let test_callee_reload_kills_fact () =
+  let g = code_base + (4 * 4) in
+  let prog callee_insn =
+    [| Insn.Li (8, data_base);
+       Insn.Jal g;
+       Insn.Load { w = 8; signed = false; rd = 9; base = 8; off = 0 };
+       Insn.Break 0;
+       callee_insn;
+       Insn.Jr Cheri_isa.Reg.ra |]
+  in
+  let caller_load_elided callee_insn =
+    let r =
+      Absint.verify
+        ~ddc:(Cap.make_root ~base:0 ~top:Test_engines.mem_size ())
+        ~entries:[ code_base; g ]
+        [ (code_base, prog callee_insn) ]
+    in
+    r.Absint.r_flow_elided > 0
+  in
+  Alcotest.(check bool) "fact survives a callee that leaves r8 alone" true
+    (caller_load_elided
+       (Insn.CLoad { w = 8; signed = false; rd = 9; cb = 1; off = 0 }));
+  Alcotest.(check bool) "callee Load of r8 kills the fact" false
+    (caller_load_elided
+       (Insn.Load { w = 8; signed = false; rd = 8; base = 9; off = 0 }));
+  Alcotest.(check bool) "callee CLoad of r8 kills the fact" false
+    (caller_load_elided
+       (Insn.CLoad { w = 8; signed = false; rd = 8; cb = 1; off = 0 }))
+
 (* --- 4. C-level must-trap, cross-referenced with the kernel fault ------------ *)
 
 let int_deref_src = {|
@@ -679,6 +716,7 @@ let suite =
     "guarded elision in the engines", `Quick, test_guarded_elision;
     "branch refinement", `Quick, test_branch_refinement;
     "tail calls in the CFG", `Quick, test_tail_call_cfg;
+    "callee CLoad kills a caller fact", `Quick, test_callee_reload_kills_fact;
     "C-level must-trap + fault cross-reference", `Quick,
     test_c_level_must_trap;
     "analysis stats match verify", `Quick,

@@ -1190,8 +1190,8 @@ int main(int argc, char **argv) {
 }
 |}
 
-let measure ~engine ?quantum abi =
-  let m = Harness.run ~engine ?quantum ~abi parity_src in
+let measure ~engine ?quantum abi src =
+  let m = Harness.run ~engine ?quantum ~abi src in
   if not (Harness.ok m) then
     Alcotest.failf "parity run failed: %s (%s)" (Harness.status_string m)
       (String.concat "; " m.Harness.m_faults);
@@ -1201,18 +1201,24 @@ let measure ~engine ?quantum abi =
 (* The chain engine against step: identical output, retired-instruction,
    cycle and L2-miss counts — in particular
    the same preemption points when [quantum] forces timeslices to expire
-   inside blocks and chains. *)
+   inside blocks and chains. Two programs: the directed one above, and
+   MiBench security-sha, the first kernel of the Fig. 4 mix. *)
 let check_parity ?quantum abi =
-  let o1, i1, c1, l1 = measure ~engine:Cpu.Step ?quantum abi in
-  let label =
-    Printf.sprintf "%s chain%s" (Abi.to_string abi)
-      (match quantum with None -> "" | Some q -> Printf.sprintf " q=%d" q)
-  in
-  let o2, i2, c2, l2 = measure ~engine:Cpu.Chain ?quantum abi in
-  Alcotest.(check string) (label ^ ": output") o1 o2;
-  Alcotest.(check int) (label ^ ": instructions") i1 i2;
-  Alcotest.(check int) (label ^ ": cycles") c1 c2;
-  Alcotest.(check int) (label ^ ": L2 misses") l1 l2
+  List.iter
+    (fun (name, src) ->
+      let label =
+        Printf.sprintf "%s %s chain%s" name (Abi.to_string abi)
+          (match quantum with None -> "" | Some q -> Printf.sprintf " q=%d" q)
+      in
+      let o1, i1, c1, l1 = measure ~engine:Cpu.Step ?quantum abi src in
+      let o2, i2, c2, l2 = measure ~engine:Cpu.Chain ?quantum abi src in
+      Alcotest.(check string) (label ^ ": output") o1 o2;
+      Alcotest.(check int) (label ^ ": instructions") i1 i2;
+      Alcotest.(check int) (label ^ ": cycles") c1 c2;
+      Alcotest.(check int) (label ^ ": L2 misses") l1 l2)
+    [ "parity", parity_src;
+      "security-sha",
+      Option.get (Cheri_workloads.Mibench.find "security-sha") ]
 
 let test_kernel_parity () =
   check_parity Abi.Mips64;
@@ -1248,7 +1254,19 @@ let chain_minor_words ~abi ~bench ~bound () =
   let per_insn = words /. float_of_int insns in
   if per_insn > bound then
     Alcotest.failf "%s/%s: %.0f minor words over %d instructions = %.3f per insn > %g"
-      (Abi.to_string abi) bench words insns per_insn bound
+      (Abi.to_string abi) bench words insns per_insn bound;
+  (* The run must have used the engine's fast paths at all: every kernel
+     has monomorphic hot back edges (inline-cache hits, chained blocks)
+     and reloads the same pages (data-side TLB hits). *)
+  let ch = Bbcache.chain_stats k.Kstate.bb in
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then
+        Alcotest.failf "%s/%s: chain run never %s" (Abi.to_string abi) bench
+          what)
+    [ "hit an inline cache", ch.Bbcache.ch_ic_hits;
+      "chained a block", ch.Bbcache.ch_chained;
+      "hit the data-side TLB", ch.Bbcache.ch_dtlb_hits ]
 
 let test_chain_minor_words () =
   chain_minor_words ~abi:Abi.Mips64 ~bench:"security-sha" ~bound:0.2 ();

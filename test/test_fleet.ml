@@ -22,7 +22,6 @@
 module Fleet = Cheri_fleet.Fleet
 module Abi = Cheri_core.Abi
 module Proc = Cheri_kernel.Proc
-module Absint = Cheri_analysis.Absint
 module Stdlib_src = Cheri_workloads.Stdlib_src
 module Malloc_bench = Cheri_workloads.Malloc_bench
 
@@ -96,11 +95,13 @@ let custom_spec ~label ~name src =
     ms_max_steps = 200_000_000;
     ms_marker = '#' }
 
-(* Small but heterogeneous: two TLS traffic servers (distinct service
-   classes, shared images with the fleet bench path) plus the two
-   hard-case machines above. *)
+(* Small but heterogeneous: three TLS traffic servers (one per service
+   class, shared images with the fleet bench path) plus the hard-case
+   machines above. *)
+let traffic_machines = 3
+
 let mixed_specs () =
-  Fleet.traffic_mix ~machines:2 ~rounds:3 ()
+  Fleet.traffic_mix ~machines:traffic_machines ~rounds:3 ()
   @ [ custom_spec ~label:"fork_heavy" ~name:"fork_heavy" fork_heavy_src;
       custom_spec ~label:"mprotect_loops" ~name:"mprotect_hot" mprotect_src;
       (* Cross-shard allocator traffic: remote-free queues, adoption and
@@ -138,7 +139,6 @@ let check_machine_equal i (a : Fleet.machine_result)
     a.Fleet.mr_alloc b.Fleet.mr_alloc
 
 let test_one_vs_four_domains () =
-  Absint.clear_fact_cache ();
   let specs = mixed_specs () in
   let r1 = Fleet.run ~domains:1 specs in
   let r4 = Fleet.run ~domains:4 ~oversubscribe:true specs in
@@ -163,6 +163,20 @@ let test_one_vs_four_domains () =
         Alcotest.failf "machine %s finished %s" m.Fleet.mr_label
           (Fleet.status_str s))
     r1.Fleet.f_results;
+  (* every traffic server verified its exchange with the client *)
+  let traffic =
+    List.filter
+      (fun (m : Fleet.machine_result) ->
+        String.starts_with ~prefix:"s_server/" m.Fleet.mr_label)
+      (Array.to_list r4.Fleet.f_results)
+  in
+  Alcotest.(check int) "one traffic machine per service class"
+    traffic_machines (List.length traffic);
+  List.iter
+    (fun (m : Fleet.machine_result) ->
+      Alcotest.(check bool) (m.Fleet.mr_label ^ " completed") true
+        (String.ends_with ~suffix:"fleet ok" m.Fleet.mr_output))
+    traffic;
   (* and the hard cases must actually have exercised their hard paths *)
   let by_label l =
     let found = ref None in
@@ -216,7 +230,6 @@ let test_worker_cap () =
     r.Fleet.f_workers (Array.length r.Fleet.f_util)
 
 let test_percentiles_monotone () =
-  Absint.clear_fact_cache ();
   let specs = Fleet.traffic_mix ~machines:2 ~rounds:3 () in
   let r = Fleet.run ~domains:2 ~oversubscribe:true specs in
   Alcotest.(check bool) "completed requests" true (r.Fleet.f_requests > 0);

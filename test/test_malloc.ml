@@ -277,8 +277,8 @@ let test_contention_deterministic () =
     (List.assoc "remote_enq" c1 > 0);
   Alcotest.(check bool) "workload produced ownership-change sweeps" true
     (List.assoc "owner_sweeps" c1 > 0);
-  (* Quiesce gates (the same ones @bench-smoke enforces): every enqueued
-     remote slot was drained, and nothing is parked at the end. *)
+  (* Quiesce gates: every enqueued remote slot was drained, and nothing
+     is parked at the end. *)
   Alcotest.(check int) "remote queues fully drained at quiesce"
     (List.assoc "remote_enq" c1)
     (List.assoc "remote_drained" c1);

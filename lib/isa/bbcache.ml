@@ -22,17 +22,28 @@
      Deutsch/Schiffman sense, with fuel checked per chained entry and the
      PCC commit deferred until the chain exits.
 
-   Accounting: [Cache.ifetch] probes and cycle accounting are batched per
-   64-byte instruction line rather than charged per instruction — sound
-   only because the batch is *provably* observation-equivalent: the head
-   fetch of each line runs as a real in-order probe (the only one that can
-   reach the shared L2), and the follow-on fetches are guaranteed IL1 hits whose
-   state effects commute with interleaved data accesses (IL1 shares no
-   state with DL1/L2; cycles and instret are sums). See [exec_block] and
-   [Cache.repeat_hits]. The contract (docs/INTERP.md) is that [instret],
-   [cycles], per-level cache statistics, trap causes and PCs, and all
-   architectural state are bit-identical to [Cpu.step]; the differential
-   fuzzer (test/test_engines.ml) and the kernel parity tests enforce it.
+   Accounting: instruction fetches are charged per block, not per
+   instruction. One residency test at block entry ([fetch_resident])
+   asks whether the block lies in the memoized exec page and every IL1
+   line it spans is resident (a per-line slot memo makes each line one
+   compare). If so the block runs with no fetch probe at all and one
+   commit adds its IL1 clock, hits, per-line LRU stamps, [instret] and
+   cycles. If not, the ordered path probes the head of each line group
+   in program order (the only fetches that can miss and reach the shared
+   L2) and commits the group's follow-on hits in a batch; the terminator
+   is the last member of its line group and never probes for itself.
+   Both are exact because only instruction fetches touch IL1, a hit
+   never evicts, and IL1 shares no state with DL1 or L2, so fetch hits
+   commute with the block's data accesses (cycles and [instret] are
+   sums). See [exec_block] and [Cache.repeat_hits]. The contract
+   (docs/INTERP.md) is that [instret], [cycles], per-level cache
+   statistics and state, trap causes and PCs, and all architectural
+   state are bit-identical to [Cpu.step]; the differential fuzzer
+   (test/test_engines.ml) and the kernel parity tests enforce it.
+
+   Memory closures are compiled per width and signedness: the alignment
+   mask, the one-line DL1 probe and the fixed-width [Tagmem] accessor
+   are chosen at decode, so a load or store runs no width dispatch.
 
    Whenever a block cannot be run exactly — PCC that does not cover the
    whole block, fuel that would expire mid-block, an undecodable entry —
@@ -66,29 +77,30 @@ let exit_pcc = -3    (* capability jump: ctx.pcc already replaced wholesale *)
 let exit_stop = -5   (* syscall/rt upcall or trap: cause in [t.stop],
                         ctx.pcc committed *)
 
-(* Block body: accounting is *batched* per I-cache line instead of being
-   inlined into every closure. [sem] holds pure-semantics closures;
-   [groups] partitions the body indices into maximal runs that share one
+(* A decoded block. [b_groups] partitions all [b_ilen] instruction
+   indices, the terminator included, into maximal runs that share one
    64-byte instruction line (the entry pc is fixed per block, so the line
-   phase is static); [basesum.(i)] is the sum of base cycles of
-   body insns [0, i). Per group, the head instruction does the one real
-   [Cache.ifetch] probe — the only probe that can reach the L2 — and every
-   follow-on fetch in the line is a guaranteed IL1 hit whose effects
-   (clock, LRU stamp, hit count, one cycle) are committed in a single
-   batch at group end, or partially on a mid-group trap. See
-   [Cache.repeat_hits] for why the batch is observationally identical. *)
-type sem_body = {
-  sem : (Cpu.ctx -> unit) array;
-  groups : int array;                  (* (start lsl 16) lor length, per line *)
-  basesum : int array;                 (* prefix sums of Insn.base_cycles *)
-}
-
+   phase is static), packed as (start lsl 16) lor length; a line never
+   crosses a page. [b_basesum.(i)] is the sum of the base cycles of
+   instructions [0, i). *)
 type block = {
   b_entry : int;
   b_ilen : int;                        (* instructions incl. terminator *)
-  b_body : sem_body;                   (* straight-line prefix *)
+  b_sem : (Cpu.ctx -> unit) array;     (* straight-line prefix *)
   b_term : (Cpu.ctx -> int) option;    (* absent: block ended at max size
                                           or at the edge of decoded code *)
+  b_groups : int array;
+  b_basesum : int array;
+  (* The block's virtual page, or -2 (no page: [t.cur_vpage] is never
+     below -1) when the block spans two pages and always takes the
+     ordered fetch path. *)
+  b_vpage : int;
+  (* Fetch-residency memo: [b_slots.(k)] is the IL1 slot that held line
+     group k when the block last ran the ordered path to its end, and
+     [b_pline] the physical line of group 0 then (so group k's line was
+     [b_pline + k]); -1 = no memo. *)
+  mutable b_pline : int;
+  b_slots : int array;
   (* Chain links, patched lazily the first time the corresponding exit
      resolves; [None] / a stale key just means "go through the hashtable".
      Links point at blocks in the same space's table, so every
@@ -131,13 +143,15 @@ type t = {
      zero allocation (no flambda: local refs escaping into the trap
      handler would be heap cells). Execution is not reentrant — closures
      never call back into the engine — so one set per cache suffices.
-     [x_i]: index of the instruction in flight; [x_gs]/[x_gcost]/[x_gpa]:
-     start index, head-probe cost (-1 = none in flight) and head physical
-     address of the line group being executed. *)
+     [x_i]: index of the instruction in flight; [x_gs]/[x_gcost]/
+     [x_gslot]: start index, head-probe cost and IL1 slot of the line
+     group in flight on the ordered path. [x_gcost] is [no_fetch] when
+     nothing is in flight and [resident] while a block runs on the
+     resident path. *)
   mutable x_i : int;
   mutable x_gs : int;
   mutable x_gcost : int;
-  mutable x_gpa : int;
+  mutable x_gslot : int;
   (* Data-side translate memo: small set-associative software TLBs (2
      sets x 2 ways, indexed by vpage parity, MRU way first), split by
      access kind because read and write rights (and COW) differ. One
@@ -166,6 +180,8 @@ type t = {
   mutable ic_mega : int;               (* megamorphic hashtable fallbacks *)
   mutable dtlb_hits : int;             (* data-side software-TLB hits *)
   mutable dtlb_misses : int;           (* ... full translates *)
+  mutable ordered : int;               (* blocks that failed the fetch
+                                          residency test *)
   (* Capability checks run by compiled memory-access closures (bench/docs;
      not part of the parity contract): one per executed access. Accesses
      on the single-step fallback path are not counted — they are outside
@@ -190,12 +206,12 @@ let create () =
   { space = create_space ();
     stop = Cpu.Stop_syscall;
     cur_vpage = -1; cur_pbase = 0;
-    x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0;
+    x_i = 0; x_gs = 0; x_gcost = -1; x_gslot = 0;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
     built = 0; flushes = 0; step_falls = 0;
     chain_entries = 0; chained = 0; ic_hits = 0; ic_misses = 0; ic_mega = 0;
-    dtlb_hits = 0; dtlb_misses = 0;
+    dtlb_hits = 0; dtlb_misses = 0; ordered = 0;
     checked_probes = 0; elided_probes = 0 }
 
 (* Reset the dynamic visibility counters (chain/IC, TLB and probe
@@ -212,6 +228,7 @@ let reset_dyn_counters t =
   t.ic_mega <- 0;
   t.dtlb_hits <- 0;
   t.dtlb_misses <- 0;
+  t.ordered <- 0;
   t.checked_probes <- 0
 
 (* Chain/IC statistics snapshot, for the bench legs and tests. *)
@@ -334,20 +351,62 @@ let[@inline] cap_ok (c : Cap.t) perm vaddr len =
   && vaddr >= c.Cap.base
   && vaddr + len <= c.Cap.top
 
-(* Per-instruction accounting prologue of the terminator closures: charge
-   the ifetch (through the memoized exec translate) plus base cycles, and
-   retire the instruction — exactly what [Cpu.step] does before executing,
-   so a faulting terminator still counts, as there. *)
-let[@inline] account t m pc base ctx =
-  let ipa = translate_exec t m pc in
-  ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.ifetch m.Cpu.hier ipa + base;
-  ctx.Cpu.instret <- ctx.Cpu.instret + 1
+(* The capability half of a memory closure: count the probe, form the
+   address and check it against DDC ([ddc_probe]) or a capability
+   register ([cap_probe]), raising the exact fault through
+   [Cpu.check_cap] when the fast predicate fails; returns the virtual
+   address. The access half, [rd_pa]/[wr_pa]: alignment, the data-side
+   translate and the DL1 charge; returns the physical address. All are
+   [@inline] and every call site passes a constant width, so each closure
+   gets its own alignment mask and a one-line DL1 probe (an aligned
+   access of at most 16 bytes never spans two lines). The order is that
+   of [Cpu.do_load] and friends. *)
+let[@inline] ddc_probe t (ctx : Cpu.ctx) ~perm b off w =
+  t.checked_probes <- t.checked_probes + 1;
+  let vaddr = Cpu.rd_gpr ctx b + off in
+  if not (cap_ok ctx.Cpu.ddc perm vaddr w) then
+    Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm ~vaddr ~len:w;
+  vaddr
+
+let[@inline] cap_probe t (ctx : Cpu.ctx) ~perm s cb off w =
+  t.checked_probes <- t.checked_probes + 1;
+  let r = ctx.Cpu.creg in
+  let vaddr = Regs.addr r s + off in
+  if not (Regs.access_ok r s ~perm ~addr:vaddr ~len:w) then
+    Cpu.check_cap (Regs.get r s) ~reg:cb ~perm ~vaddr ~len:w;
+  vaddr
+
+let[@inline] rd_pa t m (ctx : Cpu.ctx) vaddr w =
+  Cpu.check_align vaddr w;
+  let pa = translate_rd t m vaddr in
+  ctx.Cpu.cycles <-
+    ctx.Cpu.cycles + Cache.data_access_aligned m.Cpu.hier pa w;
+  pa
+
+let[@inline] wr_pa t m (ctx : Cpu.ctx) vaddr w =
+  Cpu.check_align vaddr w;
+  let pa = translate_wr t m vaddr in
+  ctx.Cpu.cycles <-
+    ctx.Cpu.cycles + Cache.data_access_aligned m.Cpu.hier pa w;
+  pa
+
+let[@inline] ddc_rd t m ctx b off w =
+  rd_pa t m ctx (ddc_probe t ctx ~perm:Perms.load b off w) w
+
+let[@inline] ddc_wr t m ctx b off w =
+  wr_pa t m ctx (ddc_probe t ctx ~perm:Perms.store b off w) w
+
+let[@inline] cap_rd t m ctx s cb off w =
+  rd_pa t m ctx (cap_probe t ctx ~perm:Perms.load s cb off w) w
+
+let[@inline] cap_wr t m ctx s cb off w =
+  wr_pa t m ctx (cap_probe t ctx ~perm:Perms.store s cb off w) w
 
 (* --- Block compilation ---------------------------------------------------- *)
 
-(* Straight-line instruction at [pc] -> pure-semantics closure. Block
-   bodies batch fetch/cycle/instret accounting per I-cache line (see
-   [exec_block]), so closures carry no accounting. The hottest ALU and
+(* Straight-line instruction at [pc] -> pure-semantics closure.
+   [exec_block] charges fetches, base cycles and retirements per block,
+   so closures carry no accounting. The hottest ALU and
    capability-inspection forms get specialized closures (no re-dispatch
    per execution); everything else funnels through the one shared
    semantics function, [Cpu.exec_straight]. The fuzzer exercises both
@@ -357,9 +416,13 @@ let[@inline] account t m pc base ctx =
    translate memo substituted — check order (capability probe, alignment,
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
-   cross-checks every path. *)
+   cross-checks every path. Loads and stores get one closure per width
+   (1, 2, 4, 8) and, for loads, signedness, each calling its fixed-width
+   [Tagmem] accessor ([read_u8] ... [write_u64]), whose precondition,
+   natural alignment, the closure's own alignment check establishes. A
+   width outside those four (no compiler emits one) runs the shared
+   semantics. *)
 let compile_sem t m ~pc insn =
-  let hier = m.Cpu.hier in
   let mem = m.Cpu.mem in
   match insn with
   | Insn.Li (rd, v) ->
@@ -427,79 +490,99 @@ let compile_sem t m ~pc insn =
       Cpu.wr_gpr ctx d (if ua < ub then 1 else 0)
   | Insn.Load { w; signed; rd; base = b; off } ->
     let d = Cpu.gpr_wslot rd in
-    fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx d
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
+    (match w, signed with
+     | 1, false ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (ddc_rd t m ctx b off 1))
+     | 1, true ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (ddc_rd t m ctx b off 1))
+     | 2, false ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (ddc_rd t m ctx b off 2))
+     | 2, true ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (ddc_rd t m ctx b off 2))
+     | 4, false ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (ddc_rd t m ctx b off 4))
+     | 4, true ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (ddc_rd t m ctx b off 4))
+     | 8, _ ->
+       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (ddc_rd t m ctx b off 8))
+     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
   | Insn.Store { w; rs; base = b; off } ->
-    fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
+    (match w with
+     | 1 ->
+       fun ctx ->
+         let pa = ddc_wr t m ctx b off 1 in
+         Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs)
+     | 2 ->
+       fun ctx ->
+         let pa = ddc_wr t m ctx b off 2 in
+         Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs)
+     | 4 ->
+       fun ctx ->
+         let pa = ddc_wr t m ctx b off 4 in
+         Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs)
+     | 8 ->
+       fun ctx ->
+         let pa = ddc_wr t m ctx b off 8 in
+         Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs)
+     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
   | Insn.CLoad { w; signed; rd; cb; off } ->
     let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
-      let r = ctx.Cpu.creg in
-      let vaddr = Regs.addr r s + off in
-      if not (Regs.access_ok r s ~perm:Perms.load ~addr:vaddr ~len:w) then
-        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx d
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
+    (match w, signed with
+     | 1, false ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (cap_rd t m ctx s cb off 1))
+     | 1, true ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (cap_rd t m ctx s cb off 1))
+     | 2, false ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (cap_rd t m ctx s cb off 2))
+     | 2, true ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (cap_rd t m ctx s cb off 2))
+     | 4, false ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (cap_rd t m ctx s cb off 4))
+     | 4, true ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (cap_rd t m ctx s cb off 4))
+     | 8, _ ->
+       fun ctx ->
+         Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (cap_rd t m ctx s cb off 8))
+     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
   | Insn.CStore { w; rs; cb; off } ->
     let s = Regs.rslot cb in
-    fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
-      let r = ctx.Cpu.creg in
-      let vaddr = Regs.addr r s + off in
-      if not (Regs.access_ok r s ~perm:Perms.store ~addr:vaddr ~len:w) then
-        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
+    (match w with
+     | 1 ->
+       fun ctx ->
+         let pa = cap_wr t m ctx s cb off 1 in
+         Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs)
+     | 2 ->
+       fun ctx ->
+         let pa = cap_wr t m ctx s cb off 2 in
+         Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs)
+     | 4 ->
+       fun ctx ->
+         let pa = cap_wr t m ctx s cb off 4 in
+         Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs)
+     | 8 ->
+       fun ctx ->
+         let pa = cap_wr t m ctx s cb off 8 in
+         Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs)
+     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
   | Insn.CLC { cd; cb; off } ->
     let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
+      let pa = cap_rd t m ctx s cb off Cap.sizeof in
       let r = ctx.Cpu.creg in
-      let vaddr = Regs.addr r s + off in
-      if not (Regs.access_ok r s ~perm:Perms.load ~addr:vaddr ~len:Cap.sizeof)
-      then
-        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.load ~vaddr
-          ~len:Cap.sizeof;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
       (* Without LOAD_CAP the tag is stripped on load. *)
       Tagmem.load_cap_reg mem pa r d
         ~keep_tag:(Perms.has (Regs.perms r s) Perms.load_cap)
   | Insn.CSC { cs; cb; off } ->
     let s = Regs.rslot cb and v = Regs.rslot cs in
     fun ctx ->
-      t.checked_probes <- t.checked_probes + 1;
+      let vaddr = cap_probe t ctx ~perm:Perms.store s cb off Cap.sizeof in
       let r = ctx.Cpu.creg in
-      let vaddr = Regs.addr r s + off in
-      if not (Regs.access_ok r s ~perm:Perms.store ~addr:vaddr ~len:Cap.sizeof)
-      then
-        Cpu.check_cap (Regs.get r s) ~reg:cb ~perm:Perms.store ~vaddr
-          ~len:Cap.sizeof;
       if Regs.tag r v then begin
         if not (Perms.has (Regs.perms r s) Perms.store_cap) then
           Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
@@ -509,9 +592,7 @@ let compile_sem t m ~pc insn =
           Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
             ~vaddr
       end;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
+      let pa = wr_pa t m ctx vaddr Cap.sizeof in
       Tagmem.store_cap_reg mem pa r v
   | Insn.CIncOffsetImm (cd, cb, i) ->
     let s = Regs.rslot cb and d = Regs.wslot cd in
@@ -560,12 +641,13 @@ let compile_sem t m ~pc insn =
    step engine's PCC at [pc] (set_addr never changes them in bounds), so
    link capabilities built from it are bit-identical. Returns an exit
    code (see [exit_fall]); a capability jump installs the target PCC
-   itself, after every check that can trap. *)
-let compile_term t m ~pc insn =
-  let base = Insn.base_cycles insn in
+   itself, after every check that can trap. Terminators carry no
+   accounting: [exec_block] charges their fetch, base cycles and
+   retirement with the rest of their line group, as it does for body
+   instructions. *)
+let compile_term t ~pc insn =
   let branch cond target =
     fun ctx ->
-      account t m pc base ctx;
       if cond ctx then begin
         Cpu.check_branch_target target;
         ctx.Cpu.cycles <- ctx.Cpu.cycles + 1;
@@ -583,23 +665,20 @@ let compile_term t m ~pc insn =
   | Insn.Bltz (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs < 0) tg
   | Insn.Bgez (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs >= 0) tg
   | Insn.J tg ->
-    fun ctx -> account t m pc base ctx; Cpu.check_branch_target tg; tg
+    fun _ctx -> Cpu.check_branch_target tg; tg
   | Insn.Jal tg ->
     fun ctx ->
-      account t m pc base ctx;
       Cpu.check_branch_target tg;
       Cpu.wr_gpr ctx (Cpu.gpr_wslot Reg.ra) (pc + 4);
       tg
   | Insn.Jr rs ->
     fun ctx ->
-      account t m pc base ctx;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
       tg
   | Insn.Jalr (rd, rs) ->
     let d = Cpu.gpr_wslot rd in
     fun ctx ->
-      account t m pc base ctx;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
       Cpu.wr_gpr ctx d (pc + 4);
@@ -607,7 +686,6 @@ let compile_term t m ~pc insn =
   | Insn.CJR cb ->
     let s = Regs.rslot cb in
     fun ctx ->
-      account t m pc base ctx;
       let r = ctx.Cpu.creg in
       if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
@@ -617,14 +695,12 @@ let compile_term t m ~pc insn =
   | Insn.CJAL (cd, tg) ->
     let d = Regs.wslot cd in
     fun ctx ->
-      account t m pc base ctx;
       Cpu.check_branch_target tg;
       Regs.set_addr_of ctx.Cpu.creg d ctx.Cpu.pcc (pc + 4);
       tg
   | Insn.CJALR (cd, cb) ->
     let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx ->
-      account t m pc base ctx;
       let r = ctx.Cpu.creg in
       if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
@@ -636,35 +712,31 @@ let compile_term t m ~pc insn =
       exit_pcc
   | Insn.Syscall ->
     fun ctx ->
-      account t m pc base ctx;
       ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
       t.stop <- Cpu.Stop_syscall;
       exit_stop
   | Insn.Rt n ->
     let stop = Cpu.Stop_rt n in
     fun ctx ->
-      account t m pc base ctx;
       ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
       t.stop <- stop;
       exit_stop
   | Insn.Break n ->
-    fun ctx ->
-      account t m pc base ctx;
-      Trap.raise_trap (Trap.Break_trap n)
+    fun _ctx -> Trap.raise_trap (Trap.Break_trap n)
   | _ -> assert false
 
-(* Partition body indices [0, nbody) into maximal runs whose fetch
+(* Partition instruction indices [0, n) into maximal runs whose fetch
    addresses share one cache line. Lines are 64 bytes and aligned, so a
    run never crosses a page either; the entry pc is fixed per block, so
    this is static. *)
-let make_groups entry nbody =
-  if nbody = 0 then [||]
+let make_groups entry n =
+  if n = 0 then [||]
   else begin
     let gs = ref [] in
     let s = ref 0 in
-    for j = 1 to nbody do
+    for j = 1 to n do
       if
-        j = nbody
+        j = n
         || (entry + (4 * j)) lsr Cache.line_shift
            <> (entry + (4 * (j - 1))) lsr Cache.line_shift
       then begin
@@ -691,28 +763,30 @@ let build t m entry =
      while !term = None && !n < max_block do
        let pc = entry + (4 * !n) in
        let insn = Cpu.decode m pc in
-       if Insn.is_terminator insn then term := Some (compile_term t m ~pc insn)
-       else begin
-         body := compile_sem t m ~pc insn :: !body;
-         bases := Insn.base_cycles insn :: !bases
-       end;
+       if Insn.is_terminator insn then term := Some (compile_term t ~pc insn)
+       else body := compile_sem t m ~pc insn :: !body;
+       bases := Insn.base_cycles insn :: !bases;
        incr n
      done
    with Trap.Trap _ -> ());
-  if !n = 0 then None
+  let n = !n in
+  if n = 0 then None
   else begin
     t.built <- t.built + 1;
-    let closures = Array.of_list (List.rev !body) in
-    let nbody = Array.length closures in
-    let basesum = Array.make (nbody + 1) 0 in
-    List.iteri
-      (fun i b -> basesum.(nbody - i) <- b)
-      !bases;
-    for i = 1 to nbody do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
-    let groups = make_groups entry nbody in
-    Some { b_entry = entry; b_ilen = !n;
-           b_body = { sem = closures; groups; basesum };
+    let basesum = Array.make (n + 1) 0 in
+    List.iteri (fun i b -> basesum.(n - i) <- b) !bases;
+    for i = 1 to n do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
+    let groups = make_groups entry n in
+    let vp = entry lsr page_shift in
+    Some { b_entry = entry; b_ilen = n;
+           b_sem = Array.of_list (List.rev !body);
            b_term = !term;
+           b_groups = groups;
+           b_basesum = basesum;
+           b_vpage = (if (entry + (4 * (n - 1))) lsr page_shift = vp then vp
+                      else -2);
+           b_pline = -1;
+           b_slots = Array.make (Array.length groups) 0;
            b_fall = None;
            b_jump_key = min_int; b_jump = None; b_jump_misses = 0;
            b_cjump_key = min_int; b_cjump = None; b_cjump_misses = 0 }
@@ -771,74 +845,157 @@ let bounds_ok (ctx : Cpu.ctx) b =
    the bounds, so the iterated [set_addr] commits of the step engine
    produce exactly this capability.
 
-   Bodies batch the accounting per line group. Exactness argument:
-   within a group only the head fetch can miss (and thus probe the L2) —
-   it runs as a real, in-order [Cache.ifetch]. Follow-on fetches are
-   guaranteed IL1 hits; their effects (clock, final LRU stamp, hit count,
-   one cycle each, one retirement each) commute with the group's data
-   accesses because IL1 shares no state with DL1/L2 and cycles/instret are
-   sums, so committing them at group end — or, on a mid-group trap,
-   committing exactly the prefix through the faulting instruction (the
-   step engine accounts an instruction *before* executing it) — leaves
-   every counter and every cache bit identical to the step engine. A
-   page fault on the head probe itself commits nothing for the group,
-   again as the step engine (translate raises before any accounting). *)
-(* Commit the accounting batch for the line group in flight through
-   body index [j] inclusive: the head probe's cost, one IL1-hit cycle and
-   one retirement per follow-on, their base cycles, and the IL1 repeat
-   batch. No-op when no group is in flight ([t.x_gcost < 0]). *)
-let commit_sem t m sb (ctx : Cpu.ctx) j =
-  if t.x_gcost >= 0 then begin
-    let h = m.Cpu.hier in
-    let k = j - t.x_gs in
-    ctx.Cpu.instret <- ctx.Cpu.instret + k + 1;
-    ctx.Cpu.cycles <-
-      ctx.Cpu.cycles + t.x_gcost
-      + (k * h.Cache.l1_hit_cycles)
-      + Array.unsafe_get sb.basesum (j + 1)
-      - Array.unsafe_get sb.basesum t.x_gs;
-    if k > 0 then Cache.ifetch_repeats h t.x_gpa k;
-    t.x_gcost <- -1
-  end
+   Fetch accounting takes one of two paths, both exact:
+   - resident ([fetch_resident] holds): every fetch the block makes is an
+     IL1 hit, and stays one, because only instruction fetches touch IL1
+     and a hit evicts nothing. The block runs with no probe, and
+     [commit_resident] then charges all of its fetches at once: IL1
+     clock, hits and each line's final LRU stamp, one hit cycle, the base
+     cycles and one retirement per instruction. Fetch hits change no
+     state that a data access reads or writes (IL1 shares nothing with
+     DL1 or L2), and cycles and [instret] are sums, so moving them past
+     the block's data accesses is invisible.
+   - ordered (otherwise): per line group, the head fetch runs as a real,
+     in-order [Cache.ifetch], the only fetch that can miss and reach the
+     L2; the follow-on fetches of the line are hits, committed at group
+     end by [commit_group] with the same argument. The terminator is the
+     last member of its group. A group that runs to its end records its
+     line's IL1 slot, and a block that runs to its end within one page
+     arms the residency memo.
+   A trap commits exactly the prefix through the faulting instruction
+   (the step engine accounts an instruction *before* executing it); a
+   page fault on a head fetch commits nothing for its group, as in the
+   step engine, where the fetch translate raises before any accounting. *)
+
+let no_fetch = -1
+let resident = -2
+
+(* Does IL1 slot [slots.(i)] hold line [pline + i], for every i in
+   [k, n)? Top level, not a local closure: without flambda a local
+   [let rec] allocates. *)
+let rec lines_resident il1 slots pline k n =
+  k >= n
+  || (Cache.slot_holds il1 (Array.unsafe_get slots k) (pline + k)
+      && lines_resident il1 slots pline (k + 1) n)
+
+(* The one fetch check per block: [b] lies in the memoized exec page, its
+   residency memo was armed for the line it now starts in, and each of
+   its lines still sits in the memoized IL1 slot. *)
+let[@inline] fetch_resident t il1 b =
+  b.b_vpage = t.cur_vpage
+  && (t.cur_pbase + (b.b_entry land page_mask)) lsr Cache.line_shift
+     = b.b_pline
+  && lines_resident il1 b.b_slots b.b_pline 0 (Array.length b.b_slots)
+
+(* Charge instructions [0, j] of a block on the resident path. *)
+let commit_resident m b (ctx : Cpu.ctx) j =
+  let h = m.Cpu.hier in
+  let n = j + 1 in
+  ctx.Cpu.instret <- ctx.Cpu.instret + n;
+  ctx.Cpu.cycles <-
+    ctx.Cpu.cycles + (n * h.Cache.l1_hit_cycles)
+    + Array.unsafe_get b.b_basesum n;
+  let c0 = Cache.add_hits h.Cache.il1 n in
+  let groups = b.b_groups in
+  let k = ref 0 in
+  while !k < Array.length groups && Array.unsafe_get groups !k lsr 16 < n do
+    let g = Array.unsafe_get groups !k in
+    (* The line's last fetch is number min(end, n) of the block. *)
+    let e = (g lsr 16) + (g land 0xffff) in
+    Cache.stamp h.Cache.il1 (Array.unsafe_get b.b_slots !k)
+      (c0 + if e < n then e else n);
+    incr k
+  done
+
+(* Charge the line group in flight on the ordered path through
+   instruction [j]: the head probe's cost, one hit cycle and one IL1 hit
+   per follow-on, the base cycles and one retirement per instruction. *)
+let commit_group t m b (ctx : Cpu.ctx) j =
+  let h = m.Cpu.hier in
+  let k = j - t.x_gs in
+  ctx.Cpu.instret <- ctx.Cpu.instret + k + 1;
+  ctx.Cpu.cycles <-
+    ctx.Cpu.cycles + t.x_gcost
+    + (k * h.Cache.l1_hit_cycles)
+    + Array.unsafe_get b.b_basesum (j + 1)
+    - Array.unsafe_get b.b_basesum t.x_gs;
+  if k > 0 then Cache.repeat_hits h.Cache.il1 t.x_gslot k;
+  t.x_gcost <- no_fetch
+
+(* The terminator, if any, as the last instruction; [fall] is the
+   fall-through pc. *)
+let[@inline] run_term t b ctx fall =
+  match b.b_term with
+  | None -> fall
+  | Some term ->
+    t.x_i <- b.b_ilen - 1;
+    let x = term ctx in
+    if x = exit_fall then fall else x
+
+let exec_ordered t m b ctx fall =
+  let h = m.Cpu.hier in
+  let entry = b.b_entry in
+  let sem = b.b_sem in
+  let groups = b.b_groups in
+  let last = Array.length groups - 1 in
+  t.ordered <- t.ordered + 1;
+  b.b_pline <- -1;
+  for g = 0 to last do
+    let packed = Array.unsafe_get groups g in
+    let s = packed lsr 16 in
+    let e = s + (packed land 0xffff) - 1 in
+    t.x_i <- s;
+    t.x_gs <- s;
+    let pa = translate_exec t m (entry + (4 * s)) in
+    t.x_gcost <- Cache.ifetch h pa;
+    let slot = Cache.resident_slot h.Cache.il1 (pa lsr Cache.line_shift) in
+    t.x_gslot <- slot;
+    Array.unsafe_set b.b_slots g slot;
+    let e_sem = Array.length sem - 1 in
+    for j = s to (if e < e_sem then e else e_sem) do
+      t.x_i <- j;
+      (Array.unsafe_get sem j) ctx
+    done;
+    if g < last then commit_group t m b ctx e
+  done;
+  let x = run_term t b ctx fall in
+  commit_group t m b ctx (b.b_ilen - 1);
+  if b.b_vpage = t.cur_vpage then
+    b.b_pline <- (t.cur_pbase + (entry land page_mask)) lsr Cache.line_shift;
+  x
+
+(* On a trap at instruction [t.x_i]: charge the prefix through it. *)
+let commit_trap t m b ctx =
+  if t.x_gcost = resident then commit_resident m b ctx t.x_i
+  else if t.x_gcost >= 0 then commit_group t m b ctx t.x_i
 
 let exec_block t m b (ctx : Cpu.ctx) =
   let entry_pcc = ctx.Cpu.pcc in
   let entry = b.b_entry in
+  let fall = entry + (4 * b.b_ilen) in
   t.x_i <- 0;
-  t.x_gcost <- -1;
+  t.x_gcost <- no_fetch;
   try
-    let sb = b.b_body in
-    let groups = sb.groups in
-    let sem = sb.sem in
-    for g = 0 to Array.length groups - 1 do
-      let packed = Array.unsafe_get groups g in
-      let s = packed lsr 16 in
-      t.x_i <- s;
-      t.x_gs <- s;
-      let pa = translate_exec t m (entry + (4 * s)) in
-      t.x_gpa <- pa;
-      t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
-      let e = s + (packed land 0xffff) - 1 in
-      for j = s to e do
+    if fetch_resident t m.Cpu.hier.Cache.il1 b then begin
+      t.x_gcost <- resident;
+      let sem = b.b_sem in
+      for j = 0 to Array.length sem - 1 do
         t.x_i <- j;
         (Array.unsafe_get sem j) ctx
       done;
-      commit_sem t m sb ctx e
-    done;
-    match b.b_term with
-    | None -> entry + (4 * b.b_ilen)
-    | Some term ->
-      t.x_i <- b.b_ilen - 1;
-      let x = term ctx in
-      if x = exit_fall then entry + (4 * b.b_ilen) else x
+      let x = run_term t b ctx fall in
+      commit_resident m b ctx (b.b_ilen - 1);
+      x
+    end
+    else exec_ordered t m b ctx fall
   with
   | Trap.Trap cause ->
-    commit_sem t m b.b_body ctx t.x_i;
+    commit_trap t m b ctx;
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc (entry + (4 * t.x_i));
     t.stop <- Cpu.Stop_trap cause;
     exit_stop
   | Cap.Cap_error v ->
-    commit_sem t m b.b_body ctx t.x_i;
+    commit_trap t m b ctx;
     let pc = entry + (4 * t.x_i) in
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc pc;
     t.stop <-

@@ -152,38 +152,57 @@ let[@inline never] l2_access h addr len =
 let[@inline] data_access h addr len =
   if access h.dl1 addr len then h.l1_hit_cycles else l2_access h addr len
 
+(* [data_access] of a naturally aligned access of at most [line_size]
+   bytes, which touches exactly one line: no span test. *)
+let[@inline] data_access_aligned h addr len =
+  if access_line h.dl1 (addr lsr line_shift) then h.l1_hit_cycles
+  else l2_access h addr len
+
 (* Cycle cost of an instruction fetch. *)
 let[@inline] ifetch h addr =
   if access h.il1 addr 4 then h.l1_hit_cycles else l2_access h addr 4
 
-(* Account [k] repeat probes of a line that is guaranteed to hit: the
-   caller just probed the line containing [addr] and nothing has touched
-   this cache since (data accesses go to DL1/L2, which share no state with
-   IL1). Each of the [k] sequential probes would hit the same way, bump the
-   clock and the hit counter, and leave LRU pointing at the final clock —
-   only the last LRU write survives, so the batch is observationally
-   identical to [k] separate [access_line] calls. Used by the chaining
-   block engine to batch straight-line instruction fetches within one
-   I-cache line. Falls back to real probes if the line is (unexpectedly)
-   absent, which is exact by definition. *)
-let repeat_hits t line k =
-  if k > 0 then begin
-    let set = line land t.set_mask in
-    let tag = line lsr t.set_shift in
-    let base = set * t.ways in
-    let w = find_way t base tag base in
-    if w < 0 then for _ = 1 to k do ignore (access_line t line) done
-    else begin
-      t.clock <- t.clock + k;
-      Array.unsafe_set t.lru w t.clock;
-      t.hits <- t.hits + k
-    end
-  end
+(* --- Batched instruction-fetch hits -------------------------------------------
 
-(* [k] guaranteed-hit instruction fetches of the line holding physical
-   address [pa]; returns nothing — the per-fetch cycle cost is the
-   constant [h.l1_hit_cycles], which the caller adds itself. *)
-let ifetch_repeats h pa k = repeat_hits h.il1 (pa lsr h.il1.line_shift) k
+   The chain engine charges instruction fetches it knows to be IL1 hits
+   in batches (lib/isa/bbcache.ml, docs/INTERP.md). A hit bumps the clock
+   and the hit counter and stamps its slot's LRU entry with the new clock;
+   it never fills or evicts. So [k] hits on lines that stay resident are
+   the same arithmetic done at once: the clock and the counter grow by
+   [k], and each line's slot keeps the clock of its last hit. A slot is an
+   index [set * ways + way] into [tags] and [lru]. Batching is exact only
+   for resident lines, so an absent line is an invariant failure, never a
+   silent re-probe. *)
+
+let[@inline never] not_resident t line =
+  failwith (Printf.sprintf "Cache %s: line 0x%x is not resident" t.name line)
+
+(* The slot holding [line], which the caller has just probed. *)
+let resident_slot t line =
+  let base = (line land t.set_mask) * t.ways in
+  let w = find_way t base (line lsr t.set_shift) base in
+  if w < 0 then not_resident t line else w
+
+(* Does [slot] (one of [line]'s set, by the caller's bookkeeping) hold
+   [line]? *)
+let[@inline] slot_holds t slot line =
+  Array.unsafe_get t.tags slot = line lsr t.set_shift
+
+(* [k] hits on the resident line in [slot], following its probe. *)
+let[@inline] repeat_hits t slot k =
+  t.clock <- t.clock + k;
+  Array.unsafe_set t.lru slot t.clock;
+  t.hits <- t.hits + k
+
+(* [n] hits on resident lines whose slots the caller stamps itself, with
+   [stamp]; returns the clock before the first of them. *)
+let[@inline] add_hits t n =
+  let c = t.clock in
+  t.clock <- c + n;
+  t.hits <- t.hits + n;
+  c
+
+let[@inline] stamp t slot clock = Array.unsafe_set t.lru slot clock
 
 let l2_misses h = misses h.l2
 

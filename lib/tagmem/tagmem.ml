@@ -267,11 +267,11 @@ let scan_tags t addr len =
 
 (* --- Data access ----------------------------------------------------------- *)
 
-let read_u8 t addr =
+let[@inline] read_u8 t addr =
   check t addr 1;
   Char.code (Bytes.unsafe_get (rframe t addr) (addr land frame_mask))
 
-let write_u8 t addr v =
+let[@inline] write_u8 t addr v =
   check t addr 1;
   tag_bit_clear t (granule_of addr);
   Bytes.unsafe_set (wframe t addr) (addr land frame_mask)
@@ -298,6 +298,103 @@ let[@inline never] write_int_straddle t addr len v =
     Bytes.unsafe_set (wframe t a) (a land frame_mask)
       (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
+
+(* The compiler's unchecked frame primitives. The stdlib exports only the
+   bounds-checked [Bytes.get_int64_le] family; these skip the check, so
+   every caller first proves that the access lies inside one frame (every
+   frame buffer is [frame_size] bytes long). Frames hold little-endian
+   bytes. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap16 : int -> int = "%bswap16"
+
+let[@inline] get64le f off =
+  if Sys.big_endian then bswap64 (get64u f off) else get64u f off
+
+let[@inline] get32le f off =
+  if Sys.big_endian then bswap32 (get32u f off) else get32u f off
+
+let[@inline] get16le f off =
+  if Sys.big_endian then bswap16 (get16u f off) else get16u f off
+
+let[@inline] set64le f off v =
+  if Sys.big_endian then set64u f off (bswap64 v) else set64u f off v
+
+let[@inline] set32le f off v =
+  if Sys.big_endian then set32u f off (bswap32 v) else set32u f off v
+
+let[@inline] set16le f off v =
+  if Sys.big_endian then set16u f off (bswap16 v) else set16u f off v
+
+(* Fixed-width accessors, for the chain engine's memory closures (one per
+   width and signedness, chosen at decode). Precondition: [addr] is
+   naturally aligned for the width, as the closures' alignment check has
+   already established. Each keeps the range [check] and an in-frame test
+   (which an aligned access always passes; anything else takes the
+   byte-wise straddle path), so the unchecked primitives never leave the
+   frame. An aligned access of at most 8 bytes lies inside one 16-byte
+   granule, so a store clears exactly one tag. Results equal [read_int],
+   [read_int_signed] and [write_int] on the same access (the unsigned
+   64-bit read, like [read_int ~len:8], keeps the low 63 bits). *)
+let[@inline] read_s8 t addr = (read_u8 t addr lsl 55) asr 55
+
+let[@inline] read_u16 t addr =
+  check t addr 2;
+  let off = addr land frame_mask in
+  if off > frame_size - 2 then read_int_straddle t addr 2
+  else get16le (rframe t addr) off
+
+let[@inline] read_s16 t addr = (read_u16 t addr lsl 47) asr 47
+
+let[@inline] read_u32 t addr =
+  check t addr 4;
+  let off = addr land frame_mask in
+  if off > frame_size - 4 then read_int_straddle t addr 4
+  else Int32.to_int (get32le (rframe t addr) off) land 0xFFFF_FFFF
+
+let[@inline] read_s32 t addr = (read_u32 t addr lsl 31) asr 31
+
+let[@inline] read_u64 t addr =
+  check t addr 8;
+  let off = addr land frame_mask in
+  if off > frame_size - 8 then read_int_straddle t addr 8
+  else Int64.to_int (get64le (rframe t addr) off)
+
+let[@inline] write_u16 t addr v =
+  check t addr 2;
+  let off = addr land frame_mask in
+  if off > frame_size - 2 then write_int_straddle t addr 2 v
+  else begin
+    let f = wframe t addr in
+    tag_bit_clear t (granule_of addr);
+    set16le f off (v land 0xFFFF)
+  end
+
+let[@inline] write_u32 t addr v =
+  check t addr 4;
+  let off = addr land frame_mask in
+  if off > frame_size - 4 then write_int_straddle t addr 4 v
+  else begin
+    let f = wframe t addr in
+    tag_bit_clear t (granule_of addr);
+    set32le f off (Int32.of_int v)
+  end
+
+let[@inline] write_u64 t addr v =
+  check t addr 8;
+  let off = addr land frame_mask in
+  if off > frame_size - 8 then write_int_straddle t addr 8 v
+  else begin
+    let f = wframe t addr in
+    tag_bit_clear t (granule_of addr);
+    set64le f off (Int64.logand (Int64.of_int v) int63_mask)
+  end
 
 (* Widths other than 1, 2, 4 and 8, within one frame. *)
 let[@inline never] read_int_bytes f off len =
@@ -453,7 +550,8 @@ let read_cap t addr =
 
 (* [read_cap] straight into capability register slot [w], with the tag
    stripped unless [keep_tag] (CLC): the register file copies the slot's
-   fields, so the load allocates nothing. *)
+   fields, so the load allocates nothing. An aligned granule lies inside
+   one frame, so the cursor is read unchecked. *)
 let load_cap_reg t addr regs w ~keep_tag =
   check t addr granule;
   Cap.check_cap_alignment addr;
@@ -461,7 +559,7 @@ let load_cap_reg t addr regs w ~keep_tag =
   if tag_bit t g then Cap.Regs.load regs w (slot t g) ~keep_tag
   else
     Cap.Regs.set_untagged regs w
-      (Int64.to_int (Bytes.get_int64_le (rframe t addr) (addr land frame_mask)))
+      (Int64.to_int (get64le (rframe t addr) (addr land frame_mask)))
 
 (* The raw bytes of a capability store: cursor in the low 8 bytes, a
    metadata summary above. Returns the granule, whose tag the caller

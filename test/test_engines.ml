@@ -261,11 +261,19 @@ let snapshot stop (m : Cpu.machine) (ctx : Cpu.ctx) mem =
     if not (Cap.equal c Cap.null) then
       Printf.bprintf b "c%d=%s\n" r (cap_str c)
   done;
+  (* Each cache level's whole state, not just its totals: the chain
+     engine batches instruction-fetch hits, and a batch that left one LRU
+     stamp or the clock off would show here. *)
+  let level (c : Cache.t) =
+    let digest a = Digest.to_hex (Digest.string (Marshal.to_string a [])) in
+    Printf.bprintf b "%s=%d/%d clock=%d tags=%s lru=%s\n" (Cache.name c)
+      (Cache.hits c) (Cache.misses c) c.Cache.clock (digest c.Cache.tags)
+      (digest c.Cache.lru)
+  in
   let h = m.Cpu.hier in
-  Printf.bprintf b "il1=%d/%d dl1=%d/%d l2=%d/%d\n"
-    (Cache.hits h.Cache.il1) (Cache.misses h.Cache.il1)
-    (Cache.hits h.Cache.dl1) (Cache.misses h.Cache.dl1)
-    (Cache.hits h.Cache.l2) (Cache.misses h.Cache.l2);
+  level h.Cache.il1;
+  level h.Cache.dl1;
+  level h.Cache.l2;
   Printf.bprintf b "data=%s\n"
     (Digest.to_hex (Digest.bytes (Tagmem.read_bytes mem data_base data_len)));
   Printf.bprintf b "tags=%s\n"
@@ -643,6 +651,276 @@ let test_chain_trap_attribution () =
    | s -> Alcotest.failf "expected a tag fault, got %s" (stop_str s));
   Alcotest.(check int) "PCC names the faulting instruction, not the chain head"
     (code_base + 0x10) (Cap.addr ctx.Cpu.pcc)
+
+(* --- Fetch residency and fixed-width memory closures --------------------------- *)
+
+(* A code image from (address, instructions) pieces, Nop elsewhere. *)
+let program_at pieces =
+  let top =
+    List.fold_left (fun t (a, is) -> max t (a + (4 * List.length is))) 0 pieces
+  in
+  let insns = Array.make ((top - code_base) / 4) Insn.Nop in
+  List.iter
+    (fun (a, is) ->
+      List.iteri (fun i x -> insns.(((a - code_base) / 4) + i) <- x) is)
+    pieces;
+  insns
+
+(* Blocks executed by a chain run: dispatch entries plus chained hops. *)
+let executed st = st.Bbcache.ch_entries + st.Bbcache.ch_chained
+
+(* Five code lines 8 KiB apart, X0 at 0x1040 and L1..L4 above it, share
+   one set of the 4-way, 128-set IL1. A dispatcher H (0x1080, another set)
+   jumps to X0, L1, L2, L3, L4, X0, ... in turn, and each target jumps
+   back to H. Five lines taking turns in four ways miss on every visit,
+   so every target runs the ordered fetch path: L1..L4 because H's page
+   is the memoized one, X0 (in H's page, its memo armed) because L1..L4
+   evicted its line. H's first block runs ordered after a far target (a
+   page switch) and resident after X0; its second block always runs
+   resident. The full snapshot, IL1 LRU stamps and clock included, must
+   equal the step engine's throughout. *)
+let test_fetch_set_conflict () =
+  let stride = 0x2000 in
+  let x0 = code_base + 0x40 and h = code_base + 0x80 in
+  let iters = 40 in
+  let insns =
+    program_at
+      ([ (code_base,
+          [ Insn.Li (8, 0); Insn.Li (9, iters); Insn.Li (10, 0);
+            Insn.Li (11, 5); Insn.Li (12, x0); Insn.J h ]);
+         (h,
+          [ Insn.Addiu (8, 8, 1);
+            Insn.Beq (8, 9, h + 0x20);
+            Insn.Rem (4, 8, 11);
+            Insn.Sll (4, 4, 13);
+            Insn.Addu (4, 4, 12);
+            Insn.Jr 4;
+            Insn.Nop;
+            Insn.Nop;
+            Insn.Break 0 ]);
+         (x0, [ Insn.Addiu (10, 10, 100); Insn.J h ]) ]
+       @ List.map
+           (fun k -> (x0 + (k * stride), [ Insn.Addiu (10, 10, k); Insn.J h ]))
+           [ 1; 2; 3; 4 ])
+  in
+  let bb, st, ctx, stop = chain_vs_step ~name:"IL1 set conflict" insns in
+  (match stop with
+   | Some (Cpu.Stop_trap (Trap.Break_trap 0)) -> ()
+   | s -> Alcotest.failf "did not reach the break: %s" (stop_str s));
+  let sum = ref 0 and x0_visits = ref 0 in
+  for i = 1 to iters - 1 do
+    if i mod 5 = 0 then (incr x0_visits; sum := !sum + 100)
+    else sum := !sum + (i mod 5)
+  done;
+  Alcotest.(check int) "every target ran" !sum ctx.Cpu.gpr.(10);
+  (* Blocks: the prologue, H's two blocks, one target per iteration, the
+     final break. Ordered: the prologue, the break, every target, H's
+     second block once (its first visit) and H's first block except after
+     X0. *)
+  Alcotest.(check int) "blocks executed" (1 + iters + (2 * (iters - 1)) + 1)
+    (executed st);
+  Alcotest.(check int) "ordered fetch path"
+    (1 + 1 + (iters - 1) + 1 + (iters - !x0_visits))
+    bb.Bbcache.ordered
+
+(* A loop over one block that spans two fetch lines (0x1030..0x104f),
+   then faults in its second line on the last of [iters] visits: in the
+   body ([`Body]: Div by zero at 0x1044) or in the terminator ([`Term]: a
+   misaligned Jr at 0x1050). The first visit runs the ordered path and
+   arms the residency memo; later ones run resident. *)
+let two_line_loop ~iters which =
+  let loop = code_base + 0x30 in
+  let block =
+    [ Insn.Addiu (8, 8, 1); Insn.Addiu (10, 10, 1); Insn.Addiu (11, 11, 1);
+      Insn.Addiu (12, 12, 1);
+      (* second line, 0x1040: *)
+      Insn.Subu (16, 9, 8) ]
+    @ (match which with
+        | `Body ->
+          [ Insn.Div (15, 9, 16); Insn.Addiu (13, 13, 1);
+            Insn.Bne (8, 9, loop); Insn.Break 0 ]
+        | `Term ->
+          (* r17 = loop, or loop + 2 once r16 = 0. *)
+          [ Insn.Sltiu (18, 16, 1); Insn.Sll (18, 18, 1);
+            Insn.Addu (17, 19, 18); Insn.Jr 17 ])
+  in
+  program_at
+    [ (code_base,
+       [ Insn.Li (8, 0); Insn.Li (9, iters); Insn.Li (19, loop); Insn.J loop ]);
+      (loop, block) ]
+
+(* A trap partway through the two-line block, and one in its terminator:
+   only the prefix through the faulting instruction is charged, on the
+   ordered path (a fault on the first visit) and on the resident path (a
+   fault on the sixth). *)
+let test_fetch_trap_prefix () =
+  List.iter
+    (fun (which, iters) ->
+      let name =
+        Printf.sprintf "%s fault, visit %d"
+          (match which with `Body -> "body" | `Term -> "terminator") iters
+      in
+      let bb, st, ctx, stop =
+        chain_vs_step ~name (two_line_loop ~iters which)
+      in
+      let pc, per_visit, prefix =
+        match which with `Body -> 0x1044, 8, 6 | `Term -> 0x1050, 9, 9
+      in
+      (match stop, which with
+       | Some (Cpu.Stop_trap Trap.Div_by_zero), `Body
+       | Some (Cpu.Stop_trap (Trap.Unaligned _)), `Term -> ()
+       | s, _ -> Alcotest.failf "%s: %s" name (stop_str s));
+      Alcotest.(check int) (name ^ ": PC") pc (Cap.addr ctx.Cpu.pcc);
+      Alcotest.(check int) (name ^ ": retired prefix")
+        (4 + ((iters - 1) * per_visit) + prefix) ctx.Cpu.instret;
+      (* The prologue and the first visit ran ordered; the rest resident. *)
+      Alcotest.(check int) (name ^ ": ordered blocks") 2 bb.Bbcache.ordered;
+      Alcotest.(check int) (name ^ ": blocks") (1 + iters) (executed st))
+    [ `Body, 1; `Body, 6; `Term, 1; `Term, 6 ]
+
+(* Fuel expiring inside the two-line block, on its ordered first visit and
+   on resident later ones: every fuel value, and the same total split into
+   small quanta that re-enter mid-block. *)
+let test_fetch_fuel_midblock () =
+  let insns = two_line_loop ~iters:12 `Body in
+  for f = 1 to 60 do
+    ignore (chain_vs_step ~name:(Printf.sprintf "fuel=%d" f) ~run_fuel:f insns)
+  done;
+  List.iter
+    (fun q ->
+      let m, ctx, mem = setup insns 3 in
+      let bb = Bbcache.create () in
+      let stop = ref None and remaining = ref fuel in
+      while !stop = None && !remaining > 0 do
+        let f = min q !remaining in
+        stop := Bbcache.run bb m ctx ~fuel:f;
+        remaining := !remaining - f
+      done;
+      let m_s, ctx_s, mem_s = setup insns 3 in
+      let stop_s = Cpu.run m_s ctx_s ~fuel in
+      Alcotest.(check string) (Printf.sprintf "quantum %d" q)
+        (snapshot stop_s m_s ctx_s mem_s) (snapshot !stop m ctx mem))
+    [ 3; 5; 7; 11 ]
+
+(* Loads and stores of every width and signedness, through DDC and
+   through a capability, at the last bytes of a frame (the granule at
+   0x4ff0, which a CSC tags before every store so each store's tag clear
+   is observed) and at the top of physical memory. *)
+let test_mem_widths_frame_edges () =
+  let widths = [ 1; 2; 4; 8 ] in
+  let v = -0x1234_5678_9abc_de7f in
+  let frame_end = data_base + 0x1000 in
+  let top = mem_size in
+  let acc = 13 and tags = 12 and tmp = 14 and tagged = 10 in
+  let dst = ref 15 in
+  let access ~cap ~at w =
+    (* [at] is the end of the region: the access covers [at - w, at). *)
+    let a = at - w in
+    let r_u = !dst and r_s = !dst + 1 in
+    dst := !dst + 2;
+    let mem_ops =
+      if cap then
+        (* c21 points at [a] (c5 is a root capability). *)
+        [ Insn.Li (tmp, a); Insn.CSetAddr (21, 5, tmp);
+          Insn.CStore { w; rs = acc; cb = 21; off = 0 };
+          Insn.CLoad { w; signed = false; rd = r_u; cb = 21; off = 0 };
+          Insn.CLoad { w; signed = true; rd = r_s; cb = 21; off = 0 } ]
+      else
+        [ Insn.Li (tmp, a);
+          Insn.Store { w; rs = acc; base = tmp; off = 0 };
+          Insn.Load { w; signed = false; rd = r_u; base = tmp; off = 0 };
+          Insn.Load { w; signed = true; rd = r_s; base = tmp; off = 0 } ]
+    in
+    let granule = (at - 16) - data_base in
+    let tag_check =
+      if at = frame_end then
+        (* c1 covers the data region: tag the granule (counted in
+           [tagged]), store, and add the granule's tag, which the store
+           must clear, to [tags]. *)
+        [ Insn.CSC { cs = 1; cb = 1; off = granule };
+          Insn.CLC { cd = 20; cb = 1; off = granule };
+          Insn.CGetTag (11, 20); Insn.Addu (tagged, tagged, 11) ]
+        @ mem_ops
+        @ [ Insn.CLC { cd = 20; cb = 1; off = granule };
+            Insn.CGetTag (11, 20); Insn.Addu (tags, tags, 11) ]
+      else mem_ops
+    in
+    tag_check @ [ Insn.Addiu (acc, acc, 0x1111) ]
+  in
+  (* One program per region: eight accesses, two destination registers
+     each (r15..r30). *)
+  List.iter
+    (fun at ->
+      dst := 15;
+      let body =
+        List.concat_map
+          (fun cap -> List.concat_map (fun w -> access ~cap ~at w) widths)
+          [ false; true ]
+      in
+      let insns =
+        Array.of_list
+          ([ Insn.Li (acc, v); Insn.Li (tags, 0); Insn.Li (tagged, 0) ]
+           @ body @ [ Insn.Break 0 ])
+      in
+      let name = Printf.sprintf "widths ending at 0x%x" at in
+      let _, _, ctx, stop = chain_vs_step ~name insns in
+      (match stop with
+       | Some (Cpu.Stop_trap (Trap.Break_trap 0)) -> ()
+       | s -> Alcotest.failf "%s: %s" name (stop_str s));
+      Alcotest.(check int) (name ^ ": granule tagged before each store")
+        (if at = frame_end then 8 else 0) ctx.Cpu.gpr.(tagged);
+      Alcotest.(check int) (name ^ ": stores cleared every tag") 0
+        ctx.Cpu.gpr.(tags);
+      (* The first access is the DDC byte load of v's low byte, 0x81. *)
+      Alcotest.(check int) (name ^ ": u8") 0x81 ctx.Cpu.gpr.(15);
+      Alcotest.(check int) (name ^ ": s8") (-0x7f) ctx.Cpu.gpr.(16))
+    [ frame_end; top ]
+
+(* Past the top of physical memory, under a capability whose bounds
+   reach beyond it, every compiled width still hits [Tagmem.check]: the
+   run raises instead of reading or writing outside the frames. *)
+let test_mem_widths_past_top () =
+  let big = Cap.make_root ~base:0 ~top:(2 * mem_size) () in
+  List.iter
+    (fun (name, access) ->
+      let insns =
+        [| Insn.Li (14, mem_size); Insn.CSetAddr (21, 20, 14); access;
+           Insn.Break 0 |]
+      in
+      List.iter
+        (fun engine ->
+          let m, ctx, _ = setup insns 5 in
+          ctx.Cpu.ddc <- big;
+          Cpu.wr_creg ctx 20 big;
+          let bb = Bbcache.create () in
+          match
+            (match engine with
+             | `Step -> Cpu.run m ctx ~fuel
+             | `Chain -> Bbcache.run bb m ctx ~fuel)
+          with
+          | exception Invalid_argument _ ->
+            if engine = `Chain then
+              Alcotest.(check int) (name ^ ": the compiled closure probed") 1
+                bb.Bbcache.checked_probes
+          | s -> Alcotest.failf "%s: no range error, %s" name (stop_str s))
+        [ `Step; `Chain ])
+    (List.concat_map
+       (fun w ->
+         [ Printf.sprintf "load u%d" w,
+           Insn.Load { w; signed = false; rd = 15; base = 14; off = 0 };
+           Printf.sprintf "load s%d" w,
+           Insn.Load { w; signed = true; rd = 15; base = 14; off = 0 };
+           Printf.sprintf "store %d" w,
+           Insn.Store { w; rs = 15; base = 14; off = 0 };
+           Printf.sprintf "cload u%d" w,
+           Insn.CLoad { w; signed = false; rd = 15; cb = 21; off = 0 };
+           Printf.sprintf "cload s%d" w,
+           Insn.CLoad { w; signed = true; rd = 15; cb = 21; off = 0 };
+           Printf.sprintf "cstore %d" w,
+           Insn.CStore { w; rs = 15; cb = 21; off = 0 } ])
+       [ 1; 2; 4; 8 ]
+     @ [ "clc", Insn.CLC { cd = 15; cb = 21; off = 0 };
+         "csc", Insn.CSC { cs = 1; cb = 21; off = 0 } ])
 
 (* A register operand outside either file makes a reserved instruction:
    a precise trap, not a host exception. [Cpu.decode] checks the operands
@@ -1291,6 +1569,12 @@ let suite =
     "chain: fuel boundaries", `Quick, test_chain_fuel_boundaries;
     "chain: crosses facts-elided entry", `Quick, test_chain_crosses_elided_entry;
     "chain: mid-chain trap attribution", `Quick, test_chain_trap_attribution;
+    "fetch: IL1 set conflict", `Quick, test_fetch_set_conflict;
+    "fetch: trap prefix in a two-line block", `Quick, test_fetch_trap_prefix;
+    "fetch: fuel expiry in a two-line block", `Quick, test_fetch_fuel_midblock;
+    "memory widths at frame and memory ends", `Quick,
+    test_mem_widths_frame_edges;
+    "memory widths past the top of memory", `Quick, test_mem_widths_past_top;
     "chain: fused-group trap attribution", `Quick,
     test_chain_fused_trap_attribution;
     "chain: fuel expiry mid-fused-group", `Quick,

@@ -354,6 +354,93 @@ let test_hierarchy_costs () =
   Alcotest.(check int) "hit is l1 latency" h.Cache.l1_hit_cycles hit;
   Alcotest.(check bool) "l2 miss counted" true (Cache.l2_misses h >= 1)
 
+(* The batched-hit API the chain engine charges instruction fetches
+   with: [k] batched hits on a just-probed line leave the cache exactly as
+   [k] real probes do, and asking for the slot of a line that is not
+   resident is an invariant failure (a re-probe of the L1 alone would
+   skip the L2 that a real missing fetch reaches). *)
+let test_cache_batched_hits () =
+  let probed = Cache.create ~name:"p" ~size:1024 ~ways:4 in
+  let batched = Cache.create ~name:"p" ~size:1024 ~ways:4 in
+  let state (c : Cache.t) =
+    (Cache.hits c, Cache.misses c, c.Cache.clock, Array.to_list c.Cache.tags,
+     Array.to_list c.Cache.lru)
+  in
+  List.iter
+    (fun (line, k) ->
+      ignore (Cache.access_line probed line);
+      for _ = 1 to k do ignore (Cache.access_line probed line) done;
+      ignore (Cache.access_line batched line);
+      Cache.repeat_hits batched (Cache.resident_slot batched line) k)
+    [ 3, 5; 7, 0; 3, 2; 11, 9; 19, 1; 7, 4 ];
+  Alcotest.(check bool) "batched = probed" true (state batched = state probed);
+  match Cache.resident_slot batched 1234 with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "slot of an absent line"
+
+(* The chain engine's fixed-width accessors against the generic
+   [read_int]/[read_int_signed]/[write_int] the step engine uses, at every
+   aligned address of a frame's last granule and of the top granule of
+   memory, over values with each width's sign bit set and clear. Each
+   store also clears the granule's tag, and the range check still raises
+   past the end of memory. *)
+let test_fixed_width_accessors () =
+  let size = 1 lsl 16 in
+  let fixed = mk () and generic = mk () in
+  let values = [ 0; 1; 0x7f; 0x80; 0xff82; 0x8000_0001; -0x1234_5678_9abc_de7f;
+                 min_int; max_int ] in
+  let reads =
+    [ 1, Tagmem.read_u8, Tagmem.read_s8;
+      2, Tagmem.read_u16, Tagmem.read_s16;
+      4, Tagmem.read_u32, Tagmem.read_s32;
+      8, Tagmem.read_u64, Tagmem.read_u64 ]
+  and writes =
+    [ 1, Tagmem.write_u8; 2, Tagmem.write_u16; 4, Tagmem.write_u32;
+      8, Tagmem.write_u64 ]
+  in
+  List.iter
+    (fun granule ->
+      List.iter
+        (fun (w, write) ->
+          let _, read_u, read_s =
+            List.find (fun (w', _, _) -> w' = w) reads
+          in
+          for i = 0 to (16 / w) - 1 do
+            let a = granule + (i * w) in
+            List.iter
+              (fun v ->
+                let c = some_cap ~base:granule ~len:16 () in
+                Tagmem.write_cap fixed granule c;
+                Tagmem.write_cap generic granule c;
+                write fixed a v;
+                Tagmem.write_int generic a ~len:w v;
+                let what = Printf.sprintf "w=%d @%x v=%x" w a v in
+                Alcotest.(check bool) (what ^ ": tag cleared") false
+                  (Tagmem.get_tag fixed granule);
+                Alcotest.(check int) (what ^ ": unsigned")
+                  (Tagmem.read_int generic a ~len:w) (read_u fixed a);
+                Alcotest.(check int) (what ^ ": signed")
+                  (Tagmem.read_int_signed generic a ~len:w) (read_s fixed a))
+              values
+          done)
+        writes)
+    [ 0x4ff0; size - 16 ];
+  Alcotest.(check bool) "same bytes" true
+    (Bytes.equal (Tagmem.read_bytes fixed 0 size)
+       (Tagmem.read_bytes generic 0 size));
+  List.iter
+    (fun (w, write) ->
+      let _, read_u, read_s = List.find (fun (w', _, _) -> w' = w) reads in
+      let raises what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "w=%d %s past the end did not raise" w what
+      in
+      raises "read" (fun () -> ignore (read_u fixed size));
+      raises "signed read" (fun () -> ignore (read_s fixed size));
+      raises "write" (fun () -> write fixed size 1))
+    writes
+
 let suite =
   [ "data roundtrip", `Quick, test_data_roundtrip;
     "signed reads", `Quick, test_signed_read;
@@ -372,6 +459,7 @@ let suite =
     "byte ranges spanning frames", `Quick, test_span_bytes;
     "overlapping moves spanning frames", `Quick, test_span_move_overlap;
     "cap store into an unwritten frame", `Quick, test_write_cap_fresh_frame;
+    "fixed-width accessors", `Quick, test_fixed_width_accessors;
     "digest of alternating memories", `Quick, test_digest_alternating;
     "phys alloc/free", `Quick, test_phys_alloc_free;
     "phys refcount", `Quick, test_phys_refcount;
@@ -380,4 +468,5 @@ let suite =
     "cache hit after miss", `Quick, test_cache_hit_after_miss;
     "cache eviction", `Quick, test_cache_eviction;
     "cache line straddle", `Quick, test_cache_straddle;
-    "hierarchy costs", `Quick, test_hierarchy_costs ]
+    "hierarchy costs", `Quick, test_hierarchy_costs;
+    "cache batched hits", `Quick, test_cache_batched_hits ]

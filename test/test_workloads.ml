@@ -47,9 +47,21 @@ let rec to_c = function
     (* no ternary in CSmall: use arithmetic selection via a helper *)
     Printf.sprintf "pick(%s, %s, %s)" (to_c c) (to_c a) (to_c b)
 
+(* Size bound. An expression of size [n] nests [depth n] operators. The
+   code generator holds at most two temporaries per enclosing operator
+   (the first two arguments of a [pick] call while it evaluates the
+   third) and spills every live one at a call, so the deepest expression
+   of [depth] levels needs 2 * (depth - 1) of codegen's [spill_slots]
+   stack slots. The largest size whose depth fits is [max_size]; one more
+   level fails to compile ("out of spill slots"). *)
+let rec depth n = if n <= 0 then 0 else 1 + depth (n / 2)
+let max_depth = (Cheri_cc.Codegen.spill_slots / 2) + 1
+let max_size = (1 lsl max_depth) - 1
+let () = assert (depth max_size = max_depth && depth (max_size + 1) > max_depth)
+
 let gen_expr =
   let open QCheck.Gen in
-  sized
+  sized_size (int_bound max_size)
   @@ fix (fun self n ->
       if n <= 0 then map (fun v -> Num v) (int_range (-1000) 1000)
       else
@@ -99,6 +111,22 @@ let qcheck_differential =
         run_expr ~abi:Abi.Mips64 e = expect
         && run_expr ~abi:Abi.Cheriabi e = expect
         && run_expr ~abi:Abi.Asan e = expect) ]
+
+(* The deepest expression [gen_expr] can draw, in its most
+   register-hungry shape: [max_depth] nested [pick]s, each nested in the
+   third argument. *)
+let test_expr_at_spill_bound () =
+  let rec chain d = if d = 0 then Num 3 else Ifnz (Num 1, Num 2, chain (d - 1)) in
+  let rec nest d = if d = 0 then Num 3 else Ifnz (Num 0, Num 2, nest (d - 1)) in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun abi ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s" (to_c e) (Abi.to_string abi))
+            (eval_ref e) (run_expr ~abi e))
+        [ Abi.Mips64; Abi.Cheriabi; Abi.Asan ])
+    [ chain max_depth; nest max_depth ]
 
 (* --- Benchmarks ----------------------------------------------------------------------- *)
 
@@ -254,8 +282,12 @@ let suite =
     "openssl trace properties", `Quick, test_openssl_trace_properties;
     "sysbench shape", `Slow, test_sysbench_shape;
     "bug census", `Quick, test_bug_census;
-    "overhead_pct zero baseline", `Quick, test_overhead_pct_zero_base ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_differential
+    "overhead_pct zero baseline", `Quick, test_overhead_pct_zero_base;
+    "expression at the spill-slot bound", `Quick, test_expr_at_spill_bound ]
+  (* A pinned seed: the same twenty expressions on every run. *)
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]))
+      qcheck_differential
 
 (* --- Cache study direction --------------------------------------------------------------- *)
 

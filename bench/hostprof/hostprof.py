@@ -4,7 +4,7 @@
 Run from the root of the repository:
 
   python3 bench/hostprof/hostprof.py [--interval-us 500] [--top 30]
-      [--function SYMBOL] -- COMMAND [ARGS...]
+      [--function SYMBOL|FILE:LINE] -- COMMAND [ARGS...]
 
 Builds the ptrace sampler (bench/hostprof/sampler.c, an opt-in dune
 rule), starts COMMAND with its output sent to stderr, and samples the
@@ -16,8 +16,11 @@ microseconds until it exits. Then it prints:
     first instruction (`addr2line`), which names OCaml's anonymous
     closures (`fun_NNNN`);
   - with --function, per-instruction sample counts for the symbol (an
-    exact name, or a substring that names one symbol): `objdump -d` of
-    it, each line prefixed with its count and source line.
+    exact name, a substring that names one symbol, or FILE:LINE, e.g.
+    bbcache.ml:507, the source line of the symbol's first instruction,
+    which names an anonymous closure across builds that renumber
+    `fun_NNNN`): `objdump -d` of it, each line prefixed with its count
+    and source line.
 
 Linux on x86-64 only; it needs ptrace permission over the command.
 """
@@ -26,6 +29,7 @@ import argparse
 import bisect
 import collections
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -118,6 +122,23 @@ def source_lines(path, addrs):
     return {a: os.path.basename(l) for a, l in zip(addrs, out)}
 
 
+def named_symbols(spec, counts, images):
+    """The sampled (path, symbol, start) keys that --function [spec]
+    names: FILE:LINE matches the source line of a symbol's first
+    instruction; anything else is an exact symbol name or, failing that,
+    a substring of one."""
+    if re.fullmatch(r"[^:\s]+:\d+", spec):
+        want = os.path.basename(spec)
+        hits = []
+        for path in {p for (p, _, _) in counts if p in images}:
+            keys = [k for k in counts if k[0] == path]
+            lines = source_lines(path, {s for (_, _, s) in keys})
+            hits += [k for k in keys if lines[k[2]].split(" ")[0] == want]
+        return sorted(hits)
+    return [k for k in counts if k[1] == spec] or sorted(
+        {k for k in counts if spec in k[1]})
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--interval-us", type=int, default=500)
@@ -185,9 +206,7 @@ def main():
               (c, 100.0 * c / n, name, src, os.path.basename(path)))
 
     if a.function:
-        hits = [(p, nm, s) for (p, nm, s) in counts
-                if nm == a.function] or sorted(
-            {(p, nm, s) for (p, nm, s) in counts if a.function in nm})
+        hits = named_symbols(a.function, counts, images)
         if len(hits) != 1:
             sys.exit("hostprof: --function %s names %d sampled symbols%s" %
                      (a.function, len(hits),

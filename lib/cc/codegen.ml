@@ -107,14 +107,21 @@ let need_got st sym =
 
 (* --- Register allocation ------------------------------------------------------------ *)
 
+(* Spill slots per frame. A function is compiled with [spill_slots] first;
+   one whose expressions need more is compiled again from scratch with
+   twice as many ([gen_fun]), up to [max_spill_slots]. Functions that fit
+   in [spill_slots] get the same frame and code as with a fixed area. *)
 let spill_slots = 16
+let max_spill_slots = 256
+
+exception Out_of_spill_slots
 
 let alloc_spill st =
   match st.free_spill with
   | s :: rest ->
     st.free_spill <- rest;
     s
-  | [] -> error "expression too complex: out of spill slots"
+  | [] -> raise Out_of_spill_slots
 
 let spill_one st op =
   let slot = alloc_spill st in
@@ -280,7 +287,7 @@ let iter_decls params body fparam fdecl =
 let is_aggregate = function Tarr _ | Tstruct _ -> true | _ -> false
 
 (* Plan the frame: local offsets, spill area, save slot. *)
-let plan_frame st (f : Sema.tfun) =
+let plan_frame st (f : Sema.tfun) ~nspill =
   let lay = st.lay in
   Hashtbl.reset st.decl_offsets;
   Hashtbl.reset st.decl_capslots;
@@ -320,7 +327,7 @@ let plan_frame st (f : Sema.tfun) =
     poison := (start, !off - start) :: !poison
   end;
   st.spill_base <- Layout.align_up !off 16;
-  let after_spill = st.spill_base + (spill_slots * 16) in
+  let after_spill = st.spill_base + (nspill * 16) in
   st.misc_off <- after_spill;
   st.save_off <- after_spill + 16;
   st.frame_size <- Layout.align_up (st.save_off + 16) 16;
@@ -1307,19 +1314,19 @@ let rec gen_stmt st (s : Sema.tstmt) =
 
 (* --- Functions --------------------------------------------------------------------------------------------- *)
 
-let gen_fun st (f : Sema.tfun) =
+let gen_fun_body st (f : Sema.tfun) ~nspill =
   st.cur_fun <- f.Sema.tf_name;
   st.cur_ret <- f.Sema.tf_ret;
   st.free_gpr <- Reg.temp_pool;
   st.free_cap <- Reg.ctemp_pool;
   st.live <- [];
-  st.free_spill <- List.init spill_slots (fun i -> i);
+  st.free_spill <- List.init nspill (fun i -> i);
   st.scopes <- [];
   st.decl_counter <- 0;
   st.break_lbl <- [];
   st.cont_lbl <- [];
   st.asan_lbl <- None;
-  let param_offs, poison = plan_frame st f in
+  let param_offs, poison = plan_frame st f ~nspill in
   emit_lbl st f.Sema.tf_name;
   (* Prologue. *)
   if is_cheri st then begin
@@ -1377,6 +1384,33 @@ let gen_fun st (f : Sema.tfun) =
      emit st (Insn.Break 78)
    | None -> ());
   pop_scope st
+
+(* Compile [f] with [nspill] spill slots; if that is too few, drop what
+   the attempt emitted, its labels and the GOT entries it added first, and
+   compile it again with twice as many. The GOT order only grows by
+   consing, so the list before the attempt is a physical suffix of the
+   list after it, and a retry re-adds the dropped entries in the same
+   order. *)
+let rec gen_fun_sized st (f : Sema.tfun) ~nspill =
+  let items = st.items and labels = st.label_counter
+  and got_order = st.got_order in
+  try gen_fun_body st f ~nspill
+  with Out_of_spill_slots ->
+    if nspill >= max_spill_slots then
+      error "expression too complex: out of spill slots";
+    let rec forget l =
+      if l != got_order then
+        match l with
+        | sym :: rest -> Hashtbl.remove st.got sym; forget rest
+        | [] -> ()
+    in
+    forget st.got_order;
+    st.items <- items;
+    st.label_counter <- labels;
+    st.got_order <- got_order;
+    gen_fun_sized st f ~nspill:(2 * nspill)
+
+let gen_fun st f = gen_fun_sized st f ~nspill:spill_slots
 
 (* --- Data segment ------------------------------------------------------------------------------------------- *)
 

@@ -4,8 +4,19 @@
    check, a translate callback, a fetch indirection, the big match
    dispatch, and a fresh [Cap.set_addr] allocation to commit the PC. This
    engine translates maximal straight-line instruction runs ("superblocks"
-   keyed by entry pc) into arrays of pre-resolved OCaml closures, then:
+   keyed by entry pc) into threaded closures, then:
 
+   - threads each block into one closure ([b_run]): every instruction's
+     closure ends in a tail call to the next one's, and the terminator's
+     (or, for a block that ends without one, a constant) returns the
+     block's exit code, so a block runs with no per-instruction loop, no
+     closure array and no per-instruction bookkeeping. Compiled code
+     reaches the next closure by a jump, not a call (docs/INTERP.md, "The
+     hot path");
+   - attributes traps by a constant fixed at decode: only a closure whose
+     instruction can trap ([Insn.can_trap]) stores its index into [x_i]
+     before it may raise, so [li], ALU, [CMove], [CClearTag] and [CGet*]
+     closures store nothing;
    - hoists the per-instruction PCC execute check into one per-block
      tag/seal/perm/bounds check ([block_ok]);
    - keeps the PC as an implicit cursor (entry + 4*i) and materializes a
@@ -28,18 +39,20 @@
    line it spans is resident (a per-line slot memo makes each line one
    compare). If so the block runs with no fetch probe at all and one
    commit adds its IL1 clock, hits, per-line LRU stamps, [instret] and
-   cycles. If not, the ordered path probes the head of each line group
-   in program order (the only fetches that can miss and reach the shared
-   L2) and commits the group's follow-on hits in a batch; the terminator
-   is the last member of its line group and never probes for itself.
-   Both are exact because only instruction fetches touch IL1, a hit
-   never evicts, and IL1 shares no state with DL1 or L2, so fetch hits
-   commute with the block's data accesses (cycles and [instret] are
-   sums). See [exec_block] and [Cache.repeat_hits]. The contract
-   (docs/INTERP.md) is that [instret], [cycles], per-level cache
-   statistics and state, trap causes and PCs, and all architectural
-   state are bit-identical to [Cpu.step]; the differential fuzzer
-   (test/test_engines.ml) and the kernel parity tests enforce it.
+   cycles. If not, the ordered path runs the same closure: a [boundary]
+   closure at the head of each line group after the first, inert on the
+   resident path, commits the previous group and probes the head of its
+   own in program order (the only fetches that can miss and reach the
+   shared L2); a group's follow-on hits are committed in a batch, and the
+   terminator is the last member of its line group. Both are exact
+   because only instruction fetches touch IL1, a hit never evicts, and
+   IL1 shares no state with DL1 or L2, so fetch hits commute with the
+   block's data accesses (cycles and [instret] are sums). See
+   [exec_block] and [Cache.repeat_hits]. The contract (docs/INTERP.md) is
+   that [instret], [cycles], per-level cache statistics and state, trap
+   causes and PCs, and all architectural state are bit-identical to
+   [Cpu.step]; the differential fuzzer (test/test_engines.ml) and the
+   kernel parity tests enforce it.
 
    Memory closures are compiled per width and signedness: the alignment
    mask, the one-line DL1 probe and the fixed-width [Tagmem] accessor
@@ -52,10 +65,10 @@
 
    Decoded blocks live in a per-address-space [space]; the engine [t]
    holds only what is shared by every space of one machine (scratch
-   state, the data-side TLB and the counters). A context switch is a
-   pointer swap ([switch]), not a flush. Invalidation of one space (exec,
-   munmap/mprotect via the pmap generation) is the caller's job: see
-   [reset_space] and the [map_gen] argument. *)
+   state, the decode buffer, the data-side TLB and the counters). A
+   context switch is a pointer swap ([switch]), not a flush. Invalidation
+   of one space (exec, munmap/mprotect via the pmap generation) is the
+   caller's job: see [reset_space] and the [map_gen] argument. *)
 
 module Cap = Cheri_cap.Cap
 module Regs = Cap.Regs
@@ -66,29 +79,28 @@ module Tagmem = Cheri_tagmem.Tagmem
 let page_shift = Cheri_tagmem.Phys.page_shift
 let page_mask = Cheri_tagmem.Phys.page_size - 1
 
-(* How a terminator (and then a whole block) hands control back: an
-   unboxed [int], so no exit allocates. A 4-aligned value is the next pc —
-   a taken branch or jump target ([Cpu.check_branch_target] guarantees the
-   alignment), or, from [exec_block], the fall-through address. The codes
-   below are negative and odd, so they collide with neither: decoded code
-   only lives at non-negative addresses. *)
-let exit_fall = -1   (* terminator only: fall through to entry + 4*ilen *)
+(* How a block hands control back: an unboxed [int], so no exit
+   allocates. A 4-aligned value is the next pc — a taken branch or jump
+   target ([Cpu.check_branch_target] guarantees the alignment) or the
+   fall-through address. The codes below are negative and odd, so they
+   collide with neither: decoded code only lives at non-negative
+   addresses. *)
 let exit_pcc = -3    (* capability jump: ctx.pcc already replaced wholesale *)
 let exit_stop = -5   (* syscall/rt upcall or trap: cause in [t.stop],
                         ctx.pcc committed *)
 
-(* A decoded block. [b_groups] partitions all [b_ilen] instruction
-   indices, the terminator included, into maximal runs that share one
-   64-byte instruction line (the entry pc is fixed per block, so the line
-   phase is static), packed as (start lsl 16) lor length; a line never
-   crosses a page. [b_basesum.(i)] is the sum of the base cycles of
-   instructions [0, i). *)
+(* A decoded block. [b_run] is the whole block threaded into one
+   closure: each instruction's closure tail-calls the next, and the last
+   returns the block's exit code (see [build]). [b_groups] partitions all
+   [b_ilen] instruction indices, the terminator included, into maximal
+   runs that share one 64-byte instruction line (the entry pc is fixed per
+   block, so the line phase is static), packed as (start lsl 16) lor
+   length; a line never crosses a page. [b_basesum.(i)] is the sum of the
+   base cycles of instructions [0, i). *)
 type block = {
   b_entry : int;
   b_ilen : int;                        (* instructions incl. terminator *)
-  b_sem : (Cpu.ctx -> unit) array;     (* straight-line prefix *)
-  b_term : (Cpu.ctx -> int) option;    (* absent: block ended at max size
-                                          or at the edge of decoded code *)
+  b_run : Cpu.ctx -> int;
   b_groups : int array;
   b_basesum : int array;
   (* The block's virtual page, or -2 (no page: [t.cur_vpage] is never
@@ -143,11 +155,13 @@ type t = {
      zero allocation (no flambda: local refs escaping into the trap
      handler would be heap cells). Execution is not reentrant — closures
      never call back into the engine — so one set per cache suffices.
-     [x_i]: index of the instruction in flight; [x_gs]/[x_gcost]/
-     [x_gslot]: start index, head-probe cost and IL1 slot of the line
-     group in flight on the ordered path. [x_gcost] is [no_fetch] when
-     nothing is in flight and [resident] while a block runs on the
-     resident path. *)
+     [x_i]: index of the last instruction that could trap, which every
+     closure that can trap records before it may raise (a constant fixed
+     at decode), so after a trap it names the faulting instruction;
+     [x_gs]/[x_gcost]/[x_gslot]: start index, head-probe cost and IL1
+     slot of the line group in flight on the ordered path. [x_gcost] is
+     [no_fetch] when nothing is in flight and [resident] while a block
+     runs on the resident path. *)
   mutable x_i : int;
   mutable x_gs : int;
   mutable x_gcost : int;
@@ -168,6 +182,8 @@ type t = {
   d_rd_pb : int array;
   d_wr_vp : int array;
   d_wr_pb : int array;
+  (* [build]'s decode buffer, [max_block] instructions. *)
+  scratch : Insn.t array;
   (* Visibility counters (bench/docs; not part of the parity contract). *)
   mutable built : int;
   mutable flushes : int;
@@ -209,6 +225,7 @@ let create () =
     x_i = 0; x_gs = 0; x_gcost = -1; x_gslot = 0;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
+    scratch = Array.make max_block Insn.Nop;
     built = 0; flushes = 0; step_falls = 0;
     chain_entries = 0; chained = 0; ic_hits = 0; ic_misses = 0; ic_mega = 0;
     dtlb_hits = 0; dtlb_misses = 0; ordered = 0;
@@ -351,24 +368,27 @@ let[@inline] cap_ok (c : Cap.t) perm vaddr len =
   && vaddr >= c.Cap.base
   && vaddr + len <= c.Cap.top
 
-(* The capability half of a memory closure: count the probe, form the
-   address and check it against DDC ([ddc_probe]) or a capability
-   register ([cap_probe]), raising the exact fault through
-   [Cpu.check_cap] when the fast predicate fails; returns the virtual
-   address. The access half, [rd_pa]/[wr_pa]: alignment, the data-side
-   translate and the DL1 charge; returns the physical address. All are
-   [@inline] and every call site passes a constant width, so each closure
-   gets its own alignment mask and a one-line DL1 probe (an aligned
-   access of at most 16 bytes never spans two lines). The order is that
-   of [Cpu.do_load] and friends. *)
-let[@inline] ddc_probe t (ctx : Cpu.ctx) ~perm b off w =
+(* The capability half of a memory closure: record the instruction index
+   [j] for trap attribution, count the probe, form the address and check
+   it against DDC ([ddc_probe]) or a capability register ([cap_probe]),
+   raising the exact fault through [Cpu.check_cap] when the fast
+   predicate fails; returns the virtual address. The access half,
+   [rd_pa]/[wr_pa]: alignment, the data-side translate and the DL1
+   charge; returns the physical address. All are [@inline] and every call
+   site passes a constant width, so each closure gets its own alignment
+   mask and a one-line DL1 probe (an aligned access of at most 16 bytes
+   never spans two lines). The order is that of [Cpu.do_load] and
+   friends. *)
+let[@inline] ddc_probe t (ctx : Cpu.ctx) ~j ~perm b off w =
+  t.x_i <- j;
   t.checked_probes <- t.checked_probes + 1;
   let vaddr = Cpu.rd_gpr ctx b + off in
   if not (cap_ok ctx.Cpu.ddc perm vaddr w) then
     Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm ~vaddr ~len:w;
   vaddr
 
-let[@inline] cap_probe t (ctx : Cpu.ctx) ~perm s cb off w =
+let[@inline] cap_probe t (ctx : Cpu.ctx) ~j ~perm s cb off w =
+  t.x_i <- j;
   t.checked_probes <- t.checked_probes + 1;
   let r = ctx.Cpu.creg in
   let vaddr = Regs.addr r s + off in
@@ -390,27 +410,81 @@ let[@inline] wr_pa t m (ctx : Cpu.ctx) vaddr w =
     ctx.Cpu.cycles + Cache.data_access_aligned m.Cpu.hier pa w;
   pa
 
-let[@inline] ddc_rd t m ctx b off w =
-  rd_pa t m ctx (ddc_probe t ctx ~perm:Perms.load b off w) w
+let[@inline] ddc_rd t m ctx ~j b off w =
+  rd_pa t m ctx (ddc_probe t ctx ~j ~perm:Perms.load b off w) w
 
-let[@inline] ddc_wr t m ctx b off w =
-  wr_pa t m ctx (ddc_probe t ctx ~perm:Perms.store b off w) w
+let[@inline] ddc_wr t m ctx ~j b off w =
+  wr_pa t m ctx (ddc_probe t ctx ~j ~perm:Perms.store b off w) w
 
-let[@inline] cap_rd t m ctx s cb off w =
-  rd_pa t m ctx (cap_probe t ctx ~perm:Perms.load s cb off w) w
+let[@inline] cap_rd t m ctx ~j s cb off w =
+  rd_pa t m ctx (cap_probe t ctx ~j ~perm:Perms.load s cb off w) w
 
-let[@inline] cap_wr t m ctx s cb off w =
-  wr_pa t m ctx (cap_probe t ctx ~perm:Perms.store s cb off w) w
+let[@inline] cap_wr t m ctx ~j s cb off w =
+  wr_pa t m ctx (cap_probe t ctx ~j ~perm:Perms.store s cb off w) w
+
+(* --- Fetch accounting ------------------------------------------------------ *)
+
+(* Line-group bookkeeping on the ordered fetch path ([exec_block]).
+   [x_gcost] is [no_fetch] when no group is in flight and [resident] while
+   a block runs on the resident path. *)
+let no_fetch = -1
+let resident = -2
+
+(* Issue line group [g]'s head fetch — instruction [s], the group's
+   first, at [entry + 4*s] — as a real, in-order [Cache.ifetch], the only
+   fetch of the group that can miss and reach the L2, and record the IL1
+   slot that holds its line for the residency memo. A page fault in the
+   translate leaves the group uncharged, as in the step engine. *)
+let head_fetch t m slots entry g s =
+  let h = m.Cpu.hier in
+  t.x_i <- s;
+  t.x_gs <- s;
+  let pa = translate_exec t m (entry + (4 * s)) in
+  t.x_gcost <- Cache.ifetch h pa;
+  let slot = Cache.resident_slot h.Cache.il1 (pa lsr Cache.line_shift) in
+  t.x_gslot <- slot;
+  Array.unsafe_set slots g slot
+
+(* Charge the line group in flight on the ordered path through
+   instruction [j]: the head probe's cost, one hit cycle and one IL1 hit
+   per follow-on, the base cycles ([basesum], the block's prefix sums)
+   and one retirement per instruction. *)
+let commit_group t m basesum (ctx : Cpu.ctx) j =
+  let h = m.Cpu.hier in
+  let k = j - t.x_gs in
+  ctx.Cpu.instret <- ctx.Cpu.instret + k + 1;
+  ctx.Cpu.cycles <-
+    ctx.Cpu.cycles + t.x_gcost
+    + (k * h.Cache.l1_hit_cycles)
+    + Array.unsafe_get basesum (j + 1)
+    - Array.unsafe_get basesum t.x_gs;
+  if k > 0 then Cache.repeat_hits h.Cache.il1 t.x_gslot k;
+  t.x_gcost <- no_fetch
+
+(* The closure at the head of line group [g] >= 1 (instruction [s]): on
+   the ordered path it commits group g-1 and issues group g's head fetch;
+   on the resident path it does nothing. *)
+let boundary t m basesum slots entry g s k =
+  fun ctx ->
+    if t.x_gcost <> resident then begin
+      commit_group t m basesum ctx (s - 1);
+      head_fetch t m slots entry g s
+    end;
+    k ctx
 
 (* --- Block compilation ---------------------------------------------------- *)
 
-(* Straight-line instruction at [pc] -> pure-semantics closure.
-   [exec_block] charges fetches, base cycles and retirements per block,
-   so closures carry no accounting. The hottest ALU and
+(* Straight-line instruction [j] of a block, at [pc] -> a closure that
+   runs it and then tail-calls [k], the rest of the block. [exec_block]
+   charges fetches, base cycles and retirements per block, so closures
+   carry no accounting. The may-trap classification ([Insn.can_trap])
+   splits the work: only a closure that can trap records [j] in [t.x_i]
+   for trap attribution; the others store nothing. The hottest ALU and
    capability-inspection forms get specialized closures (no re-dispatch
-   per execution); everything else funnels through the one shared
-   semantics function, [Cpu.exec_straight]. The fuzzer exercises both
-   paths against the step engine.
+   per execution), [Nop] and [Annot] compile to [k] itself, and
+   everything else funnels through the one shared semantics function,
+   [Cpu.exec_straight]. The fuzzer exercises both paths against the step
+   engine.
 
    Memory arms inline [Cpu.mem_read]/[Cpu.mem_write] with the data-side
    translate memo substituted — check order (capability probe, alignment,
@@ -422,371 +496,475 @@ let[@inline] cap_wr t m ctx s cb off w =
    natural alignment, the closure's own alignment check establishes. A
    width outside those four (no compiler emits one) runs the shared
    semantics. *)
-let compile_sem t m ~pc insn =
-  let mem = m.Cpu.mem in
-  match insn with
-  | Insn.Li (rd, v) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d v
-  | Insn.Move (rd, rs) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs)
-  | Insn.Addu (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt)
-  | Insn.Addiu (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + i)
-  | Insn.Subu (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt)
-  | Insn.Mul (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs * Cpu.rd_gpr ctx rt)
-  | Insn.And_ (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land Cpu.rd_gpr ctx rt)
-  | Insn.Andi (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land i)
-  | Insn.Or_ (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor Cpu.rd_gpr ctx rt)
-  | Insn.Ori (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor i)
-  | Insn.Xor_ (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor Cpu.rd_gpr ctx rt)
-  | Insn.Xori (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor i)
-  | Insn.Sll (rd, rs, sh) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsl sh)
-  | Insn.Srl (rd, rs, sh) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsr sh)
-  | Insn.Sra (rd, rs, sh) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs asr sh)
-  | Insn.Slt (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx ->
-      Cpu.wr_gpr ctx d (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0)
-  | Insn.Slti (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (if Cpu.rd_gpr ctx rs < i then 1 else 0)
-  | Insn.Sltu (rd, rs, rt) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx ->
-      let ua = Cpu.rd_gpr ctx rs lxor min_int
-      and ub = Cpu.rd_gpr ctx rt lxor min_int in
-      Cpu.wr_gpr ctx d (if ua < ub then 1 else 0)
-  | Insn.Sltiu (rd, rs, i) ->
-    let d = Cpu.gpr_wslot rd in
-    fun ctx ->
-      let ua = Cpu.rd_gpr ctx rs lxor min_int and ub = i lxor min_int in
-      Cpu.wr_gpr ctx d (if ua < ub then 1 else 0)
-  | Insn.Load { w; signed; rd; base = b; off } ->
-    let d = Cpu.gpr_wslot rd in
-    (match w, signed with
-     | 1, false ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (ddc_rd t m ctx b off 1))
-     | 1, true ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (ddc_rd t m ctx b off 1))
-     | 2, false ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (ddc_rd t m ctx b off 2))
-     | 2, true ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (ddc_rd t m ctx b off 2))
-     | 4, false ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (ddc_rd t m ctx b off 4))
-     | 4, true ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (ddc_rd t m ctx b off 4))
-     | 8, _ ->
-       fun ctx -> Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (ddc_rd t m ctx b off 8))
-     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
-  | Insn.Store { w; rs; base = b; off } ->
-    (match w with
-     | 1 ->
-       fun ctx ->
-         let pa = ddc_wr t m ctx b off 1 in
-         Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs)
-     | 2 ->
-       fun ctx ->
-         let pa = ddc_wr t m ctx b off 2 in
-         Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs)
-     | 4 ->
-       fun ctx ->
-         let pa = ddc_wr t m ctx b off 4 in
-         Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs)
-     | 8 ->
-       fun ctx ->
-         let pa = ddc_wr t m ctx b off 8 in
-         Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs)
-     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
-  | Insn.CLoad { w; signed; rd; cb; off } ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    (match w, signed with
-     | 1, false ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (cap_rd t m ctx s cb off 1))
-     | 1, true ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (cap_rd t m ctx s cb off 1))
-     | 2, false ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (cap_rd t m ctx s cb off 2))
-     | 2, true ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (cap_rd t m ctx s cb off 2))
-     | 4, false ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (cap_rd t m ctx s cb off 4))
-     | 4, true ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (cap_rd t m ctx s cb off 4))
-     | 8, _ ->
-       fun ctx ->
-         Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (cap_rd t m ctx s cb off 8))
-     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
-  | Insn.CStore { w; rs; cb; off } ->
-    let s = Regs.rslot cb in
-    (match w with
-     | 1 ->
-       fun ctx ->
-         let pa = cap_wr t m ctx s cb off 1 in
-         Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs)
-     | 2 ->
-       fun ctx ->
-         let pa = cap_wr t m ctx s cb off 2 in
-         Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs)
-     | 4 ->
-       fun ctx ->
-         let pa = cap_wr t m ctx s cb off 4 in
-         Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs)
-     | 8 ->
-       fun ctx ->
-         let pa = cap_wr t m ctx s cb off 8 in
-         Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs)
-     | _ -> fun ctx -> Cpu.exec_straight m ctx ~pc insn)
-  | Insn.CLC { cd; cb; off } ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx ->
-      let pa = cap_rd t m ctx s cb off Cap.sizeof in
-      let r = ctx.Cpu.creg in
-      (* Without LOAD_CAP the tag is stripped on load. *)
-      Tagmem.load_cap_reg mem pa r d
-        ~keep_tag:(Perms.has (Regs.perms r s) Perms.load_cap)
-  | Insn.CSC { cs; cb; off } ->
-    let s = Regs.rslot cb and v = Regs.rslot cs in
-    fun ctx ->
-      let vaddr = cap_probe t ctx ~perm:Perms.store s cb off Cap.sizeof in
-      let r = ctx.Cpu.creg in
-      if Regs.tag r v then begin
-        if not (Perms.has (Regs.perms r s) Perms.store_cap) then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Regs.perms r v) Perms.global))
-           && not (Perms.has (Regs.perms r s) Perms.store_local_cap)
-        then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
-            ~vaddr
-      end;
-      let pa = wr_pa t m ctx vaddr Cap.sizeof in
-      Tagmem.store_cap_reg mem pa r v
-  | Insn.CIncOffsetImm (cd, cb, i) ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx -> Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s i
-  | Insn.CIncOffset (cd, cb, rt) ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx -> Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt)
-  | Insn.CSetAddr (cd, cb, rt) ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx -> Regs.set_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt)
-  | Insn.CClearTag (cd, cb) ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx -> Regs.clear_tag ctx.Cpu.creg ~dst:d ~src:s
-  | Insn.CMove (cd, cb) ->
-    let s = Regs.rslot cb and d = Regs.wslot cd in
-    fun ctx -> Regs.move ctx.Cpu.creg ~dst:d ~src:s
-  | Insn.CGetBase (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.base ctx.Cpu.creg s)
-  | Insn.CGetLen (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.length ctx.Cpu.creg s)
-  | Insn.CGetAddr (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.addr ctx.Cpu.creg s)
-  | Insn.CGetOffset (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.offset ctx.Cpu.creg s)
-  | Insn.CGetPerm (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.perms ctx.Cpu.creg s)
-  | Insn.CGetTag (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (if Regs.tag ctx.Cpu.creg s then 1 else 0)
-  | Insn.CGetType (rd, cb) ->
-    let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-    fun ctx -> Cpu.wr_gpr ctx d (Regs.otype ctx.Cpu.creg s)
-  | Insn.Nop -> fun _ctx -> ()
-  | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn
+let compile_sem t m ~pc ~j insn (k : Cpu.ctx -> int) : Cpu.ctx -> int =
+  if not (Insn.can_trap insn) then
+    match insn with
+    | Insn.Li (rd, v) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d v; k ctx
+    | Insn.Move (rd, rs) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs); k ctx
+    | Insn.Addu (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt); k ctx
+    | Insn.Addiu (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs + i); k ctx
+    | Insn.Subu (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt); k ctx
+    | Insn.Mul (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs * Cpu.rd_gpr ctx rt); k ctx
+    | Insn.And_ (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land Cpu.rd_gpr ctx rt); k ctx
+    | Insn.Andi (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs land i); k ctx
+    | Insn.Or_ (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor Cpu.rd_gpr ctx rt); k ctx
+    | Insn.Ori (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lor i); k ctx
+    | Insn.Xor_ (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor Cpu.rd_gpr ctx rt); k ctx
+    | Insn.Xori (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lxor i); k ctx
+    | Insn.Sll (rd, rs, sh) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsl sh); k ctx
+    | Insn.Srl (rd, rs, sh) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs lsr sh); k ctx
+    | Insn.Sra (rd, rs, sh) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Cpu.rd_gpr ctx rs asr sh); k ctx
+    | Insn.Slt (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d
+          (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0);
+        k ctx
+    | Insn.Slti (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (if Cpu.rd_gpr ctx rs < i then 1 else 0); k ctx
+    | Insn.Sltu (rd, rs, rt) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        let ua = Cpu.rd_gpr ctx rs lxor min_int
+        and ub = Cpu.rd_gpr ctx rt lxor min_int in
+        Cpu.wr_gpr ctx d (if ua < ub then 1 else 0);
+        k ctx
+    | Insn.Sltiu (rd, rs, i) ->
+      let d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        let ua = Cpu.rd_gpr ctx rs lxor min_int and ub = i lxor min_int in
+        Cpu.wr_gpr ctx d (if ua < ub then 1 else 0);
+        k ctx
+    | Insn.CClearTag (cd, cb) ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx -> Regs.clear_tag ctx.Cpu.creg ~dst:d ~src:s; k ctx
+    | Insn.CMove (cd, cb) ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx -> Regs.move ctx.Cpu.creg ~dst:d ~src:s; k ctx
+    | Insn.CGetBase (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.base ctx.Cpu.creg s); k ctx
+    | Insn.CGetLen (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.length ctx.Cpu.creg s); k ctx
+    | Insn.CGetAddr (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.addr ctx.Cpu.creg s); k ctx
+    | Insn.CGetOffset (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.offset ctx.Cpu.creg s); k ctx
+    | Insn.CGetPerm (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.perms ctx.Cpu.creg s); k ctx
+    | Insn.CGetTag (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx ->
+        Cpu.wr_gpr ctx d (if Regs.tag ctx.Cpu.creg s then 1 else 0); k ctx
+    | Insn.CGetType (rd, cb) ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      fun ctx -> Cpu.wr_gpr ctx d (Regs.otype ctx.Cpu.creg s); k ctx
+    | Insn.Nop | Insn.Annot _ -> k
+    | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn; k ctx
+  else
+    let mem = m.Cpu.mem in
+    match insn with
+    | Insn.Load { w; signed; rd; base = b; off } ->
+      let d = Cpu.gpr_wslot rd in
+      (match w, signed with
+       | 1, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (ddc_rd t m ctx ~j b off 1));
+           k ctx
+       | 1, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (ddc_rd t m ctx ~j b off 1));
+           k ctx
+       | 2, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (ddc_rd t m ctx ~j b off 2));
+           k ctx
+       | 2, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (ddc_rd t m ctx ~j b off 2));
+           k ctx
+       | 4, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (ddc_rd t m ctx ~j b off 4));
+           k ctx
+       | 4, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (ddc_rd t m ctx ~j b off 4));
+           k ctx
+       | 8, _ ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (ddc_rd t m ctx ~j b off 8));
+           k ctx
+       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
+    | Insn.Store { w; rs; base = b; off } ->
+      (match w with
+       | 1 ->
+         fun ctx ->
+           let pa = ddc_wr t m ctx ~j b off 1 in
+           Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 2 ->
+         fun ctx ->
+           let pa = ddc_wr t m ctx ~j b off 2 in
+           Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 4 ->
+         fun ctx ->
+           let pa = ddc_wr t m ctx ~j b off 4 in
+           Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 8 ->
+         fun ctx ->
+           let pa = ddc_wr t m ctx ~j b off 8 in
+           Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
+    | Insn.CLoad { w; signed; rd; cb; off } ->
+      let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
+      (match w, signed with
+       | 1, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_u8 mem (cap_rd t m ctx ~j s cb off 1));
+           k ctx
+       | 1, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_s8 mem (cap_rd t m ctx ~j s cb off 1));
+           k ctx
+       | 2, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_u16 mem (cap_rd t m ctx ~j s cb off 2));
+           k ctx
+       | 2, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_s16 mem (cap_rd t m ctx ~j s cb off 2));
+           k ctx
+       | 4, false ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_u32 mem (cap_rd t m ctx ~j s cb off 4));
+           k ctx
+       | 4, true ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_s32 mem (cap_rd t m ctx ~j s cb off 4));
+           k ctx
+       | 8, _ ->
+         fun ctx ->
+           Cpu.wr_gpr ctx d
+             (Tagmem.read_u64 mem (cap_rd t m ctx ~j s cb off 8));
+           k ctx
+       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
+    | Insn.CStore { w; rs; cb; off } ->
+      let s = Regs.rslot cb in
+      (match w with
+       | 1 ->
+         fun ctx ->
+           let pa = cap_wr t m ctx ~j s cb off 1 in
+           Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 2 ->
+         fun ctx ->
+           let pa = cap_wr t m ctx ~j s cb off 2 in
+           Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 4 ->
+         fun ctx ->
+           let pa = cap_wr t m ctx ~j s cb off 4 in
+           Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | 8 ->
+         fun ctx ->
+           let pa = cap_wr t m ctx ~j s cb off 8 in
+           Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs);
+           k ctx
+       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
+    | Insn.CLC { cd; cb; off } ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx ->
+        let pa = cap_rd t m ctx ~j s cb off Cap.sizeof in
+        let r = ctx.Cpu.creg in
+        (* Without LOAD_CAP the tag is stripped on load. *)
+        Tagmem.load_cap_reg mem pa r d
+          ~keep_tag:(Perms.has (Regs.perms r s) Perms.load_cap);
+        k ctx
+    | Insn.CSC { cs; cb; off } ->
+      let s = Regs.rslot cb and v = Regs.rslot cs in
+      fun ctx ->
+        let vaddr = cap_probe t ctx ~j ~perm:Perms.store s cb off Cap.sizeof in
+        let r = ctx.Cpu.creg in
+        if Regs.tag r v then begin
+          if not (Perms.has (Regs.perms r s) Perms.store_cap) then
+            Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb
+              ~vaddr;
+          if (not (Perms.has (Regs.perms r v) Perms.global))
+             && not (Perms.has (Regs.perms r s) Perms.store_local_cap)
+          then
+            Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap)
+              ~reg:cb ~vaddr
+        end;
+        let pa = wr_pa t m ctx vaddr Cap.sizeof in
+        Tagmem.store_cap_reg mem pa r v;
+        k ctx
+    | Insn.CIncOffsetImm (cd, cb, i) ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx ->
+        t.x_i <- j;
+        Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s i;
+        k ctx
+    | Insn.CIncOffset (cd, cb, rt) ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx ->
+        t.x_i <- j;
+        Regs.inc_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt);
+        k ctx
+    | Insn.CSetAddr (cd, cb, rt) ->
+      let s = Regs.rslot cb and d = Regs.wslot cd in
+      fun ctx ->
+        t.x_i <- j;
+        Regs.set_addr ctx.Cpu.creg ~dst:d ~src:s (Cpu.rd_gpr ctx rt);
+        k ctx
+    | insn -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx
 
-(* Terminator at [pc] -> exit closure. Mirrors the control arms of
-   [Cpu.step] exactly, including the +1 taken-branch cycle, the alignment
-   check before any side effect, and the order of tag check / link-register
-   write on capability jumps. During block execution [ctx.pcc] is still
-   the block-entry PCC, whose non-address fields are exactly those of the
-   step engine's PCC at [pc] (set_addr never changes them in bounds), so
-   link capabilities built from it are bit-identical. Returns an exit
-   code (see [exit_fall]); a capability jump installs the target PCC
-   itself, after every check that can trap. Terminators carry no
-   accounting: [exec_block] charges their fetch, base cycles and
-   retirement with the rest of their line group, as it does for body
-   instructions. *)
-let compile_term t ~pc insn =
-  let branch cond target =
-    fun ctx ->
-      if cond ctx then begin
-        Cpu.check_branch_target target;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + 1;
-        target
-      end
-      else exit_fall
-  in
+(* The condition of a branch; true for an unconditional jump. *)
+let branch_cond = function
+  | Insn.Beq (rs, rt, _) ->
+    fun ctx -> Cpu.rd_gpr ctx rs = Cpu.rd_gpr ctx rt
+  | Insn.Bne (rs, rt, _) ->
+    fun ctx -> Cpu.rd_gpr ctx rs <> Cpu.rd_gpr ctx rt
+  | Insn.Blez (rs, _) -> fun ctx -> Cpu.rd_gpr ctx rs <= 0
+  | Insn.Bgtz (rs, _) -> fun ctx -> Cpu.rd_gpr ctx rs > 0
+  | Insn.Bltz (rs, _) -> fun ctx -> Cpu.rd_gpr ctx rs < 0
+  | Insn.Bgez (rs, _) -> fun ctx -> Cpu.rd_gpr ctx rs >= 0
+  | _ -> fun _ -> true
+
+(* A taken conditional branch: one more cycle. *)
+let[@inline] taken (ctx : Cpu.ctx) tg =
+  ctx.Cpu.cycles <- ctx.Cpu.cycles + 1;
+  tg
+
+(* Terminator [j] of a block, at [pc] -> the block's last closure, which
+   returns the exit code: a next pc — [fall] when it falls through —,
+   [exit_pcc] or [exit_stop]. Mirrors the control arms of [Cpu.step]
+   exactly, including the +1 taken-branch cycle, the alignment check
+   before any side effect, and the order of tag check / link-register
+   write on capability jumps. A jump to a static target that
+   [Insn.can_trap] calls safe (an aligned one) needs no run-time check;
+   one to a misaligned static target raises when taken. During block
+   execution [ctx.pcc] is still the block-entry PCC, whose non-address
+   fields are exactly those of the step engine's PCC at [pc] (set_addr
+   never changes them in bounds), so link capabilities built from it are
+   bit-identical. A capability jump installs the target PCC itself, after
+   every check that can trap. Terminators carry no accounting:
+   [exec_block] charges their fetch, base cycles and retirement with the
+   rest of their line group, as it does for body instructions. *)
+let compile_term t ~pc ~j ~fall insn : Cpu.ctx -> int =
   match insn with
+  | Insn.Beq (_, _, tg) | Insn.Bne (_, _, tg) | Insn.Blez (_, tg)
+  | Insn.Bgtz (_, tg) | Insn.Bltz (_, tg) | Insn.Bgez (_, tg)
+  | Insn.J tg | Insn.Jal tg | Insn.CJAL (_, tg)
+    when Insn.can_trap insn ->
+    let cond = branch_cond insn in
+    fun ctx -> if cond ctx then (t.x_i <- j; Cpu.unaligned tg 4) else fall
   | Insn.Beq (rs, rt, tg) ->
-    branch (fun ctx -> Cpu.rd_gpr ctx rs = Cpu.rd_gpr ctx rt) tg
+    fun ctx -> if Cpu.rd_gpr ctx rs = Cpu.rd_gpr ctx rt then taken ctx tg
+      else fall
   | Insn.Bne (rs, rt, tg) ->
-    branch (fun ctx -> Cpu.rd_gpr ctx rs <> Cpu.rd_gpr ctx rt) tg
-  | Insn.Blez (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs <= 0) tg
-  | Insn.Bgtz (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs > 0) tg
-  | Insn.Bltz (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs < 0) tg
-  | Insn.Bgez (rs, tg) -> branch (fun ctx -> Cpu.rd_gpr ctx rs >= 0) tg
-  | Insn.J tg ->
-    fun _ctx -> Cpu.check_branch_target tg; tg
+    fun ctx -> if Cpu.rd_gpr ctx rs <> Cpu.rd_gpr ctx rt then taken ctx tg
+      else fall
+  | Insn.Blez (rs, tg) ->
+    fun ctx -> if Cpu.rd_gpr ctx rs <= 0 then taken ctx tg else fall
+  | Insn.Bgtz (rs, tg) ->
+    fun ctx -> if Cpu.rd_gpr ctx rs > 0 then taken ctx tg else fall
+  | Insn.Bltz (rs, tg) ->
+    fun ctx -> if Cpu.rd_gpr ctx rs < 0 then taken ctx tg else fall
+  | Insn.Bgez (rs, tg) ->
+    fun ctx -> if Cpu.rd_gpr ctx rs >= 0 then taken ctx tg else fall
+  | Insn.J tg -> fun _ctx -> tg
   | Insn.Jal tg ->
-    fun ctx ->
-      Cpu.check_branch_target tg;
-      Cpu.wr_gpr ctx (Cpu.gpr_wslot Reg.ra) (pc + 4);
-      tg
+    let d = Cpu.gpr_wslot Reg.ra in
+    fun ctx -> Cpu.wr_gpr ctx d fall; tg
+  | Insn.CJAL (cd, tg) ->
+    let d = Regs.wslot cd in
+    fun ctx -> Regs.set_addr_of ctx.Cpu.creg d ctx.Cpu.pcc fall; tg
   | Insn.Jr rs ->
     fun ctx ->
+      t.x_i <- j;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
       tg
   | Insn.Jalr (rd, rs) ->
     let d = Cpu.gpr_wslot rd in
     fun ctx ->
+      t.x_i <- j;
       let tg = Cpu.rd_gpr ctx rs in
       Cpu.check_branch_target tg;
-      Cpu.wr_gpr ctx d (pc + 4);
+      Cpu.wr_gpr ctx d fall;
       tg
   | Insn.CJR cb ->
     let s = Regs.rslot cb in
     fun ctx ->
+      t.x_i <- j;
       let r = ctx.Cpu.creg in
       if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
       Cpu.check_branch_target (Regs.addr r s);
       ctx.Cpu.pcc <- Regs.get r s;
       exit_pcc
-  | Insn.CJAL (cd, tg) ->
-    let d = Regs.wslot cd in
-    fun ctx ->
-      Cpu.check_branch_target tg;
-      Regs.set_addr_of ctx.Cpu.creg d ctx.Cpu.pcc (pc + 4);
-      tg
   | Insn.CJALR (cd, cb) ->
     let s = Regs.rslot cb and d = Regs.wslot cd in
     fun ctx ->
+      t.x_i <- j;
       let r = ctx.Cpu.creg in
       if not (Regs.tag r s) then
         Cpu.cap_fault Cap.Tag_violation ~reg:cb ~vaddr:pc;
       Cpu.check_branch_target (Regs.addr r s);
       (* Box the target before the link write: cd may be cb. *)
       let target = Regs.get r s in
-      Regs.set_addr_of r d ctx.Cpu.pcc (pc + 4);
+      Regs.set_addr_of r d ctx.Cpu.pcc fall;
       ctx.Cpu.pcc <- target;
       exit_pcc
   | Insn.Syscall ->
     fun ctx ->
-      ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
+      ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc fall;
       t.stop <- Cpu.Stop_syscall;
       exit_stop
   | Insn.Rt n ->
     let stop = Cpu.Stop_rt n in
     fun ctx ->
-      ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (pc + 4);
+      ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc fall;
       t.stop <- stop;
       exit_stop
   | Insn.Break n ->
-    fun _ctx -> Trap.raise_trap (Trap.Break_trap n)
+    let cause = Trap.Break_trap n in
+    fun _ctx -> t.x_i <- j; Trap.raise_trap cause
   | _ -> assert false
 
-(* Partition instruction indices [0, n) into maximal runs whose fetch
-   addresses share one cache line. Lines are 64 bytes and aligned, so a
-   run never crosses a page either; the entry pc is fixed per block, so
-   this is static. *)
+(* Partition instruction indices [0, n) (n >= 1) into maximal runs whose
+   fetch addresses share one cache line, packed as (start lsl 16) lor
+   length. Consecutive instructions step 4 bytes through 64-byte lines,
+   so the runs are the lines from the first instruction's to the last's.
+   Lines are aligned, so a run never crosses a page either; the entry pc
+   is fixed per block, so this is static. *)
 let make_groups entry n =
-  if n = 0 then [||]
-  else begin
-    let gs = ref [] in
-    let s = ref 0 in
-    for j = 1 to n do
-      if
-        j = n
-        || (entry + (4 * j)) lsr Cache.line_shift
-           <> (entry + (4 * (j - 1))) lsr Cache.line_shift
-      then begin
-        gs := ((!s lsl 16) lor (j - !s)) :: !gs;
-        s := j
-      end
-    done;
-    Array.of_list (List.rev !gs)
-  end
+  let l0 = entry lsr Cache.line_shift in
+  let ln = (entry + (4 * (n - 1))) lsr Cache.line_shift in
+  let gs = Array.make (ln - l0 + 1) 0 in
+  let g = ref 0 and s = ref 0 in
+  for j = 1 to n do
+    if j = n || (entry + (4 * j)) lsr Cache.line_shift <> l0 + !g then begin
+      gs.(!g) <- (!s lsl 16) lor (j - !s);
+      incr g;
+      s := j
+    end
+  done;
+  gs
 
-(* Decode a maximal block starting at [entry]. A block ends before the
-   first instruction [Cpu.decode] rejects: one outside decoded code (a
-   fetch fault) or one with an out-of-range register operand (a reserved
-   instruction). Returns [None] when that is the first instruction: the
-   step fallback then raises the trap with exact accounting. Build never
-   touches translate, caches or counters, so it is invisible to the
-   statistics. *)
-let build t m entry =
-  let body = ref [] in
-  let bases = ref [] in
-  let term = ref None in
-  let n = ref 0 in
+(* Decode a maximal block starting at [entry] into [t.scratch]; returns
+   its length. A block ends after its terminator, at [max_block], or
+   before the first instruction [Cpu.decode] rejects: one outside decoded
+   code (a fetch fault) or one with an out-of-range register operand (a
+   reserved instruction). *)
+let decode_block t m entry =
+  let n = ref 0 and ended = ref false in
   (try
-     while !term = None && !n < max_block do
-       let pc = entry + (4 * !n) in
-       let insn = Cpu.decode m pc in
-       if Insn.is_terminator insn then term := Some (compile_term t ~pc insn)
-       else body := compile_sem t m ~pc insn :: !body;
-       bases := Insn.base_cycles insn :: !bases;
-       incr n
+     while (not !ended) && !n < max_block do
+       let insn = Cpu.decode m (entry + (4 * !n)) in
+       Array.unsafe_set t.scratch !n insn;
+       incr n;
+       ended := Insn.is_terminator insn
      done
    with Trap.Trap _ -> ());
-  let n = !n in
+  !n
+
+(* Decode and compile a maximal block starting at [entry]: its closures
+   are threaded back to front, each taking the rest of the block as its
+   successor, with a [boundary] closure at the head of every line group
+   after the first. Returns [None] when the first instruction does not
+   decode: the step fallback then raises the trap with exact accounting.
+   Build never touches translate, caches or counters, so it is invisible
+   to the statistics; it allocates only the block's own closures and
+   arrays. *)
+let build t m entry =
+  let n = decode_block t m entry in
   if n = 0 then None
   else begin
     t.built <- t.built + 1;
+    let insns = t.scratch in
     let basesum = Array.make (n + 1) 0 in
-    List.iteri (fun i b -> basesum.(n - i) <- b) !bases;
-    for i = 1 to n do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
+    for i = 0 to n - 1 do
+      basesum.(i + 1) <- basesum.(i) + Insn.base_cycles insns.(i)
+    done;
     let groups = make_groups entry n in
+    let slots = Array.make (Array.length groups) 0 in
+    let fall = entry + (4 * n) in
+    let last = insns.(n - 1) and pc = fall - 4 in
+    let run =
+      ref (if Insn.is_terminator last then compile_term t ~pc ~j:(n - 1) ~fall last
+           else compile_sem t m ~pc ~j:(n - 1) last (fun _ -> fall))
+    in
+    let g = ref (Array.length groups - 1) in
+    for j = n - 1 downto 0 do
+      if j < n - 1 then
+        run := compile_sem t m ~pc:(entry + (4 * j)) ~j insns.(j) !run;
+      if j = groups.(!g) lsr 16 then begin
+        if !g > 0 then run := boundary t m basesum slots entry !g j !run;
+        decr g
+      end
+    done;
     let vp = entry lsr page_shift in
     Some { b_entry = entry; b_ilen = n;
-           b_sem = Array.of_list (List.rev !body);
-           b_term = !term;
+           b_run = !run;
            b_groups = groups;
            b_basesum = basesum;
-           b_vpage = (if (entry + (4 * (n - 1))) lsr page_shift = vp then vp
-                      else -2);
+           b_vpage = (if (fall - 4) lsr page_shift = vp then vp else -2);
            b_pline = -1;
-           b_slots = Array.make (Array.length groups) 0;
+           b_slots = slots;
            b_fall = None;
            b_jump_key = min_int; b_jump = None; b_jump_misses = 0;
            b_cjump_key = min_int; b_cjump = None; b_cjump_misses = 0 }
@@ -839,36 +1017,37 @@ let bounds_ok (ctx : Cpu.ctx) b =
    *address* may be stale mid-chain (closures bake their pc; only the PCC's
    non-address fields are consulted by the body and terminator closures).
    On a mid-block trap the PCC is materialized at the faulting instruction
-   (b_entry + 4*i) of the block that actually faulted — never a chain
-   head's — from the entry PCC's non-address fields: [block_ok] guaranteed
-   every such address is in bounds, and the representable window contains
-   the bounds, so the iterated [set_addr] commits of the step engine
-   produce exactly this capability.
+   (b_entry + 4*i, [i] as the trapping closure recorded it in [t.x_i]) of
+   the block that actually faulted — never a chain head's — from the
+   entry PCC's non-address fields: [block_ok] guaranteed every such
+   address is in bounds, and the representable window contains the
+   bounds, so the iterated [set_addr] commits of the step engine produce
+   exactly this capability.
 
-   Fetch accounting takes one of two paths, both exact:
+   Both fetch paths run the same threaded closure, [b_run]; only the
+   line-group boundaries inside it behave differently. Both are exact:
    - resident ([fetch_resident] holds): every fetch the block makes is an
      IL1 hit, and stays one, because only instruction fetches touch IL1
-     and a hit evicts nothing. The block runs with no probe, and
-     [commit_resident] then charges all of its fetches at once: IL1
-     clock, hits and each line's final LRU stamp, one hit cycle, the base
-     cycles and one retirement per instruction. Fetch hits change no
-     state that a data access reads or writes (IL1 shares nothing with
-     DL1 or L2), and cycles and [instret] are sums, so moving them past
-     the block's data accesses is invisible.
+     and a hit evicts nothing. The block runs with no probe (its boundary
+     closures see [resident] and do nothing), and [commit_resident] then
+     charges all of its fetches at once: IL1 clock, hits and each line's
+     final LRU stamp, one hit cycle, the base cycles and one retirement
+     per instruction. Fetch hits change no state that a data access reads
+     or writes (IL1 shares nothing with DL1 or L2), and cycles and
+     [instret] are sums, so moving them past the block's data accesses is
+     invisible.
    - ordered (otherwise): per line group, the head fetch runs as a real,
-     in-order [Cache.ifetch], the only fetch that can miss and reach the
-     L2; the follow-on fetches of the line are hits, committed at group
-     end by [commit_group] with the same argument. The terminator is the
-     last member of its group. A group that runs to its end records its
-     line's IL1 slot, and a block that runs to its end within one page
-     arms the residency memo.
+     in-order [Cache.ifetch] ([head_fetch]: here for group 0, in the
+     group's boundary closure for the others), the only fetch that can
+     miss and reach the L2; the follow-on fetches of the line are hits,
+     committed at group end by [commit_group] with the same argument. The
+     terminator is the last member of its group. A group that runs to its
+     end records its line's IL1 slot, and a block that runs to its end
+     within one page arms the residency memo.
    A trap commits exactly the prefix through the faulting instruction
    (the step engine accounts an instruction *before* executing it); a
    page fault on a head fetch commits nothing for its group, as in the
    step engine, where the fetch translate raises before any accounting. *)
-
-let no_fetch = -1
-let resident = -2
 
 (* Does IL1 slot [slots.(i)] hold line [pline + i], for every i in
    [k, n)? Top level, not a local closure: without flambda a local
@@ -907,87 +1086,32 @@ let commit_resident m b (ctx : Cpu.ctx) j =
     incr k
   done
 
-(* Charge the line group in flight on the ordered path through
-   instruction [j]: the head probe's cost, one hit cycle and one IL1 hit
-   per follow-on, the base cycles and one retirement per instruction. *)
-let commit_group t m b (ctx : Cpu.ctx) j =
-  let h = m.Cpu.hier in
-  let k = j - t.x_gs in
-  ctx.Cpu.instret <- ctx.Cpu.instret + k + 1;
-  ctx.Cpu.cycles <-
-    ctx.Cpu.cycles + t.x_gcost
-    + (k * h.Cache.l1_hit_cycles)
-    + Array.unsafe_get b.b_basesum (j + 1)
-    - Array.unsafe_get b.b_basesum t.x_gs;
-  if k > 0 then Cache.repeat_hits h.Cache.il1 t.x_gslot k;
-  t.x_gcost <- no_fetch
-
-(* The terminator, if any, as the last instruction; [fall] is the
-   fall-through pc. *)
-let[@inline] run_term t b ctx fall =
-  match b.b_term with
-  | None -> fall
-  | Some term ->
-    t.x_i <- b.b_ilen - 1;
-    let x = term ctx in
-    if x = exit_fall then fall else x
-
-let exec_ordered t m b ctx fall =
-  let h = m.Cpu.hier in
-  let entry = b.b_entry in
-  let sem = b.b_sem in
-  let groups = b.b_groups in
-  let last = Array.length groups - 1 in
-  t.ordered <- t.ordered + 1;
-  b.b_pline <- -1;
-  for g = 0 to last do
-    let packed = Array.unsafe_get groups g in
-    let s = packed lsr 16 in
-    let e = s + (packed land 0xffff) - 1 in
-    t.x_i <- s;
-    t.x_gs <- s;
-    let pa = translate_exec t m (entry + (4 * s)) in
-    t.x_gcost <- Cache.ifetch h pa;
-    let slot = Cache.resident_slot h.Cache.il1 (pa lsr Cache.line_shift) in
-    t.x_gslot <- slot;
-    Array.unsafe_set b.b_slots g slot;
-    let e_sem = Array.length sem - 1 in
-    for j = s to (if e < e_sem then e else e_sem) do
-      t.x_i <- j;
-      (Array.unsafe_get sem j) ctx
-    done;
-    if g < last then commit_group t m b ctx e
-  done;
-  let x = run_term t b ctx fall in
-  commit_group t m b ctx (b.b_ilen - 1);
-  if b.b_vpage = t.cur_vpage then
-    b.b_pline <- (t.cur_pbase + (entry land page_mask)) lsr Cache.line_shift;
-  x
-
 (* On a trap at instruction [t.x_i]: charge the prefix through it. *)
 let commit_trap t m b ctx =
   if t.x_gcost = resident then commit_resident m b ctx t.x_i
-  else if t.x_gcost >= 0 then commit_group t m b ctx t.x_i
+  else if t.x_gcost >= 0 then commit_group t m b.b_basesum ctx t.x_i
 
 let exec_block t m b (ctx : Cpu.ctx) =
   let entry_pcc = ctx.Cpu.pcc in
   let entry = b.b_entry in
-  let fall = entry + (4 * b.b_ilen) in
-  t.x_i <- 0;
-  t.x_gcost <- no_fetch;
   try
     if fetch_resident t m.Cpu.hier.Cache.il1 b then begin
       t.x_gcost <- resident;
-      let sem = b.b_sem in
-      for j = 0 to Array.length sem - 1 do
-        t.x_i <- j;
-        (Array.unsafe_get sem j) ctx
-      done;
-      let x = run_term t b ctx fall in
+      let x = b.b_run ctx in
       commit_resident m b ctx (b.b_ilen - 1);
       x
     end
-    else exec_ordered t m b ctx fall
+    else begin
+      t.ordered <- t.ordered + 1;
+      b.b_pline <- -1;
+      t.x_gcost <- no_fetch;
+      head_fetch t m b.b_slots entry 0 0;
+      let x = b.b_run ctx in
+      commit_group t m b.b_basesum ctx (b.b_ilen - 1);
+      if b.b_vpage = t.cur_vpage then
+        b.b_pline <- (t.cur_pbase + (entry land page_mask)) lsr Cache.line_shift;
+      x
+    end
   with
   | Trap.Trap cause ->
     commit_trap t m b ctx;

@@ -122,6 +122,39 @@ let is_terminator = function
   | Syscall | Break _ | Rt _ -> true
   | _ -> false
 
+(* May executing this instruction trap (raise a trap or a capability
+   fault) once decode has accepted it? The one may-trap classification:
+   the chain engine ([Bbcache]) compiles a closure that records its
+   instruction index for trap attribution only where this holds, and a
+   branch or jump whose static target is aligned gets no run-time target
+   check. A "false" is a promise that [Cpu.exec_straight] never raises on
+   the instruction (checked by a property test over random register
+   files) and, for a terminator, that [Cpu.step] never stops with a trap
+   once the fetch succeeded: arithmetic other than division, the
+   capability moves, tag clears and field reads, [Syscall] and [Rt], and
+   jumps to an aligned static target. Everything else may trap: division
+   (by zero, INT_MIN / -1), every memory access, every derivation that
+   checks tag, seal or bounds ([CIncOffset] and [CSetAddr] raise on a
+   sealed capability), register-indirect jumps, DDC access and [Break]. *)
+let can_trap = function
+  | Li _ | Move _ | Addu _ | Addiu _ | Subu _ | Mul _
+  | And_ _ | Andi _ | Or_ _ | Ori _ | Xor_ _ | Xori _ | Nor_ _
+  | Sll _ | Srl _ | Sra _ | Sllv _ | Srlv _ | Srav _
+  | Slt _ | Sltu _ | Slti _ | Sltiu _
+  | CMove _ | CClearTag _
+  | CGetBase _ | CGetLen _ | CGetAddr _ | CGetOffset _ | CGetPerm _
+  | CGetTag _ | CGetType _ | CRRL _ | CRAM _
+  | Syscall | Rt _ | Annot _ | Nop -> false
+  | Beq (_, _, tg) | Bne (_, _, tg) | Blez (_, tg) | Bgtz (_, tg)
+  | Bltz (_, tg) | Bgez (_, tg) | J tg | Jal tg | CJAL (_, tg) ->
+    tg land 3 <> 0
+  | Div _ | Rem _ | Load _ | Store _ | CLoad _ | CStore _ | CLC _ | CSC _
+  | CSetBounds _ | CSetBoundsImm _ | CSetBoundsExact _
+  | CAndPerm _ | CAndPermImm _ | CIncOffset _ | CIncOffsetImm _
+  | CSetAddr _ | CFromPtr _ | CSeal _ | CUnseal _
+  | Jr _ | Jalr _ | CJR _ | CJALR _ | CReadDDC _ | CWriteDDC _ | Break _ ->
+    true
+
 (* Are all register operands in range? Every GPR and capability operand
    names one of the 32 registers of its file; an instruction that names
    anything else is reserved ([Cpu.decode] raises

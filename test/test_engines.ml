@@ -802,6 +802,252 @@ let test_fetch_fuel_midblock () =
         (snapshot stop_s m_s ctx_s mem_s) (snapshot !stop m ctx mem))
     [ 3; 5; 7; 11 ]
 
+(* Trap attribution per trapping class. Each class names an instruction
+   that can trap and the operand setup that makes it trap ([arm true])
+   or not. The instruction sits at each of the five straight-line slots
+   of a block B (0x1034, so slots 0-2 share one fetch line and slots 3-4
+   and B's terminator the next), the other slots padded with [li]/[addu];
+   a terminator class is B's terminator itself. B traps on its first
+   visit, which runs the ordered fetch path, or on its second, which runs
+   resident: then the first visit finds good operands, jumps to the latch
+   L, which makes them bad and jumps back. Step and chain must agree on
+   the whole snapshot (stop cause, PC, instret, cycles, every cache
+   level), and the trap must be the expected one at the expected PC. *)
+let trap_block = code_base + 0x34
+let trap_latch = code_base + 0x80
+
+let trap_classes =
+  let li16 v = [ Insn.Li (16, v) ] in
+  let addr bad = li16 (if bad then mem_size else data_base) in
+  let div_by bad = li16 (if bad then 0 else 3) in
+  let cap_fault = function Trap.Cap_fault _ -> true | _ -> false in
+  let div_zero = function Trap.Div_by_zero -> true | _ -> false in
+  let unaligned = function Trap.Unaligned _ -> true | _ -> false in
+  (* c20: the data capability c1, or c1 untagged, sealed (c5 is a sealing
+     root) or with no permissions. *)
+  let c20 how bad =
+    [ (if not bad then Insn.CMove (20, 1)
+       else match how with
+         | `Untagged -> Insn.CClearTag (20, 1)
+         | `Sealed -> Insn.CSeal (20, 1, 5)
+         | `No_perms -> Insn.CAndPermImm (20, 1, 0)) ]
+  in
+  let cap_mem =
+    [ "CLoad", Insn.CLoad { w = 8; signed = false; rd = 17; cb = 20; off = 0 };
+      "CStore", Insn.CStore { w = 8; rs = 17; cb = 20; off = 0 };
+      "CLC", Insn.CLC { cd = 21; cb = 20; off = 0 };
+      "CSC", Insn.CSC { cs = 1; cb = 20; off = 0 } ]
+  in
+  [ "DDC Load out of bounds",
+    `Body (Insn.Load { w = 8; signed = false; rd = 17; base = 16; off = 0 }),
+    addr, cap_fault;
+    "DDC Store out of bounds",
+    `Body (Insn.Store { w = 8; rs = 17; base = 16; off = 0 }), addr,
+    cap_fault ]
+  @ List.concat_map
+      (fun (name, insn) ->
+        List.map
+          (fun (what, how) -> (name ^ " " ^ what, `Body insn, c20 how, cap_fault))
+          [ "untagged", `Untagged; "sealed", `Sealed;
+            "permission-stripped", `No_perms ])
+      cap_mem
+  @ List.map
+      (fun (name, insn) -> (name ^ " sealed", `Body insn, c20 `Sealed, cap_fault))
+      [ "CIncOffsetImm", Insn.CIncOffsetImm (21, 20, 8);
+        "CIncOffset", Insn.CIncOffset (21, 20, 17);
+        "CSetAddr", Insn.CSetAddr (21, 20, 17) ]
+  @ [ "Div by zero", `Body (Insn.Div (17, 18, 16)), div_by, div_zero;
+      "Rem by zero", `Body (Insn.Rem (17, 18, 16)), div_by, div_zero;
+      "misaligned Jr", `Term (Insn.Jr 16),
+      (fun bad -> li16 (if bad then trap_latch + 2 else trap_latch)), unaligned;
+      (* c20: an executable root capability at L, untagged when bad. *)
+      "untagged CJR", `Term (Insn.CJR 20),
+      (fun bad ->
+        [ Insn.Li (16, trap_latch); Insn.CSetAddr (20, 5, 16) ]
+        @ if bad then [ Insn.CClearTag (20, 20) ] else []),
+      cap_fault ]
+
+let test_trap_classes () =
+  let pad i = if i land 1 = 0 then Insn.Li (22, i) else Insn.Addu (23, 23, 22) in
+  List.iter
+    (fun (cls, site, arm, expect) ->
+      let placements =
+        match site with
+        | `Body insn ->
+          List.init 5 (fun p ->
+            (p, (fun i -> if i = p then insn else pad i), Insn.J trap_latch))
+        | `Term insn -> [ (5, pad, insn) ]
+      in
+      List.iter
+        (fun (p, insn_at, term) ->
+          List.iter
+            (fun visit ->
+              let name = Printf.sprintf "%s at slot %d, visit %d" cls p visit in
+              let insns =
+                program_at
+                  [ (code_base, arm (visit = 1) @ [ Insn.J trap_block ]);
+                    (trap_block, List.init 5 insn_at @ [ term ]);
+                    (trap_latch, arm true @ [ Insn.J trap_block ]) ]
+              in
+              let bb, st, ctx, stop = chain_vs_step ~name insns in
+              (match stop with
+               | Some (Cpu.Stop_trap c) when expect c -> ()
+               | s -> Alcotest.failf "%s: %s" name (stop_str s));
+              Alcotest.(check int) (name ^ ": PC") (trap_block + (4 * p))
+                (Cap.addr ctx.Cpu.pcc);
+              (* Visit 1: the prologue and B run ordered. Visit 2: B's
+                 first visit and L too; B's second runs resident. *)
+              Alcotest.(check int) (name ^ ": blocks") (2 * visit)
+                (executed st);
+              Alcotest.(check int) (name ^ ": ordered blocks")
+                (if visit = 1 then 2 else 3) bb.Bbcache.ordered)
+            [ 1; 2 ])
+        placements)
+    trap_classes
+
+(* --- The may-trap oracle ------------------------------------------------------------ *)
+
+(* Every instruction form, with random in-range registers, immediates
+   (small, huge and the extremes), widths and static targets (aligned or
+   not). *)
+let gen_any_insn =
+  let open QCheck.Gen in
+  let r = int_range 0 31 in
+  let imm = oneof [ int_range (-64) 64; int; oneofl [ min_int; max_int ] ] in
+  let tg = int_range code_base (code_base + 0x400) in
+  let w = oneofl [ 1; 2; 4; 8 ] in
+  let rr f = map2 f r r and rrr f = map3 f r r r and rri f = map3 f r r imm in
+  oneof
+    [ map2 (fun a v -> Insn.Li (a, v)) r imm;
+      rr (fun a b -> Insn.Move (a, b));
+      rrr (fun a b c -> Insn.Addu (a, b, c));
+      rri (fun a b i -> Insn.Addiu (a, b, i));
+      rrr (fun a b c -> Insn.Subu (a, b, c));
+      rrr (fun a b c -> Insn.Mul (a, b, c));
+      rrr (fun a b c -> Insn.Div (a, b, c));
+      rrr (fun a b c -> Insn.Rem (a, b, c));
+      rrr (fun a b c -> Insn.And_ (a, b, c));
+      rri (fun a b i -> Insn.Andi (a, b, i));
+      rrr (fun a b c -> Insn.Or_ (a, b, c));
+      rri (fun a b i -> Insn.Ori (a, b, i));
+      rrr (fun a b c -> Insn.Xor_ (a, b, c));
+      rri (fun a b i -> Insn.Xori (a, b, i));
+      rrr (fun a b c -> Insn.Nor_ (a, b, c));
+      rri (fun a b i -> Insn.Sll (a, b, i land 63));
+      rri (fun a b i -> Insn.Srl (a, b, i land 63));
+      rri (fun a b i -> Insn.Sra (a, b, i land 63));
+      rrr (fun a b c -> Insn.Sllv (a, b, c));
+      rrr (fun a b c -> Insn.Srlv (a, b, c));
+      rrr (fun a b c -> Insn.Srav (a, b, c));
+      rrr (fun a b c -> Insn.Slt (a, b, c));
+      rrr (fun a b c -> Insn.Sltu (a, b, c));
+      rri (fun a b i -> Insn.Slti (a, b, i));
+      rri (fun a b i -> Insn.Sltiu (a, b, i));
+      map3 (fun a b t -> Insn.Beq (a, b, t)) r r tg;
+      map3 (fun a b t -> Insn.Bne (a, b, t)) r r tg;
+      map2 (fun a t -> Insn.Blez (a, t)) r tg;
+      map2 (fun a t -> Insn.Bgtz (a, t)) r tg;
+      map2 (fun a t -> Insn.Bltz (a, t)) r tg;
+      map2 (fun a t -> Insn.Bgez (a, t)) r tg;
+      map (fun t -> Insn.J t) tg;
+      map (fun t -> Insn.Jal t) tg;
+      map (fun a -> Insn.Jr a) r;
+      rr (fun a b -> Insn.Jalr (a, b));
+      map3 (fun (w, signed) (rd, base) off ->
+          Insn.Load { w; signed; rd; base; off }) (pair w bool) (pair r r) imm;
+      map3 (fun w (rs, base) off -> Insn.Store { w; rs; base; off })
+        w (pair r r) imm;
+      map3 (fun (w, signed) (rd, cb) off ->
+          Insn.CLoad { w; signed; rd; cb; off }) (pair w bool) (pair r r) imm;
+      map3 (fun w (rs, cb) off -> Insn.CStore { w; rs; cb; off })
+        w (pair r r) imm;
+      rri (fun cd cb off -> Insn.CLC { cd; cb; off });
+      rri (fun cs cb off -> Insn.CSC { cs; cb; off });
+      rr (fun a b -> Insn.CMove (a, b));
+      rr (fun a b -> Insn.CGetBase (a, b));
+      rr (fun a b -> Insn.CGetLen (a, b));
+      rr (fun a b -> Insn.CGetAddr (a, b));
+      rr (fun a b -> Insn.CGetOffset (a, b));
+      rr (fun a b -> Insn.CGetPerm (a, b));
+      rr (fun a b -> Insn.CGetTag (a, b));
+      rr (fun a b -> Insn.CGetType (a, b));
+      rrr (fun a b c -> Insn.CSetBounds (a, b, c));
+      rri (fun a b i -> Insn.CSetBoundsImm (a, b, i));
+      rrr (fun a b c -> Insn.CSetBoundsExact (a, b, c));
+      rrr (fun a b c -> Insn.CAndPerm (a, b, c));
+      rri (fun a b i -> Insn.CAndPermImm (a, b, i));
+      rrr (fun a b c -> Insn.CIncOffset (a, b, c));
+      rri (fun a b i -> Insn.CIncOffsetImm (a, b, i));
+      rrr (fun a b c -> Insn.CSetAddr (a, b, c));
+      rr (fun a b -> Insn.CClearTag (a, b));
+      rrr (fun a b c -> Insn.CFromPtr (a, b, c));
+      rrr (fun a b c -> Insn.CSeal (a, b, c));
+      rrr (fun a b c -> Insn.CUnseal (a, b, c));
+      rr (fun a b -> Insn.CRRL (a, b));
+      rr (fun a b -> Insn.CRAM (a, b));
+      map (fun a -> Insn.CJR a) r;
+      rr (fun a b -> Insn.CJALR (a, b));
+      map2 (fun a t -> Insn.CJAL (a, t)) r tg;
+      map (fun a -> Insn.CReadDDC a) r;
+      map (fun a -> Insn.CWriteDDC a) r;
+      return Insn.Syscall;
+      map (fun n -> Insn.Break n) (int_range 0 9);
+      map (fun n -> Insn.Rt n) (int_range 0 9);
+      return (Insn.Annot "a");
+      return Insn.Nop ]
+
+(* [Insn.can_trap] is the chain engine's trap-attribution contract: a
+   closure for an instruction it calls safe records no index, so such an
+   instruction must never trap. Checked against the step engine's
+   semantics over random register files whose capabilities are tagged,
+   untagged, sealed, zero-length or far out of bounds: [Cpu.exec_straight]
+   must not raise on a safe straight-line instruction, and [Cpu.step]
+   must not stop with a trap on a safe terminator. *)
+let qcheck_can_trap =
+  let m =
+    lazy (Cpu.create_machine ~mem:(Tagmem.create ~size:mem_size)
+            ~hier:(Cache.create_hierarchy ()))
+  in
+  let gpr =
+    QCheck.Gen.(oneof [ int; int_range (-64) 64; oneofl [ min_int; max_int ] ])
+  in
+  let print (insn, gprs, caps) =
+    Printf.sprintf "%s\n%s\n%s" (Insn.to_string insn)
+      (String.concat " "
+         (Array.to_list (Array.mapi (fun i v -> Printf.sprintf "r%d=%d" (i + 1) v) gprs)))
+      (String.concat "\n"
+         (Array.to_list (Array.mapi (fun i c -> Printf.sprintf "c%d=%s" (i + 1) (cap_str c)) caps)))
+  in
+  QCheck.Test.make ~name:"Insn.can_trap: a safe instruction never traps"
+    ~count:3000
+    (QCheck.make ~print
+       QCheck.Gen.(triple gen_any_insn (array_repeat 31 gpr)
+                     (array_repeat 31 Test_cap.gen_cap)))
+    (fun (insn, gprs, caps) ->
+      Insn.can_trap insn
+      ||
+      let m = Lazy.force m in
+      let ctx = Cpu.create_ctx () in
+      Array.iteri (fun i v -> ctx.Cpu.gpr.(i + 1) <- v) gprs;
+      Array.iteri (fun i c -> Cpu.wr_creg ctx (i + 1) c) caps;
+      let root = Cap.make_root ~base:0 ~top:mem_size () in
+      ctx.Cpu.pcc <- Cap.set_addr root code_base;
+      ctx.Cpu.ddc <- root;
+      if Insn.is_terminator insn then begin
+        m.Cpu.fetch <- (fun _ -> insn);
+        match Cpu.step m ctx with
+        | Some (Cpu.Stop_trap c) ->
+          QCheck.Test.fail_reportf "%s trapped: %s" (Insn.to_string insn)
+            (Trap.to_string c)
+        | _ -> true
+      end
+      else
+        match Cpu.exec_straight m ctx ~pc:code_base insn with
+        | () -> true
+        | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" (Insn.to_string insn)
+            (Printexc.to_string e))
+
 (* Loads and stores of every width and signedness, through DDC and
    through a capability, at the last bytes of a frame (the granule at
    0x4ff0, which a CSC tags before every store so each store's tag clear
@@ -1572,6 +1818,7 @@ let suite =
     "fetch: IL1 set conflict", `Quick, test_fetch_set_conflict;
     "fetch: trap prefix in a two-line block", `Quick, test_fetch_trap_prefix;
     "fetch: fuel expiry in a two-line block", `Quick, test_fetch_fuel_midblock;
+    "traps: every class, slot and fetch path", `Quick, test_trap_classes;
     "memory widths at frame and memory ends", `Quick,
     test_mem_widths_frame_edges;
     "memory widths past the top of memory", `Quick, test_mem_widths_past_top;
@@ -1588,3 +1835,6 @@ let suite =
     "kernel parity", `Quick, test_kernel_parity;
     "chain minor words per instruction", `Quick, test_chain_minor_words;
     "kernel parity, tiny quantum", `Quick, test_kernel_parity_tiny_quantum ]
+  (* A pinned seed, like every gate in the suite. *)
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+        qcheck_can_trap ]

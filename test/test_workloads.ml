@@ -51,13 +51,14 @@ let rec to_c = function
    code generator holds at most two temporaries per enclosing operator
    (the first two arguments of a [pick] call while it evaluates the
    third) and spills every live one at a call, so the deepest expression
-   of [depth] levels needs 2 * (depth - 1) of codegen's [spill_slots]
-   stack slots. The largest size whose depth fits is [max_size]; one more
-   level fails to compile ("out of spill slots"). *)
+   of [depth] levels needs 2 * (depth - 1) spill slots. [max_depth] is
+   the deepest that fits codegen's first-try frame of [spill_slots]; a
+   function that needs more is compiled again with a larger spill area.
+   [gen_expr] draws sizes up to [max_size], three levels deeper. *)
 let rec depth n = if n <= 0 then 0 else 1 + depth (n / 2)
 let max_depth = (Cheri_cc.Codegen.spill_slots / 2) + 1
-let max_size = (1 lsl max_depth) - 1
-let () = assert (depth max_size = max_depth && depth (max_size + 1) > max_depth)
+let max_size = (1 lsl (max_depth + 3)) - 1
+let () = assert (depth max_size = max_depth + 3)
 
 let gen_expr =
   let open QCheck.Gen in
@@ -80,7 +81,7 @@ let gen_expr =
 
 let arb_expr = QCheck.make ~print:to_c (QCheck.Gen.(gen_expr >>= fun e -> return e))
 
-let run_expr ~abi e =
+let run_expr ?(engine = Cheri_isa.Cpu.Chain) ~abi e =
   let src =
     Printf.sprintf
       {| int pick(int c, int a, int b) { if (c) return a; return b; }
@@ -91,6 +92,7 @@ let run_expr ~abi e =
       (to_c e)
   in
   let k = Cheri_kernel.Kernel.boot ~mem_size:(8 * 1024 * 1024) () in
+  k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
   Cheri_libc.Runtime.install k;
   Cheri_cc.Compile.install k ~path:"/bin/e" ~abi src;
   let status, out, _ =
@@ -112,21 +114,27 @@ let qcheck_differential =
         && run_expr ~abi:Abi.Cheriabi e = expect
         && run_expr ~abi:Abi.Asan e = expect) ]
 
-(* The deepest expression [gen_expr] can draw, in its most
-   register-hungry shape: [max_depth] nested [pick]s, each nested in the
-   third argument. *)
+(* The most register-hungry shape: [d] nested [pick]s, each nested in the
+   third argument. At [max_depth] it fits the first-try spill area; at
+   [3 * max_depth] (52 spill slots) it compiles only through the retry
+   with a larger area, and must still evaluate correctly under both
+   engines. *)
 let test_expr_at_spill_bound () =
   let rec chain d = if d = 0 then Num 3 else Ifnz (Num 1, Num 2, chain (d - 1)) in
   let rec nest d = if d = 0 then Num 3 else Ifnz (Num 0, Num 2, nest (d - 1)) in
   List.iter
     (fun e ->
       List.iter
-        (fun abi ->
+        (fun (abi, engine) ->
           Alcotest.(check int)
-            (Printf.sprintf "%s, %s" (to_c e) (Abi.to_string abi))
-            (eval_ref e) (run_expr ~abi e))
-        [ Abi.Mips64; Abi.Cheriabi; Abi.Asan ])
-    [ chain max_depth; nest max_depth ]
+            (Printf.sprintf "%s, %s, %s" (to_c e) (Abi.to_string abi)
+               (if engine = Cheri_isa.Cpu.Step then "step" else "chain"))
+            (eval_ref e) (run_expr ~engine ~abi e))
+        [ Abi.Mips64, Cheri_isa.Cpu.Chain; Abi.Cheriabi, Cheri_isa.Cpu.Chain;
+          Abi.Asan, Cheri_isa.Cpu.Chain; Abi.Mips64, Cheri_isa.Cpu.Step;
+          Abi.Cheriabi, Cheri_isa.Cpu.Step ])
+    [ chain max_depth; nest max_depth;
+      chain (3 * max_depth); nest (3 * max_depth) ]
 
 (* --- Benchmarks ----------------------------------------------------------------------- *)
 

@@ -12,7 +12,8 @@
    check-elision statistics (how many dynamic capability checks the
    analysis discharged). With --corpus the embedded workload sources are
    verified as well. The output is stable across runs and is diffed
-   against a checked-in baseline by the @verify alias. *)
+   against a checked-in baseline by the @verify alias. A bad argument or
+   an unreadable file exits 2; coverage under --min-elide exits 3. *)
 
 module Abi = Cheri_core.Abi
 module Rtld = Cheri_rtld.Rtld
@@ -36,24 +37,11 @@ type totals = {
   mutable t_guarded : int;
   mutable t_flow_sites : int;
   mutable t_flow_elided : int;
-  mutable t_cert_sb : int;
-  mutable t_cert_insns : int;
-  mutable t_runs : int;
-  mutable t_run_accesses : int;
-  t_cert_hist : int array;
 }
 
 let totals =
   { t_must = 0; t_warn = 0; t_sites = 0; t_elided = 0; t_guarded = 0;
-    t_flow_sites = 0; t_flow_elided = 0;
-    t_cert_sb = 0; t_cert_insns = 0; t_runs = 0; t_run_accesses = 0;
-    t_cert_hist = Array.make 8 0 }
-
-(* Certified-prefix length histogram, bucketed as Absint.cert_bucket does:
-   0, 1-8, 9-16, ..., 49+. *)
-let hist_str h =
-  Printf.sprintf "0:%d 1-8:%d 9-16:%d 17-24:%d 25-32:%d 33-40:%d 41-48:%d 49+:%d"
-    h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+    t_flow_sites = 0; t_flow_elided = 0 }
 
 (* Verify one named source under [abi]: print diagnostics and elision
    statistics, accumulate totals. *)
@@ -101,63 +89,59 @@ let verify_named ~abi name src =
       "  interprocedural: %d of %d flow checks provable (%.1f%%), %d summary \
        iterations\n"
       r.Absint.r_flow_elided r.Absint.r_flow_sites fpct r.Absint.r_iters;
-    Printf.printf
-      "  tier-3: %d certified superblocks (%d insns), %d access runs \
-       covering %d accesses\n  cert prefix histogram: %s\n"
-      r.Absint.r_cert_sb r.Absint.r_cert_insns r.Absint.r_runs
-      r.Absint.r_run_accesses
-      (hist_str r.Absint.r_cert_hist);
     totals.t_must <- totals.t_must + must;
     totals.t_warn <- totals.t_warn + warn;
     totals.t_sites <- totals.t_sites + r.Absint.r_sites;
     totals.t_elided <- totals.t_elided + r.Absint.r_elided;
     totals.t_guarded <- totals.t_guarded + r.Absint.r_guarded;
     totals.t_flow_sites <- totals.t_flow_sites + r.Absint.r_flow_sites;
-    totals.t_flow_elided <- totals.t_flow_elided + r.Absint.r_flow_elided;
-    totals.t_cert_sb <- totals.t_cert_sb + r.Absint.r_cert_sb;
-    totals.t_cert_insns <- totals.t_cert_insns + r.Absint.r_cert_insns;
-    totals.t_runs <- totals.t_runs + r.Absint.r_runs;
-    totals.t_run_accesses <- totals.t_run_accesses + r.Absint.r_run_accesses;
-    Array.iteri
-      (fun i n -> totals.t_cert_hist.(i) <- totals.t_cert_hist.(i) + n)
-      r.Absint.r_cert_hist
+    totals.t_flow_elided <- totals.t_flow_elided + r.Absint.r_flow_elided
+
+(* A bad argument is a usage error: one line on stderr, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("cheri_verify: " ^ msg);
+      exit 2)
+    fmt
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let corpus = List.mem "--corpus" args in
-  let abi =
-    let rec pick = function
-      | "--abi" :: "mips64" :: _ -> Abi.Mips64
-      | "--abi" :: "cheriabi" :: _ -> Abi.Cheriabi
-      | "--abi" :: "asan" :: _ -> Abi.Asan
-      | _ :: rest -> pick rest
-      | [] -> Abi.Cheriabi
-    in
-    pick args
-  in
+  let corpus = ref false and abi = ref Abi.Cheriabi in
   (* Coverage-regression gate (@verify): exit nonzero when total static
      elision coverage (unconditional + guarded, over all verified images)
      falls below this floor, so an analysis regression fails the build
      even before the baseline diff localizes it. *)
-  let min_elide =
-    let rec pick = function
-      | "--min-elide" :: v :: _ -> Some (float_of_string v)
-      | _ :: rest -> pick rest
-      | [] -> None
-    in
-    pick args
+  let min_elide = ref None in
+  let rec parse = function
+    | [] -> []
+    | "--corpus" :: rest -> corpus := true; parse rest
+    | "--abi" :: v :: rest ->
+      (abi :=
+         match v with
+         | "mips64" -> Abi.Mips64
+         | "cheriabi" -> Abi.Cheriabi
+         | "asan" -> Abi.Asan
+         | _ -> usage_error "unknown ABI %S (mips64, cheriabi or asan)" v);
+      parse rest
+    | "--min-elide" :: v :: rest ->
+      (match float_of_string_opt v with
+       | Some f -> min_elide := Some f
+       | None -> usage_error "--min-elide takes a percentage, not %S" v);
+      parse rest
+    | [ ("--abi" | "--min-elide") as flag ] ->
+      usage_error "%s needs a value" flag
+    | f :: _ when String.length f > 1 && f.[0] = '-' ->
+      usage_error "unknown option %S" f
+    | f :: rest -> f :: parse rest
   in
-  let files =
-    let rec strip = function
-      | "--abi" :: _ :: rest -> strip rest
-      | "--min-elide" :: _ :: rest -> strip rest
-      | "--corpus" :: rest -> strip rest
-      | f :: rest -> f :: strip rest
-      | [] -> []
-    in
-    strip args
+  let files = parse (List.tl (Array.to_list Sys.argv)) in
+  let corpus = !corpus and abi = !abi and min_elide = !min_elide in
+  let sources =
+    List.map
+      (fun f -> (f, try read_file f with Sys_error msg -> usage_error "%s" msg))
+      files
   in
-  List.iter (fun f -> verify_named ~abi f (read_file f)) files;
+  List.iter (fun (f, src) -> verify_named ~abi f src) sources;
   if corpus then
     List.iter
       (fun (group, sources) ->
@@ -176,11 +160,6 @@ let () =
     (pct totals.t_elided) totals.t_guarded covered (pct covered);
   Printf.printf "interprocedural: %d of %d flow checks provable\n"
     totals.t_flow_elided totals.t_flow_sites;
-  Printf.printf
-    "tier-3: %d certified superblocks (%d insns), %d access runs covering %d \
-     accesses\ncert prefix histogram: %s\n"
-    totals.t_cert_sb totals.t_cert_insns totals.t_runs totals.t_run_accesses
-    (hist_str totals.t_cert_hist);
   match min_elide with
   | Some floor when pct covered < floor ->
     Printf.eprintf

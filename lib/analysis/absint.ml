@@ -901,17 +901,7 @@ type scan = {
   sc_sites : int;                  (* elidable check sites visited *)
   sc_elided : int;                 (* ... of which discharged *)
   sc_guarded : int;                (* further checks elidable under guard *)
-  sc_cert_sb : int;                (* superblocks with a nonempty tier-3
-                                      certificate *)
-  sc_cert_insns : int;             (* total certified-prefix instructions *)
-  sc_runs : int;                   (* access runs across all certificates *)
-  sc_run_accesses : int;           (* accesses covered by those runs *)
-  sc_cert_hist : int array;        (* prefix-length histogram, 8 buckets:
-                                      0, 1-8, 9-16, ..., 49+ *)
 }
-
-(* Histogram bucket for a certified-prefix length. *)
-let cert_bucket p = if p <= 0 then 0 else min 7 ((p + 7) / 8)
 
 let make_env ?ddc ?(pcc_may = Perms.all) () =
   let e_ddc =
@@ -938,83 +928,15 @@ let reset_stats () =
   stats.cs_misses <- 0;
   stats.cs_lazy_sb <- 0
 
-(* Per-instruction trap classification against the abstract pre-state, for
-   the tier-3 certificate scan:
-   - [0] — proven unable to raise any trap: pure ALU/inspection forms
-     never trap; Div/Rem with a constant nonzero divisor (and no
-     min_int/-1 overflow) cannot; cursor moves ([set_addr]-family) only
-     trap on a *tagged sealed* source, so a proven-untagged or
-     proven-unsealed source is safe (an unrepresentable move clears the
-     tag instead of trapping); [and_perms] needs tagged *and* unsealed;
-     set-bounds is safe only when fully concrete and the concrete
-     derivation succeeds.
-   - [1] — a data access: certified separately (its capability check must
-     be discharged by tiers 1-2), and it stays a *repair point* for the
-     residual dynamic faults (page fault, alignment, CSC value checks).
-   - [2] — not proven trap-free here. The certificate scan may still
-     rescue cursor moves whose source chains back to a tier-2-guarded
-     entry register (the guard proves the entry value tagged and
-     unsealed, and derived values stay unsealed). *)
-let insn_trap_class st (insn : Insn.t) =
-  match insn with
-  | Insn.Li _ | Move _ | Addu _ | Addiu _ | Subu _ | Mul _
-  | And_ _ | Andi _ | Or_ _ | Ori _ | Xor_ _ | Xori _ | Nor_ _
-  | Sll _ | Srl _ | Sra _ | Sllv _ | Srlv _ | Srav _
-  | Slt _ | Sltu _ | Slti _ | Sltiu _
-  | CMove _ | CGetBase _ | CGetLen _ | CGetAddr _ | CGetOffset _
-  | CGetPerm _ | CGetTag _ | CGetType _ | CClearTag _
-  | CRRL _ | CRAM _ | Annot _ | Nop -> 0
-  | Div (_, rs, rt) | Rem (_, rs, rt) ->
-    (match getg st rt with
-     | Cst y when y <> 0
-               && (y <> -1
-                   || (match getg st rs with
-                       | Cst x -> x <> min_int
-                       | Any -> false)) -> 0
-     | _ -> 2)
-  | Load _ | Store _ | CLoad _ | CStore _ | CLC _ | CSC _ -> 1
-  | CIncOffset (_, cb, _) | CIncOffsetImm (_, cb, _) | CSetAddr (_, cb, _) ->
-    let a = getc st cb in
-    if a.a_seal = No || a.a_tag = No then 0 else 2
-  | CFromPtr (_, cb, _) ->
-    let src = if cb = 0 then st.ddc else getc st cb in
-    if src.a_tag = No || src.a_seal = No then 0 else 2
-  | CAndPerm (_, cb, _) | CAndPermImm (_, cb, _) ->
-    let a = getc st cb in
-    if a.a_tag = Yes && a.a_seal = No then 0 else 2
-  | CSetBounds (_, cb, rt) | CSetBoundsExact (_, cb, rt) ->
-    let a = getc st cb in
-    (match a.a_conc, getg st rt with
-     | Some cc, Cst l ->
-       let exact = (match insn with Insn.CSetBoundsExact _ -> true | _ -> false) in
-       (match (try ignore (Cap.set_bounds ~exact cc ~len:l); true
-               with Cap.Cap_error _ -> false) with
-        | true -> 0
-        | false -> 2)
-     | _ -> 2)
-  | CSetBoundsImm (_, cb, l) ->
-    let a = getc st cb in
-    (match a.a_conc with
-     | Some cc ->
-       (match (try ignore (Cap.set_bounds ~exact:false cc ~len:l); true
-               with Cap.Cap_error _ -> false) with
-        | true -> 0
-        | false -> 2)
-     | None -> 2)
-  | _ -> 2
-
 (* One superblock fixpoint: the straight-line run the chain engine
    decodes, from a Top state at instruction index [e] of the region at
    [base], bounded by [Bbcache.max_block]. Returns the elision bitmask,
-   the must-trap bitmask, the (sites, elided) counts, and the
-   per-instruction trap classes (for the tier-3 certificate scan; indices
-   past the scanned body keep the conservative class 2). *)
+   the must-trap bitmask and the (sites, elided) counts. *)
 let scan_superblock env insns ~e =
   let n = Array.length insns in
   let st = fresh_st env in
   let fmask = ref 0 and mmask = ref 0 in
   let sites = ref 0 and elided = ref 0 in
-  let tcls = Array.make Cheri_isa.Bbcache.max_block 2 in
   let set m i = if i >= 0 && i <= Facts.max_index then m := !m lor (1 lsl i) in
   let i = ref 0 in
   let stop = ref false in
@@ -1027,8 +949,6 @@ let scan_superblock env insns ~e =
       stop := true
     end
     else begin
-      (* Classified against the pre-state: [step_st] mutates [st]. *)
-      tcls.(!i) <- insn_trap_class st insn;
       let v = step_st env st insn in
       if v.av_site then incr sites;
       if v.av_elide then begin
@@ -1039,7 +959,7 @@ let scan_superblock env insns ~e =
       incr i
     end
   done;
-  (!fmask, !mmask, !sites, !elided, tcls)
+  (!fmask, !mmask, !sites, !elided)
 
 (* --- Guarded-fact pre-scan (tier 2) ----------------------------------------
 
@@ -1237,223 +1157,6 @@ let guard_scan ~ddc_dead insns ~e ~fmask =
   in
   (gmask land lnot fmask, preds)
 
-(* --- Tier-3 certificate scan ------------------------------------------------
-
-   Computes a [Facts.cert] for one superblock from the combined elision
-   mask ([emask = fmask lor gmask]), the guard predicates, and the
-   per-instruction trap classes of the Top-entry fixpoint.
-
-   Trap-freedom prefix: the maximal body prefix in which every instruction
-   is class 0 (cannot trap at all), a data access (always acceptable: a
-   *repair point* whose dynamic faults — a failed capability check, page
-   fault, alignment, CSC value checks — the claim does not cover), or a
-   cursor move rescued by a tier-2 guard:
-   if the source capability chains back (through the same CMove /
-   constant-offset moves tier 2 tracks) to an entry register carrying a
-   capability-form predicate, the guard proves the entry value tagged and
-   unsealed — derived values stay unsealed (cursor moves preserve the
-   otype), and [Cap.set_addr] only traps on tagged *sealed* sources, so
-   the move cannot trap whenever the body runs at all. [Cap.and_perms]
-   additionally needs the tag, which the guard also preserves: its window
-   hulls every tracked intermediate cursor position (see [move_cursor]),
-   so no move on the chain can have stripped it. The claims are
-   conditional on the guard exactly like the guarded mask itself.
-
-   Access runs: maximal sequences of *consecutive* data accesses (no other
-   memory operation between members — this is what guarantees the head's
-   DL1 line cannot be evicted before the last member probes it), all
-   within the certified prefix, within one instruction-line group,
-   homogeneous in kind (all reads or all writes, so
-   one translation covers COW/dirty semantics for the whole run), whose
-   addresses are exact syntactic deltas from one chain: capability
-   accesses through the same tracked entry register, legacy accesses
-   through the same tracked entry GPR, or absolute (constant-address)
-   accesses. The run proof is purely about the *address*: the hulled
-   window [ar_lo, ar_hi) spans at most one 64-byte line. *)
-let cert_scan insns ~entry ~e ~gmask ~(preds : Facts.gpred array)
-    ~(tcls : int array) =
-  let n = Array.length insns in
-  let line_shift = Cheri_tagmem.Cache.line_shift in
-  let line_size = Cheri_tagmem.Cache.line_size in
-  (* A capability-form guard predicate on entry register [r0]? Only kept
-     predicates count, i.e. only when the guarded mask is nonempty
-     ([Facts.add_guarded] drops guards that license nothing). *)
-  let guard_on r0 =
-    gmask <> 0
-    && Array.exists
-         (fun p -> (not p.Facts.gp_ddc) && p.Facts.gp_reg = r0)
-         preds
-  in
-  let mk_track () =
-    let co = Array.init 32 (fun r -> if r = 0 then Onone else Oent (r, 0)) in
-    let go = Array.make 32 Gnone in
-    for r = 1 to 31 do go.(r) <- Gent (r, 0) done;
-    let readg r = if r = 0 then Gcst 0 else go.(r) in
-    (* Mirrors [guard_scan]'s chain tracking exactly, minus the demand
-       bookkeeping. *)
-    let track insn =
-      match insn with
-      | Insn.CLoad { rd; _ } -> if rd <> 0 then go.(rd) <- Gnone
-      | Insn.CStore _ -> ()
-      | Insn.CLC { cd; _ } -> co.(cd) <- Onone
-      | Insn.CSC _ -> ()
-      | Insn.Load { rd; _ } -> if rd <> 0 then go.(rd) <- Gnone
-      | Insn.Store _ -> ()
-      | Insn.CMove (cd, cb) -> if cd <> 0 then co.(cd) <- co.(cb)
-      | Insn.CIncOffsetImm (cd, cb, imm) ->
-        let p =
-          match co.(cb) with
-          | Oent (r0, d) -> Oent (r0, d + imm)
-          | Onone -> Onone
-        in
-        if cd <> 0 then co.(cd) <- p
-      | Insn.CIncOffset (cd, cb, rt) ->
-        let p =
-          match co.(cb), readg rt with
-          | Oent (r0, d), Gcst k -> Oent (r0, d + k)
-          | _ -> Onone
-        in
-        if cd <> 0 then co.(cd) <- p
-      | Insn.Li (rd, v) -> if rd <> 0 then go.(rd) <- Gcst v
-      | Insn.Move (rd, rs) -> if rd <> 0 then go.(rd) <- readg rs
-      | Insn.Addiu (rd, rs, k) ->
-        if rd <> 0 then
-          go.(rd) <- (match readg rs with
-            | Gent (g, d) -> Gent (g, d + k)
-            | Gcst c -> Gcst (c + k)
-            | Gnone -> Gnone)
-      | Insn.Addu (rd, rs, rt) ->
-        if rd <> 0 then
-          go.(rd) <- (match readg rs, readg rt with
-            | Gent (g, d), Gcst c | Gcst c, Gent (g, d) -> Gent (g, d + c)
-            | Gcst a, Gcst b -> Gcst (a + b)
-            | _ -> Gnone)
-      | Insn.Subu (rd, rs, rt) ->
-        if rd <> 0 then
-          go.(rd) <- (match readg rs, readg rt with
-            | Gent (g, d), Gcst c -> Gent (g, d - c)
-            | Gcst a, Gcst b -> Gcst (a - b)
-            | _ -> Gnone)
-      | _ ->
-        (match Insn.creg_def insn with
-         | Some cd -> if cd <> 0 then co.(cd) <- Onone
-         | None -> ());
-        (match Insn.gpr_def insn with
-         | Some rd -> if rd <> 0 then go.(rd) <- Gnone
-         | None -> ())
-    in
-    (co, readg, track)
-  in
-  (* Pass 1: the trap-freedom prefix. *)
-  let co, _readg, track = mk_track () in
-  let prefix = ref 0 in
-  let i = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !i < Cheri_isa.Bbcache.max_block && e + !i < n do
-    let insn = insns.(e + !i) in
-    if Insn.is_terminator insn then stop := true
-    else begin
-      let ok =
-        match tcls.(!i) with
-        | 0 -> true
-        | 1 -> true  (* data access: exactly-attributed repair point *)
-        | _ ->
-          (match insn with
-           | Insn.CIncOffset (_, cb, _) | Insn.CIncOffsetImm (_, cb, _)
-           | Insn.CSetAddr (_, cb, _)
-           | Insn.CAndPerm (_, cb, _) | Insn.CAndPermImm (_, cb, _) ->
-             (match co.(cb) with
-              | Oent (r0, _) -> guard_on r0
-              | Onone -> false)
-           | _ -> false)
-      in
-      if ok then begin
-        track insn;
-        incr prefix;
-        incr i
-      end
-      else stop := true
-    end
-  done;
-  let prefix = !prefix in
-  if prefix = 0 then Facts.no_cert
-  else begin
-    (* Pass 2: access runs over the certified prefix. *)
-    let co, readg, track = mk_track () in
-    let r_open = ref false in
-    let r_write = ref false in
-    let r_key = ref (`Cap 0) in
-    let r_head = ref 0 in
-    let r_headp = ref 0 in
-    let r_lo = ref 0 and r_hi = ref 0 in
-    let r_tails = ref [] in
-    let runs = ref [] in
-    let close () =
-      if !r_open && !r_tails <> [] then
-        runs := { Facts.ar_head = !r_head;
-                  ar_tail = Array.of_list (List.rev !r_tails);
-                  ar_lo = !r_lo; ar_hi = !r_hi } :: !runs;
-      r_open := false;
-      r_tails := []
-    in
-    let line_of idx = (entry + 4 * idx) lsr line_shift in
-    let on_access idx key p w write =
-      let start_new () =
-        close ();
-        match key with
-        | Some k ->
-          r_open := true; r_write := write; r_key := k;
-          r_head := idx; r_headp := p;
-          r_lo := 0; r_hi := w
-        | None -> ()
-      in
-      if !r_open && key = Some !r_key && write = !r_write
-         && line_of idx = line_of !r_head
-      then begin
-        let delta = p - !r_headp in
-        let lo' = min !r_lo delta and hi' = max !r_hi (delta + w) in
-        if hi' - lo' <= line_size then begin
-          r_tails := (idx, delta) :: !r_tails;
-          r_lo := lo';
-          r_hi := hi'
-        end
-        else start_new ()
-      end
-      else start_new ()
-    in
-    let ckey cb = match co.(cb) with
-      | Oent (r0, d) -> (Some (`Cap r0), d)
-      | Onone -> (None, 0)
-    in
-    for j = 0 to prefix - 1 do
-      let insn = insns.(e + j) in
-      (match insn with
-       | Insn.CLoad { w; cb; off; _ } ->
-         let k, d = ckey cb in on_access j k (d + off) w false
-       | Insn.CLC { cb; off; _ } ->
-         let k, d = ckey cb in on_access j k (d + off) Cap.sizeof false
-       | Insn.CStore { w; cb; off; _ } ->
-         let k, d = ckey cb in on_access j k (d + off) w true
-       | Insn.CSC { cb; off; _ } ->
-         let k, d = ckey cb in on_access j k (d + off) Cap.sizeof true
-       | Insn.Load { w; base; off; _ } ->
-         (match readg base with
-          | Gent (g0, d) -> on_access j (Some (`Gpr g0)) (d + off) w false
-          | Gcst v -> on_access j (Some `Abs) (v + off) w false
-          | Gnone -> close ())
-       | Insn.Store { w; base; off; _ } ->
-         (match readg base with
-          | Gent (g0, d) -> on_access j (Some (`Gpr g0)) (d + off) w true
-          | Gcst v -> on_access j (Some `Abs) (v + off) w true
-          | Gnone -> close ())
-       | _ -> ());
-      track insn
-    done;
-    close ();
-    { Facts.ct_prefix = prefix;
-      ct_runs = Array.of_list (List.rev !runs) }
-  end
-
 (* Analyze every pc of every region as a potential superblock entry, from a
    Top state: exactly the straight-line runs the block engine decodes (it
    keys blocks by whatever pc control arrives at), bounded by the same
@@ -1466,31 +1169,16 @@ let scan_code ?ddc ?pcc_may regions =
   let facts = Facts.create () in
   let must_tbl = Hashtbl.create 256 in
   let sites = ref 0 and elided = ref 0 and guarded = ref 0 in
-  let cert_sb = ref 0 and cert_insns = ref 0 in
-  let nruns = ref 0 and run_accs = ref 0 in
-  let hist = Array.make 8 0 in
   List.iter
     (fun (base, insns) ->
       let n = Array.length insns in
       for e = 0 to n - 1 do
         let entry = base + (4 * e) in
-        let fmask, mmask, s, el, tcls = scan_superblock env insns ~e in
+        let fmask, mmask, s, el = scan_superblock env insns ~e in
         Facts.add_mask facts ~entry fmask;
         let gmask, preds = guard_scan ~ddc_dead insns ~e ~fmask in
         Facts.add_guarded facts ~entry gmask preds;
         guarded := !guarded + Facts.popcount gmask;
-        let cert = cert_scan insns ~entry ~e ~gmask ~preds ~tcls in
-        Facts.add_cert facts ~entry cert;
-        hist.(cert_bucket cert.Facts.ct_prefix) <-
-          hist.(cert_bucket cert.Facts.ct_prefix) + 1;
-        if cert.Facts.ct_prefix > 0 then begin
-          incr cert_sb;
-          cert_insns := !cert_insns + cert.Facts.ct_prefix;
-          nruns := !nruns + Array.length cert.Facts.ct_runs;
-          Array.iter
-            (fun r -> run_accs := !run_accs + 1 + Array.length r.Facts.ar_tail)
-            cert.Facts.ct_runs
-        end;
         if mmask <> 0 then begin
           let cur =
             match Hashtbl.find_opt must_tbl entry with Some m -> m | None -> 0
@@ -1502,9 +1190,7 @@ let scan_code ?ddc ?pcc_may regions =
       done)
     regions;
   { sc_facts = facts; sc_must = must_tbl; sc_sites = !sites;
-    sc_elided = !elided; sc_guarded = !guarded;
-    sc_cert_sb = !cert_sb; sc_cert_insns = !cert_insns;
-    sc_runs = !nruns; sc_run_accesses = !run_accs; sc_cert_hist = hist }
+    sc_elided = !elided; sc_guarded = !guarded }
 
 (* Inert: there is no fact cache. Kept only because simbench/simbench.ml
    still calls it. *)
@@ -1546,11 +1232,6 @@ type report = {
   r_flow_sites : int;  (* check sites swept by the interprocedural pass *)
   r_flow_elided : int; (* ... discharged on the stabilized flow states *)
   r_iters : int;     (* outer summary-worklist iterations *)
-  r_cert_sb : int;   (* tier-3: superblocks with a trap-freedom certificate *)
-  r_cert_insns : int;  (* ... total certified-prefix instructions *)
-  r_runs : int;        (* ... access runs *)
-  r_run_accesses : int; (* ... accesses covered by runs *)
-  r_cert_hist : int array; (* prefix-length histogram (see sc_cert_hist) *)
 }
 
 let kind_msg kind prov =
@@ -2088,12 +1769,7 @@ let verify ?ddc ?pcc_may ?(got = []) ~entries regions =
     r_sb = Facts.blocks sc.sc_facts;
     r_flow_sites = !flow_sites;
     r_flow_elided = !flow_elided;
-    r_iters = iters;
-    r_cert_sb = sc.sc_cert_sb;
-    r_cert_insns = sc.sc_cert_insns;
-    r_runs = sc.sc_runs;
-    r_run_accesses = sc.sc_run_accesses;
-    r_cert_hist = sc.sc_cert_hist }
+    r_iters = iters }
 
 (* Inert: the kernel never calls a fact provider, and this one does
    nothing. Kept, with its labels, only because simbench/simbench.ml

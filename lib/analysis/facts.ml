@@ -4,6 +4,10 @@
    test/test_absint.ml. No execution engine consumes them: the chain
    engine checks every access, as the CHERI hardware does.
 
+   Two tiers: unconditional facts (tier 1, this paragraph and the next)
+   and guarded facts (tier 2, below), which hold only under a predicate
+   on the entry-time registers.
+
    A fact [(entry, index)] records that the capability check guarding the
    memory access at instruction [index] of the straight-line run starting
    at [entry] is statically discharged: *if* execution proceeds
@@ -44,43 +48,15 @@ type guard = int * gpred array
 
 let no_guard : guard = (0, [||])
 
-(* Tier 3: trap-freedom certificates and access runs.
-
-   An *access run* is a maximal sequence of consecutive data accesses in
-   one superblock body proven (syntactically) to touch one 64-byte line
-   whenever the head access does: every member's virtual address is the
-   head's plus a compile-time byte delta, the whole window [ar_lo, ar_hi)
-   spans at most a line, members are homogeneous in kind (all reads or
-   all writes) and no other memory access intervenes.
-
-   A *trap-freedom certificate* [ct_prefix] is the length of the maximal
-   body prefix in which every instruction either cannot raise any trap
-   (given the entry-time abstract state and the tier-2 guard) or is a data
-   access whose capability check tiers 1-2 discharge — those can still
-   take the residual dynamic faults (page faults, alignment,
-   value-dependent CSC checks). *)
-type arun = {
-  ar_head : int;                 (* body index of the head access *)
-  ar_tail : (int * int) array;   (* (body index, byte delta from head) *)
-  ar_lo : int;                   (* window low bound rel. head vaddr, <= 0 *)
-  ar_hi : int;                   (* window high bound rel. head vaddr, excl. *)
-}
-
-type cert = { ct_prefix : int; ct_runs : arun array }
-
-let no_cert = { ct_prefix = 0; ct_runs = [||] }
-
 type t = {
   tbl : (int, int) Hashtbl.t;     (* superblock entry pc -> bitmask *)
   gtbl : (int, guard) Hashtbl.t;  (* entry pc -> guarded mask + predicates *)
-  ctbl : (int, cert) Hashtbl.t;   (* entry pc -> tier-3 certificate *)
 }
 
 let max_index = 62
 
 let create () =
-  { tbl = Hashtbl.create 256; gtbl = Hashtbl.create 64;
-    ctbl = Hashtbl.create 64 }
+  { tbl = Hashtbl.create 256; gtbl = Hashtbl.create 64 }
 
 (* Or a whole mask in. Empty masks are not stored, so [blocks] counts
    only entries carrying a fact. *)
@@ -111,10 +87,3 @@ let add_guarded t ~entry mask preds =
 
 let guarded t entry : guard =
   Option.value (Hashtbl.find_opt t.gtbl entry) ~default:no_guard
-
-(* Record a certificate. Trivial certificates are dropped. *)
-let add_cert t ~entry (c : cert) =
-  if c.ct_prefix > 0 then Hashtbl.replace t.ctbl entry c
-
-let cert t entry : cert =
-  Option.value (Hashtbl.find_opt t.ctbl entry) ~default:no_cert

@@ -120,16 +120,14 @@ type block = {
      structurally by resetting that table: a link can only be reached
      through a block the reset just dropped. *)
   mutable b_fall : block option;       (* successor at entry + 4*ilen *)
-  (* Monomorphic inline cache for next-pc exits (taken branches, J/Jal and
-     the register-indirect Jr/Jalr): last target pc and its block. *)
-  mutable b_jump_key : int;
-  mutable b_jump : block option;
-  mutable b_jump_misses : int;
-  (* Same, for [exit_pcc] exits (CJR/CJALR through the capability GOT),
-     keyed by the target capability's address. *)
-  mutable b_cjump_key : int;
-  mutable b_cjump : block option;
-  mutable b_cjump_misses : int;
+  (* Monomorphic inline cache for every other exit: last target pc and its
+     block. The terminator fixes which exits it sees: next-pc exits (taken
+     branches, J/Jal and the register-indirect Jr/Jalr), or, for CJR/CJALR
+     through the capability GOT, [exit_pcc] exits keyed by the target
+     capability's address. *)
+  mutable b_ic_key : int;
+  mutable b_ic : block option;
+  mutable b_ic_misses : int;
 }
 
 (* One address space's decoded blocks. Blocks bake in the decoded code
@@ -966,8 +964,7 @@ let build t m entry =
            b_pline = -1;
            b_slots = slots;
            b_fall = None;
-           b_jump_key = min_int; b_jump = None; b_jump_misses = 0;
-           b_cjump_key = min_int; b_cjump = None; b_cjump_misses = 0 }
+           b_ic_key = min_int; b_ic = None; b_ic_misses = 0 }
   end
 
 (* Find the running space's decoded block at [pc], building (and caching)
@@ -1128,13 +1125,39 @@ let exec_block t m b (ctx : Cpu.ctx) =
 
 (* --- Chaining -------------------------------------------------------------- *)
 
-(* Successor block for a next-pc transition to [pc'] out of [b], patching the
-   chain link on the way. The fall-through address gets a dedicated direct
-   link; every other target goes through the monomorphic inline cache
+(* Successor block for an exit to [pc'] out of [b] through its inline cache
    (last pc + its block), degrading to a plain hashtable lookup once the
    exit has proved megamorphic. Returns None when the target has no
    decodable block — the chain then exits and the dispatch loop's
-   single-step fallback reproduces the fetch fault exactly. *)
+   single-step fallback reproduces the fetch fault exactly. After an
+   [exit_pcc] exit, [pc'] is the address of the already-committed target
+   capability: the cache maps pc -> block just like the hashtable does,
+   and whether the *capability* covers that block is re-decided by
+   [block_ok] at every chained entry, so two GOT targets with equal
+   addresses but different bounds cannot be confused. *)
+let ic_succ t m b pc' =
+  if b.b_ic_key = pc' then begin
+    t.ic_hits <- t.ic_hits + 1;
+    b.b_ic
+  end
+  else if b.b_ic_misses >= ic_mega_threshold then begin
+    t.ic_mega <- t.ic_mega + 1;
+    lookup_or_build t m pc'
+  end
+  else begin
+    t.ic_misses <- t.ic_misses + 1;
+    b.b_ic_misses <- b.b_ic_misses + 1;
+    match lookup_or_build t m pc' with
+    | Some _ as s ->
+      b.b_ic_key <- pc';
+      b.b_ic <- s;
+      s
+    | None -> None
+  end
+
+(* Successor block for a next-pc transition to [pc'] out of [b], patching the
+   chain link on the way. The fall-through address gets a dedicated direct
+   link; every other target goes through the inline cache. *)
 let chain_succ t m b pc' =
   if pc' = b.b_entry + (4 * b.b_ilen) then
     match b.b_fall with
@@ -1143,49 +1166,7 @@ let chain_succ t m b pc' =
       let s = lookup_or_build t m pc' in
       b.b_fall <- s;
       s
-  else if b.b_jump_key = pc' then begin
-    t.ic_hits <- t.ic_hits + 1;
-    b.b_jump
-  end
-  else if b.b_jump_misses >= ic_mega_threshold then begin
-    t.ic_mega <- t.ic_mega + 1;
-    lookup_or_build t m pc'
-  end
-  else begin
-    t.ic_misses <- t.ic_misses + 1;
-    b.b_jump_misses <- b.b_jump_misses + 1;
-    match lookup_or_build t m pc' with
-    | Some _ as s ->
-      b.b_jump_key <- pc';
-      b.b_jump <- s;
-      s
-    | None -> None
-  end
-
-(* Same, for [exit_pcc] (capability-jump) exits; [pc'] is the address of the
-   already-committed target capability. The cache maps pc -> block just
-   like the hashtable does; whether the *capability* covers that block is
-   re-decided by [block_ok] at every chained entry, so two GOT targets
-   with equal addresses but different bounds cannot be confused. *)
-let cjump_succ t m b pc' =
-  if b.b_cjump_key = pc' then begin
-    t.ic_hits <- t.ic_hits + 1;
-    b.b_cjump
-  end
-  else if b.b_cjump_misses >= ic_mega_threshold then begin
-    t.ic_mega <- t.ic_mega + 1;
-    lookup_or_build t m pc'
-  end
-  else begin
-    t.ic_misses <- t.ic_misses + 1;
-    b.b_cjump_misses <- b.b_cjump_misses + 1;
-    match lookup_or_build t m pc' with
-    | Some _ as s ->
-      b.b_cjump_key <- pc';
-      b.b_cjump <- s;
-      s
-    | None -> None
-  end
+  else ic_succ t m b pc'
 
 (* --- Dispatch loop ---------------------------------------------------------- *)
 
@@ -1236,7 +1217,7 @@ let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
           chaining := false
         end
         else if x = exit_pcc then
-          (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
+          (match ic_succ t m b (Cap.addr ctx.Cpu.pcc) with
            | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb ->
              t.chained <- t.chained + 1;
              cur := nb

@@ -37,17 +37,18 @@ type shm_seg = {
    an internal kernel capability for every user pointer argument before the
    kernel may dereference it (intentional use), which is what makes
    pointer-heavy syscalls like select faster under CheriABI (§5.2). *)
+let trap_cost_legacy = 130
+let trap_cost_cheri = 134
+let ptr_arg_cost_legacy = 9             (* per pointer argument *)
+let ptr_arg_cost_cheri = 4
+let ctx_switch_cost = 350
+let fork_base_cost = 2600
+let fork_page_cost = 55
+let fork_cap_frame_cost = 260           (* extra for capability context *)
+
 type config = {
   mutable engine : Cpu.engine;          (* execution engine (docs/INTERP.md) *)
   mutable quantum : int;                (* instructions per timeslice *)
-  mutable trap_cost_legacy : int;
-  mutable trap_cost_cheri : int;
-  mutable ptr_arg_cost_legacy : int;    (* per pointer argument *)
-  mutable ptr_arg_cost_cheri : int;
-  mutable ctx_switch_cost : int;
-  mutable fork_base_cost : int;
-  mutable fork_page_cost : int;
-  mutable fork_cap_frame_cost : int;    (* extra for capability context *)
   (* Inert: the kernel never calls it. Kept, with the type of
      [Absint.provider], only because simbench/simbench.ml still sets
      it. *)
@@ -63,14 +64,6 @@ let default_config () =
        workload run in the suite also exercises the chained paths. *)
     engine = Cpu.Chain;
     quantum = 20_000;
-    trap_cost_legacy = 130;
-    trap_cost_cheri = 134;
-    ptr_arg_cost_legacy = 9;
-    ptr_arg_cost_cheri = 4;
-    ctx_switch_cost = 350;
-    fork_base_cost = 2600;
-    fork_page_cost = 55;
-    fork_cap_frame_cost = 260;
     fact_provider = None }
 
 (* Extensible slot for state owned by the runtime library (the allocator):
@@ -247,25 +240,24 @@ let console_of k pid =
    - CheriABI: the user-provided capability is checked (tag, seal, perms,
      bounds). The kernel then acts with exactly that authority.
    - Legacy: only a user-address-range check is possible; the kernel must
-     manufacture authority from the integer (and pays for it, see config).
+     manufacture authority from the integer (and pays for it, see the cost
+     model).
 
    Raises [Errno.Error EPROT] (CheriABI) or [EFAULT]. *)
 let check_uptr k (p : Proc.t) uptr ~len ~write =
   match uptr with
   | Uarg.Ucap c ->
-    charge k p k.config.ptr_arg_cost_cheri;
+    charge k p ptr_arg_cost_cheri;
     let perm = if write then Perms.store else Perms.load in
     (try
        Cap.check_access_at c ~perm ~addr:(Cap.addr c) ~len;
        Cap.addr c
      with Cap.Cap_error _ -> Errno.raise_errno Errno.EPROT)
   | Uarg.Uaddr a ->
-    charge k p k.config.ptr_arg_cost_legacy;
-    let asp = p.Proc.asp in
+    charge k p ptr_arg_cost_legacy;
     if a < Addr_space.user_base_default
        || a + len > Addr_space.user_top_default
     then Errno.raise_errno Errno.EFAULT;
-    ignore asp;
     a
 
 let touch_page (_k : t) (p : Proc.t) vaddr ~write =

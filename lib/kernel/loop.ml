@@ -59,11 +59,10 @@ let do_syscall k (p : Proc.t) =
   let ctx = p.Proc.ctx in
   let num = ctx.Cpu.gpr.(Reg.v0) in
   p.Proc.syscall_count <- p.Proc.syscall_count + 1;
-  let cfg = k.Kstate.config in
   Kstate.charge k p
     (match p.Proc.abi with
-     | Abi.Cheriabi -> cfg.Kstate.trap_cost_cheri
-     | Abi.Mips64 | Abi.Asan -> cfg.Kstate.trap_cost_legacy);
+     | Abi.Cheriabi -> Kstate.trap_cost_cheri
+     | Abi.Mips64 | Abi.Asan -> Kstate.trap_cost_legacy);
   match Sysno.lookup num, Sys_impl.handler num with
   | Some (name, spec), Some h ->
     Kstate.bump_stat k name;
@@ -169,7 +168,7 @@ let run ?(max_steps = max_int) k =
              in
              executed := !executed + (p.Proc.ctx.Cpu.instret - before);
              (match stop with
-              | None -> Kstate.charge k p k.Kstate.config.Kstate.ctx_switch_cost
+              | None -> Kstate.charge k p Kstate.ctx_switch_cost
               | Some Cpu.Stop_syscall -> do_syscall k p
               | Some (Cpu.Stop_rt n) ->
                 (match k.Kstate.rt_handler with

@@ -488,11 +488,10 @@ let sys_fork k (p : Proc.t) = function
     (* Cost: address-space duplication, plus — for CheriABI — the larger
        capability trap frame and per-page tag bookkeeping. *)
     let pages = Pmap.entry_count (Addr_space.pmap p.Proc.asp) in
-    let cfg = k.Kstate.config in
-    let base = cfg.Kstate.fork_base_cost + (pages * cfg.Kstate.fork_page_cost) in
+    let base = Kstate.fork_base_cost + (pages * Kstate.fork_page_cost) in
     let extra =
       match p.Proc.abi with
-      | Abi.Cheriabi -> cfg.Kstate.fork_cap_frame_cost + pages
+      | Abi.Cheriabi -> Kstate.fork_cap_frame_cost + pages
       | Abi.Mips64 | Abi.Asan -> 0
     in
     Kstate.charge k p (base + extra);

@@ -103,21 +103,6 @@ let oracle_one seed errors =
   let sc = Absint.scan_code ~ddc:ctx.Cpu.ddc [ (code_base, insns) ] in
   let entry = ref (Cap.addr ctx.Cpu.pcc) in
   let guard_held = ref false in
-  (* Tier-3 claims for the current block: certificate, body-index roles
-     in access runs, and the observed vaddr of each run head. *)
-  let cert = ref Facts.no_cert in
-  let roles = Hashtbl.create 8 in
-  let head_vaddr = Hashtbl.create 8 in
-  let vaddr_of insn =
-    match insn with
-    | Some (Insn.Load { base; off; _ }) | Some (Insn.Store { base; off; _ })
-      ->
-      Some (Cpu.rd_gpr ctx base + off)
-    | Some (Insn.CLoad { cb; off; _ }) | Some (Insn.CStore { cb; off; _ })
-    | Some (Insn.CLC { cb; off; _ }) | Some (Insn.CSC { cb; off; _ }) ->
-      Some (Cap.addr (Cpu.rd_creg ctx cb) + off)
-    | _ -> None
-  in
   let fuel = ref Test_engines.fuel in
   let stop = ref false in
   while (not !stop) && !fuel > 0 do
@@ -132,51 +117,9 @@ let oracle_one seed errors =
        block. *)
     if i = 0 then begin
       let gm, preds = Facts.guarded sc.Absint.sc_facts e in
-      guard_held := gm <> 0 && guard_holds ctx preds;
-      cert := Facts.cert sc.Absint.sc_facts e;
-      Hashtbl.reset roles;
-      Hashtbl.reset head_vaddr;
-      Array.iteri
-        (fun ri r ->
-          Hashtbl.replace roles r.Facts.ar_head (`Head ri);
-          Array.iter
-            (fun (j, d) -> Hashtbl.replace roles j (`Tail (ri, d)))
-            r.Facts.ar_tail)
-        !cert.Facts.ct_runs
+      guard_held := gm <> 0 && guard_holds ctx preds
     end;
     let insn = try Some (m.Cpu.fetch pc) with Trap.Trap _ -> None in
-    (* Access-run claim: every member is a data access, and each tail's
-       effective vaddr is exactly the head's plus the certified delta.
-       The claim is syntactic (register dataflow within the block), so it
-       holds whenever execution reaches the member straight-line. *)
-    (match Hashtbl.find_opt roles i with
-     | Some (`Head ri) ->
-       (match vaddr_of insn with
-        | Some v -> Hashtbl.replace head_vaddr ri v
-        | None ->
-          errors :=
-            Printf.sprintf
-              "seed %d: 0x%x (entry 0x%x idx %d) run head is not a data access"
-              seed pc e i
-            :: !errors)
-     | Some (`Tail (ri, d)) ->
-       (match Hashtbl.find_opt head_vaddr ri, vaddr_of insn with
-        | Some hv, Some v when v <> hv + d ->
-          errors :=
-            Printf.sprintf
-              "seed %d: 0x%x (entry 0x%x idx %d) run delta broken: head \
-               0x%x + %d <> 0x%x"
-              seed pc e i hv d v
-            :: !errors
-        | Some _, None ->
-          errors :=
-            Printf.sprintf
-              "seed %d: 0x%x (entry 0x%x idx %d) run tail is not a data \
-               access"
-              seed pc e i
-            :: !errors
-        | _ -> ())
-     | None -> ());
     let r = Cpu.run m ctx ~fuel:1 in
     decr fuel;
     (match r with
@@ -202,24 +145,7 @@ let oracle_one seed errors =
            Printf.sprintf
              "seed %d: 0x%x (entry 0x%x idx %d) elided check trapped: %s"
              seed pc e i (Trap.to_string cause)
-           :: !errors;
-       (* Tier-3 trap-freedom: inside the certified prefix a trap may
-          only come from a data access (a repair point). Guard-rescued
-          members condition the certificate exactly as tier-2 masks
-          do. *)
-       (match insn with
-        | Some
-            (Insn.Load _ | Insn.Store _ | Insn.CLoad _ | Insn.CStore _
-            | Insn.CLC _ | Insn.CSC _) ->
-          ()
-        | Some _ when i < !cert.Facts.ct_prefix && (gm = 0 || !guard_held) ->
-          errors :=
-            Printf.sprintf
-              "seed %d: 0x%x (entry 0x%x idx %d) certified-prefix insn \
-               trapped: %s"
-              seed pc e i (Trap.to_string cause)
-            :: !errors
-        | _ -> ()));
+           :: !errors);
     (match r with
      | None ->
        let next = Cap.addr ctx.Cpu.pcc in

@@ -1277,15 +1277,13 @@ let test_chain_crosses_elided_entry () =
     (st.Bbcache.ch_chained >= 1);
   Alcotest.(check int) "both loads probed" 2 bb.Bbcache.checked_probes
 
-(* Trap attribution after a certified memory run: the superblock scan
-   certifies the accesses through c1 as one group, but must stop at the
-   Div, whose divisor is loaded from memory and therefore Any to the
-   analysis (zero at runtime). The engine runs the group one checked
-   closure per instruction, and the trap must carry the Div's own PC, not
-   the group head's. *)
+(* Trap attribution after checked memory accesses: two accesses through
+   c1, padding to the end of the first I-cache line group (16 insns), then
+   a Div whose divisor was loaded from memory (zero at run time) in the
+   second group. The chain engine runs one checked closure per
+   instruction, and the trap must carry the Div's own PC, not that of the
+   block head or of an earlier access. *)
 let test_chain_fused_trap_attribution () =
-  (* Pad the certified part to fill the first I-cache line group (16
-     insns), so the uncertified Div falls in the second. *)
   let insns =
     Array.append
       [| Insn.Li (13, 0);
@@ -1297,17 +1295,12 @@ let test_chain_fused_trap_attribution () =
             Insn.Div (12, 8, 14);
             Insn.Break 0 |])
   in
-  let sc = Cheri_analysis.Absint.scan_code [ (code_base, insns) ] in
-  let cert = Cheri_analysis.Facts.cert sc.Cheri_analysis.Absint.sc_facts
-      code_base in
-  Alcotest.(check int) "the certificate stops at the Div" 16
-    cert.Cheri_analysis.Facts.ct_prefix;
   let bb, _, ctx, stop = chain_vs_step ~name:"fused-group trap" insns in
   Alcotest.(check int) "both accesses probed" 2 bb.Bbcache.checked_probes;
   (match stop with
    | Some (Cpu.Stop_trap Trap.Div_by_zero) -> ()
    | s -> Alcotest.failf "expected divide-by-zero, got %s" (stop_str s));
-  Alcotest.(check int) "PCC names the Div, not the group head"
+  Alcotest.(check int) "PCC names the Div, not the block head"
     (code_base + 0x40) (Cap.addr ctx.Cpu.pcc)
 
 (* Fuel expiry inside a run of memory accesses: sweep every fuel value

@@ -54,16 +54,16 @@ let rec to_c = function
    of [depth] levels needs 2 * (depth - 1) spill slots. [max_depth] is
    the deepest that fits codegen's first-try frame of [spill_slots]; a
    function that needs more is compiled again with a larger spill area.
-   [gen_expr] draws sizes up to [max_size], three levels deeper. *)
+   [gen_tree] draws sizes up to [max_size], three levels deeper, and
+   [deep_pick] reaches past the first-try frame on purpose. *)
 let rec depth n = if n <= 0 then 0 else 1 + depth (n / 2)
 let max_depth = (Cheri_cc.Codegen.spill_slots / 2) + 1
 let max_size = (1 lsl (max_depth + 3)) - 1
 let () = assert (depth max_size = max_depth + 3)
 
-let gen_expr =
+let gen_tree =
   let open QCheck.Gen in
-  sized_size (int_bound max_size)
-  @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then map (fun v -> Num v) (int_range (-1000) 1000)
       else
         let sub = self (n / 2) in
@@ -78,6 +78,29 @@ let gen_expr =
             map2 (fun a b -> Shl (a, b)) sub sub;
             map2 (fun a b -> Lt (a, b)) sub sub;
             map3 (fun c a b -> Ifnz (c, a, b)) sub sub sub ])
+
+(* [d] nested [pick]s, each in the third argument of the one above, with
+   [bottom] in the innermost one, for a depth [d] drawn between
+   [max_depth] and [3 * max_depth]: the shape that spills most, so almost
+   every such draw needs codegen's spill-area retry. The selectors and
+   first arguments are leaves. *)
+let deep_pick bottom =
+  let open QCheck.Gen in
+  let rec nest d =
+    if d = 0 then bottom
+    else
+      map3 (fun c a b -> Ifnz (c, a, b))
+        (map (fun v -> Num v) (int_range (-1) 1))
+        (map (fun v -> Num v) (int_range (-1000) 1000))
+        (nest (d - 1))
+  in
+  int_range max_depth (3 * max_depth) >>= nest
+
+(* One draw in four is a deep pick nest over a random tree. *)
+let gen_expr =
+  let open QCheck.Gen in
+  sized_size (int_bound max_size) (fun n ->
+      frequency [ (3, gen_tree n); (1, deep_pick (gen_tree (n / 2))) ])
 
 let arb_expr = QCheck.make ~print:to_c (QCheck.Gen.(gen_expr >>= fun e -> return e))
 

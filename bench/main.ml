@@ -439,9 +439,8 @@ let paired_scaling leg ?oversubscribe specs =
   let single, fleet = go (if !opt_perf then 2 else 0) (run_pair ()) in
   Printf.printf
     "aggregate: 1 domain %.2f sim-MIPS; %d domains (%d workers) %.2f \
-     sim-MIPS, %d steals\n"
-    single.Fleet.f_mips domains fleet.Fleet.f_workers fleet.Fleet.f_mips
-    fleet.Fleet.f_steals;
+     sim-MIPS\n"
+    single.Fleet.f_mips domains fleet.Fleet.f_workers fleet.Fleet.f_mips;
   let usable = min domains (Domain.recommended_domain_count ()) in
   perf_floor leg
     ~speedup:(fleet.Fleet.f_mips /. single.Fleet.f_mips)
@@ -462,14 +461,13 @@ let fleet_bench () =
   let fleet =
     paired_scaling "fleet" (Fleet.traffic_mix ~machines ~rounds ())
   in
-  Printf.printf "%-20s %6s %6s %12s %9s %8s\n" "machine" "domain" "stolen"
+  Printf.printf "%-20s %6s %12s %9s %8s\n" "machine" "domain"
     "sim insns" "requests" "host s";
   Array.iter
     (fun (m : Fleet.machine_result) ->
-      Printf.printf "%-20s %6d %6s %12d %9d %8.3f\n" m.Fleet.mr_label
-        m.Fleet.mr_domain
-        (if m.Fleet.mr_stolen then "yes" else "no")
-        m.Fleet.mr_insns m.Fleet.mr_requests m.Fleet.mr_host_seconds)
+      Printf.printf "%-20s %6d %12d %9d %8.3f\n" m.Fleet.mr_label
+        m.Fleet.mr_domain m.Fleet.mr_insns m.Fleet.mr_requests
+        m.Fleet.mr_host_seconds)
     fleet.Fleet.f_results;
   Printf.printf "utilization: %s\n"
     (String.concat " "

@@ -47,6 +47,15 @@ let engine_conv =
            | Cpu.Step -> "step"
            | Cpu.Chain -> "chain") )
 
+(* --domains: a fleet needs at least one worker domain. *)
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when d >= 1 -> Ok d
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 (* Lines the libc prototypes add in front of the user's source: compile
    errors are re-biased so they name lines of [file] itself. *)
 let externs_lines =
@@ -79,21 +88,18 @@ let run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
           ms_marker = '#' })
   in
   let r = Fleet.run ~engine ~domains specs in
-  Printf.printf "%-24s %6s %6s %12s %9s %8s  %s\n" "machine" "domain" "stolen"
+  Printf.printf "%-24s %6s %12s %9s %8s  %s\n" "machine" "domain"
     "sim insns" "requests" "host s" "status";
   Array.iter
     (fun (m : Fleet.machine_result) ->
-      Printf.printf "%-24s %6d %6s %12d %9d %8.3f  %s\n" m.Fleet.mr_label
-        m.Fleet.mr_domain
-        (if m.Fleet.mr_stolen then "yes" else "no")
-        m.Fleet.mr_insns m.Fleet.mr_requests m.Fleet.mr_host_seconds
+      Printf.printf "%-24s %6d %12d %9d %8.3f  %s\n" m.Fleet.mr_label
+        m.Fleet.mr_domain m.Fleet.mr_insns m.Fleet.mr_requests
+        m.Fleet.mr_host_seconds
         (Fleet.status_str m.Fleet.mr_status))
     r.Fleet.f_results;
   Printf.printf
-    "aggregate: %.2f sim-MIPS over %d machines, %d domains (%d workers), %d \
-     steals\n"
-    r.Fleet.f_mips fleet_n r.Fleet.f_domains r.Fleet.f_workers
-    r.Fleet.f_steals;
+    "aggregate: %.2f sim-MIPS over %d machines, %d domains (%d workers)\n"
+    r.Fleet.f_mips fleet_n r.Fleet.f_domains r.Fleet.f_workers;
   if r.Fleet.f_requests > 0 then
     Printf.printf
       "request latency (sim cycles over %d requests): p50=%d p95=%d p99=%d\n"
@@ -355,7 +361,7 @@ let cmd =
                    the program prints. Exits 0 iff every machine exits 0.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt domains_conv 1
          & info [ "domains" ] ~docv:"D"
              ~doc:"Number of domains requested for $(b,--fleet) (capped at \
                    the host's core count; see docs/FLEET.md).")

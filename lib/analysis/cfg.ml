@@ -54,15 +54,6 @@ type t = {
 
 let block_of t pc = Hashtbl.find_opt t.blocks pc
 
-(* Entry pc of the block containing [pc], if any. *)
-let containing_block t pc =
-  List.fold_left
-    (fun acc e ->
-      match Hashtbl.find_opt t.blocks e with
-      | Some b when e <= pc && pc < e + (4 * Array.length b.bb_insns) -> Some e
-      | _ -> acc)
-    None t.order
-
 (* Per-creg provenance for the GOT scan. *)
 type gprov =
   | Pnone

@@ -206,9 +206,6 @@ let from_ptr src a =
     set_addr src a
   end
 
-(* CGetAddr / CToPtr: expose the virtual address. *)
-let to_ptr c = if c.tag then c.addr else 0
-
 (* --- Unboxed register file ----------------------------------------------- *)
 
 (* The capability register file as one int array: register [r] occupies

@@ -131,9 +131,6 @@ val check_cap_alignment : int -> unit
     source yields an untagged result. *)
 val from_ptr : t -> int -> t
 
-(** CGetAddr: the virtual address (0 if untagged — legacy CToPtr). *)
-val to_ptr : t -> int
-
 (** {1 Unboxed register file}
 
     The capability register file of a CPU context: 32 registers held

@@ -228,9 +228,6 @@ let cap_of st op =
     op.where <- Wcap c;
     c
 
-(* Register of a pointer operand (cap under CheriABI, gpr otherwise). *)
-let preg_of st op = if is_cheri st then cap_of st op else gpr_of st op
-
 let spill_all st =
   List.iter
     (fun o -> match o.where with Wspill _ -> () | _ -> spill_one st o)

@@ -24,10 +24,3 @@ let equal (a : t) b = a = b
 let pointer_size = function
   | Mips64 | Asan -> 8
   | Cheriabi -> Cheri_cap.Cap.sizeof
-
-let pointer_align = pointer_size
-
-(* Does the kernel accept integer addresses from this ABI? *)
-let kernel_takes_int_pointers = function
-  | Mips64 | Asan -> true
-  | Cheriabi -> false

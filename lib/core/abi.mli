@@ -18,8 +18,3 @@ val equal : t -> t -> bool
 
 (** Pointer representation size in bytes (8 legacy, 16 CheriABI). *)
 val pointer_size : t -> int
-
-val pointer_align : t -> int
-
-(** Does the kernel accept integer addresses from this ABI's processes? *)
-val kernel_takes_int_pointers : t -> bool

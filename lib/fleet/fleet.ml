@@ -6,6 +6,7 @@
    single simulation. Scaling comes from isolation, not from parallelizing
    the model: each domain runs complete machines end to end, so nothing
    inside the deterministic simulation is ever touched by two domains.
+   Workers claim machines in spec order from one atomic cursor ([run]).
 
    Shared BY REFERENCE across domains (immutable or internally locked):
    - compiled program images ([Sobj.image]): built up front in the
@@ -25,8 +26,10 @@
    traffic workload's server prints one marker character per served
    request round, and the runner executes each machine in fixed-size
    instruction chunks, timestamping newly appeared markers with the server
-   context's cycle counter. The chunk size quantizes the timestamps but is
-   a constant of the runner, so latencies are deterministic and
+   context's cycle counter. The chunk size is part of the simulated result
+   (a chunk that ends mid-quantum is charged a context switch and restarts
+   the quantum, see [Kernel.run_chunked]), but it is a constant of the
+   runner, so cycles and latencies are deterministic and
    domain-count-independent too. *)
 
 module Cap = Cheri_cap.Cap
@@ -57,17 +60,18 @@ type machine_spec = {
 }
 
 (* Executing in fixed chunks (rather than one [Loop.run] to quiescence)
-   exists solely to sample the console between chunks for latency stamps.
-   The value is a runner constant — part of the deterministic contract, so
-   it must not depend on domain count or host behavior. One timeslice
+   exists to sample the console between chunks for latency stamps. The
+   value is a runner constant — part of the deterministic contract, so
+   it must not depend on domain count or host behavior — and it moves
+   simulated cycles: every chunk that ends mid-quantum costs the running
+   process a context switch ([Kernel.run_chunked]). One timeslice
    (Kstate default quantum 20k) keeps stamp quantization near the
-   scheduler's own granularity at ~zero re-dispatch overhead. *)
+   scheduler's own granularity. *)
 let chunk_insns = 20_000
 
 type machine_result = {
   mr_label : string;
   mr_domain : int;                 (* domain that ran it (reporting only) *)
-  mr_stolen : bool;                (* arrived via work stealing *)
   mr_status : Proc.exit_status option;
   mr_output : string;
   mr_insns : int;                  (* all processes, via Loop.run *)
@@ -181,7 +185,6 @@ let run_machine ?(engine = Cpu.Chain) spec =
   in
   { mr_label = spec.ms_label;
     mr_domain = 0;
-    mr_stolen = false;
     mr_status = status;
     mr_output = Buffer.contents p.Proc.console;
     mr_insns = executed;
@@ -194,70 +197,6 @@ let run_machine ?(engine = Cpu.Chain) spec =
     mr_snapshot = snapshot k p status;
     mr_alloc = Malloc_impl.machine_counters k }
 
-(* --- Work-stealing scheduler ------------------------------------------------ *)
-
-(* One mutex-guarded deque of spec indices per domain, seeded round-robin.
-   Owners pop from the head; a domain whose deque drains steals from the
-   TAIL of the first non-empty victim (classic owner-head/thief-tail
-   split, so thieves take the work the owner would reach last). The locks
-   are per-deque and never nested, so there is no ordering concern.
-   Stealing only changes WHICH domain runs a machine — never how the
-   machine runs — so heterogeneous run lengths load-balance without
-   touching determinism. *)
-type deque = { dq_lock : Mutex.t; mutable dq : int list }
-
-type sched = {
-  deques : deque array;
-  steals : int Atomic.t;
-}
-
-let make_sched ~domains specs_n =
-  let deques =
-    Array.init domains (fun _ -> { dq_lock = Mutex.create (); dq = [] })
-  in
-  for i = specs_n - 1 downto 0 do
-    let d = deques.(i mod domains) in
-    d.dq <- i :: d.dq
-  done;
-  { deques; steals = Atomic.make 0 }
-
-let pop_own sc d =
-  let q = sc.deques.(d) in
-  Mutex.protect q.dq_lock (fun () ->
-      match q.dq with
-      | [] -> None
-      | i :: rest ->
-        q.dq <- rest;
-        Some i)
-
-let steal sc d =
-  let n = Array.length sc.deques in
-  let rec try_victim k =
-    if k >= n then None
-    else
-      let v = (d + k) mod n in
-      let q = sc.deques.(v) in
-      let got =
-        Mutex.protect q.dq_lock (fun () ->
-            match List.rev q.dq with
-            | [] -> None
-            | last :: rev_rest ->
-              q.dq <- List.rev rev_rest;
-              Some last)
-      in
-      match got with
-      | Some i ->
-        Atomic.incr sc.steals;
-        Some i
-      | None -> try_victim (k + 1)
-  in
-  try_victim 1
-
-let next_task sc d =
-  match pop_own sc d with
-  | Some i -> Some (i, false)
-  | None -> (match steal sc d with Some i -> Some (i, true) | None -> None)
-
 (* --- Fleet run -------------------------------------------------------------- *)
 
 type report = {
@@ -268,6 +207,8 @@ type report = {
   f_host_seconds : float;             (* wall clock for the whole fleet *)
   f_mips : float;                     (* aggregate sim-MIPS *)
   f_util : float array;               (* per-domain busy / wall *)
+  (* Inert, always 0: workers share one cursor, so no machine changes
+     hands. Kept only because simbench/simbench.ml still reads it. *)
   f_steals : int;
   f_requests : int;
   f_p50 : int;                        (* request latency percentiles, *)
@@ -284,8 +225,15 @@ let percentile sorted q =
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
 (* Run every spec to completion across [domains] domains and aggregate.
-   Worker 0 runs on the calling domain; the rest are spawned. All results
-   are published by [Domain.join] before aggregation reads them.
+   Worker 0 runs on the calling domain; the rest are spawned. The workers
+   share one atomic cursor over the spec array: each claims the next
+   unclaimed index with [Atomic.fetch_and_add] and runs that machine,
+   until the cursor passes the end. Every task is a whole machine and a
+   fleet holds a handful of them, so claiming in spec order balances
+   heterogeneous run lengths without per-worker queues. The claim decides
+   only WHICH domain runs a machine, never how it runs. Each result goes
+   to its spec's slot, and [Domain.join] publishes all of them before
+   aggregation reads them.
 
    By default live workers are capped at the host's recommended domain
    count: OCaml 5 minor collections are stop-the-world rendezvous across
@@ -293,11 +241,11 @@ let percentile sorted q =
    does not just serialize — each collection waits for descheduled domains
    to reach their safepoint, and measured throughput collapses well below
    the single-domain baseline. Requesting more domains than cores then
-   runs [min domains cores] workers over the same work-stealing deques
-   (machine results are identical either way — that is the determinism
-   contract). [~oversubscribe:true] disables the cap: the differential
-   tests use it to force REAL cross-domain execution even on a one-core
-   host, where correctness, not throughput, is being tested. *)
+   runs [min domains cores] workers over the same cursor (machine results
+   are identical either way — that is the determinism contract).
+   [~oversubscribe:true] disables the cap: the differential tests use it
+   to force REAL cross-domain execution even on a one-core host, where
+   correctness, not throughput, is being tested. *)
 let run ?(engine = Cpu.Chain) ?(oversubscribe = false)
     ~domains specs =
   if domains < 1 then invalid_arg "Fleet.run: domains < 1";
@@ -307,21 +255,18 @@ let run ?(engine = Cpu.Chain) ?(oversubscribe = false)
   in
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  let sc = make_sched ~domains:workers n in
+  let next = Atomic.make 0 in
   let results : machine_result option array = Array.make n None in
   let busy = Array.make workers 0.0 in
   let wall0 = Unix.gettimeofday () in
-  let worker d =
-    let rec loop () =
-      match next_task sc d with
-      | None -> ()
-      | Some (i, stolen) ->
-        let r = run_machine ~engine specs.(i) in
-        results.(i) <- Some { r with mr_domain = d; mr_stolen = stolen };
-        busy.(d) <- busy.(d) +. r.mr_host_seconds;
-        loop ()
-    in
-    loop ()
+  let rec worker d =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let r = run_machine ~engine specs.(i) in
+      results.(i) <- Some { r with mr_domain = d };
+      busy.(d) <- busy.(d) +. r.mr_host_seconds;
+      worker d
+    end
   in
   let others =
     Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> worker (j + 1)))
@@ -351,7 +296,7 @@ let run ?(engine = Cpu.Chain) ?(oversubscribe = false)
     f_host_seconds = wall;
     f_mips = float_of_int insns /. wall /. 1e6;
     f_util = Array.map (fun b -> if wall > 0.0 then b /. wall else 0.0) busy;
-    f_steals = Atomic.get sc.steals;
+    f_steals = 0;
     f_requests = requests;
     f_p50 = percentile all_lats 0.50;
     f_p95 = percentile all_lats 0.95;
@@ -362,10 +307,11 @@ let run ?(engine = Cpu.Chain) ?(oversubscribe = false)
 (* Heterogeneous s_server traffic mix: three service classes (short,
    medium, long — the long class serves 3x the rounds of the short one at
    double the record size), machines assigned round-robin. Machines of one
-   class share a single prebuilt image, so the fleet also exercises
-   cross-domain sharing of the image-keyed analysis caches; classes differ
-   in code (distinct images) as well as load. All images are built here,
-   in the calling domain, before any domain spawns. *)
+   class share a single prebuilt, read-only image; classes differ in code
+   (distinct images) as well as load. Every machine forks its client
+   (fork-time COW and wait/reap) and talks to it over a socket pair. All
+   images are built here, in the calling domain, before any domain
+   spawns. *)
 let traffic_classes ~rounds =
   [ ("short", rounds, 256, 11);
     ("medium", rounds * 2, 384, 23);

@@ -23,14 +23,6 @@ let event_cap = function
   | Derive { result; _ } | Grant { result; _ } -> Some result
   | Fault _ | Marker _ -> None
 
-let pp_event ppf = function
-  | Derive { pc; op; result } ->
-    Fmt.pf ppf "derive pc=0x%x %s -> %a" pc op Cheri_cap.Cap.pp result
-  | Grant { origin; result } ->
-    Fmt.pf ppf "grant [%s] %a" origin Cheri_cap.Cap.pp result
-  | Fault { pc; cause } -> Fmt.pf ppf "fault pc=0x%x %s" pc cause
-  | Marker { pc; text } -> Fmt.pf ppf "marker pc=0x%x %s" pc text
-
 (* A simple accumulating collector. *)
 type collector = {
   mutable events : event list;  (* reversed *)

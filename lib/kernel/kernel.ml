@@ -31,12 +31,16 @@ let status_of k pid =
 
 (* Drive the system in fixed instruction chunks until quiescence, until
    [p] is a zombie, or until [max_steps] total instructions, calling
-   [on_chunk] after every chunk. The chunk boundary is observational
-   only: scheduling decisions and simulated results are exactly those of
-   one uninterrupted [run] (Loop.run resumes mid-quantum), which is what
-   lets callers sample consoles or counters at deterministic points —
-   the fleet layer stamps request-completion markers with simulated
-   cycles this way. Returns total instructions executed. *)
+   [on_chunk] after every chunk. The chunk size is part of the simulated
+   result, not just of the observation: each chunk is one [run], so a
+   chunk that ends mid-quantum cuts that quantum short, charges the
+   process [Kstate.ctx_switch_cost] as a preemption would, and the next
+   chunk starts a fresh quantum on the next process in the run queue.
+   Cycles (and hence latency stamps) therefore differ between chunk
+   sizes; they are deterministic for a fixed chunk, which is what lets
+   callers sample consoles or counters at reproducible points — the
+   fleet layer stamps request-completion markers with simulated cycles
+   this way. Returns total instructions executed. *)
 let run_chunked ?(chunk = 20_000) ~max_steps k (p : Proc.t) ~on_chunk =
   let executed = ref 0 in
   let running = ref true in

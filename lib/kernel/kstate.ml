@@ -110,29 +110,36 @@ type t = {
   mutable console_echo : bool;
 }
 
+(* Machine reset: the primordial capability. *)
+let reset_root = Cap.make_root ~base:0 ~top:(1 lsl 48) ()
+
+(* Every permission but System_regs: no user capability, PCC included,
+   may touch the special registers. *)
+let user_perms = Perms.diff Perms.all Perms.system_regs
+
+(* Kernel startup: deliberate narrowing (§3, "Kernel startup") of the
+   reset capability to the user address range and [user_perms]. Every
+   user address space derives from it, and it is the legacy ABIs'
+   initial DDC. *)
+let narrowed_user_root =
+  Cap.and_perms
+    (Cap.set_bounds
+       (Cap.set_addr reset_root Addr_space.user_base_default)
+       ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
+    user_perms
+
 let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
   let mem = Tagmem.create ~size:mem_size in
   let phys = Phys.create mem in
   let swap = Swap.create () in
   let hier = Cache.create_hierarchy ?l2_size () in
   let machine = Cpu.create_machine ~mem ~hier in
-  (* Machine reset: the primordial capability. *)
-  let reset_root = Cap.make_root ~base:0 ~top:(1 lsl 48) () in
-  (* Kernel startup: deliberate narrowing (§3, "Kernel startup"). *)
-  let user_root =
-    Cap.and_perms
-      (Cap.set_bounds
-         (Cap.set_addr reset_root Addr_space.user_base_default)
-         ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
-      (Perms.diff Perms.all Perms.system_regs)
-  in
-  let kernel_root = reset_root in
   { mem; phys; swap; machine;
     bb = Cheri_isa.Bbcache.create ();
     procs = Hashtbl.create 16; runq = [];
     vfs = Vfs.create ();
     next_pid = 1;
-    kernel_root; user_root;
+    kernel_root = reset_root; user_root = narrowed_user_root;
     shm = Hashtbl.create 8; next_shm_id = 1;
     tracer = None; trace_pid = None;
     rt_handler = None;

@@ -38,7 +38,3 @@ let default_action = function
   | 20 (* SIGCHLD *) -> Ignore
   | 17 (* SIGSTOP *) -> Stop
   | _ -> Terminate
-
-(* Is this one of the memory-protection signals used for detection
-   counting in the BOdiagsuite experiment? *)
-let is_protection_signal s = s = sigsegv || s = sigbus || s = sigprot

@@ -32,7 +32,3 @@ let int_exn = function
 let ptr_exn = function
   | UPtr p -> p
   | UInt _ -> Errno.raise_errno Errno.EINVAL
-
-let pp_uptr ppf = function
-  | Uaddr a -> Fmt.pf ppf "0x%x" a
-  | Ucap c -> Cheri_cap.Cap.pp ppf c

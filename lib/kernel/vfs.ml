@@ -93,7 +93,6 @@ let add_file t path =
   f
 
 let add_exe t path ~abi image = bind t path (Exe (abi, image))
-let add_dev t path dev = bind t path (Dev dev)
 
 (* --- File I/O ----------------------------------------------------------------- *)
 
@@ -127,8 +126,6 @@ let new_pipe t =
   let p = { p_id = t.next_pipe_id; p_buf = []; p_readers = 1; p_writers = 1 } in
   t.next_pipe_id <- t.next_pipe_id + 1;
   p
-
-let pipe_bytes p = List.fold_left (fun a b -> a + Bytes.length b) 0 p.p_buf
 
 let pipe_write p data =
   if p.p_readers = 0 then Errno.raise_errno Errno.EPIPE;

@@ -64,7 +64,6 @@ let bound (Chunk parent) ~addr ~len =
 
 (* Unwrap for delivery to user registers / test assertions. *)
 let to_cap (Alloc c) = c
-let chunk_cap (Chunk c) = c
 
 (* Does [c] satisfy the discipline for an object at [addr] of rounded
    length [len]? Used by the property tests on every returned pointer. *)

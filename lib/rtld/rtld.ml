@@ -258,9 +258,6 @@ let cgp_cap t ~root =
   let c = Cap.set_bounds c ~len:t.lk_got_size in
   Cap.and_perms c Perms.read_only
 
-let find_placed t name =
-  List.find_opt (fun pl -> pl.pl_obj.Sobj.so_name = name) t.lk_placed
-
 let symbol_address t name =
   match Hashtbl.find_opt t.lk_symtab name with
   | Some (Dfunc (_, a)) | Some (Ddata (_, a, _)) -> Some a

@@ -63,9 +63,6 @@ let code_size_bytes t =
            (function Cheri_isa.Asm.Lbl _ -> false | _ -> true)
            t.so_code)
 
-let find_export t name =
-  List.find_opt (fun e -> e.exp_name = name) t.so_exports
-
 (* An executable image: the program object plus the shared objects it
    needs, and the entry symbol (conventionally "_start" in crt0).
 

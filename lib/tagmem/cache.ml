@@ -51,12 +51,6 @@ let hits t = t.hits
 let misses t = t.misses
 let name t = t.name
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let flush t = Array.fill t.tags 0 (Array.length t.tags) (-1)
-
 (* The probe is split for inlining: the hit path of [data_access]/[ifetch]
    -> [access] -> [access_line] (an L1 hit) is [@inline] and compiles into
    the execution engines' closures; fills, the generic way scan,
@@ -205,8 +199,3 @@ let[@inline] add_hits t n =
 let[@inline] stamp t slot clock = Array.unsafe_set t.lru slot clock
 
 let l2_misses h = misses h.l2
-
-let reset_hierarchy_stats h =
-  reset_stats h.il1; reset_stats h.dl1; reset_stats h.l2
-
-let flush_hierarchy h = flush h.il1; flush h.dl1; flush h.l2

@@ -40,7 +40,6 @@ let create () =
     swapped_out = 0; swapped_in = 0; caps_rederived = 0; caps_lost = 0 }
 
 let stats t = (t.swapped_out, t.swapped_in, t.caps_rederived, t.caps_lost)
-let slot_count t = Hashtbl.length t.slots
 
 let save_cap c =
   { s_perms = Cap.perms c; s_base = Cap.base c; s_top = Cap.top c;

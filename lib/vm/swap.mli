@@ -25,8 +25,6 @@ val create : unit -> t
 (** (swapped out, swapped in, capabilities rederived, capabilities lost). *)
 val stats : t -> int * int * int * int
 
-val slot_count : t -> int
-
 val save_cap : Cheri_cap.Cap.t -> saved_cap
 
 (** Rederive a saved capability from [root] using only monotonic

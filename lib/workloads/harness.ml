@@ -32,28 +32,19 @@ let status_string m =
 (* The capability abstract interpreter over a linked image, under the
    initial DDC the kernel installs for [abi] (Exec.exec_image): NULL under
    CheriABI — the heart of the ABI — and the narrowed user root as legacy
-   DDC otherwise (Kstate.boot). User PCC never carries System_regs, which
-   is what makes a concrete DDC sound: CWriteDDC must trap. This is what
-   [cheri_run --verify], [cheri_run --analysis-stats] and cheri_verify
-   report. *)
+   DDC otherwise ([Kstate.narrowed_user_root]). User PCC never carries
+   System_regs ([Kstate.user_perms]), which is what makes a concrete DDC
+   sound: CWriteDDC must trap. This is what [cheri_run --verify],
+   [cheri_run --analysis-stats] and cheri_verify report. *)
 let verify_image ~abi link =
-  let module Cap = Cheri_cap.Cap in
-  let module Perms = Cheri_cap.Perms in
-  let user_perms = Perms.diff Perms.all Perms.system_regs in
+  let module Kstate = Cheri_kernel.Kstate in
   let ddc =
     match abi with
-    | Abi.Cheriabi -> Cap.null
-    | Abi.Mips64 | Abi.Asan ->
-      let module A = Cheri_vm.Addr_space in
-      Cap.and_perms
-        (Cap.set_bounds
-           (Cap.set_addr (Cap.make_root ~base:0 ~top:(1 lsl 48) ())
-              A.user_base_default)
-           ~len:(A.user_top_default - A.user_base_default))
-        user_perms
+    | Abi.Cheriabi -> Cheri_cap.Cap.null
+    | Abi.Mips64 | Abi.Asan -> Kstate.narrowed_user_root
   in
   let entries, got = Cheri_analysis.Absint.linkage link in
-  Cheri_analysis.Absint.verify ~ddc ~pcc_may:user_perms ~entries ~got
+  Cheri_analysis.Absint.verify ~ddc ~pcc_may:Kstate.user_perms ~entries ~got
     link.Cheri_rtld.Rtld.lk_code
 
 (* Run [src] (linked against libc) under [abi] and measure. [engine]

@@ -2,8 +2,9 @@
    not change what any machine computes.
 
    The contract (docs/FLEET.md): a machine's execution depends only on
-   its spec — never on the domain count, the work-stealing scheduler's
-   machine-to-domain assignment, or what other machines run concurrently.
+   its spec — never on the domain count, which domain claims a machine
+   from the runner's shared cursor, or what other machines run
+   concurrently.
    The differential here runs the SAME machine set with 1 domain and with
    4 genuinely concurrent domains ([~oversubscribe:true] defeats the
    host-core cap, so even a one-core CI host really interleaves four
@@ -13,11 +14,14 @@
 
    The mix deliberately includes the hard cases alongside the TLS
    traffic servers:
-   - a fork-heavy machine (process-tree churn through the shared fact
-     table, fork-time COW, zombie reaping);
+   - a fork-heavy machine (process-tree churn, fork-time COW of the
+     parent's address space, zombie reaping);
    - an mprotect machine that flips a hot region read-only and back
-     between hot loops (chain severing + fact-cache invalidation racing
-     nothing, because each machine owns its kernel outright). *)
+     between hot loops (chain severing and pmap generation bumps, racing
+     nothing, because each machine owns its kernel outright).
+
+   A quick test pins the scheduler's own contract: more workers than
+   machines, and no machines at all. *)
 
 module Fleet = Cheri_fleet.Fleet
 module Abi = Cheri_core.Abi
@@ -60,10 +64,10 @@ let fork_heavy_src =
   |}
 
 (* Hot write loop, mprotect the region read-only, hot read loop, restore
-   read|write — four passes. The protection flips sever superblock
-   chains and bump the pmap generation between hot loops, the exact
-   pattern that must stay deterministic under concurrent fact-cache
-   sharing. *)
+   read|write — four passes. The protection flips sever block chains and
+   bump the pmap generation between hot loops, so the chain engine
+   rebuilds its links mid-run: the pattern that must stay deterministic
+   whichever domain runs the machine. *)
 let mprotect_src =
   {|
     int main(int argc, char **argv) {
@@ -229,6 +233,45 @@ let test_worker_cap () =
   Alcotest.(check int) "one utilization slot per worker"
     r.Fleet.f_workers (Array.length r.Fleet.f_util)
 
+(* More workers than machines, then no machines: every spec is claimed
+   exactly once, results come back in spec order, and idle workers
+   neither crash nor show up in the results. Busy time is summed per
+   worker from [mr_host_seconds], so a machine run twice would leave the
+   workers' total busy time above the machines' total host time. *)
+let test_cursor_contract () =
+  let specs = Fleet.traffic_mix ~machines:2 ~rounds:3 () in
+  let r = Fleet.run ~domains:4 ~oversubscribe:true specs in
+  Alcotest.(check int) "4 workers" 4 r.Fleet.f_workers;
+  Alcotest.(check (list string)) "results in spec order"
+    (List.map (fun (s : Fleet.machine_spec) -> s.Fleet.ms_label) specs)
+    (Array.to_list
+       (Array.map (fun (m : Fleet.machine_result) -> m.Fleet.mr_label)
+          r.Fleet.f_results));
+  Array.iter
+    (fun (m : Fleet.machine_result) ->
+      Alcotest.(check bool) (m.Fleet.mr_label ^ " exited 0") true
+        (m.Fleet.mr_status = Some (Proc.Exited 0));
+      Alcotest.(check bool) (m.Fleet.mr_label ^ " domain below workers")
+        true (m.Fleet.mr_domain >= 0 && m.Fleet.mr_domain < r.Fleet.f_workers))
+    r.Fleet.f_results;
+  Alcotest.(check int) "one utilization slot per worker"
+    r.Fleet.f_workers (Array.length r.Fleet.f_util);
+  let busy =
+    Array.fold_left (fun a u -> a +. (u *. r.Fleet.f_host_seconds)) 0.0
+      r.Fleet.f_util
+  in
+  let host =
+    Array.fold_left (fun a (m : Fleet.machine_result) ->
+        a +. m.Fleet.mr_host_seconds) 0.0 r.Fleet.f_results
+  in
+  Alcotest.(check (float 1e-6)) "each machine ran exactly once" host busy;
+  let e = Fleet.run ~domains:4 ~oversubscribe:true [] in
+  Alcotest.(check int) "empty fleet: no results" 0
+    (Array.length e.Fleet.f_results);
+  Alcotest.(check int) "empty fleet: no requests" 0 e.Fleet.f_requests;
+  Alcotest.(check (list int)) "empty fleet: zero percentiles" [ 0; 0; 0 ]
+    [ e.Fleet.f_p50; e.Fleet.f_p95; e.Fleet.f_p99 ]
+
 let test_percentiles_monotone () =
   let specs = Fleet.traffic_mix ~machines:2 ~rounds:3 () in
   let r = Fleet.run ~domains:2 ~oversubscribe:true specs in
@@ -240,4 +283,5 @@ let test_percentiles_monotone () =
 let suite =
   [ "fleet: 1 vs 4 domains bit-identical", `Slow, test_one_vs_four_domains;
     "fleet: worker cap respects host cores", `Quick, test_worker_cap;
-    "fleet: latency percentiles monotone", `Quick, test_percentiles_monotone ]
+    "fleet: latency percentiles monotone", `Quick, test_percentiles_monotone;
+    "fleet: cursor runs each machine once", `Quick, test_cursor_contract ]

@@ -401,7 +401,7 @@ let check_tagmem_parity ~mem_size ~n =
     fail "tag placement differs (%d vs %d tags)"
       (List.length opt_tags) (List.length ref_tags);
   if List.length opt_tags <> Ref_tagmem.tag_count refm then
-    fail "tag bitset and side-table count disagree";
+    fail "tag scan and the reference's capability table disagree";
   List.iter
     (fun off ->
       let a = Tagmem.read_cap opt off and b = Ref_tagmem.read_cap refm off in

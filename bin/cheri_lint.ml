@@ -51,14 +51,30 @@ let print_counts label counts =
   List.iter (fun (_, n) -> Printf.printf "%4d" n) counts;
   print_newline ()
 
+(* A bad argument is a usage error: one line on stderr, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("cheri_lint: " ^ msg);
+      exit 2)
+    fmt
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let corpus = List.mem "--corpus" args in
   let files = List.filter (fun a -> a <> "--corpus") args in
+  let sources =
+    List.map
+      (fun f ->
+        if String.length f > 1 && f.[0] = '-' then
+          usage_error "unknown option %S" f;
+        (f, try read_file f with Sys_error msg -> usage_error "%s" msg))
+      files
+  in
   let file_total =
     List.fold_left
-      (fun acc f -> add_counts acc (lint_named f (read_file f)))
-      zero files
+      (fun acc (f, src) -> add_counts acc (lint_named f src))
+      zero sources
   in
   let group_totals =
     if not corpus then []

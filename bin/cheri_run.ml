@@ -47,12 +47,14 @@ let engine_conv =
            | Cpu.Step -> "step"
            | Cpu.Chain -> "chain") )
 
-(* --domains: a fleet needs at least one worker domain. *)
-let domains_conv =
+(* An integer of at least [lo]: --fleet takes N >= 0 (0 is "no fleet"), and
+   --domains D >= 1, since a fleet needs at least one worker domain. *)
+let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some d when d >= 1 -> Ok d
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    | Some d when d >= lo -> Ok d
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
   in
   Arg.conv (parse, Fmt.int)
 
@@ -352,7 +354,7 @@ let cmd =
                    of capability checks.")
   in
   let fleet =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "fleet" ] ~docv:"N"
              ~doc:"Run $(docv) instances of the program as whole simulated \
                    machines sharded across OCaml domains, and print the \
@@ -361,7 +363,7 @@ let cmd =
                    the program prints. Exits 0 iff every machine exits 0.")
   in
   let domains =
-    Arg.(value & opt domains_conv 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "domains" ] ~docv:"D"
              ~doc:"Number of domains requested for $(b,--fleet) (capped at \
                    the host's core count; see docs/FLEET.md).")

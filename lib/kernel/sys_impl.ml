@@ -108,7 +108,6 @@ let sys_open k (p : Proc.t) = function
        let e = Vfs.open_entry (Vfs.OFile f) ~flags in
        if flags land Sysno.o_append <> 0 then e.Vfs.fo_off <- f.Vfs.f_len;
        RInt (Proc.alloc_fd p e)
-     | Some (Vfs.Dev d) -> RInt (Proc.alloc_fd p (Vfs.open_entry (Vfs.ODev d) ~flags))
      | Some (Vfs.Exe _) -> err Errno.EACCES
      | Some (Vfs.Dir _) -> err Errno.EISDIR
      | None -> err Errno.ENOENT)

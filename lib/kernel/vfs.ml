@@ -31,7 +31,6 @@ type node =
   | Dir of (string, node) Hashtbl.t
   | File of file
   | Exe of Cheri_core.Abi.t * Cheri_rtld.Sobj.image
-  | Dev of dev
 
 type t = {
   root : (string, node) Hashtbl.t;

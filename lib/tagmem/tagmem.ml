@@ -1,30 +1,30 @@
 (* Tagged physical memory.
 
-   One tag bit per capability-sized, capability-aligned 16-byte granule,
+   One tag per capability-sized, capability-aligned 16-byte granule,
    exactly as in CHERI: the tag travels with the granule, is set only by
    capability stores, and is cleared by any data store that touches the
-   granule. Capabilities stored to memory are kept in a side table indexed
-   by granule; the raw bytes hold the cursor so that data reads of
-   capability memory observe the address (as on real hardware, where the
-   cursor occupies the low 64 bits of the encoding).
+   granule. A tagged granule's capability lives in its frame's slot array;
+   the raw bytes hold the cursor so that data reads of capability memory
+   observe the address (as on real hardware, where the cursor occupies the
+   low 64 bits of the encoding).
 
-   The store is frame-sparse, so creating a memory costs nothing
-   proportional to its size beyond the tag bitset.
+   The store is frame-sparse, so creating a memory costs two pointer
+   arrays of one entry per frame and nothing else.
 
    Layout invariants (see docs/TAGMEM.md):
    - [frames.(f)] holds the 4 KiB of frame [f]; every frame starts as the
      shared, never-written [zero_frame] and gets its own buffer on its
      first write ([materialize]);
-   - [tagbits] packs one tag bit per granule, LSB-first within each byte,
-     and is padded to a whole number of 64-bit words so that range scans
-     can test eight bitset bytes (= 1 KiB of memory) per load;
-   - tag bit [g] set => [slots.(g / 256)] is that frame's own slot array
-     (allocated on its first tagged store) and slot [g mod 256] holds the
-     tagged capability; a clear bit has a [Cap.null] slot or no slot array
-     at all;
-   - every store path clears overlapped tag bits *and* their slots before
-     touching the raw bytes, so a data write can never leave a stale
-     capability reachable. *)
+   - [slots.(f)] holds the capability slots of frame [f]'s 256 granules;
+     every frame starts as the shared, never-written, all-null [no_slots]
+     and gets its own array on its first tagged store
+     ([materialize_slots]);
+   - a slot holds only [Cap.null] or a tagged capability, so granule [g]
+     is tagged iff slot [g mod 256] of [slots.(g / 256)] is not
+     [Cap.null]: the slot is the tag, and there is no other record of it;
+   - every store path clears overlapped slots before touching the raw
+     bytes, so a data write can never leave a stale capability
+     reachable. *)
 
 module Cap = Cheri_cap.Cap
 
@@ -44,28 +44,24 @@ let slot_mask = (1 lsl slot_shift) - 1
    write path swaps in a private buffer first. *)
 let zero_frame = Bytes.make frame_size '\000'
 
-let no_slots : Cap.t array = [||]
+(* Every frame without a tagged store has this one slot array. Nothing ever
+   writes it: [slot_set] swaps in a private array first, and [slot_clear]
+   writes only a slot that holds a capability. *)
+let no_slots = Array.make (1 lsl slot_shift) Cap.null
 
 type t = {
   frames : Bytes.t array;            (* frame -> data, [zero_frame] if unwritten *)
-  slots : Cap.t array array;         (* frame -> granule slots, or [no_slots] *)
-  tagbits : Bytes.t;                 (* packed tag bitset, 1 bit per granule *)
+  slots : Cap.t array array;         (* frame -> granule slots, [no_slots] if untagged *)
   size : int;
-  ngranules : int;
 }
 
 let create ~size =
   if size <= 0 || size land (granule - 1) <> 0 then
     invalid_arg "Tagmem.create: size must be a positive multiple of 16";
-  let ngranules = size / granule in
   let nframes = (size + frame_mask) lsr frame_shift in
-  (* Pad the bitset to 64-bit words so word-at-a-time scans never need a
-     bounds check of their own. *)
-  let nbytes = ((ngranules + 7) lsr 3 + 7) land lnot 7 in
   { frames = Array.make nframes zero_frame;
     slots = Array.make nframes no_slots;
-    tagbits = Bytes.make nbytes '\000';
-    size; ngranules }
+    size }
 
 let size t = t.size
 
@@ -105,14 +101,16 @@ let[@inline never] materialize_slots t fi =
   Array.unsafe_set t.slots fi s;
   s
 
-(* Only valid while tag bit [g] is set: the frame's slot array exists. *)
+(* Granule [g]'s slot: its capability if tagged, [Cap.null] if not. *)
 let[@inline] slot t g =
   Array.unsafe_get (Array.unsafe_get t.slots (g lsr slot_shift)) (g land slot_mask)
 
+(* Clear granule [g]'s tag. A tagged slot is never in [no_slots]. *)
 let[@inline] slot_clear t g =
-  Array.unsafe_set (Array.unsafe_get t.slots (g lsr slot_shift)) (g land slot_mask)
-    Cap.null
+  let s = Array.unsafe_get t.slots (g lsr slot_shift) and j = g land slot_mask in
+  if Array.unsafe_get s j != Cap.null then Array.unsafe_set s j Cap.null
 
+(* Tag granule [g] with the tagged capability [c]. *)
 let slot_set t g c =
   let fi = g lsr slot_shift in
   let s = Array.unsafe_get t.slots fi in
@@ -131,105 +129,63 @@ let iter_frames addr len f =
     pos := !pos + n
   done
 
-(* --- Tag bitset primitives ------------------------------------------------ *)
+(* Call [f fi s lo hi] for each frame [fi] overlapping granules [g0, g1]
+   that has slots of its own, [s]: its slots [lo, hi] are the overlap.
+   Frames still on [no_slots] hold no tags and are skipped whole. *)
+let[@inline] iter_slot_frames t g0 g1 f =
+  for fi = g0 lsr slot_shift to g1 lsr slot_shift do
+    let s = Array.unsafe_get t.slots fi in
+    if s != no_slots then begin
+      let base = fi lsl slot_shift in
+      f fi s (max g0 base - base) (min g1 (base + slot_mask) - base)
+    end
+  done
 
-let[@inline] tag_bit t g =
-  Char.code (Bytes.unsafe_get t.tagbits (g lsr 3)) land (1 lsl (g land 7)) <> 0
-
-let[@inline] tag_bit_set t g =
-  let i = g lsr 3 in
-  Bytes.unsafe_set t.tagbits i
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.tagbits i) lor (1 lsl (g land 7))))
-
-let[@inline] tag_bit_clear t g =
-  let i = g lsr 3 in
-  let b = Char.code (Bytes.unsafe_get t.tagbits i) in
-  let m = 1 lsl (g land 7) in
-  if b land m <> 0 then begin
-    Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-    slot_clear t g
-  end
-
-(* Does any granule in [g0, g1] carry a tag? Edge bytes are tested under a
-   bit mask; interior bytes are skipped eight at a time. *)
+(* Does any granule in [g0, g1] carry a tag? *)
 let range_has_tags t g0 g1 =
-  let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
-  if b0 = b1 then
-    let mask = ((1 lsl (g1 - g0 + 1)) - 1) lsl (g0 land 7) in
-    Char.code (Bytes.unsafe_get t.tagbits b0) land mask <> 0
-  else if Char.code (Bytes.unsafe_get t.tagbits b0) lsr (g0 land 7) <> 0 then
-    true
-  else if
-    Char.code (Bytes.unsafe_get t.tagbits b1)
-    land ((1 lsl ((g1 land 7) + 1)) - 1) <> 0
-  then true
-  else begin
-    let found = ref false in
-    let bi = ref (b0 + 1) in
-    while not !found && !bi < b1 do
-      if !bi + 8 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-        bi := !bi + 8
-      else if Char.code (Bytes.unsafe_get t.tagbits !bi) <> 0 then found := true
-      else incr bi
-    done;
-    !found
-  end
+  let found = ref false in
+  iter_slot_frames t g0 g1 (fun _ s lo hi ->
+      for j = lo to hi do
+        if Array.unsafe_get s j != Cap.null then found := true
+      done);
+  !found
 
 (* --- Tags ----------------------------------------------------------------- *)
 
 let get_tag t addr =
   check t addr 1;
-  tag_bit t (granule_of addr)
+  slot t (granule_of addr) != Cap.null
 
 let clear_tag t addr =
   check t addr 1;
-  tag_bit_clear t (granule_of addr)
+  slot_clear t (granule_of addr)
 
 (* Clear the tags of every granule overlapping [addr, addr+len); returns the
-   number of tags actually cleared (the allocator's free() accounts these). *)
+   number of tags actually cleared (the allocator's free() accounts these).
+   A frame the range covers whole gives its slot array up. *)
 let clear_tags_covering_count t addr len =
   if len <= 0 then 0
   else begin
     let g0 = granule_of addr and g1 = granule_of (addr + len - 1) in
     if g0 = g1 then begin
       (* Fast path: the access is contained in one granule. *)
-      let i = g0 lsr 3 in
-      let b = Char.code (Bytes.unsafe_get t.tagbits i) in
-      let m = 1 lsl (g0 land 7) in
-      if b land m = 0 then 0
-      else begin
-        Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-        slot_clear t g0;
-        1
-      end
+      if slot t g0 == Cap.null then 0 else (slot_clear t g0; 1)
     end else begin
-    let cleared = ref 0 in
-    let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
-    let bi = ref b0 in
-    while !bi <= b1 do
-      (* Word fast path: skip eight all-clear bitset bytes at a time. *)
-      if !bi + 7 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-        bi := !bi + 8
-      else begin
-        let b = Char.code (Bytes.unsafe_get t.tagbits !bi) in
-        if b <> 0 then begin
-          let lo = max g0 (!bi lsl 3) and hi = min g1 ((!bi lsl 3) lor 7) in
-          let mask = ((1 lsl (hi - lo + 1)) - 1) lsl (lo land 7) in
-          if b land mask <> 0 then begin
-            for g = lo to hi do
-              if b land (1 lsl (g land 7)) <> 0 then begin
-                incr cleared;
-                slot_clear t g
-              end
+      let cleared = ref 0 in
+      iter_slot_frames t g0 g1 (fun fi s lo hi ->
+          if lo = 0 && hi = slot_mask then begin
+            for j = 0 to slot_mask do
+              if Array.unsafe_get s j != Cap.null then incr cleared
             done;
-            Bytes.unsafe_set t.tagbits !bi (Char.unsafe_chr (b land lnot mask))
-          end
-        end;
-        incr bi
-      end
-    done;
-    !cleared
+            Array.unsafe_set t.slots fi no_slots
+          end else
+            for j = lo to hi do
+              if Array.unsafe_get s j != Cap.null then begin
+                incr cleared;
+                Array.unsafe_set s j Cap.null
+              end
+            done);
+      !cleared
     end
   end
 
@@ -241,22 +197,11 @@ let clear_tags_covering t addr len =
 let iter_tags t addr len f =
   check t addr len;
   let g0 = granule_of addr and g1 = granule_of (addr + len - 1) in
-  let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
-  let bi = ref b0 in
-  while !bi <= b1 do
-    if !bi + 7 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-      bi := !bi + 8
-    else begin
-      let b = Char.code (Bytes.unsafe_get t.tagbits !bi) in
-      if b <> 0 then begin
-        let lo = max g0 (!bi lsl 3) and hi = min g1 ((!bi lsl 3) lor 7) in
-        for g = lo to hi do
-          if b land (1 lsl (g land 7)) <> 0 then f ((g * granule) - addr)
-        done
-      end;
-      incr bi
-    end
-  done
+  iter_slot_frames t g0 g1 (fun fi s lo hi ->
+      let base = fi lsl slot_shift in
+      for j = lo to hi do
+        if Array.unsafe_get s j != Cap.null then f (((base + j) * granule) - addr)
+      done)
 
 (* Which granules in [addr, addr+len) are tagged? Offsets relative to addr.
    Used by the swap subsystem's tag scan. *)
@@ -273,7 +218,7 @@ let[@inline] read_u8 t addr =
 
 let[@inline] write_u8 t addr v =
   check t addr 1;
-  tag_bit_clear t (granule_of addr);
+  slot_clear t (granule_of addr);
   Bytes.unsafe_set (wframe t addr) (addr land frame_mask)
     (Char.unsafe_chr (v land 0xff))
 
@@ -372,7 +317,7 @@ let[@inline] write_u16 t addr v =
   if off > frame_size - 2 then write_int_straddle t addr 2 v
   else begin
     let f = wframe t addr in
-    tag_bit_clear t (granule_of addr);
+    slot_clear t (granule_of addr);
     set16le f off (v land 0xFFFF)
   end
 
@@ -382,7 +327,7 @@ let[@inline] write_u32 t addr v =
   if off > frame_size - 4 then write_int_straddle t addr 4 v
   else begin
     let f = wframe t addr in
-    tag_bit_clear t (granule_of addr);
+    slot_clear t (granule_of addr);
     set32le f off (Int32.of_int v)
   end
 
@@ -392,7 +337,7 @@ let[@inline] write_u64 t addr v =
   if off > frame_size - 8 then write_int_straddle t addr 8 v
   else begin
     let f = wframe t addr in
-    tag_bit_clear t (granule_of addr);
+    slot_clear t (granule_of addr);
     set64le f off (Int64.logand (Int64.of_int v) int63_mask)
   end
 
@@ -425,8 +370,8 @@ let[@inline] read_int t addr ~len =
    the generality of the range sweep. *)
 let[@inline] clear_tags_small t addr last =
   let g0 = addr lsr granule_shift and g1 = last lsr granule_shift in
-  tag_bit_clear t g0;
-  if g1 <> g0 then tag_bit_clear t g1
+  slot_clear t g0;
+  if g1 <> g0 then slot_clear t g1
 
 let[@inline never] write_int_bytes t f addr off len v =
   clear_tags_covering t addr len;
@@ -451,7 +396,7 @@ let[@inline] write_int t addr ~len v =
       clear_tags_small t addr (addr + 1);
       Bytes.set_uint16_le f off (v land 0xFFFF)
     | 1 ->
-      tag_bit_clear t (addr lsr granule_shift);
+      slot_clear t (addr lsr granule_shift);
       Bytes.set_uint8 f off (v land 0xFF)
     | _ -> write_int_bytes t f addr off len v
 
@@ -540,8 +485,8 @@ let digest t =
 let read_cap t addr =
   check t addr granule;
   Cap.check_cap_alignment addr;
-  let g = granule_of addr in
-  if tag_bit t g then slot t g
+  let c = slot t (granule_of addr) in
+  if c != Cap.null then c
   else
     (* Untagged: reconstruct the cursor from the raw bytes; all other
        fields read as a null-derived pattern. *)
@@ -555,8 +500,8 @@ let read_cap t addr =
 let load_cap_reg t addr regs w ~keep_tag =
   check t addr granule;
   Cap.check_cap_alignment addr;
-  let g = granule_of addr in
-  if tag_bit t g then Cap.Regs.load regs w (slot t g) ~keep_tag
+  let c = slot t (granule_of addr) in
+  if c != Cap.null then Cap.Regs.load regs w c ~keep_tag
   else
     Cap.Regs.set_untagged regs w
       (Int64.to_int (get64le (rframe t addr) (addr land frame_mask)))
@@ -574,17 +519,13 @@ let write_cap_bytes t addr cursor =
 
 let write_cap t addr cap =
   let g = write_cap_bytes t addr (Cap.addr cap) in
-  if Cap.is_tagged cap then begin
-    tag_bit_set t g;
-    slot_set t g cap
-  end else
-    tag_bit_clear t g
+  if Cap.is_tagged cap then slot_set t g cap else slot_clear t g
 
 (* [write_cap] of capability register slot [s] (CSC): only a tagged
    value is boxed, since only a tagged value needs a slot. *)
 let store_cap_reg t addr regs s =
   if Cap.Regs.tag regs s then write_cap t addr (Cap.Regs.get regs s)
-  else tag_bit_clear t (write_cap_bytes t addr (Cap.Regs.addr regs s))
+  else slot_clear t (write_cap_bytes t addr (Cap.Regs.addr regs s))
 
 (* Memmove the raw bytes of [src, src+len) to [dst, dst+len). *)
 let copy_bytes t ~src ~dst ~len =
@@ -616,21 +557,13 @@ let move t ~src ~dst ~len =
     if aligned && range_has_tags t sg0 (granule_of (src + len - 1)) then begin
       (* Collect source granule caps first so overlapping moves are safe. *)
       let n = len / granule in
-      let caps = Array.make n Cap.null in
-      for i = 0 to n - 1 do
-        let g = sg0 + i in
-        if tag_bit t g then caps.(i) <- slot t g
-      done;
+      let caps = Array.init n (fun i -> slot t (sg0 + i)) in
       clear_tags_covering t dst len;
       copy_bytes t ~src ~dst ~len;
       let dg0 = granule_of dst in
       for i = 0 to n - 1 do
         let c = caps.(i) in
-        if Cap.is_tagged c then begin
-          let g = dg0 + i in
-          tag_bit_set t g;
-          slot_set t g c
-        end
+        if c != Cap.null then slot_set t (dg0 + i) c
       done
     end else begin
       (* No source tags (or an unaligned copy, which strips them): a plain
@@ -640,8 +573,8 @@ let move t ~src ~dst ~len =
     end
   end
 
-(* Zero-filling a whole frame hands it back to the shared zero frame (its
-   tags were just cleared, so its slot array goes too): that is how
+(* Zero-filling a whole frame hands it back to the shared zero frame (the
+   tag sweep has already given its slot array up): that is how
    [Phys.alloc_frame] zeroes frames without allocating. *)
 let fill t addr len byte =
   check t addr len;
@@ -649,10 +582,8 @@ let fill t addr len byte =
   let c = Char.chr (byte land 0xff) in
   iter_frames addr len (fun fi off _ n ->
       if c <> '\000' then Bytes.fill (wframe t (fi lsl frame_shift)) off n c
-      else if n = frame_size then begin
-        Array.unsafe_set t.frames fi zero_frame;
-        Array.unsafe_set t.slots fi no_slots
-      end else begin
+      else if n = frame_size then Array.unsafe_set t.frames fi zero_frame
+      else begin
         let f = Array.unsafe_get t.frames fi in
         if f != zero_frame then Bytes.fill f off n c
       end)

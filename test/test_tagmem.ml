@@ -252,6 +252,40 @@ let test_write_cap_fresh_frame () =
   Alcotest.(check int) "cursor as data" 0x240
     (Tagmem.read_int m (5 * frame + 0x30) ~len:8)
 
+(* One sweep across four frames: it starts mid-frame between two tagged
+   granules, covers a whole tagged frame and a frame that never held a tag,
+   and ends mid-frame between two tagged granules. *)
+let test_clear_tags_across_frames () =
+  let m = mk () in
+  let lo = frame + 0x180 and hi = (4 * frame) + 0x60 in
+  let whole = List.init 16 (fun i -> (2 * frame) + (i * 0x100) + 0x10) in
+  let tagged =
+    [ frame + 0x170; frame + 0x180; frame + 0x200 ]
+    @ whole
+    @ [ (4 * frame) + 0x50; (4 * frame) + 0x60; (4 * frame) + 0x80 ]
+  in
+  List.iter (fun a -> Tagmem.write_cap m a (some_cap ~base:a ())) tagged;
+  Tagmem.write_int m ((3 * frame) + 0x20) ~len:8 0x77;
+  let inside, outside = List.partition (fun a -> a >= lo && a < hi) tagged in
+  let size = Tagmem.size m in
+  Alcotest.(check (list int)) "all tags before" tagged
+    (Tagmem.scan_tags m 0 size);
+  Alcotest.(check int) "cleared count" (List.length inside)
+    (Tagmem.clear_tags_covering_count m lo (hi - lo));
+  Alcotest.(check (list int)) "outside tags after" outside
+    (Tagmem.scan_tags m 0 size);
+  Alcotest.(check (list int)) "nothing left inside" []
+    (Tagmem.scan_tags m lo (hi - lo));
+  Alcotest.(check int) "data kept" 0x77
+    (Tagmem.read_int m ((3 * frame) + 0x20) ~len:8);
+  let a = (2 * frame) + 0xa30 in
+  let c = some_cap ~base:a () in
+  Tagmem.write_cap m a c;
+  Alcotest.(check bool) "tag set in swept frame" true (Tagmem.get_tag m a);
+  Alcotest.(check bool) "neighbour untagged" false
+    (Tagmem.get_tag m (a + Cap.sizeof));
+  Alcotest.(check bool) "cap back" true (Cap.equal c (Tagmem.read_cap m a))
+
 let check_digest name m =
   Alcotest.(check string) name
     (Digest.to_hex (Digest.bytes (Tagmem.read_bytes m 0 (Tagmem.size m))))
@@ -459,6 +493,7 @@ let suite =
     "byte ranges spanning frames", `Quick, test_span_bytes;
     "overlapping moves spanning frames", `Quick, test_span_move_overlap;
     "cap store into an unwritten frame", `Quick, test_write_cap_fresh_frame;
+    "tag sweep across frames", `Quick, test_clear_tags_across_frames;
     "fixed-width accessors", `Quick, test_fixed_width_accessors;
     "digest of alternating memories", `Quick, test_digest_alternating;
     "phys alloc/free", `Quick, test_phys_alloc_free;

@@ -154,23 +154,20 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
       let r = Cheri_workloads.Harness.verify_image ~abi link in
       if r.Absint.r_diags = [] then begin
         Printf.printf
-          "%s: no verifier diagnostics (%d checks, %d elidable, %d guarded; \
-           interprocedural %d/%d in %d iters)\n"
-          file r.Absint.r_sites r.Absint.r_elided r.Absint.r_guarded
-          r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
+          "%s: no verifier diagnostics (%d of %d checks provable in %d \
+           iters)\n"
+          file r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
         0
       end
       else begin
         List.iter
           (fun d -> Printf.printf "%s: %s\n" file (Absint.pp_diag d))
           r.Absint.r_diags;
-        Printf.printf
-          "%s: %d diagnostic%s (%d checks, %d elidable, %d guarded; \
-           interprocedural %d/%d in %d iters)\n"
+        Printf.printf "%s: %d diagnostic%s (%d of %d checks provable in %d \
+                       iters)\n"
           file
           (List.length r.Absint.r_diags)
           (if List.length r.Absint.r_diags = 1 then "" else "s")
-          r.Absint.r_sites r.Absint.r_elided r.Absint.r_guarded
           r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
         1
       end
@@ -261,7 +258,7 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
        Printf.eprintf
          "--- analysis stats ---\n\
           functions summarized:  %d (%d fixpoint iterations)\n\
-          checks provable:       %d of %d flow sites\n\
+          checks provable:       %d of %d\n\
           dynamic probes:        %d checked\n"
          r.Absint.r_funcs r.Absint.r_iters r.Absint.r_flow_elided
          r.Absint.r_flow_sites

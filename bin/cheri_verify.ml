@@ -9,11 +9,13 @@
    Each source is compiled and linked exactly as execve would place it,
    then verified: the report lists every statically provable capability
    violation (located by pc, instruction, block and function) plus the
-   check-elision statistics (how many dynamic capability checks the
-   analysis discharged). With --corpus the embedded workload sources are
-   verified as well. The output is stable across runs and is diffed
-   against a checked-in baseline by the @verify alias. A bad argument or
-   an unreadable file exits 2; coverage under --min-elide exits 3. *)
+   flow pass's coverage: how many of the distinct capability-check pcs it
+   reached it proves cannot fail. With --corpus the embedded workload
+   sources are verified as well. The output is stable across runs and is
+   diffed against a checked-in baseline by the @verify alias.
+   --min-elide P fails the run (exit 3) when total coverage falls below P
+   percent; a bad argument (P not a number in [0, 100] among them) or an
+   unreadable file exits 2. *)
 
 module Abi = Cheri_core.Abi
 module Rtld = Cheri_rtld.Rtld
@@ -34,17 +36,14 @@ type totals = {
   mutable t_warn : int;
   mutable t_sites : int;
   mutable t_elided : int;
-  mutable t_guarded : int;
-  mutable t_flow_sites : int;
-  mutable t_flow_elided : int;
 }
 
-let totals =
-  { t_must = 0; t_warn = 0; t_sites = 0; t_elided = 0; t_guarded = 0;
-    t_flow_sites = 0; t_flow_elided = 0 }
+let totals = { t_must = 0; t_warn = 0; t_sites = 0; t_elided = 0 }
 
-(* Verify one named source under [abi]: print diagnostics and elision
-   statistics, accumulate totals. *)
+let pct n d = if d = 0 then 0. else 100. *. float n /. float d
+
+(* Verify one named source under [abi]: print diagnostics and coverage,
+   accumulate totals. *)
 let verify_named ~abi name src =
   Printf.printf "== %s [%s] ==\n" name (Abi.to_string abi);
   match
@@ -70,32 +69,16 @@ let verify_named ~abi name src =
           | Absint.Warn -> (m, w + 1))
         (0, 0) r.Absint.r_diags
     in
-    let pct n =
-      if r.Absint.r_sites = 0 then 0.
-      else 100. *. float n /. float r.Absint.r_sites
-    in
     Printf.printf
-      "  funcs %d, blocks %d; checks %d, elidable %d (%.1f%%) + %d guarded \
-       (%.1f%% total), superblocks with facts %d\n"
-      r.Absint.r_funcs r.Absint.r_blocks r.Absint.r_sites r.Absint.r_elided
-      (pct r.Absint.r_elided) r.Absint.r_guarded
-      (pct (r.Absint.r_elided + r.Absint.r_guarded))
-      r.Absint.r_sb;
-    let fpct =
-      if r.Absint.r_flow_sites = 0 then 0.
-      else 100. *. float r.Absint.r_flow_elided /. float r.Absint.r_flow_sites
-    in
-    Printf.printf
-      "  interprocedural: %d of %d flow checks provable (%.1f%%), %d summary \
-       iterations\n"
-      r.Absint.r_flow_elided r.Absint.r_flow_sites fpct r.Absint.r_iters;
+      "  funcs %d, blocks %d, %d summary iterations; %d of %d checks \
+       provable (%.1f%%)\n"
+      r.Absint.r_funcs r.Absint.r_blocks r.Absint.r_iters
+      r.Absint.r_flow_elided r.Absint.r_flow_sites
+      (pct r.Absint.r_flow_elided r.Absint.r_flow_sites);
     totals.t_must <- totals.t_must + must;
     totals.t_warn <- totals.t_warn + warn;
-    totals.t_sites <- totals.t_sites + r.Absint.r_sites;
-    totals.t_elided <- totals.t_elided + r.Absint.r_elided;
-    totals.t_guarded <- totals.t_guarded + r.Absint.r_guarded;
-    totals.t_flow_sites <- totals.t_flow_sites + r.Absint.r_flow_sites;
-    totals.t_flow_elided <- totals.t_flow_elided + r.Absint.r_flow_elided
+    totals.t_sites <- totals.t_sites + r.Absint.r_flow_sites;
+    totals.t_elided <- totals.t_elided + r.Absint.r_flow_elided
 
 (* A bad argument is a usage error: one line on stderr, exit 2. *)
 let usage_error fmt =
@@ -107,10 +90,10 @@ let usage_error fmt =
 
 let () =
   let corpus = ref false and abi = ref Abi.Cheriabi in
-  (* Coverage-regression gate (@verify): exit nonzero when total static
-     elision coverage (unconditional + guarded, over all verified images)
-     falls below this floor, so an analysis regression fails the build
-     even before the baseline diff localizes it. *)
+  (* Coverage-regression gate (@verify): exit 3 when the share of check
+     pcs the flow pass discharges, over all verified images, falls below
+     this floor, so an analysis regression fails the build even before
+     the baseline diff localizes it. *)
   let min_elide = ref None in
   let rec parse = function
     | [] -> []
@@ -125,8 +108,10 @@ let () =
       parse rest
     | "--min-elide" :: v :: rest ->
       (match float_of_string_opt v with
-       | Some f -> min_elide := Some f
-       | None -> usage_error "--min-elide takes a percentage, not %S" v);
+       | Some f when Float.is_finite f && f >= 0. && f <= 100. ->
+         min_elide := Some f
+       | _ ->
+         usage_error "--min-elide takes a percentage in [0, 100], not %S" v);
       parse rest
     | [ ("--abi" | "--min-elide") as flag ] ->
       usage_error "%s needs a value" flag
@@ -149,22 +134,16 @@ let () =
           (fun (name, src) -> verify_named ~abi (group ^ " / " ^ name) src)
           sources)
       (Compat.own_sources ());
-  let pct n =
-    if totals.t_sites = 0 then 0. else 100. *. float n /. float totals.t_sites
-  in
-  let covered = totals.t_elided + totals.t_guarded in
+  let coverage = pct totals.t_elided totals.t_sites in
   Printf.printf
-    "\n== totals ==\nmust-trap %d, may-trap %d; checks %d, elidable %d \
-     (%.1f%%) + %d guarded = %d covered (%.1f%%)\n"
-    totals.t_must totals.t_warn totals.t_sites totals.t_elided
-    (pct totals.t_elided) totals.t_guarded covered (pct covered);
-  Printf.printf "interprocedural: %d of %d flow checks provable\n"
-    totals.t_flow_elided totals.t_flow_sites;
+    "\n== totals ==\nmust-trap %d, may-trap %d; %d of %d checks provable \
+     (%.1f%%)\n"
+    totals.t_must totals.t_warn totals.t_elided totals.t_sites coverage;
   match min_elide with
-  | Some floor when pct covered < floor ->
+  | Some floor when coverage < floor ->
     Printf.eprintf
-      "cheri_verify: elision coverage %.1f%% fell below the recorded floor \
+      "cheri_verify: check coverage %.1f%% fell below the recorded floor \
        %.1f%%\n"
-      (pct covered) floor;
+      coverage floor;
     exit 3
   | _ -> ()

@@ -45,7 +45,8 @@ let () =
      directly with a second process's identity. *)
   let dbg =
     Proc.create ~pid:999 ~parent:0 ~abi:Abi.Mips64
-      ~asp:(Addr_space.create ~root:k.Kstate.user_root ~phys:k.Kstate.phys
+      ~asp:(Addr_space.create ~root:k.Kstate.user_root
+              ~principal:(Kstate.alloc_principal k) ~phys:k.Kstate.phys
               ~swap:k.Kstate.swap ())
   in
   Kstate.add_proc k dbg;

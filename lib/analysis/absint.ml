@@ -1,33 +1,36 @@
 (* Machine-level abstract interpretation of capability code.
 
-   Two consumers, one transfer function:
+   [verify] recovers a CFG (cfg.ml) from a loaded image, computes function
+   summaries bottom-up ([summarize]) and runs a forward fixpoint per
+   function ([analyze_fn]) over an abstract capability domain, refining
+   states along conditional edges ([refine_edge]). On the stabilized
+   states it makes two kinds of claim, both relative to the recovered CFG:
 
-   - [verify]: recover a CFG (cfg.ml) from a loaded image and run a
-     forward fixpoint per function over an abstract capability domain,
-     emitting located diagnostics for statically provable capability
-     violations (untagged use, provable out-of-bounds, missing
-     permission, sealed dereference, monotonicity-violating derivation,
-     unaligned jump targets, division by zero). Surfaced through
-     [cheri_run --verify] and the bin/cheri_verify corpus driver.
+   - located diagnostics for statically provable capability violations
+     (untagged use, provable out-of-bounds, missing permission, sealed
+     dereference, monotonicity-violating derivation, unaligned jump
+     targets, division by zero): a must-trap pc traps whenever a CFG path
+     from the entry of the function it names reaches it;
+   - discharged checks: the capability check at such a pc cannot fail on
+     any CFG path from a function entry.
 
-   - [scan_code]: a per-superblock pass producing the static
-     check-discharge fact table (facts.ml) that [verify] reports. A fact
-     (entry, i) means: *if* execution proceeds straight-line from [entry]
-     through instruction [i], the capability check guarding [i]'s memory
-     access cannot fail. Each superblock is analyzed from a Top entry
-     state (only a concrete DDC and PCC permission bound are assumed), so
-     the claim holds no matter how control reached [entry] — wild
-     indirect jumps included. The same pass computes the dual "must-trap"
-     table. The soundness oracle in test/test_absint.ml replays both
-     dynamically; no execution engine consumes them.
+   Function entries start from Top (only a concrete DDC and a PCC
+   permission bound are assumed). The CFG does not follow a
+   register-indirect jump to its target (a call's return is its
+   fall-through edge, composed with the callee's summary), so a run that
+   takes one leaves both claims behind. Surfaced through [cheri_run
+   --verify] and [--analysis-stats] and the bin/cheri_verify corpus
+   driver; the soundness oracle in test/test_absint.ml replays both claims
+   dynamically. No execution engine consumes them: the chain engine checks
+   every access, as the CHERI hardware does.
 
-   The domain tracks, per capability register (and per csp-relative spill
-   slot in [verify]'s trusted mode): tag and seal as three-valued facts,
-   lower/upper permission sets, a proven cursor-relative in-bounds window,
-   exact cursor/bounds offsets when derivations pin them, an upper bound
-   on top-addr, a provenance tag reusing PR 2's lattice (Lint.prov), and
-   the fully concrete value when a derivation chain from a constant root
-   (DDC, NULL) determines it. See docs/ABSINT.md. *)
+   The domain tracks, per capability register and per csp-relative spill
+   slot: tag and seal as three-valued facts, lower/upper permission sets,
+   a proven cursor-relative in-bounds window, exact cursor/bounds offsets
+   when derivations pin them, an upper bound on top-addr, a provenance tag
+   reusing the lint's lattice (Lint.prov), and the fully concrete value
+   when a derivation chain from a constant root (DDC, NULL) determines it.
+   See docs/ABSINT.md. *)
 
 module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
@@ -865,9 +868,9 @@ let step_st env st (insn : Insn.t) : averdict =
     quiet
 
 (* Terminator judgement. [`Must] claims hold whenever the instruction is
-   reached (straight-line from the block entry); [`Warn] marks conditional
-   branches to misaligned targets, which only trap when taken — excluded
-   from the must-trap oracle since the not-taken path retires fine. *)
+   reached in a state [st] describes; [`Warn] marks conditional branches
+   to misaligned targets, which only trap when taken (the not-taken path
+   retires fine), so they are reported as may-trap. *)
 let term_verdict st (insn : Insn.t) =
   let misaligned t = t land 3 <> 0 in
   match insn with
@@ -893,15 +896,7 @@ let term_verdict st (insn : Insn.t) =
   | Syscall | Rt _ | Break _ -> `None
   | _ -> `None
 
-(* --- Superblock scan (elision facts + must-trap table) --------------------- *)
-
-type scan = {
-  sc_facts : Facts.t;
-  sc_must : (int, int) Hashtbl.t;  (* entry pc -> must-trap bitmask *)
-  sc_sites : int;                  (* elidable check sites visited *)
-  sc_elided : int;                 (* ... of which discharged *)
-  sc_guarded : int;                (* further checks elidable under guard *)
-}
+(* --- Environment ----------------------------------------------------------- *)
 
 let make_env ?ddc ?(pcc_may = Perms.all) () =
   let e_ddc =
@@ -928,279 +923,9 @@ let reset_stats () =
   stats.cs_misses <- 0;
   stats.cs_lazy_sb <- 0
 
-(* One superblock fixpoint: the straight-line run the chain engine
-   decodes, from a Top state at instruction index [e] of the region at
-   [base], bounded by [Bbcache.max_block]. Returns the elision bitmask,
-   the must-trap bitmask and the (sites, elided) counts. *)
-let scan_superblock env insns ~e =
-  let n = Array.length insns in
-  let st = fresh_st env in
-  let fmask = ref 0 and mmask = ref 0 in
-  let sites = ref 0 and elided = ref 0 in
-  let set m i = if i >= 0 && i <= Facts.max_index then m := !m lor (1 lsl i) in
-  let i = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !i < Cheri_isa.Bbcache.max_block && e + !i < n do
-    let insn = insns.(e + !i) in
-    if Insn.is_terminator insn then begin
-      (match term_verdict st insn with
-       | `Must _ -> set mmask !i
-       | `Warn _ | `None -> ());
-      stop := true
-    end
-    else begin
-      let v = step_st env st insn in
-      if v.av_site then incr sites;
-      if v.av_elide then begin
-        incr elided;
-        set fmask !i
-      end;
-      if v.av_must <> None then set mmask !i;
-      incr i
-    end
-  done;
-  (!fmask, !mmask, !sites, !elided)
-
-(* --- Guarded-fact pre-scan (tier 2) ----------------------------------------
-
-   The Top-entry superblock scan above can never discharge an access whose
-   authorizing capability flows in from outside the block — which is most
-   of them: the first stack spill of a block, loads through a pointer that
-   was already in a register at entry, GOT loads through the global
-   pointer. The guarded tier handles exactly those: a demand-driven
-   straight-line pre-scan tracks, for each capability register, whether its
-   current value is the *entry* value of some register moved by an exactly
-   known byte delta (CMove / CIncOffset with constant offsets), and for
-   each GPR an exact integer delta from an entry GPR (Li/Move/Addiu and
-   friends). Every access whose authorizing value traces back to an entry
-   register demands a [Facts.gpred] on that register: tagged, unsealed,
-   carrying the accessed permissions, with a bounds window hulling every
-   access footprint *and every intermediate cursor position* of the chain
-   (a cursor move outside the representable window would strip the tag
-   mid-chain; window ⊆ [base, top] keeps every [Cap.set_addr] on the chain
-   tagged, so entry-time validity is sufficient). Legacy (DDC-relative)
-   accesses through a tracked GPR demand the DDC form instead, dead after
-   any [CWriteDDC] in the prefix.
-
-   Soundness is by construction and entirely independent of the
-   interprocedural layer: a guard that holds on the real register file at
-   superblock entry implies every guarded check passes, however control
-   arrived (the oracle in test/test_absint.ml replays exactly this).
-
-   This is also what discharges strided loops: the loop body is a block,
-   its guard is evaluated once per iteration (the "one loop-entry
-   predicate"), and the hulled window covers the whole per-iteration
-   footprint including the stride update, so every in-loop check is
-   elided while the trip count stays inside the proven bounds — and the
-   first out-of-bounds iteration fails the guard and takes the exact
-   path, which traps exactly where the machine would. *)
-
-type corigin = Oent of int * int | Onone       (* entry creg, cursor delta *)
-type gorigin = Gent of int * int | Gcst of int | Gnone
-
-type gdemand = {
-  mutable dm_perms : int;
-  mutable dm_lo : int;          (* window hull, inclusive cursor offsets *)
-  mutable dm_hi : int;
-  mutable dm_bits : int;        (* fact bits this predicate licenses *)
-}
-
-(* At most this many predicates per entry: the mask is all-or-nothing (one
-   compiled body per block), so a rarely-valid predicate would also forfeit
-   the common ones. Compiled blocks rarely derive from more than two or
-   three distinct entry registers. *)
-let max_gpreds = 4
-
-let guard_scan ~ddc_dead insns ~e ~fmask =
-  let n = Array.length insns in
-  let co = Array.init 32 (fun r -> if r = 0 then Onone else Oent (r, 0)) in
-  let go = Array.make 32 Gnone in
-  for r = 1 to 31 do go.(r) <- Gent (r, 0) done;
-  let readg r = if r = 0 then Gcst 0 else go.(r) in
-  let cdem : (int, gdemand) Hashtbl.t = Hashtbl.create 8 in
-  let ddem : (int, gdemand) Hashtbl.t = Hashtbl.create 4 in
-  let ddc_alive = ref (not ddc_dead) in
-  let dem tbl r0 =
-    match Hashtbl.find_opt tbl r0 with
-    | Some d -> d
-    | None ->
-      let d = { dm_perms = 0; dm_lo = max_int; dm_hi = min_int; dm_bits = 0 } in
-      Hashtbl.add tbl r0 d;
-      d
-  in
-  let hull d lo hi =
-    if lo < d.dm_lo then d.dm_lo <- lo;
-    if hi > d.dm_hi then d.dm_hi <- hi
-  in
-  let cap_access idx cb perm off len =
-    if (fmask lsr idx) land 1 = 0 && idx <= Facts.max_index then
-      match co.(cb) with
-      | Oent (r0, d) ->
-        let dm = dem cdem r0 in
-        dm.dm_perms <- dm.dm_perms lor perm;
-        hull dm (d + off) (d + off + len);
-        dm.dm_bits <- dm.dm_bits lor (1 lsl idx)
-      | Onone -> ()
-  in
-  let legacy_access idx base perm off len =
-    if (fmask lsr idx) land 1 = 0 && idx <= Facts.max_index && !ddc_alive then
-      match readg base with
-      | Gent (g0, d) ->
-        let dm = dem ddem g0 in
-        dm.dm_perms <- dm.dm_perms lor perm;
-        hull dm (d + off) (d + off + len);
-        dm.dm_bits <- dm.dm_bits lor (1 lsl idx)
-      | Gcst _ | Gnone -> ()
-  in
-  (* Every retargeting of a tracked chain hulls the new cursor position
-     into the entry register's window, so the guard also proves that no
-     intermediate [set_addr] on the chain strips the tag. *)
-  let move_cursor r0 d' = let dm = dem cdem r0 in hull dm d' d' in
-  let i = ref e in
-  let stop = ref false in
-  while (not !stop) && !i - e < Cheri_isa.Bbcache.max_block && !i < n do
-    let insn = insns.(!i) in
-    if Insn.is_terminator insn then stop := true
-    else begin
-      let idx = !i - e in
-      (match insn with
-       | Insn.CLoad { w; rd; cb; off; _ } ->
-         cap_access idx cb Perms.load off w;
-         if rd <> 0 then go.(rd) <- Gnone
-       | Insn.CStore { w; cb; off; _ } -> cap_access idx cb Perms.store off w
-       | Insn.CLC { cd; cb; off } ->
-         cap_access idx cb Perms.load off Cap.sizeof;
-         co.(cd) <- Onone
-       | Insn.CSC { cb; off; _ } -> cap_access idx cb Perms.store off Cap.sizeof
-       | Insn.Load { w; rd; base; off; _ } ->
-         legacy_access idx base Perms.load off w;
-         if rd <> 0 then go.(rd) <- Gnone
-       | Insn.Store { w; base; off; _ } -> legacy_access idx base Perms.store off w
-       | Insn.CMove (cd, cb) -> if cd <> 0 then co.(cd) <- co.(cb)
-       | Insn.CIncOffsetImm (cd, cb, imm) ->
-         let p =
-           match co.(cb) with
-           | Oent (r0, d) -> let d' = d + imm in move_cursor r0 d'; Oent (r0, d')
-           | Onone -> Onone
-         in
-         if cd <> 0 then co.(cd) <- p
-       | Insn.CIncOffset (cd, cb, rt) ->
-         let p =
-           match co.(cb), readg rt with
-           | Oent (r0, d), Gcst k -> let d' = d + k in move_cursor r0 d'; Oent (r0, d')
-           | _ -> Onone
-         in
-         if cd <> 0 then co.(cd) <- p
-       | Insn.CWriteDDC _ -> ddc_alive := false
-       | Insn.Li (rd, v) -> if rd <> 0 then go.(rd) <- Gcst v
-       | Insn.Move (rd, rs) -> if rd <> 0 then go.(rd) <- readg rs
-       | Insn.Addiu (rd, rs, k) ->
-         if rd <> 0 then
-           go.(rd) <- (match readg rs with
-             | Gent (g, d) -> Gent (g, d + k)
-             | Gcst c -> Gcst (c + k)
-             | Gnone -> Gnone)
-       | Insn.Addu (rd, rs, rt) ->
-         if rd <> 0 then
-           go.(rd) <- (match readg rs, readg rt with
-             | Gent (g, d), Gcst c | Gcst c, Gent (g, d) -> Gent (g, d + c)
-             | Gcst a, Gcst b -> Gcst (a + b)
-             | _ -> Gnone)
-       | Insn.Subu (rd, rs, rt) ->
-         if rd <> 0 then
-           go.(rd) <- (match readg rs, readg rt with
-             | Gent (g, d), Gcst c -> Gent (g, d - c)
-             | Gcst a, Gcst b -> Gcst (a - b)
-             | _ -> Gnone)
-       | _ ->
-         (match Insn.creg_def insn with
-          | Some cd -> if cd <> 0 then co.(cd) <- Onone
-          | None -> ());
-         (match Insn.gpr_def insn with
-          | Some rd -> if rd <> 0 then go.(rd) <- Gnone
-          | None -> ()));
-      incr i
-    end
-  done;
-  let cands =
-    Hashtbl.fold
-      (fun r0 dm acc ->
-        if dm.dm_bits <> 0 then (false, r0, dm) :: acc else acc)
-      cdem []
-    @ Hashtbl.fold
-        (fun g0 dm acc ->
-          if dm.dm_bits <> 0 then (true, g0, dm) :: acc else acc)
-        ddem []
-  in
-  let cands =
-    List.sort
-      (fun (_, ra, a) (_, rb, b) ->
-        match compare (Facts.popcount b.dm_bits) (Facts.popcount a.dm_bits) with
-        | 0 -> compare ra rb
-        | c -> c)
-      cands
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
-  let kept = take max_gpreds cands in
-  let gmask = List.fold_left (fun m (_, _, dm) -> m lor dm.dm_bits) 0 kept in
-  let preds =
-    List.map
-      (fun (is_ddc, r0, dm) ->
-        { Facts.gp_reg = r0; gp_ddc = is_ddc; gp_perms = dm.dm_perms;
-          gp_lo = dm.dm_lo; gp_hi = dm.dm_hi })
-      kept
-    |> Array.of_list
-  in
-  (gmask land lnot fmask, preds)
-
-(* Analyze every pc of every region as a potential superblock entry, from a
-   Top state: exactly the straight-line runs the block engine decodes (it
-   keys blocks by whatever pc control arrives at), bounded by the same
-   [Bbcache.max_block]. *)
-let scan_code ?ddc ?pcc_may regions =
-  let env = make_env ?ddc ?pcc_may () in
-  (* A statically untagged DDC (cheriabi's null DDC) makes every legacy
-     access a must-trap; DDC-form guards could never fire. *)
-  let ddc_dead = env.e_ddc.a_tag = No in
-  let facts = Facts.create () in
-  let must_tbl = Hashtbl.create 256 in
-  let sites = ref 0 and elided = ref 0 and guarded = ref 0 in
-  List.iter
-    (fun (base, insns) ->
-      let n = Array.length insns in
-      for e = 0 to n - 1 do
-        let entry = base + (4 * e) in
-        let fmask, mmask, s, el = scan_superblock env insns ~e in
-        Facts.add_mask facts ~entry fmask;
-        let gmask, preds = guard_scan ~ddc_dead insns ~e ~fmask in
-        Facts.add_guarded facts ~entry gmask preds;
-        guarded := !guarded + Facts.popcount gmask;
-        if mmask <> 0 then begin
-          let cur =
-            match Hashtbl.find_opt must_tbl entry with Some m -> m | None -> 0
-          in
-          Hashtbl.replace must_tbl entry (cur lor mmask)
-        end;
-        sites := !sites + s;
-        elided := !elided + el
-      done)
-    regions;
-  { sc_facts = facts; sc_must = must_tbl; sc_sites = !sites;
-    sc_elided = !elided; sc_guarded = !guarded }
-
 (* Inert: there is no fact cache. Kept only because simbench/simbench.ml
    still calls it. *)
 let clear_fact_cache () = ()
-
-let must_traps sc ~entry ~index =
-  index >= 0 && index <= Facts.max_index
-  && (match Hashtbl.find_opt sc.sc_must entry with
-      | Some m -> (m lsr index) land 1 = 1
-      | None -> false)
 
 (* --- Whole-image verification ---------------------------------------------- *)
 
@@ -1225,13 +950,10 @@ type report = {
   r_diags : diag list;
   r_funcs : int;
   r_blocks : int;
-  r_sites : int;     (* elidable check sites (superblock scan) *)
-  r_elided : int;    (* checks discharged *)
-  r_guarded : int;   (* further checks elidable under entry guards *)
-  r_sb : int;        (* superblock entries with at least one fact *)
-  r_flow_sites : int;  (* check sites swept by the interprocedural pass *)
-  r_flow_elided : int; (* ... discharged on the stabilized flow states *)
-  r_iters : int;     (* outer summary-worklist iterations *)
+  r_flow_sites : int;       (* distinct check pcs the flow pass reached *)
+  r_flow_elided : int;      (* ... of which discharged *)
+  r_discharged : int list;  (* discharged check pcs, ascending *)
+  r_iters : int;            (* outer summary-worklist iterations *)
 }
 
 let kind_msg kind prov =
@@ -1471,8 +1193,8 @@ let succ_outs ~sums (b : Cfg.bb) st orig term =
 
 type fn_result = {
   fr_sum : summary;
-  fr_sites : int;   (* flow-level elidable check sites swept *)
-  fr_elided : int;  (* ... discharged on the stabilized states *)
+  fr_checks : (int * bool) list;  (* check pcs swept, and whether the
+                                     stabilized state discharges each *)
 }
 
 (* Fixpoint + post-convergence sweep for one function. [sums] supplies
@@ -1556,7 +1278,7 @@ let analyze_fn ?emit env ~sums cfg root members =
       let j, _ = join_st ~widen:(sum.su_exit_joins > 8) cur stx in
       sum.su_exit <- Some j
   in
-  let sites = ref 0 and elided = ref 0 in
+  let checks = ref [] in
   List.iter
     (fun e ->
       match Cfg.block_of cfg e with
@@ -1586,8 +1308,7 @@ let analyze_fn ?emit env ~sums cfg root members =
          | Some ist ->
            let st = copy_st ist in
            let on_insn pc insn v =
-             if v.av_site then incr sites;
-             if v.av_elide then incr elided;
+             if v.av_site then checks := (pc, v.av_elide) :: !checks;
              match emit, v.av_must with
              | Some emit, Some (k, p) ->
                emit ~fn:root ~block:e ~pc ~sev:Must ~kind:k ~prov:p insn
@@ -1625,7 +1346,7 @@ let analyze_fn ?emit env ~sums cfg root members =
                  | None -> add_exit (clobber_after_call out))
              (succ_outs ~sums b st orig term)))
     members;
-  { fr_sum = sum; fr_sites = !sites; fr_elided = !elided }
+  { fr_sum = sum; fr_checks = !checks }
 
 (* Whole-image summary fixpoint: bottom-start ascending worklist over
    function roots, re-queuing callers (and tail-callers) whenever a
@@ -1746,14 +1467,22 @@ let verify ?ddc ?pcc_may ?(got = []) ~entries regions =
         :: !diags
     end
   in
-  let flow_sites = ref 0 and flow_elided = ref 0 in
+  (* A block reachable from two function roots is swept once per root: its
+     check is discharged only when every sweep discharges it. *)
+  let checks : (int, bool) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (root, members) ->
       let r = analyze_fn ~emit env ~sums cfg root members in
-      flow_sites := !flow_sites + r.fr_sites;
-      flow_elided := !flow_elided + r.fr_elided)
+      List.iter
+        (fun (pc, ok) ->
+          let prev = Option.value (Hashtbl.find_opt checks pc) ~default:true in
+          Hashtbl.replace checks pc (prev && ok))
+        r.fr_checks)
     cfg.Cfg.funcs;
-  let sc = scan_code ?ddc ?pcc_may regions in
+  let discharged =
+    Hashtbl.fold (fun pc ok acc -> if ok then pc :: acc else acc) checks []
+    |> List.sort compare
+  in
   let diags =
     List.sort
       (fun a b ->
@@ -1763,12 +1492,9 @@ let verify ?ddc ?pcc_may ?(got = []) ~entries regions =
   { r_diags = diags;
     r_funcs = List.length cfg.Cfg.funcs;
     r_blocks = List.length cfg.Cfg.order;
-    r_sites = sc.sc_sites;
-    r_elided = sc.sc_elided;
-    r_guarded = sc.sc_guarded;
-    r_sb = Facts.blocks sc.sc_facts;
-    r_flow_sites = !flow_sites;
-    r_flow_elided = !flow_elided;
+    r_flow_sites = Hashtbl.length checks;
+    r_flow_elided = List.length discharged;
+    r_discharged = discharged;
     r_iters = iters }
 
 (* Inert: the kernel never calls a fact provider, and this one does

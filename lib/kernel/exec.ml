@@ -124,8 +124,11 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
    | Some f -> f k (Addr_space.principal p.Proc.asp)
    | None -> ());
   Addr_space.destroy p.Proc.asp;
-  let asp = Addr_space.create ~root:k.Kstate.user_root ~phys:k.Kstate.phys
-      ~swap:k.Kstate.swap () in
+  let asp =
+    Addr_space.create ~root:k.Kstate.user_root
+      ~principal:(Kstate.alloc_principal k) ~phys:k.Kstate.phys
+      ~swap:k.Kstate.swap ()
+  in
   p.Proc.asp <- asp;
   p.Proc.abi <- abi;
   p.Proc.ctx <- Cpu.create_ctx ();
@@ -257,8 +260,11 @@ let spawn k ~path ~argv ?(envv = []) () =
   match Vfs.lookup k.Kstate.vfs path with
   | Some (Vfs.Exe (abi, image)) ->
     let pid = Kstate.alloc_pid k in
-    let asp = Addr_space.create ~root:k.Kstate.user_root ~phys:k.Kstate.phys
-        ~swap:k.Kstate.swap () in
+    let asp =
+      Addr_space.create ~root:k.Kstate.user_root
+        ~principal:(Kstate.alloc_principal k) ~phys:k.Kstate.phys
+        ~swap:k.Kstate.swap ()
+    in
     let p = Proc.create ~pid ~parent:0 ~abi ~asp in
     (* Standard descriptors: 0 = empty input, 1/2 = per-process console. *)
     let console_dev =

@@ -87,6 +87,10 @@ type t = {
   mutable runq : int list;              (* round-robin order *)
   vfs : Vfs.t;
   mutable next_pid : int;
+  (* Abstract principal ids, never reused within this kernel (the paper's
+     abstract model); one counter per machine keeps a fleet machine's
+     principals independent of the other machines. *)
+  mutable next_principal : int;
   kernel_root : Cap.t;
   user_root : Cap.t;
   shm : (int, shm_seg) Hashtbl.t;
@@ -139,6 +143,7 @@ let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
     procs = Hashtbl.create 16; runq = [];
     vfs = Vfs.create ();
     next_pid = 1;
+    next_principal = 1;
     kernel_root = reset_root; user_root = narrowed_user_root;
     shm = Hashtbl.create 8; next_shm_id = 1;
     tracer = None; trace_pid = None;
@@ -167,6 +172,11 @@ let alloc_pid k =
   let pid = k.next_pid in
   k.next_pid <- pid + 1;
   pid
+
+let alloc_principal k =
+  let principal = k.next_principal in
+  k.next_principal <- principal + 1;
+  principal
 
 let charge k (p : Proc.t) cycles =
   ignore k;

@@ -471,7 +471,10 @@ let sys_shmdt k (p : Proc.t) = function
 let sys_fork k (p : Proc.t) = function
   | [] ->
     let pid = Kstate.alloc_pid k in
-    let casp = Addr_space.fork p.Proc.asp ~phys:k.Kstate.phys ~swap:k.Kstate.swap in
+    let casp =
+      Addr_space.fork p.Proc.asp ~principal:(Kstate.alloc_principal k)
+        ~phys:k.Kstate.phys ~swap:k.Kstate.swap
+    in
     let child = Proc.create ~pid ~parent:p.Proc.pid ~abi:p.Proc.abi ~asp:casp in
     child.Proc.ctx <- Cpu.copy_ctx p.Proc.ctx;
     child.Proc.ctx.Cpu.gpr.(Reg.v0) <- 0;

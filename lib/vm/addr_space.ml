@@ -1,10 +1,11 @@
 (* Process address spaces.
 
    An address space is a sorted list of regions over a pmap, plus the
-   *abstract principal*: a fresh principal id and a root user capability
+   *abstract principal*: a principal id and a root user capability
    created at address-space creation (execve). All capabilities visible to
    the process must derive from this root — the central invariant of the
-   paper's abstract-capability model (§3). *)
+   paper's abstract-capability model (§3). The kernel mints the ids
+   ([Kstate.alloc_principal]), so each machine numbers its own. *)
 
 module Cap = Cheri_cap.Cap
 module Phys = Cheri_tagmem.Phys
@@ -22,7 +23,7 @@ let region_end r = r.r_start + r.r_len
 type t = {
   mutable regions : region list;    (* sorted by start, disjoint *)
   pmap : Pmap.t;
-  principal : int;                  (* abstract principal id, unique *)
+  principal : int;                  (* principal id, unique per kernel *)
   root_cap : Cap.t;                 (* userspace root for this principal *)
   user_base : int;
   user_top : int;
@@ -31,19 +32,11 @@ type t = {
 let user_base_default = 0x10000          (* NULL page is never mapped *)
 let user_top_default = 1 lsl 40
 
-let next_principal = ref 0
-
-(* Fresh principal ids are never reused across the whole execution,
-   matching the paper's abstract model. *)
-let fresh_principal () =
-  incr next_principal;
-  !next_principal
-
 (* [root], when given, is the kernel's boot-narrowed userspace capability;
    the new space's root derives from it (so the whole-system provenance
    chain is rooted at machine reset). Without it a fresh root is made
    (unit tests). *)
-let create ?root ~phys ~swap () =
+let create ?root ~principal ~phys ~swap () =
   let user_base = user_base_default and user_top = user_top_default in
   let root_cap =
     match root with
@@ -51,7 +44,7 @@ let create ?root ~phys ~swap () =
     | None -> Cap.make_root ~base:user_base ~top:user_top ()
   in
   let pmap = Pmap.create ~phys ~swap ~root:root_cap in
-  { regions = []; pmap; principal = fresh_principal (); root_cap;
+  { regions = []; pmap; principal; root_cap;
     user_base; user_top }
 
 let pmap t = t.pmap
@@ -156,8 +149,8 @@ let destroy t =
   t.regions <- []
 
 (* Clone for fork: new principal, same layout, COW pages. *)
-let fork t ~phys ~swap =
-  let child = create ~root:t.root_cap ~phys ~swap () in
+let fork t ~principal ~phys ~swap =
+  let child = create ~root:t.root_cap ~principal ~phys ~swap () in
   List.iter
     (fun r ->
       insert_sorted child

@@ -1255,9 +1255,9 @@ let test_r0_destinations () =
 
 (* A chain crossing an entry the analysis proves partly safe: the
    successor block is first reached as a *chained* target (never through
-   the dispatch loop), and the superblock scan discharges its second
-   CLoad's check. The engine consults no facts: the chained-into block
-   still probes both accesses, as the CHERI hardware checks every one. *)
+   the dispatch loop), and the flow pass discharges its second CLoad's
+   check. The engine consults no facts: the chained-into block still
+   probes both accesses, as the CHERI hardware checks every one. *)
 let test_chain_crosses_elided_entry () =
   let insns =
     [| Insn.Addiu (8, 8, 0);
@@ -1268,10 +1268,10 @@ let test_chain_crosses_elided_entry () =
        Insn.CLoad { w = 8; signed = false; rd = 10; cb = 1; off = 0 };
        Insn.Break 0 |]
   in
-  let sc = Cheri_analysis.Absint.scan_code [ (code_base, insns) ] in
-  Alcotest.(check bool) "the scan discharges the second load" true
-    (Cheri_analysis.Facts.elidable sc.Cheri_analysis.Absint.sc_facts
-       ~entry:(code_base + 0xc) ~index:1);
+  let module Absint = Cheri_analysis.Absint in
+  let r = Absint.verify ~entries:[ code_base ] [ (code_base, insns) ] in
+  Alcotest.(check (list int)) "the flow pass discharges the second load"
+    [ code_base + 0x10 ] r.Absint.r_discharged;
   let bb, st, _, _ = chain_vs_step ~name:"chain over elided entry" insns in
   Alcotest.(check bool) "the cross-edge chained" true
     (st.Bbcache.ch_chained >= 1);

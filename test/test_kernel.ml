@@ -288,6 +288,20 @@ let test_fork_wait () =
       ())
     [ Abi.Mips64; Abi.Cheriabi ]
 
+(* Each kernel mints its own principal ids, so two machines booted one
+   after another give their first process the same principal, whatever
+   the first machine's processes (a fork among them) took. *)
+let test_principals_per_kernel () =
+  let first_principal () =
+    let k = boot () in
+    install_exe k ~path:"/bin/fork" ~abi:Abi.Cheriabi (fork_prog Abi.Cheriabi);
+    let _, _, p = run k "/bin/fork" in
+    Cheri_vm.Addr_space.principal p.Proc.asp
+  in
+  let first = first_principal () in
+  Alcotest.(check int) "second machine, same first principal" first
+    (first_principal ())
+
 (* --- signals ------------------------------------------------------------------------------ *)
 
 let signal_prog = function
@@ -544,6 +558,7 @@ let suite =
     "heap OOB silent (mips64)", `Quick, test_heap_oob_mips64_silent;
     "NULL DDC blocks legacy loads", `Quick, test_ddc_null_blocks_legacy_loads;
     "fork + wait", `Quick, test_fork_wait;
+    "principals are per kernel", `Quick, test_principals_per_kernel;
     "signal handler roundtrip", `Quick, test_signal_handler;
     "forged signal handler rejected", `Quick, test_forged_handler_rejected;
     "reserved register operand gets SIGILL", `Quick,

@@ -12,11 +12,11 @@ module Swap = Cheri_vm.Swap
 module Pmap = Cheri_vm.Pmap
 module Addr_space = Cheri_vm.Addr_space
 
-let mk () =
+let mk ?(principal = 1) () =
   let mem = Tagmem.create ~size:(256 * 4096) in
   let phys = Phys.create mem in
   let swap = Swap.create () in
-  let asp = Addr_space.create ~phys ~swap () in
+  let asp = Addr_space.create ~principal ~phys ~swap () in
   mem, phys, swap, asp
 
 (* Write through the pmap, faulting pages in as the kernel would. *)
@@ -89,9 +89,16 @@ let test_fixed_overlap_rejected () =
      | _ -> false
      | exception Addr_space.Map_error _ -> true)
 
+(* The kernel mints principal ids: two spaces it numbers never share one. *)
 let test_principals_fresh () =
-  let _, _, _, a = mk () in
-  let _, _, _, b = mk () in
+  let k = Cheri_kernel.Kstate.boot () in
+  let fresh () =
+    let principal = Cheri_kernel.Kstate.alloc_principal k in
+    let _, _, _, asp = mk ~principal () in
+    asp
+  in
+  let a = fresh () in
+  let b = fresh () in
   Alcotest.(check bool) "unique principals" true
     (Addr_space.principal a <> Addr_space.principal b)
 
@@ -155,7 +162,7 @@ let test_fork_cow () =
   let root = Addr_space.root_cap parent in
   Tagmem.write_cap mem (pa + 16)
     (Cap.set_bounds (Cap.set_addr root 0x40100) ~len:64);
-  let child = Addr_space.fork parent ~phys ~swap in
+  let child = Addr_space.fork parent ~principal:2 ~phys ~swap in
   (* Child writes: must not disturb the parent (COW), and the copied page
      must preserve tags. *)
   let cpa = touch child 0x40000 ~write:true in
@@ -170,7 +177,7 @@ let test_fork_read_shares () =
       ~name:"data" () in
   let pa = touch parent 0x40000 ~write:true in
   Tagmem.write_int mem pa ~len:8 7;
-  let child = Addr_space.fork parent ~phys ~swap in
+  let child = Addr_space.fork parent ~principal:2 ~phys ~swap in
   let cpa = touch child 0x40000 ~write:false in
   Alcotest.(check int) "read shares the frame" pa cpa
 
@@ -231,7 +238,7 @@ let qcheck_swap_model =
         let mem = Tagmem.create ~size:(128 * 4096) in
         let phys = Phys.create mem in
         let swap = Swap.create () in
-        let asp = Addr_space.create ~phys ~swap () in
+        let asp = Addr_space.create ~principal:1 ~phys ~swap () in
         let base = 0x50000 in
         let _ =
           Addr_space.map_fixed asp ~start:base ~len:(4 * 4096) ~prot:Prot.rw

@@ -522,12 +522,13 @@ let malloc_contention () =
   Printf.printf "%-6s %8s %7s %8s %8s %7s %7s %7s %6s %8s\n" "shard"
     "mallocs" "frees" "rem-enq" "rem-drn" "drains" "own-sw" "reuse"
     "adopt" "pending";
-  Array.iter
-    (fun (s : MI.shard_stats) ->
-      Printf.printf "%-6d %8d %7d %8d %8d %7d %7d %7d %6d %8d\n" s.MI.ss_id
-        s.MI.ss_mallocs s.MI.ss_frees s.MI.ss_remote_enq
-        s.MI.ss_remote_drained s.MI.ss_drains s.MI.ss_owner_sweeps
-        s.MI.ss_reuse_sweeps s.MI.ss_adoptions s.MI.ss_pending)
+  Array.iteri
+    (fun id s ->
+      let v n = List.assoc n s in
+      Printf.printf "%-6d %8d %7d %8d %8d %7d %7d %7d %6d %8d\n" id
+        (v "mallocs") (v "frees") (v "remote_enq") (v "remote_drained")
+        (v "drains") (v "owner_sweeps") (v "reuse_sweeps") (v "adoptions")
+        (v "pending"))
     (MI.shard_stats k child);
   let machines, src =
     if !opt_perf then

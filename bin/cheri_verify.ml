@@ -43,11 +43,17 @@ let totals = { t_must = 0; t_warn = 0; t_sites = 0; t_elided = 0 }
 let pct n d = if d = 0 then 0. else 100. *. float n /. float d
 
 (* Verify one named source under [abi]: print diagnostics and coverage,
-   accumulate totals. *)
+   accumulate totals. Every image links the libc shared object, except
+   libc's own source, which is built alone (linking it against itself
+   would define each of its symbols twice). *)
 let verify_named ~abi name src =
   Printf.printf "== %s [%s] ==\n" name (Abi.to_string abi);
   match
-    let image = Stdlib_src.build_image ~abi ~name src in
+    let image =
+      if String.equal src Stdlib_src.libc_src then
+        Cheri_cc.Compile.build_image ~abi ~name src
+      else Stdlib_src.build_image ~abi ~name src
+    in
     Rtld.link ~abi image
   with
   | exception Cheri_cc.Ast.Compile_error msg ->

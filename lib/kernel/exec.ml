@@ -190,11 +190,7 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
     link.Rtld.lk_code;
   (* Run-time linker: data templates, relocations, capability table. *)
   let root = Addr_space.root_cap asp in
-  let tracer =
-    match k.Kstate.tracer, k.Kstate.trace_pid with
-    | Some sink, Some pid when pid = p.Proc.pid -> Some sink
-    | _ -> None
-  in
+  let tracer = Kstate.tracer_for k p in
   let writers =
     { Rtld.w_bytes = (fun a b -> Kstate.kwrite_bytes k p a b);
       w_int = (fun a ~len v -> Kstate.kwrite_int k p a ~len v);
@@ -270,7 +266,7 @@ let spawn k ~path ~argv ?(envv = []) () =
     let console_dev =
       { Vfs.d_name = "console";
         d_read = (fun _ -> Some (Bytes.create 0));
-        d_write = (fun b -> Kstate.console_write k p b; Bytes.length b);
+        d_write = (fun b -> Kstate.console_write p b; Bytes.length b);
         d_ioctl = (fun cmd arg ->
             if cmd = Sysno.tiocgwinsz then begin
               let out = Bytes.create 8 in

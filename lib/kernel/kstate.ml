@@ -111,7 +111,6 @@ type t = {
   mutable on_fork : (t -> Proc.t -> Proc.t -> unit) option;
   config : config;
   syscall_stats : (string, int) Hashtbl.t;
-  mutable console_echo : bool;
 }
 
 (* Machine reset: the primordial capability. *)
@@ -152,8 +151,7 @@ let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
     on_asp_destroy = None;
     on_fork = None;
     config = default_config ();
-    syscall_stats = Hashtbl.create 64;
-    console_echo = false }
+    syscall_stats = Hashtbl.create 64 }
 
 let hierarchy k = k.machine.Cpu.hier
 
@@ -186,11 +184,17 @@ let bump_stat k name =
   Hashtbl.replace k.syscall_stats name
     (1 + Option.value ~default:0 (Hashtbl.find_opt k.syscall_stats name))
 
+(* The trace sink, when [p] is the traced process. *)
+let tracer_for k (p : Proc.t) =
+  match k.tracer, k.trace_pid with
+  | Some sink, Some pid when pid = p.Proc.pid -> Some sink
+  | _ -> None
+
 (* Emit a kernel capability grant into the trace when [p] is the traced
    process. *)
 let trace_grant k (p : Proc.t) ~origin cap =
-  match k.tracer, k.trace_pid with
-  | Some sink, Some pid when pid = p.Proc.pid && Cap.is_tagged cap ->
+  match tracer_for k p with
+  | Some sink when Cap.is_tagged cap ->
     sink (Trace.Grant { origin; result = cap })
   | _ -> ()
 
@@ -240,9 +244,7 @@ let reap k (p : Proc.t) = Hashtbl.remove k.procs p.Proc.pid
 
 (* --- Console -------------------------------------------------------------------- *)
 
-let console_write k (p : Proc.t) data =
-  Buffer.add_bytes p.Proc.console data;
-  if k.console_echo then print_string (Bytes.to_string data)
+let console_write (p : Proc.t) data = Buffer.add_bytes p.Proc.console data
 
 let console_of k pid =
   match find_proc k pid with

@@ -23,10 +23,7 @@ let install_machine k (p : Proc.t) =
   k.Kstate.machine.Cpu.translate <-
     (fun v ~write ~exec -> Pmap.translate pmap v ~write ~exec);
   k.Kstate.machine.Cpu.fetch <- Proc.fetch p;
-  k.Kstate.machine.Cpu.tracer <-
-    (match k.Kstate.tracer, k.Kstate.trace_pid with
-     | Some sink, Some pid when pid = p.Proc.pid -> Some sink
-     | _ -> None)
+  k.Kstate.machine.Cpu.tracer <- Kstate.tracer_for k p
 
 (* --- System-call dispatch --------------------------------------------------------- *)
 
@@ -38,18 +35,18 @@ let marshal_args (p : Proc.t) spec =
       (fun i kind ->
         let v = ctx.Cpu.gpr.(Reg.a0 + i) in
         match kind with
-        | Sysno.AInt -> Uarg.UInt v
-        | Sysno.APtr -> Uarg.UPtr (Uarg.Uaddr v))
+        | Sys_impl.AInt -> Uarg.UInt v
+        | Sys_impl.APtr -> Uarg.UPtr (Uarg.Uaddr v))
       spec
   | Abi.Cheriabi ->
     let ii = ref 0 and ci = ref 0 in
     List.map
       (function
-        | Sysno.AInt ->
+        | Sys_impl.AInt ->
           let v = ctx.Cpu.gpr.(Reg.a0 + !ii) in
           incr ii;
           Uarg.UInt v
-        | Sysno.APtr ->
+        | Sys_impl.APtr ->
           let c = Cpu.rd_creg ctx (Reg.ca0 + !ci) in
           incr ci;
           Uarg.UPtr (Uarg.Ucap c))
@@ -63,12 +60,12 @@ let do_syscall k (p : Proc.t) =
     (match p.Proc.abi with
      | Abi.Cheriabi -> Kstate.trap_cost_cheri
      | Abi.Mips64 | Abi.Asan -> Kstate.trap_cost_legacy);
-  match Sysno.lookup num, Sys_impl.handler num with
-  | Some (name, spec), Some h ->
-    Kstate.bump_stat k name;
+  match Sys_impl.lookup num with
+  | Some e ->
+    Kstate.bump_stat k e.Sys_impl.sy_name;
     let entry_pcc = ctx.Cpu.pcc in
     (try
-       match h k p (marshal_args p spec) with
+       match e.Sys_impl.sy_run k p (marshal_args p e.Sys_impl.sy_args) with
        | Sys_impl.RInt v -> ctx.Cpu.gpr.(Reg.v0) <- v
        | Sys_impl.RPtr (Uarg.Uaddr a) -> ctx.Cpu.gpr.(Reg.v0) <- a
        | Sys_impl.RPtr (Uarg.Ucap c) ->
@@ -85,7 +82,7 @@ let do_syscall k (p : Proc.t) =
      | Sys_impl.Restart ->
        (* Re-execute the SYSCALL instruction after wakeup. *)
        ctx.Cpu.pcc <- Cap.set_addr entry_pcc (Cap.addr entry_pcc - 4))
-  | _, _ -> ctx.Cpu.gpr.(Reg.v0) <- -(Errno.to_code Errno.ENOSYS)
+  | None -> ctx.Cpu.gpr.(Reg.v0) <- -(Errno.to_code Errno.ENOSYS)
 
 (* --- Trap handling ------------------------------------------------------------------ *)
 
@@ -114,11 +111,11 @@ let handle_trap k (p : Proc.t) cause =
     Proc.log_fault p
       (Trap.to_string cause ^ " "
        ^ Proc.describe_pc p (Cap.addr p.Proc.ctx.Cpu.pcc));
-    (match k.Kstate.tracer, k.Kstate.trace_pid with
-     | Some sink, Some pid when pid = p.Proc.pid ->
+    (match Kstate.tracer_for k p with
+     | Some sink ->
        sink (Trace.Fault { pc = Cap.addr p.Proc.ctx.Cpu.pcc;
                            cause = Trap.to_string cause })
-     | _ -> ());
+     | None -> ());
     Proc.post_signal p (signal_of_trap cause)
 
 (* --- Main loop ------------------------------------------------------------------------- *)

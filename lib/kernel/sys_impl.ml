@@ -784,39 +784,66 @@ let sys_ptrace k (p : Proc.t) = function
     Ptrace_impl.dispatch k p ~req ~pid ~addr ~data
   | _ -> err Errno.EINVAL
 
-(* --- Dispatch table ----------------------------------------------------------------------------- *)
+(* --- The syscall table -------------------------------------------------------------------- *)
 
-let handler n =
-  if n = Sysno.sys_exit then Some sys_exit
-  else if n = Sysno.sys_fork then Some sys_fork
-  else if n = Sysno.sys_read then Some sys_read
-  else if n = Sysno.sys_write then Some sys_write
-  else if n = Sysno.sys_open then Some sys_open
-  else if n = Sysno.sys_close then Some sys_close
-  else if n = Sysno.sys_wait4 then Some sys_wait4
-  else if n = Sysno.sys_unlink then Some sys_unlink
-  else if n = Sysno.sys_getpid then Some sys_getpid
-  else if n = Sysno.sys_ptrace then Some sys_ptrace
-  else if n = Sysno.sys_kill then Some sys_kill
-  else if n = Sysno.sys_pipe then Some sys_pipe
-  else if n = Sysno.sys_sigaction then Some sys_sigaction
-  else if n = Sysno.sys_ioctl then Some sys_ioctl
-  else if n = Sysno.sys_execve then Some sys_execve
-  else if n = Sysno.sys_sbrk then Some sys_sbrk
-  else if n = Sysno.sys_munmap then Some sys_munmap
-  else if n = Sysno.sys_mprotect then Some sys_mprotect
-  else if n = Sysno.sys_getcwd then Some sys_getcwd
-  else if n = Sysno.sys_select then Some sys_select
-  else if n = Sysno.sys_sigreturn then Some sys_sigreturn
-  else if n = Sysno.sys_gettime then Some sys_gettime
-  else if n = Sysno.sys_socketpair then Some sys_socketpair
-  else if n = Sysno.sys_lseek then Some sys_lseek
-  else if n = Sysno.sys_sysctl then Some sys_sysctl
-  else if n = Sysno.sys_ftruncate then Some sys_ftruncate
-  else if n = Sysno.sys_shmat then Some sys_shmat
-  else if n = Sysno.sys_shmdt then Some sys_shmdt
-  else if n = Sysno.sys_shmget then Some sys_shmget
-  else if n = Sysno.sys_mmap then Some sys_mmap
-  else if n = Sysno.sys_kevent_reg then Some sys_kevent_reg
-  else if n = Sysno.sys_kevent_poll then Some sys_kevent_poll
-  else None
+(* Argument kinds drive marshalling: for a CheriABI process, [APtr]
+   arguments are taken from the capability-argument registers (c3..),
+   [AInt] from the integer-argument registers (a0..); for legacy
+   processes everything comes from the integer registers. This mirrors
+   the calling-convention split the paper describes in §5.3 (CC). *)
+type arg = AInt | APtr
+
+type entry = {
+  sy_name : string;             (* the key of [Kstate.syscall_stats] *)
+  sy_args : arg list;
+  sy_run : Kstate.t -> Proc.t -> Uarg.t list -> ret;
+}
+
+(* Indexed by syscall number: one entry per implemented call. *)
+let table =
+  let entries =
+    [ Sysno.sys_exit, "exit", [ AInt ], sys_exit;
+      Sysno.sys_fork, "fork", [], sys_fork;
+      Sysno.sys_read, "read", [ AInt; APtr; AInt ], sys_read;
+      Sysno.sys_write, "write", [ AInt; APtr; AInt ], sys_write;
+      Sysno.sys_open, "open", [ APtr; AInt; AInt ], sys_open;
+      Sysno.sys_close, "close", [ AInt ], sys_close;
+      Sysno.sys_wait4, "wait4", [ AInt; APtr; AInt ], sys_wait4;
+      Sysno.sys_unlink, "unlink", [ APtr ], sys_unlink;
+      Sysno.sys_getpid, "getpid", [], sys_getpid;
+      Sysno.sys_ptrace, "ptrace", [ AInt; AInt; APtr; AInt ], sys_ptrace;
+      Sysno.sys_kill, "kill", [ AInt; AInt ], sys_kill;
+      Sysno.sys_pipe, "pipe", [ APtr ], sys_pipe;
+      Sysno.sys_sigaction, "sigaction", [ AInt; APtr; APtr ], sys_sigaction;
+      Sysno.sys_ioctl, "ioctl", [ AInt; AInt; APtr ], sys_ioctl;
+      Sysno.sys_execve, "execve", [ APtr; APtr; APtr ], sys_execve;
+      Sysno.sys_sbrk, "sbrk", [ AInt ], sys_sbrk;
+      Sysno.sys_munmap, "munmap", [ APtr; AInt ], sys_munmap;
+      Sysno.sys_mprotect, "mprotect", [ APtr; AInt; AInt ], sys_mprotect;
+      Sysno.sys_getcwd, "getcwd", [ APtr; AInt ], sys_getcwd;
+      Sysno.sys_select, "select", [ AInt; APtr; APtr; APtr; APtr ], sys_select;
+      Sysno.sys_sigreturn, "sigreturn", [ APtr ], sys_sigreturn;
+      Sysno.sys_gettime, "gettime", [], sys_gettime;
+      Sysno.sys_socketpair, "socketpair", [ APtr ], sys_socketpair;
+      Sysno.sys_lseek, "lseek", [ AInt; AInt; AInt ], sys_lseek;
+      Sysno.sys_sysctl, "sysctl", [ APtr; AInt; APtr; APtr; APtr; AInt ],
+      sys_sysctl;
+      Sysno.sys_ftruncate, "ftruncate", [ AInt; AInt ], sys_ftruncate;
+      Sysno.sys_shmat, "shmat", [ AInt; APtr; AInt ], sys_shmat;
+      Sysno.sys_shmdt, "shmdt", [ APtr ], sys_shmdt;
+      Sysno.sys_shmget, "shmget", [ AInt; AInt; AInt ], sys_shmget;
+      Sysno.sys_mmap, "mmap", [ APtr; AInt; AInt; AInt; AInt; AInt ], sys_mmap;
+      Sysno.sys_kevent_reg, "kevent_reg", [ AInt; APtr ], sys_kevent_reg;
+      Sysno.sys_kevent_poll, "kevent_poll", [ APtr ], sys_kevent_poll ]
+  in
+  let t =
+    Array.make (1 + List.fold_left (fun m (n, _, _, _) -> max m n) 0 entries)
+      None
+  in
+  List.iter
+    (fun (n, sy_name, sy_args, sy_run) ->
+      t.(n) <- Some { sy_name; sy_args; sy_run })
+    entries;
+  t
+
+let lookup n = if n >= 0 && n < Array.length table then table.(n) else None

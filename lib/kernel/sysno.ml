@@ -1,12 +1,5 @@
-(* System-call numbers and argument signatures.
-
-   The signature drives argument marshalling: for a CheriABI process,
-   [APtr] arguments are taken from the capability-argument registers
-   (c3..), [AInt] from the integer-argument registers (a0..); for legacy
-   processes everything comes from the integer registers. This mirrors the
-   calling-convention split the paper describes in §5.3 (CC). *)
-
-type arg = AInt | APtr
+(* System-call numbers and the constants of their arguments. Each call's
+   name, argument kinds and handler live in [Sys_impl.table]. *)
 
 let sys_exit = 1
 let sys_fork = 2
@@ -40,45 +33,6 @@ let sys_shmget = 231
 let sys_mmap = 477
 let sys_kevent_reg = 560
 let sys_kevent_poll = 561
-
-(* number -> (name, argument kinds) *)
-let table =
-  [ sys_exit, ("exit", [ AInt ]);
-    sys_fork, ("fork", []);
-    sys_read, ("read", [ AInt; APtr; AInt ]);
-    sys_write, ("write", [ AInt; APtr; AInt ]);
-    sys_open, ("open", [ APtr; AInt; AInt ]);
-    sys_close, ("close", [ AInt ]);
-    sys_wait4, ("wait4", [ AInt; APtr; AInt ]);
-    sys_unlink, ("unlink", [ APtr ]);
-    sys_getpid, ("getpid", []);
-    sys_ptrace, ("ptrace", [ AInt; AInt; APtr; AInt ]);
-    sys_kill, ("kill", [ AInt; AInt ]);
-    sys_pipe, ("pipe", [ APtr ]);
-    sys_sigaction, ("sigaction", [ AInt; APtr; APtr ]);
-    sys_ioctl, ("ioctl", [ AInt; AInt; APtr ]);
-    sys_execve, ("execve", [ APtr; APtr; APtr ]);
-    sys_sbrk, ("sbrk", [ AInt ]);
-    sys_munmap, ("munmap", [ APtr; AInt ]);
-    sys_mprotect, ("mprotect", [ APtr; AInt; AInt ]);
-    sys_getcwd, ("getcwd", [ APtr; AInt ]);
-    sys_select, ("select", [ AInt; APtr; APtr; APtr; APtr ]);
-    sys_sigreturn, ("sigreturn", [ APtr ]);
-    sys_gettime, ("gettime", []);
-    sys_socketpair, ("socketpair", [ APtr ]);
-    sys_lseek, ("lseek", [ AInt; AInt; AInt ]);
-    sys_sysctl, ("sysctl", [ APtr; AInt; APtr; APtr; APtr; AInt ]);
-    sys_ftruncate, ("ftruncate", [ AInt; AInt ]);
-    sys_shmat, ("shmat", [ AInt; APtr; AInt ]);
-    sys_shmdt, ("shmdt", [ APtr ]);
-    sys_shmget, ("shmget", [ AInt; AInt; AInt ]);
-    sys_mmap, ("mmap", [ APtr; AInt; AInt; AInt; AInt; AInt ]);
-    sys_kevent_reg, ("kevent_reg", [ AInt; APtr ]);
-    sys_kevent_poll, ("kevent_poll", [ APtr ]) ]
-
-let lookup n = List.assoc_opt n table
-
-let name n = match lookup n with Some (s, _) -> s | None -> Printf.sprintf "sys#%d" n
 
 (* open(2) flags *)
 let o_rdonly = 0

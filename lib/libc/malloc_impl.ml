@@ -116,6 +116,51 @@ type alloc_info = {
 let enc_slot addr ci = (addr lsl 6) lor ci
 let dec_slot e = (e lsr 6, e land 63)
 
+(* The allocator's work counts. One record serves every level: each shard
+   counts its own mallocs, frees, queue traffic, sweeps and adoptions;
+   each heap counts the tags its sweeps cleared and its failed unmaps
+   (the shard-level fields of a heap's record stay 0, and the reverse);
+   the machine's [retired] record holds what evicted heaps counted. *)
+type counters = {
+  mutable mallocs : int;
+  mutable frees : int;            (* frees performed in this shard context *)
+  mutable remote_enq : int;       (* slots enqueued TO this shard *)
+  mutable remote_drained : int;
+  mutable drains : int;           (* non-empty drain batches *)
+  mutable owner_sweeps : int;     (* sweeps at ownership change (drain) *)
+  mutable reuse_sweeps : int;     (* sweeps of dirty slots at reuse *)
+  mutable adoptions : int;        (* chunks adopted from sibling shards *)
+  mutable tags_cleared : int;     (* stale capabilities swept *)
+  mutable unmap_leaks : int;      (* large frees whose unmap failed *)
+}
+
+let zero () =
+  { mallocs = 0; frees = 0; remote_enq = 0; remote_drained = 0; drains = 0;
+    owner_sweeps = 0; reuse_sweeps = 0; adoptions = 0; tags_cleared = 0;
+    unmap_leaks = 0 }
+
+(* [into] += [c], field by field. *)
+let add into c =
+  into.mallocs <- into.mallocs + c.mallocs;
+  into.frees <- into.frees + c.frees;
+  into.remote_enq <- into.remote_enq + c.remote_enq;
+  into.remote_drained <- into.remote_drained + c.remote_drained;
+  into.drains <- into.drains + c.drains;
+  into.owner_sweeps <- into.owner_sweeps + c.owner_sweeps;
+  into.reuse_sweeps <- into.reuse_sweeps + c.reuse_sweeps;
+  into.adoptions <- into.adoptions + c.adoptions;
+  into.tags_cleared <- into.tags_cleared + c.tags_cleared;
+  into.unmap_leaks <- into.unmap_leaks + c.unmap_leaks
+
+(* The one renderer: every view of the counters is this list plus the
+   view's own gauges, in the order fleet snapshots print. *)
+let render c =
+  [ "mallocs", c.mallocs; "frees", c.frees; "remote_enq", c.remote_enq;
+    "remote_drained", c.remote_drained; "drains", c.drains;
+    "owner_sweeps", c.owner_sweeps; "reuse_sweeps", c.reuse_sweeps;
+    "adoptions", c.adoptions; "tags_cleared", c.tags_cleared;
+    "unmap_leaks", c.unmap_leaks ]
+
 type shard = {
   sh_id : int;
   (* Per-class free lists of (address, clean?). A dirty slot still holds
@@ -125,22 +170,12 @@ type shard = {
   (* Lock-free message-passing remote-free queue (Treiber push / swap
      drain): a free from a non-owning shard context lands here. *)
   sh_remote : int list Atomic.t;
-  mutable sh_mallocs : int;
-  mutable sh_frees : int;            (* frees performed in this shard context *)
-  mutable sh_remote_enq : int;       (* slots enqueued TO this shard *)
-  mutable sh_remote_drained : int;
-  mutable sh_drains : int;           (* non-empty drain batches *)
-  mutable sh_owner_sweeps : int;     (* sweeps at ownership change (drain) *)
-  mutable sh_reuse_sweeps : int;     (* sweeps of dirty slots at reuse *)
-  mutable sh_adoptions : int;        (* chunks adopted from sibling shards *)
+  sh_c : counters;
 }
 
 let mk_shard id =
   { sh_id = id; sh_free = Array.make nclasses [];
-    sh_remote = Atomic.make [];
-    sh_mallocs = 0; sh_frees = 0; sh_remote_enq = 0; sh_remote_drained = 0;
-    sh_drains = 0; sh_owner_sweeps = 0; sh_reuse_sweeps = 0;
-    sh_adoptions = 0 }
+    sh_remote = Atomic.make []; sh_c = zero () }
 
 type heap = {
   h_abi : Abi.t;
@@ -153,40 +188,20 @@ type heap = {
   (* ASan bookkeeping (payload -> redzoned base/len), kept here so it is
      evicted/forked together with the rest of the heap metadata. *)
   h_asan : (int, int * int) Hashtbl.t;
-  mutable h_tags_cleared : int;  (* stale capabilities swept *)
-  mutable h_unmap_leaks : int;   (* large frees whose unmap failed *)
+  h_c : counters;
 }
 
 let mk_heap abi =
   { h_abi = abi; h_shards = Array.init nshards mk_shard;
     h_chunks = []; h_chunk_pages = Hashtbl.create 64;
-    h_live = Hashtbl.create 64; h_asan = Hashtbl.create 16;
-    h_tags_cleared = 0; h_unmap_leaks = 0 }
-
-(* Machine-lifetime counter totals; evicted heaps fold into these so the
-   fleet's quiesce gates see the whole history, not just surviving heaps. *)
-type totals = {
-  mutable t_mallocs : int;
-  mutable t_frees : int;
-  mutable t_remote_enq : int;
-  mutable t_remote_drained : int;
-  mutable t_drains : int;
-  mutable t_owner_sweeps : int;
-  mutable t_reuse_sweeps : int;
-  mutable t_adoptions : int;
-  mutable t_tags_cleared : int;
-  mutable t_unmap_leaks : int;
-}
-
-let mk_totals () =
-  { t_mallocs = 0; t_frees = 0; t_remote_enq = 0; t_remote_drained = 0;
-    t_drains = 0; t_owner_sweeps = 0; t_reuse_sweeps = 0; t_adoptions = 0;
-    t_tags_cleared = 0; t_unmap_leaks = 0 }
+    h_live = Hashtbl.create 64; h_asan = Hashtbl.create 16; h_c = zero () }
 
 (* Whole-machine allocator state, anchored in [Kstate.rt_alloc]. *)
 type t = {
   heaps : (int, heap) Hashtbl.t;      (* address-space principal -> heap *)
-  retired : totals;
+  (* Evicted heaps fold in here, so the machine's counters keep the
+     whole history, not just surviving heaps. *)
+  retired : counters;
   mutable evicted : int;
   (* Invoked whenever the allocator maps fresh memory (arena chunks,
      large regions). The ASan runtime uses it to poison unallocated
@@ -201,7 +216,7 @@ let state (k : K.t) =
   | Some (Alloc_state st) -> st
   | _ ->
     let st =
-      { heaps = Hashtbl.create 16; retired = mk_totals (); evicted = 0;
+      { heaps = Hashtbl.create 16; retired = zero (); evicted = 0;
         on_map = None }
     in
     k.K.rt_alloc <- Some (Alloc_state st);
@@ -290,14 +305,14 @@ let drain_shard k p h (sh : shard) =
   match rq_drain sh.sh_remote with
   | [] -> ()
   | items ->
-    sh.sh_drains <- sh.sh_drains + 1;
+    sh.sh_c.drains <- sh.sh_c.drains + 1;
     List.iter
       (fun e ->
         let addr, ci = dec_slot e in
-        h.h_tags_cleared <-
-          h.h_tags_cleared + sweep_object p addr size_classes.(ci);
-        sh.sh_owner_sweeps <- sh.sh_owner_sweeps + 1;
-        sh.sh_remote_drained <- sh.sh_remote_drained + 1;
+        h.h_c.tags_cleared <-
+          h.h_c.tags_cleared + sweep_object p addr size_classes.(ci);
+        sh.sh_c.owner_sweeps <- sh.sh_c.owner_sweeps + 1;
+        sh.sh_c.remote_drained <- sh.sh_c.remote_drained + 1;
         sh.sh_free.(ci) <- (addr, true) :: sh.sh_free.(ci);
         K.charge k p 4)
       items
@@ -372,9 +387,9 @@ let pop_slot p h (sh : shard) ci =
   | (addr, clean) :: rest ->
     sh.sh_free.(ci) <- rest;
     if not clean then begin
-      h.h_tags_cleared <-
-        h.h_tags_cleared + sweep_object p addr size_classes.(ci);
-      sh.sh_reuse_sweeps <- sh.sh_reuse_sweeps + 1
+      h.h_c.tags_cleared <-
+        h.h_c.tags_cleared + sweep_object p addr size_classes.(ci);
+      sh.sh_c.reuse_sweeps <- sh.sh_c.reuse_sweeps + 1
     end;
     Some (addr, chunk_parent_for h addr)
 
@@ -413,32 +428,25 @@ let adopt k p h (aff : shard) =
     (fun ck ->
       if ck.ck_shard <> aff.sh_id then begin
         ck.ck_shard <- aff.sh_id;
-        aff.sh_adoptions <- aff.sh_adoptions + 1;
+        aff.sh_c.adoptions <- aff.sh_c.adoptions + 1;
         K.charge k p 12
       end)
     h.h_chunks
 
 (* --- Lifecycle hooks ------------------------------------------------------------- *)
 
-let fold_heap_into (t : totals) (h : heap) =
-  Array.iter
-    (fun (s : shard) ->
-      t.t_mallocs <- t.t_mallocs + s.sh_mallocs;
-      t.t_frees <- t.t_frees + s.sh_frees;
-      t.t_remote_enq <- t.t_remote_enq + s.sh_remote_enq;
-      t.t_remote_drained <- t.t_remote_drained + s.sh_remote_drained;
-      t.t_drains <- t.t_drains + s.sh_drains;
-      t.t_owner_sweeps <- t.t_owner_sweeps + s.sh_owner_sweeps;
-      t.t_reuse_sweeps <- t.t_reuse_sweeps + s.sh_reuse_sweeps;
-      t.t_adoptions <- t.t_adoptions + s.sh_adoptions)
-    h.h_shards;
-  t.t_tags_cleared <- t.t_tags_cleared + h.h_tags_cleared;
-  t.t_unmap_leaks <- t.t_unmap_leaks + h.h_unmap_leaks
+(* A heap's counts: its own record plus its shards'. *)
+let fold_heap_into into (h : heap) =
+  add into h.h_c;
+  Array.iter (fun (s : shard) -> add into s.sh_c) h.h_shards
+
+let heap_pending (h : heap) =
+  Array.fold_left (fun acc s -> acc + rq_pending s.sh_remote) 0 h.h_shards
 
 (* Evict the heap of a dying address space (exit or execve). The remote
    queues are drained for accounting — the quiesce invariant is that
    every enqueued slot is eventually drained — but not swept: the whole
-   space is being torn down. Counters fold into the machine totals so
+   space is being torn down. Counters fold into the retired record so
    they survive the heap. *)
 let evict k ~principal =
   match k.K.rt_alloc with
@@ -450,8 +458,8 @@ let evict k ~principal =
          (fun (sh : shard) ->
            let n = List.length (rq_drain sh.sh_remote) in
            if n > 0 then begin
-             sh.sh_drains <- sh.sh_drains + 1;
-             sh.sh_remote_drained <- sh.sh_remote_drained + n
+             sh.sh_c.drains <- sh.sh_c.drains + 1;
+             sh.sh_c.remote_drained <- sh.sh_c.remote_drained + n
            end)
          h.h_shards;
        fold_heap_into st.retired h;
@@ -505,7 +513,7 @@ let malloc k (p : Proc.t) len =
   (* snmalloc discipline: the owner services its message queue on the
      way into every allocation. *)
   drain_shard k p h aff;
-  aff.sh_mallocs <- aff.sh_mallocs + 1;
+  aff.sh_c.mallocs <- aff.sh_c.mallocs + 1;
   let rlen = Compress.crrl len in
   (* Longer than any capability can bound ([Compress.max_length]): no
      representable rounding exists, and crrl says so by coming out short. *)
@@ -553,7 +561,7 @@ let free k (p : Proc.t) addr =
     Hashtbl.remove h.h_live addr;
     K.charge k p 60;
     let aff = h.h_shards.(affinity p) in
-    aff.sh_frees <- aff.sh_frees + 1;
+    aff.sh_c.frees <- aff.sh_c.frees + 1;
     if info.ai_class >= 0 then begin
       let owner =
         match chunk_for h addr with
@@ -568,7 +576,7 @@ let free k (p : Proc.t) addr =
         (* Cross-shard free: message-pass the slot to its owner. *)
         let o = h.h_shards.(owner) in
         rq_push o.sh_remote (enc_slot addr info.ai_class);
-        o.sh_remote_enq <- o.sh_remote_enq + 1
+        o.sh_c.remote_enq <- o.sh_c.remote_enq + 1
       end
     end
     else begin
@@ -578,10 +586,11 @@ let free k (p : Proc.t) addr =
          length; a failed unmap is a real leak and is counted, not
          swallowed. *)
       let rlen = Compress.crrl info.ai_size in
-      h.h_tags_cleared <- h.h_tags_cleared + sweep_object p addr rlen;
+      h.h_c.tags_cleared <- h.h_c.tags_cleared + sweep_object p addr rlen;
       let plen = Addr_space.page_align_up rlen in
       (try Addr_space.unmap p.Proc.asp ~start:addr ~len:plen
-       with Addr_space.Map_error _ -> h.h_unmap_leaks <- h.h_unmap_leaks + 1)
+       with Addr_space.Map_error _ ->
+         h.h_c.unmap_leaks <- h.h_c.unmap_leaks + 1)
     end;
     info
 
@@ -608,94 +617,40 @@ let asan_remove k (p : Proc.t) payload =
 
 (* --- Statistics ------------------------------------------------------------------ *)
 
-type arena_stats = {
-  st_mallocs : int;
-  st_frees : int;
-  st_live : int;
-  st_tags_cleared : int;    (* stale capabilities swept *)
-  st_unmap_leaks : int;     (* large frees whose unmap failed *)
-  st_remote_enq : int;      (* cross-shard frees enqueued *)
-  st_remote_drained : int;  (* remote slots drained by their owner *)
-  st_drains : int;          (* non-empty drain batches *)
-  st_owner_sweeps : int;    (* sweeps at ownership change *)
-  st_reuse_sweeps : int;    (* sweeps of dirty slots at reuse *)
-  st_adoptions : int;       (* chunks adopted across shards *)
-  st_pending_remote : int;  (* slots still parked on remote queues *)
-}
-
-let zero_stats =
-  { st_mallocs = 0; st_frees = 0; st_live = 0; st_tags_cleared = 0;
-    st_unmap_leaks = 0; st_remote_enq = 0; st_remote_drained = 0;
-    st_drains = 0; st_owner_sweeps = 0; st_reuse_sweeps = 0;
-    st_adoptions = 0; st_pending_remote = 0 }
-
+(* Three views, each [render]'s list plus the view's own gauges. [p]'s
+   heap: its counters, live allocations and parked remote slots. *)
 let stats k (p : Proc.t) =
-  match heap_find (state k) p with
-  | None -> zero_stats
-  | Some h ->
-    let t = mk_totals () in
-    fold_heap_into t h;
-    let pending =
-      Array.fold_left (fun acc s -> acc + rq_pending s.sh_remote) 0 h.h_shards
-    in
-    { st_mallocs = t.t_mallocs; st_frees = t.t_frees;
-      st_live = Hashtbl.length h.h_live;
-      st_tags_cleared = t.t_tags_cleared; st_unmap_leaks = t.t_unmap_leaks;
-      st_remote_enq = t.t_remote_enq; st_remote_drained = t.t_remote_drained;
-      st_drains = t.t_drains; st_owner_sweeps = t.t_owner_sweeps;
-      st_reuse_sweeps = t.t_reuse_sweeps; st_adoptions = t.t_adoptions;
-      st_pending_remote = pending }
+  let c = zero () in
+  let live, pending =
+    match heap_find (state k) p with
+    | None -> 0, 0
+    | Some h -> fold_heap_into c h; Hashtbl.length h.h_live, heap_pending h
+  in
+  render c @ [ "live", live; "pending_remote", pending ]
 
-type shard_stats = {
-  ss_id : int;
-  ss_mallocs : int;
-  ss_frees : int;
-  ss_remote_enq : int;
-  ss_remote_drained : int;
-  ss_drains : int;
-  ss_owner_sweeps : int;
-  ss_reuse_sweeps : int;
-  ss_adoptions : int;
-  ss_pending : int;
-}
-
+(* [p]'s heap, one list per shard, indexed by shard id. *)
 let shard_stats k (p : Proc.t) =
   match heap_find (state k) p with
   | None -> [||]
   | Some h ->
     Array.map
       (fun (s : shard) ->
-        { ss_id = s.sh_id; ss_mallocs = s.sh_mallocs; ss_frees = s.sh_frees;
-          ss_remote_enq = s.sh_remote_enq;
-          ss_remote_drained = s.sh_remote_drained; ss_drains = s.sh_drains;
-          ss_owner_sweeps = s.sh_owner_sweeps;
-          ss_reuse_sweeps = s.sh_reuse_sweeps; ss_adoptions = s.sh_adoptions;
-          ss_pending = rq_pending s.sh_remote })
+        render s.sh_c @ [ "pending", rq_pending s.sh_remote ])
       h.h_shards
 
 (* Number of heaps currently tracked by this machine (the arena-leak
    regression asserts this returns to baseline after an exec/exit loop). *)
 let heap_count k = Hashtbl.length (state k).heaps
 
-(* Machine-lifetime counters (live heaps folded with retired totals), as
-   a fixed-order assoc list — printed into fleet snapshots, so the
-   1-vs-N-domain equality gate covers allocator behaviour bit-for-bit. *)
+(* Machine-lifetime counters (retired record plus live heaps), printed
+   into fleet snapshots, so the 1-vs-N-domain equality gate covers
+   allocator behaviour bit-for-bit. *)
 let machine_counters k =
   let st = state k in
-  let t =
-    { st.retired with t_mallocs = st.retired.t_mallocs }  (* copy *)
-  in
-  Hashtbl.iter (fun _ h -> fold_heap_into t h) st.heaps;
-  let pending =
-    Hashtbl.fold
-      (fun _ h acc ->
-        Array.fold_left (fun a s -> a + rq_pending s.sh_remote) acc h.h_shards)
-      st.heaps 0
-  in
-  [ "mallocs", t.t_mallocs; "frees", t.t_frees;
-    "remote_enq", t.t_remote_enq; "remote_drained", t.t_remote_drained;
-    "drains", t.t_drains; "owner_sweeps", t.t_owner_sweeps;
-    "reuse_sweeps", t.t_reuse_sweeps; "adoptions", t.t_adoptions;
-    "tags_cleared", t.t_tags_cleared; "unmap_leaks", t.t_unmap_leaks;
-    "pending_remote", pending;
-    "heaps", Hashtbl.length st.heaps; "evicted", st.evicted ]
+  let c = zero () in
+  add c st.retired;
+  Hashtbl.iter (fun _ h -> fold_heap_into c h) st.heaps;
+  let pending = Hashtbl.fold (fun _ h acc -> acc + heap_pending h) st.heaps 0 in
+  render c
+  @ [ "pending_remote", pending; "heaps", Hashtbl.length st.heaps;
+      "evicted", st.evicted ]

@@ -123,7 +123,7 @@ let write_stdout k (p : Proc.t) data =
           K.wake_pipe_waiters k pipe
         with Errno.Error _ -> ())
      | Cheri_kernel.Vfs.OPipe_r _ -> ())
-  | None -> K.console_write k p data
+  | None -> K.console_write p data
 
 (* --- Allocator entry points --------------------------------------------------------- *)
 

@@ -51,21 +51,20 @@ exception Link_error of string
 let page = 4096
 let align_up v a = (v + a - 1) land lnot (a - 1)
 
-let default_text_start = 0x0100_0000
-let default_got_base = 0x0800_0000
-let default_tls_base = 0x0900_0000
+let text_start = 0x0100_0000
+let got_base = 0x0800_0000
+let tls_base = 0x0900_0000
 
 (* --- Linking ----------------------------------------------------------------- *)
 
-let link ?(text_start = default_text_start) ?(got_base = default_got_base)
-    ?(tls_base = default_tls_base) ~abi (image : Sobj.image) =
+let link ~abi (image : Sobj.image) =
   (* Pass 1: placement. *)
   let placed, _, tls_size =
     List.fold_left
       (fun (acc, next_text, tls_off) obj ->
         let text_size = Sobj.code_size_bytes obj in
         let data_base = align_up (next_text + text_size) page + page in
-        let data_size = Bytes.length obj.Sobj.so_data + obj.Sobj.so_bss in
+        let data_size = Bytes.length obj.Sobj.so_data in
         let pl =
           { pl_obj = obj; pl_text_base = next_text; pl_text_size = text_size;
             pl_data_base = data_base; pl_data_size = data_size;

@@ -38,24 +38,20 @@ type t = {
   so_name : string;
   so_code : Cheri_isa.Asm.item list;
   so_data : Bytes.t;
-  so_bss : int;
   so_tls : int;
   so_exports : export list;
   so_got_syms : string list;
   so_data_relocs : data_reloc list;
-  so_needed : string list;
   (* Data-segment ranges the ASan backend wants poisoned at startup
      (global redzones), as (offset, length) pairs. *)
   so_shadow_poison : (int * int) list;
 }
 
-let make ~name ?(data = Bytes.create 0) ?(bss = 0) ?(tls = 0) ?(exports = [])
-    ?(got_syms = []) ?(data_relocs = []) ?(needed = [])
-    ?(shadow_poison = []) code =
-  { so_name = name; so_code = code; so_data = data; so_bss = bss;
-    so_tls = tls; so_exports = exports; so_got_syms = got_syms;
-    so_data_relocs = data_relocs; so_needed = needed;
-    so_shadow_poison = shadow_poison }
+let make ~name ?(data = Bytes.create 0) ?(tls = 0) ?(exports = [])
+    ?(got_syms = []) ?(data_relocs = []) ?(shadow_poison = []) code =
+  { so_name = name; so_code = code; so_data = data; so_tls = tls;
+    so_exports = exports; so_got_syms = got_syms;
+    so_data_relocs = data_relocs; so_shadow_poison = shadow_poison }
 
 let code_size_bytes t =
   4 * List.length

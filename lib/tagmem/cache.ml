@@ -128,9 +128,10 @@ type hierarchy = {
 }
 
 (* Geometry from the paper's FPGA platform: 32 KiB L1s, shared 256 KiB L2,
-   all set-associative. The sizes are parameters so the cache-study
-   ablation (paper 6, "Cache studies") can sweep them. *)
-let create_hierarchy ?(l1_size = 32 * 1024) ?(l2_size = 256 * 1024) () =
+   all set-associative. The L2 size is a parameter so the cache-study
+   ablation (paper 6, "Cache studies") can sweep it. *)
+let create_hierarchy ?(l2_size = 256 * 1024) () =
+  let l1_size = 32 * 1024 in
   { il1 = create ~name:"IL1" ~size:l1_size ~ways:4;
     dl1 = create ~name:"DL1" ~size:l1_size ~ways:4;
     l2 = create ~name:"L2" ~size:l2_size ~ways:8;

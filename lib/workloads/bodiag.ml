@@ -376,7 +376,7 @@ type tally = {
 }
 
 (* Run the whole suite under [abi]. *)
-let run_suite ~abi ?(progress = fun _ -> ()) () =
+let run_suite ~abi () =
   let tally =
     { ok_passed = 0; ok_failed = 0; detected_min = 0; detected_med = 0;
       detected_large = 0; errors = []; missed_min = []; missed_med = [];
@@ -384,7 +384,6 @@ let run_suite ~abi ?(progress = fun _ -> ()) () =
   in
   List.iter
     (fun t ->
-      progress t.t_id;
       List.iter
         (fun v ->
           match run_one ~abi t v, v with

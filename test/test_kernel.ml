@@ -547,6 +547,36 @@ let test_getcwd_correct_ok_cheriabi () =
   let _ = check_exit 0 (run k "/bin/cwd") in
   ()
 
+(* The compiler lowers each [Ksys] intrinsic to a SYSCALL whose
+   arguments it places by type: pointers in capability registers under
+   CheriABI, everything else in integer registers. The kernel marshals by
+   its table's argument kinds, so the two must agree call by call. *)
+let test_syscall_table_matches_intrinsics () =
+  let module Intrin = Cheri_cc.Intrin in
+  let module Sys_impl = Cheri_kernel.Sys_impl in
+  let is_ptr = function
+    | Cheri_cc.Ast.Tptr _ | Cheri_cc.Ast.Tarr _ -> true
+    | _ -> false
+  in
+  let n =
+    List.fold_left
+      (fun n (i : Intrin.t) ->
+        match i.Intrin.i_kind with
+        | Intrin.Ksys num ->
+          (match Sys_impl.lookup num with
+           | None -> Alcotest.failf "%s: syscall %d has no table entry"
+                       i.Intrin.i_name num
+           | Some e ->
+             Alcotest.(check (list bool))
+               (i.Intrin.i_name ^ ": APtr exactly at pointer arguments")
+               (List.map is_ptr i.Intrin.i_args)
+               (List.map (fun a -> a = Sys_impl.APtr) e.Sys_impl.sy_args));
+          n + 1
+        | Intrin.Krt _ | Intrin.Kspecial _ -> n)
+      0 Intrin.table
+  in
+  Alcotest.(check int) "Ksys intrinsics checked" 24 n
+
 let suite =
   [ "hello mips64", `Quick, test_hello_mips64;
     "hello cheriabi", `Quick, test_hello_cheriabi;
@@ -568,4 +598,6 @@ let suite =
     test_getcwd_overflow_detected_cheriabi;
     "getcwd overflow missed (mips64)", `Quick,
     test_getcwd_overflow_missed_mips64;
-    "getcwd correct ok (cheriabi)", `Quick, test_getcwd_correct_ok_cheriabi ]
+    "getcwd correct ok (cheriabi)", `Quick, test_getcwd_correct_ok_cheriabi;
+    "syscall table matches the compiler's intrinsics", `Quick,
+    test_syscall_table_matches_intrinsics ]

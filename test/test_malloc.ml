@@ -177,10 +177,10 @@ let test_remote_free_choreography () =
      it message-passes the slot to the owning shard's queue. *)
   ignore (Malloc_impl.free k child a);
   let st = Malloc_impl.stats k child in
-  Alcotest.(check int) "remote free enqueued" 1 st.Malloc_impl.st_remote_enq;
+  Alcotest.(check int) "remote free enqueued" 1 (List.assoc "remote_enq" st);
   Alcotest.(check int) "slot parked on the queue" 1
-    st.Malloc_impl.st_pending_remote;
-  Alcotest.(check int) "no sweep yet" 0 st.Malloc_impl.st_owner_sweeps;
+    (List.assoc "pending_remote" st);
+  Alcotest.(check int) "no sweep yet" 0 (List.assoc "owner_sweeps" st);
   Alcotest.(check bool) "tag untouched while parked" true
     (Tagmem.get_tag mem parent_pa);
 
@@ -191,15 +191,15 @@ let test_remote_free_choreography () =
   Alcotest.(check int) "drained slot recycled" a a2;
   let st = Malloc_impl.stats k child in
   Alcotest.(check int) "remote slot drained" 1
-    st.Malloc_impl.st_remote_drained;
+    (List.assoc "remote_drained" st);
   Alcotest.(check int) "queue empty after drain" 0
-    st.Malloc_impl.st_pending_remote;
+    (List.assoc "pending_remote" st);
   Alcotest.(check int) "swept exactly once, at the ownership change" 1
-    st.Malloc_impl.st_owner_sweeps;
+    (List.assoc "owner_sweeps" st);
   Alcotest.(check int) "no reuse sweep for a clean slot" 0
-    st.Malloc_impl.st_reuse_sweeps;
+    (List.assoc "reuse_sweeps" st);
   Alcotest.(check bool) "sibling chunks adopted" true
-    (st.Malloc_impl.st_adoptions > 0);
+    (List.assoc "adoptions" st > 0);
 
   (* 3. COW regression: the sweep privatized the child's frame first, so
      the parent — which still shares nothing with the child now — keeps
@@ -221,9 +221,9 @@ let test_remote_free_choreography () =
   Alcotest.(check int) "local free list reused" a2 a3;
   let st = Malloc_impl.stats k child in
   Alcotest.(check int) "dirty slot swept at reuse" 1
-    st.Malloc_impl.st_reuse_sweeps;
+    (List.assoc "reuse_sweeps" st);
   Alcotest.(check int) "still exactly one ownership-change sweep" 1
-    st.Malloc_impl.st_owner_sweeps
+    (List.assoc "owner_sweeps" st)
 
 (* --- bugfix: arena table must not leak across exec/exit ----------------- *)
 
@@ -258,6 +258,136 @@ let test_exec_exit_leak_loop () =
      the table is small. *)
   Alcotest.(check int) "200 evictions recorded" 200
     (List.assoc "evicted" (Malloc_impl.machine_counters k))
+
+(* --- counter conservation across fork, eviction and exec ------------------ *)
+
+(* The names fleet snapshots print on their [alloc=] line, in order. *)
+let snapshot_names =
+  [ "mallocs"; "frees"; "remote_enq"; "remote_drained"; "drains";
+    "owner_sweeps"; "reuse_sweeps"; "adoptions"; "tags_cleared";
+    "unmap_leaks"; "pending_remote"; "heaps"; "evicted" ]
+
+(* [machine_counters] must be the retired record plus every live heap's
+   and shard's records. The sum is taken here over the rendered records,
+   so it does not go through [Malloc_impl.add]. *)
+let check_conserved k step =
+  let st = Malloc_impl.state k in
+  let records =
+    Malloc_impl.render st.Malloc_impl.retired
+    :: Hashtbl.fold
+         (fun _ (h : Malloc_impl.heap) acc ->
+           Malloc_impl.render h.Malloc_impl.h_c
+           :: Array.fold_left
+                (fun acc (s : Malloc_impl.shard) ->
+                  Malloc_impl.render s.Malloc_impl.sh_c :: acc)
+                acc h.Malloc_impl.h_shards)
+         st.Malloc_impl.heaps []
+  in
+  let sum =
+    List.fold_left
+      (List.map2 (fun (n, a) (_, b) -> n, a + b))
+      (List.hd records) (List.tl records)
+  in
+  let mc = Malloc_impl.machine_counters k in
+  Alcotest.(check (list string)) (step ^ ": snapshot names and order")
+    snapshot_names (List.map fst mc);
+  List.iter
+    (fun (n, v) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s conserved" step n) v
+        (List.assoc n mc))
+    sum;
+  mc
+
+(* Evicting [p]'s heap loses no count: the ten counters carry over into
+   the retired record, and the only change is that its parked remote
+   slots are counted as drained (one batch per non-empty queue). *)
+let evict_checked k (p : Proc.t) step evict =
+  let before = Malloc_impl.machine_counters k in
+  let pending = List.assoc "pending_remote" (Malloc_impl.stats k p) in
+  let batches =
+    Array.fold_left
+      (fun n s -> if List.assoc "pending" s > 0 then n + 1 else n)
+      0 (Malloc_impl.shard_stats k p)
+  in
+  evict ();
+  let after = check_conserved k step in
+  let expect =
+    List.map
+      (fun (n, v) ->
+        n,
+        match n with
+        | "remote_drained" -> v + pending
+        | "drains" -> v + batches
+        | "pending_remote" -> v - pending
+        | "heaps" -> v - 1
+        | "evicted" -> v + 1
+        | _ -> v)
+      before
+  in
+  List.iter2
+    (fun (n, e) (_, a) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s after eviction" step n) e a)
+    expect after;
+  pending
+
+let test_counters_conserved () =
+  let k = boot () in
+  let p = proc_for_alloc k in
+  let objs = Array.init 8 (fun _ -> fst (Malloc_impl.malloc k p 48)) in
+  (* A planted capability gives the owner-change sweep a tag to clear. *)
+  let _, cap = Malloc_impl.malloc k p 48 in
+  let ppmap = Addr_space.pmap p.Proc.asp in
+  Tagmem.write_cap (Pmap.mem ppmap)
+    (Option.get (Pmap.kernel_touch ppmap objs.(0) ~write:true))
+    (Option.get cap);
+  (* A large region unmapped behind the allocator's back: its free
+     counts an unmap leak. *)
+  let big, _ = Malloc_impl.malloc k p 100_000 in
+  Addr_space.unmap p.Proc.asp ~start:big ~len:100_000;
+  ignore (Malloc_impl.free k p big);
+  ignore (check_conserved k "parent");
+  (* Child A frees inherited objects (remote), then allocates: it drains
+     and adopts (owner sweeps), and recycles a dirty local slot (reuse
+     sweep). *)
+  let a = fork_proc k p in
+  for i = 0 to 3 do ignore (Malloc_impl.free k a objs.(i)) done;
+  ignore (check_conserved k "child A remote frees");
+  let x, _ = Malloc_impl.malloc k a 48 in
+  ignore (Malloc_impl.free k a x);
+  ignore (Malloc_impl.malloc k a 48);
+  let mc = check_conserved k "child A churn" in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " exercised") true (List.assoc n mc > 0))
+    [ "mallocs"; "frees"; "remote_enq"; "remote_drained"; "drains";
+      "owner_sweeps"; "reuse_sweeps"; "adoptions"; "tags_cleared";
+      "unmap_leaks" ];
+  (* Child B frees inherited objects and exits with them still parked:
+     eviction settles its queue. *)
+  let b = fork_proc k p in
+  for i = 4 to 7 do ignore (Malloc_impl.free k b objs.(i)) done;
+  ignore (check_conserved k "child B remote frees");
+  let parked =
+    evict_checked k b "child B exit" (fun () ->
+        ignore (Sys_impl.sys_exit k b [ Cheri_kernel.Uarg.UInt 0 ]))
+  in
+  Alcotest.(check int) "child B exited with slots parked" 4 parked;
+  ignore
+    (evict_checked k a "child A exit" (fun () ->
+         ignore (Sys_impl.sys_exit k a [ Cheri_kernel.Uarg.UInt 0 ])));
+  (* The parent's execve evicts its heap; the new image starts a fresh
+     one. *)
+  let image =
+    match Cheri_kernel.Vfs.lookup k.Kstate.vfs "/bin/idle" with
+    | Some (Cheri_kernel.Vfs.Exe (_, image)) -> image
+    | _ -> Alcotest.fail "/bin/idle not installed"
+  in
+  ignore
+    (evict_checked k p "parent exec" (fun () ->
+         Cheri_kernel.Exec.exec_image k p ~abi:Abi.Cheriabi ~image
+           ~argv:[ "idle" ] ~envv:[]));
+  ignore (Malloc_impl.malloc k p 48);
+  ignore (check_conserved k "after exec")
 
 (* --- determinism + quiesce gates over the contention workload ----------- *)
 
@@ -302,5 +432,7 @@ let suite =
     Alcotest.test_case "exec/exit loop does not leak arenas" `Quick
       test_exec_exit_leak_loop;
     Alcotest.test_case "contention workload deterministic + quiesced" `Quick
-      test_contention_deterministic ]
+      test_contention_deterministic;
+    Alcotest.test_case "counters conserved across fork, eviction and exec"
+      `Quick test_counters_conserved ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_discipline

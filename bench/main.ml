@@ -502,7 +502,7 @@ let malloc_contention () =
     Array.init 96 (fun i -> fst (MI.malloc k p (16 + ((i * 53) mod 2600))))
   in
   let child =
-    match Cheri_kernel.Sys_impl.sys_fork k p [] with
+    match Cheri_kernel.Sys_impl.sys_fork k p with
     | Cheri_kernel.Sys_impl.RInt pid ->
       Option.get (Cheri_kernel.Kstate.find_proc k pid)
     | _ -> failwith "malloc bench: fork failed"

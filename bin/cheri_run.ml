@@ -65,6 +65,24 @@ let externs_lines =
     (fun n c -> if c = '\n' then n + 1 else n)
     0 Cheri_workloads.Stdlib_src.libc_externs
 
+(* Run [f], the compile-and-link (and possibly run) of [file]. A source
+   that does not compile, or compiles but does not link (no [main], say),
+   prints one line naming [file] and exits 2. Under CheriABI an unresolved
+   symbol surfaces at exec, from the GOT; under the legacy ABIs the
+   assembler rejects the label. *)
+let or_reject ~file ~no_libc f =
+  try f () with
+  | Cheri_cc.Ast.Compile_error msg ->
+    let bias = if no_libc then 0 else externs_lines in
+    Printf.eprintf "%s: %s\n" file (Cheri_analysis.Lint.shift_line ~bias msg);
+    2
+  | Cheri_rtld.Rtld.Link_error msg ->
+    Printf.eprintf "%s: link error: %s\n" file msg;
+    2
+  | Cheri_isa.Asm.Undefined_label l ->
+    Printf.eprintf "%s: link error: undefined symbol %s\n" file l;
+    2
+
 (* --fleet N: run N instances of the compiled program as whole simulated
    machines sharded across OCaml domains (docs/FLEET.md) and print the
    aggregate report. Request-latency percentiles are measured over '#'
@@ -114,64 +132,52 @@ let run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
   then 0
   else 1
 
+(* --verify: compile and link exactly as execve would, then run the
+   capability abstract interpreter over the linked image. *)
+let verify_file ~abi ~opts ~no_libc ~file src =
+  let link =
+    let image =
+      if no_libc then
+        Cheri_cc.Compile.build_image ~opts ~abi ~name:"prog" src
+      else Cheri_workloads.Stdlib_src.build_image ~opts ~abi ~name:"prog" src
+    in
+    Cheri_rtld.Rtld.link ~abi image
+  in
+  let module Absint = Cheri_analysis.Absint in
+  let r = Cheri_workloads.Harness.verify_image ~abi link in
+  if r.Absint.r_diags = [] then begin
+    Printf.printf
+      "%s: no verifier diagnostics (%d of %d checks provable in %d \
+       iters)\n"
+      file r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
+    0
+  end
+  else begin
+    List.iter
+      (fun d -> Printf.printf "%s: %s\n" file (Absint.pp_diag d))
+      r.Absint.r_diags;
+    Printf.printf "%s: %d diagnostic%s (%d of %d checks provable in %d \
+                   iters)\n"
+      file
+      (List.length r.Absint.r_diags)
+      (if List.length r.Absint.r_diags = 1 then "" else "s")
+      r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
+    1
+  end
+
 let run file abi engine args dump_asm stats trace no_libc clc_small lint
     verify astats fleet_n domains =
   let src = read_file file in
   let opts =
     { (Cheri_cc.Compile.default_options abi) with clc_large_imm = not clc_small }
   in
-  if fleet_n > 0 then begin
-    match
-      run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n
-        ~domains src
-    with
-    | code -> code
-    | exception Cheri_cc.Ast.Compile_error msg ->
-      let bias = if no_libc then 0 else externs_lines in
-      Printf.eprintf "%s: %s\n" file (Cheri_analysis.Lint.shift_line ~bias msg);
-      2
-  end
-  else if verify then begin
-    (* Static whole-image verification: compile and link exactly as execve
-       would, then run the capability abstract interpreter. *)
-    match
-      let image =
-        if no_libc then
-          Cheri_cc.Compile.build_image ~opts ~abi ~name:"prog" src
-        else Cheri_workloads.Stdlib_src.build_image ~opts ~abi ~name:"prog" src
-      in
-      Cheri_rtld.Rtld.link ~abi image
-    with
-    | exception Cheri_cc.Ast.Compile_error msg ->
-      let bias = if no_libc then 0 else externs_lines in
-      Printf.eprintf "%s: %s\n" file (Cheri_analysis.Lint.shift_line ~bias msg);
-      2
-    | exception Cheri_rtld.Rtld.Link_error msg ->
-      Printf.eprintf "%s: link error: %s\n" file msg;
-      2
-    | link ->
-      let module Absint = Cheri_analysis.Absint in
-      let r = Cheri_workloads.Harness.verify_image ~abi link in
-      if r.Absint.r_diags = [] then begin
-        Printf.printf
-          "%s: no verifier diagnostics (%d of %d checks provable in %d \
-           iters)\n"
-          file r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
-        0
-      end
-      else begin
-        List.iter
-          (fun d -> Printf.printf "%s: %s\n" file (Absint.pp_diag d))
-          r.Absint.r_diags;
-        Printf.printf "%s: %d diagnostic%s (%d of %d checks provable in %d \
-                       iters)\n"
-          file
-          (List.length r.Absint.r_diags)
-          (if List.length r.Absint.r_diags = 1 then "" else "s")
-          r.Absint.r_flow_elided r.Absint.r_flow_sites r.Absint.r_iters;
-        1
-      end
-  end
+  if fleet_n > 0 then
+    or_reject ~file ~no_libc (fun () ->
+        run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
+          src)
+  else if verify then
+    or_reject ~file ~no_libc (fun () ->
+        verify_file ~abi ~opts ~no_libc ~file src)
   else if lint then begin
     let externs =
       if no_libc then "" else Cheri_workloads.Stdlib_src.libc_externs
@@ -192,8 +198,8 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
         (if List.length diags = 1 then "" else "s");
       1
   end
-  else begin
-  try
+  else
+  or_reject ~file ~no_libc @@ fun () ->
   if dump_asm then begin
     let obj =
       Cheri_cc.Compile.compile_source ~name:"prog" ~opts
@@ -287,11 +293,6 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
         G.all_sources
     end;
     code
-  end
-  with Cheri_cc.Ast.Compile_error msg ->
-    let bias = if no_libc then 0 else externs_lines in
-    Printf.eprintf "%s: %s\n" file (Cheri_analysis.Lint.shift_line ~bias msg);
-    2
   end
 
 let cmd =

@@ -27,31 +27,6 @@ let install_machine k (p : Proc.t) =
 
 (* --- System-call dispatch --------------------------------------------------------- *)
 
-let marshal_args (p : Proc.t) spec =
-  let ctx = p.Proc.ctx in
-  match p.Proc.abi with
-  | Abi.Mips64 | Abi.Asan ->
-    List.mapi
-      (fun i kind ->
-        let v = ctx.Cpu.gpr.(Reg.a0 + i) in
-        match kind with
-        | Sys_impl.AInt -> Uarg.UInt v
-        | Sys_impl.APtr -> Uarg.UPtr (Uarg.Uaddr v))
-      spec
-  | Abi.Cheriabi ->
-    let ii = ref 0 and ci = ref 0 in
-    List.map
-      (function
-        | Sys_impl.AInt ->
-          let v = ctx.Cpu.gpr.(Reg.a0 + !ii) in
-          incr ii;
-          Uarg.UInt v
-        | Sys_impl.APtr ->
-          let c = Cpu.rd_creg ctx (Reg.ca0 + !ci) in
-          incr ci;
-          Uarg.UPtr (Uarg.Ucap c))
-      spec
-
 let do_syscall k (p : Proc.t) =
   let ctx = p.Proc.ctx in
   let num = ctx.Cpu.gpr.(Reg.v0) in
@@ -62,10 +37,10 @@ let do_syscall k (p : Proc.t) =
      | Abi.Mips64 | Abi.Asan -> Kstate.trap_cost_legacy);
   match Sys_impl.lookup num with
   | Some e ->
-    Kstate.bump_stat k e.Sys_impl.sy_name;
+    Kstate.bump_stat k (Uarg.name e);
     let entry_pcc = ctx.Cpu.pcc in
     (try
-       match e.Sys_impl.sy_run k p (marshal_args p e.Sys_impl.sy_args) with
+       match Uarg.call ~split:true p.Proc.abi ctx e k p with
        | Sys_impl.RInt v -> ctx.Cpu.gpr.(Reg.v0) <- v
        | Sys_impl.RPtr (Uarg.Uaddr a) -> ctx.Cpu.gpr.(Reg.v0) <- a
        | Sys_impl.RPtr (Uarg.Ucap c) ->

@@ -1,5 +1,5 @@
 (* System-call numbers and the constants of their arguments. Each call's
-   name, argument kinds and handler live in [Sys_impl.table]. *)
+   name, signature and handler live in [Sys_impl.table]. *)
 
 let sys_exit = 1
 let sys_fork = 2

@@ -319,14 +319,14 @@ let drain_shard k p h (sh : shard) =
 
 (* --- Growing --------------------------------------------------------------------- *)
 
-(* Acquire a chunk through the mmap syscall path (paying its costs and,
-   under CheriABI, receiving a VMMAP capability), owned by [sh]. *)
+(* An anonymous read-write mapping through the mmap syscall path (paying
+   its costs and, under CheriABI, receiving a VMMAP capability). *)
+let mmap_anon k p len =
+  Sys_impl.sys_mmap k p (Uarg.Uaddr 0) len
+    (Sysno.prot_read lor Sysno.prot_write) Sysno.map_anon (-1) 0
+
+(* Acquire a chunk owned by [sh]. *)
 let grow k (p : Proc.t) h (sh : shard) =
-  let args =
-    [ Uarg.UPtr (Uarg.Uaddr 0); Uarg.UInt chunk_size;
-      Uarg.UInt (Sysno.prot_read lor Sysno.prot_write);
-      Uarg.UInt Sysno.map_anon; Uarg.UInt (-1); Uarg.UInt 0 ]
-  in
   let mk base parent =
     let ck = { ck_base = base; ck_len = chunk_size; ck_parent = parent;
                ck_next = base + chunk_header; ck_shard = sh.sh_id } in
@@ -335,7 +335,7 @@ let grow k (p : Proc.t) h (sh : shard) =
     notify_map k p base chunk_size;
     ck
   in
-  match Sys_impl.sys_mmap k p args with
+  match mmap_anon k p chunk_size with
   | Sys_impl.RPtr (Uarg.Uaddr base) -> mk base None
   | Sys_impl.RPtr (Uarg.Ucap c) -> mk (Cap.base c) (Some (Capptr.of_mmap c))
   | Sys_impl.RInt _ | Sys_impl.RNone -> raise (Alloc_fault Errno.ENOMEM)
@@ -344,12 +344,7 @@ let grow k (p : Proc.t) h (sh : shard) =
    bounds are exact. *)
 let map_large k p len =
   let rlen = Compress.crrl len in
-  let args =
-    [ Uarg.UPtr (Uarg.Uaddr 0); Uarg.UInt rlen;
-      Uarg.UInt (Sysno.prot_read lor Sysno.prot_write);
-      Uarg.UInt Sysno.map_anon; Uarg.UInt (-1); Uarg.UInt 0 ]
-  in
-  match Sys_impl.sys_mmap k p args with
+  match mmap_anon k p rlen with
   | Sys_impl.RPtr (Uarg.Uaddr base) ->
     notify_map k p base (Addr_space.page_align_up rlen);
     base, None

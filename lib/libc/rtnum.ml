@@ -2,28 +2,20 @@
 
    These model the hand-optimized C runtime routines that are not worth
    expressing in simulated instructions: the allocator and the
-   memory/formatting primitives. Each has a fixed signature used by both
-   the compiler and the dispatcher; pointer arguments and results follow
-   the positional calling convention (slot i = a_i or ca_i). *)
+   memory/formatting primitives. Each one's signature is written once, in
+   [Runtime.table]; pointer arguments and results follow the positional
+   calling convention (slot i = a_i or ca_i). *)
 
-let rt_malloc = 1      (* (len)            -> ptr *)
-let rt_free = 2        (* (ptr)            -> unit *)
-let rt_realloc = 3     (* (ptr, len)       -> ptr *)
-let rt_calloc = 4      (* (n, size)        -> ptr *)
-let rt_memcpy = 5      (* (dst, src, len)  -> dst *)
-let rt_memmove = 6     (* (dst, src, len)  -> dst *)
-let rt_memset = 7      (* (dst, byte, len) -> dst *)
-let rt_print_int = 8   (* (v) *)
-let rt_print_char = 9  (* (c) *)
-let rt_print_str = 10  (* (ptr) *)
-let rt_print_hex = 11  (* (v) *)
-let rt_strlen = 12     (* (ptr) -> int *)
-let rt_tls_get = 13    (* reserved *)
-let rt_free_revoke = 14 (* (ptr) -> unit: free + revocation sweep *)
-
-let name = function
-  | 1 -> "malloc" | 2 -> "free" | 3 -> "realloc" | 4 -> "calloc"
-  | 5 -> "memcpy" | 6 -> "memmove" | 7 -> "memset" | 8 -> "print_int"
-  | 9 -> "print_char" | 10 -> "print_str" | 11 -> "print_hex"
-  | 12 -> "strlen" | 13 -> "tls_get" | 14 -> "free_revoke"
-  | n -> Printf.sprintf "rt%d" n
+let rt_malloc = 1
+let rt_free = 2
+let rt_realloc = 3
+let rt_calloc = 4
+let rt_memcpy = 5
+let rt_memmove = 6
+let rt_memset = 7
+let rt_print_int = 8
+let rt_print_char = 9
+let rt_print_str = 10
+let rt_print_hex = 11
+let rt_strlen = 12
+let rt_free_revoke = 14   (* free + revocation sweep *)

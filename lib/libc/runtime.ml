@@ -1,4 +1,4 @@
-(* Runtime-builtin dispatcher.
+(* Runtime builtins: a table of typed upcalls indexed by [Rtnum] number.
 
    These execute with the *user's* authority: every pointer they receive is
    checked exactly as a capability load/store would be, and violations are
@@ -17,6 +17,7 @@ module Exec = Cheri_kernel.Exec
 module Signo = Cheri_kernel.Signo
 module Signal_dispatch = Cheri_kernel.Signal_dispatch
 module Errno = Cheri_kernel.Errno
+module Uarg = Cheri_kernel.Uarg
 
 (* A fault inside a runtime builtin, attributed to the process. *)
 exception Rt_fault of int * string   (* signal, message *)
@@ -25,22 +26,7 @@ let ptr_fault msg = raise (Rt_fault (Signo.sigprot, msg))
 let seg_fault msg = raise (Rt_fault (Signo.sigsegv, msg))
 let asan_fault msg = raise (Rt_fault (Signo.sigabrt, msg))
 
-(* --- Argument access (positional slots) ----------------------------------------- *)
-
-type uref =
-  | Rcap of Cap.t
-  | Raddr of int
-
-let arg_int (p : Proc.t) i = p.Proc.ctx.Cpu.gpr.(Reg.a0 + i)
-
-let arg_ptr (p : Proc.t) i =
-  match p.Proc.abi with
-  | Abi.Cheriabi -> Rcap (Cpu.rd_creg p.Proc.ctx (Reg.ca0 + i))
-  | Abi.Mips64 | Abi.Asan -> Raddr p.Proc.ctx.Cpu.gpr.(Reg.a0 + i)
-
-let ref_addr = function
-  | Rcap c -> Cap.addr c
-  | Raddr a -> a
+(* --- Results ------------------------------------------------------------------------ *)
 
 let ret_int (p : Proc.t) v = p.Proc.ctx.Cpu.gpr.(Reg.v0) <- v
 
@@ -55,14 +41,14 @@ let ret_ptr k (p : Proc.t) ~addr ~cap =
    base address of the access. *)
 let check_ref r ~perm ~len =
   match r with
-  | Rcap c ->
+  | Uarg.Ucap c ->
     (try
        Cap.check_access_at c ~perm ~addr:(Cap.addr c) ~len;
        Cap.addr c
      with Cap.Cap_error v ->
        ptr_fault (Printf.sprintf "capability %s in C runtime"
                     (Cap.violation_to_string v)))
-  | Raddr a -> a
+  | Uarg.Uaddr a -> a
 
 (* --- Raw user memory helpers ------------------------------------------------------ *)
 
@@ -132,7 +118,7 @@ let write_stdout k (p : Proc.t) data =
    and exec handle it like everything else). *)
 let redzone = 16
 
-let do_malloc k p len =
+let alloc k p len =
   if is_asan p then begin
     let base, _ = Malloc_impl.malloc k p (len + (2 * redzone)) in
     let payload = base + redzone in
@@ -146,11 +132,11 @@ let do_malloc k p len =
   else Malloc_impl.malloc k p len
 
 let do_free k p r =
-  let addr = ref_addr r in
+  let addr = Uarg.addr_of_uptr r in
   if addr = 0 then ()
   else begin
     (match p.Proc.abi, r with
-     | Abi.Cheriabi, Rcap c when not (Cap.is_tagged c) ->
+     | Abi.Cheriabi, Uarg.Ucap c when not (Cap.is_tagged c) ->
        ptr_fault "free() of untagged capability"
      | _ -> ());
     if is_asan p then begin
@@ -216,7 +202,7 @@ let revoke_range k (p : Proc.t) ~base ~top =
   !revoked
 
 let do_free_revoke k (p : Proc.t) r =
-  let addr = ref_addr r in
+  let addr = Uarg.addr_of_uptr r in
   if addr <> 0 then begin
     let len =
       match alloc_size k p addr with
@@ -272,9 +258,7 @@ let copy_user k p ~dst ~src ~len =
   end;
   K.charge k p (24 + (len / 8) + (len / 64 * 2))
 
-let do_memcpy k p =
-  let dstr = arg_ptr p 0 and srcr = arg_ptr p 1 in
-  let len = arg_int p 2 in
+let do_memcpy k p dstr srcr len =
   if len < 0 then ptr_fault "memcpy with negative length";
   let dst = check_ref dstr ~perm:Perms.store ~len in
   let src = check_ref srcr ~perm:Perms.load ~len in
@@ -284,11 +268,9 @@ let do_memcpy k p =
   end;
   copy_user k p ~dst ~src ~len;
   ret_ptr k p ~addr:dst
-    ~cap:(match dstr with Rcap c -> Some c | Raddr _ -> None)
+    ~cap:(match dstr with Uarg.Ucap c -> Some c | Uarg.Uaddr _ -> None)
 
-let do_memset k p =
-  let dstr = arg_ptr p 0 in
-  let byte = arg_int p 1 and len = arg_int p 2 in
+let do_memset k p dstr byte len =
   if len < 0 then ptr_fault "memset with negative length";
   let dst = check_ref dstr ~perm:Perms.store ~len in
   if is_asan p then shadow_check k p dst len "heap-buffer-overflow in memset";
@@ -297,23 +279,22 @@ let do_memset k p =
   done;
   K.charge k p (16 + (len / 8));
   ret_ptr k p ~addr:dst
-    ~cap:(match dstr with Rcap c -> Some c | Raddr _ -> None)
+    ~cap:(match dstr with Uarg.Ucap c -> Some c | Uarg.Uaddr _ -> None)
 
-let do_strlen k p =
-  let r = arg_ptr p 0 in
-  let base = ref_addr r in
+let do_strlen k p r =
+  let base = Uarg.addr_of_uptr r in
   let limit =
     match r with
-    | Rcap c ->
+    | Uarg.Ucap c ->
       if not (Cap.is_tagged c) then ptr_fault "strlen of untagged capability";
       Cap.top c - base
-    | Raddr _ -> 1 lsl 20
+    | Uarg.Uaddr _ -> 1 lsl 20
   in
   let rec go i =
     if i >= limit then
       (match r with
-       | Rcap _ -> ptr_fault "strlen ran off the end of its capability"
-       | Raddr _ -> seg_fault "strlen ran away")
+       | Uarg.Ucap _ -> ptr_fault "strlen ran off the end of its capability"
+       | Uarg.Uaddr _ -> seg_fault "strlen ran away")
     else if read_u8 k p (base + i) = 0 then i
     else go (i + 1)
   in
@@ -323,22 +304,21 @@ let do_strlen k p =
 
 (* --- Output ------------------------------------------------------------------------------ *)
 
-let do_print_str k p =
-  let r = arg_ptr p 0 in
-  let base = ref_addr r in
+let do_print_str k p r =
+  let base = Uarg.addr_of_uptr r in
   let limit =
     match r with
-    | Rcap c ->
+    | Uarg.Ucap c ->
       if not (Cap.is_tagged c) then ptr_fault "print of untagged capability";
       Cap.top c - base
-    | Raddr _ -> 1 lsl 20
+    | Uarg.Uaddr _ -> 1 lsl 20
   in
   let buf = Buffer.create 32 in
   let rec go i =
     if i >= limit then
       (match r with
-       | Rcap _ -> ptr_fault "unterminated string passed to print"
-       | Raddr _ -> seg_fault "unterminated string")
+       | Uarg.Ucap _ -> ptr_fault "unterminated string passed to print"
+       | Uarg.Uaddr _ -> seg_fault "unterminated string")
     else
       let c = read_u8 k p (base + i) in
       if c = 0 then ()
@@ -351,76 +331,88 @@ let do_print_str k p =
   write_stdout k p (Buffer.to_bytes buf);
   K.charge k p (20 + Buffer.length buf)
 
+let do_print_int k p v =
+  write_stdout k p (Bytes.of_string (string_of_int v));
+  K.charge k p 30
+
+let do_print_char k p c =
+  write_stdout k p (Bytes.make 1 (Char.chr (c land 0xff)));
+  K.charge k p 10
+
+let do_print_hex k p v =
+  write_stdout k p (Bytes.of_string (Printf.sprintf "0x%x" v));
+  K.charge k p 30
+
+(* --- Allocator builtins ---------------------------------------------------------------- *)
+
+let do_malloc k p len =
+  let addr, cap = alloc k p len in
+  ret_ptr k p ~addr ~cap
+
+let do_calloc k p n size =
+  let len = n * size in
+  let addr, cap = alloc k p len in
+  for i = 0 to (len - 1) / 8 do
+    let pa = touch k p (addr + (i * 8)) ~write:true in
+    Cheri_tagmem.Tagmem.write_int k.K.mem pa ~len:8 0
+  done;
+  K.charge k p (len / 8);
+  ret_ptr k p ~addr ~cap
+
+let do_realloc k (p : Proc.t) r len =
+  let old_addr = Uarg.addr_of_uptr r in
+  if old_addr = 0 then do_malloc k p len
+  else begin
+    let old_len =
+      match alloc_size k p old_addr with
+      | Some l -> l
+      | None ->
+        if p.Proc.abi = Abi.Cheriabi then
+          ptr_fault "realloc of pointer without matching allocation"
+        else 0
+    in
+    let addr, cap = alloc k p len in
+    copy_user k p ~dst:addr ~src:old_addr ~len:(min old_len len);
+    do_free k p r;
+    ret_ptr k p ~addr ~cap
+  end
+
 (* --- Dispatch -------------------------------------------------------------------------------- *)
 
+(* Indexed by builtin number; each signature also fixes the compiler's
+   argument placement (positional: slot i is a_i, or c(3+i) for a
+   CheriABI pointer). *)
+let table : (K.t, Proc.t, unit) Uarg.upcall option array =
+  let open Uarg in
+  table
+    [ Rtnum.rt_malloc, upcall "malloc" (A1 Int) do_malloc;
+      Rtnum.rt_free, upcall "free" (A1 Ptr) do_free;
+      Rtnum.rt_realloc, upcall "realloc" (A2 (Ptr, Int)) do_realloc;
+      Rtnum.rt_calloc, upcall "calloc" (A2 (Int, Int)) do_calloc;
+      Rtnum.rt_memcpy, upcall "memcpy" (A3 (Ptr, Ptr, Int)) do_memcpy;
+      Rtnum.rt_memmove, upcall "memmove" (A3 (Ptr, Ptr, Int)) do_memcpy;
+      Rtnum.rt_memset, upcall "memset" (A3 (Ptr, Int, Int)) do_memset;
+      Rtnum.rt_print_int, upcall "print_int" (A1 Int) do_print_int;
+      Rtnum.rt_print_char, upcall "print_char" (A1 Int) do_print_char;
+      Rtnum.rt_print_str, upcall "print_str" (A1 Ptr) do_print_str;
+      Rtnum.rt_print_hex, upcall "print_hex" (A1 Int) do_print_hex;
+      Rtnum.rt_strlen, upcall "strlen" (A1 Ptr) do_strlen;
+      Rtnum.rt_free_revoke, upcall "free_revoke" (A1 Ptr) do_free_revoke ]
+
 let dispatch k (p : Proc.t) n =
-  try
-    if n = Rtnum.rt_malloc then begin
-      let addr, cap = do_malloc k p (arg_int p 0) in
-      ret_ptr k p ~addr ~cap
-    end
-    else if n = Rtnum.rt_free then do_free k p (arg_ptr p 0)
-    else if n = Rtnum.rt_free_revoke then do_free_revoke k p (arg_ptr p 0)
-    else if n = Rtnum.rt_calloc then begin
-      let len = arg_int p 0 * arg_int p 1 in
-      let addr, cap = do_malloc k p len in
-      for i = 0 to (len - 1) / 8 do
-        let pa = touch k p (addr + (i * 8)) ~write:true in
-        Cheri_tagmem.Tagmem.write_int k.K.mem pa ~len:8 0
-      done;
-      K.charge k p (len / 8);
-      ret_ptr k p ~addr ~cap
-    end
-    else if n = Rtnum.rt_realloc then begin
-      let r = arg_ptr p 0 and len = arg_int p 1 in
-      let old_addr = ref_addr r in
-      if old_addr = 0 then begin
-        let addr, cap = do_malloc k p len in
-        ret_ptr k p ~addr ~cap
-      end
-      else begin
-        let old_len =
-          match alloc_size k p old_addr with
-          | Some l -> l
-          | None ->
-            if p.Proc.abi = Abi.Cheriabi then
-              ptr_fault "realloc of pointer without matching allocation"
-            else 0
-        in
-        let addr, cap = do_malloc k p len in
-        copy_user k p ~dst:addr ~src:old_addr ~len:(min old_len len);
-        do_free k p r;
-        ret_ptr k p ~addr ~cap
-      end
-    end
-    else if n = Rtnum.rt_memcpy || n = Rtnum.rt_memmove then do_memcpy k p
-    else if n = Rtnum.rt_memset then do_memset k p
-    else if n = Rtnum.rt_print_int then begin
-      write_stdout k p (Bytes.of_string (string_of_int (arg_int p 0)));
-      K.charge k p 30
-    end
-    else if n = Rtnum.rt_print_char then begin
-      write_stdout k p (Bytes.make 1 (Char.chr (arg_int p 0 land 0xff)));
-      K.charge k p 10
-    end
-    else if n = Rtnum.rt_print_hex then begin
-      write_stdout k p (Bytes.of_string (Printf.sprintf "0x%x" (arg_int p 0)));
-      K.charge k p 30
-    end
-    else if n = Rtnum.rt_print_str then do_print_str k p
-    else if n = Rtnum.rt_strlen then do_strlen k p
-    else begin
-      Proc.log_fault p (Printf.sprintf "unknown runtime builtin %d" n);
-      K.exit_proc k p (Proc.Signaled Signo.sigill)
-    end
-  with
-  | Rt_fault (sig_, msg) ->
-    Proc.log_fault p msg;
-    Proc.post_signal p sig_;
-    ignore (Signal_dispatch.deliver_pending k p)
-  | Malloc_impl.Alloc_fault e ->
-    Proc.log_fault p ("allocator: " ^ Errno.to_string e);
-    ret_ptr k p ~addr:0 ~cap:None
+  match Uarg.lookup table n with
+  | None ->
+    Proc.log_fault p (Printf.sprintf "unknown runtime builtin %d" n);
+    K.exit_proc k p (Proc.Signaled Signo.sigill)
+  | Some u ->
+    (try Uarg.call ~split:false p.Proc.abi p.Proc.ctx u k p with
+     | Rt_fault (sig_, msg) ->
+       Proc.log_fault p msg;
+       Proc.post_signal p sig_;
+       ignore (Signal_dispatch.deliver_pending k p)
+     | Malloc_impl.Alloc_fault e ->
+       Proc.log_fault p ("allocator: " ^ Errno.to_string e);
+       ret_ptr k p ~addr:0 ~cap:None)
 
 (* Install the dispatcher into a booted kernel. The allocator lifecycle
    hooks (heap eviction on exit/execve, metadata copy on fork) are wired

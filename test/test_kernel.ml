@@ -19,6 +19,7 @@ module Rtnum = Cheri_libc.Rtnum
 
 module Cpu = Cheri_isa.Cpu
 module Kstate = Cheri_kernel.Kstate
+module Uarg = Cheri_kernel.Uarg
 
 let boot ?engine () =
   let k = Kernel.boot () in
@@ -547,10 +548,13 @@ let test_getcwd_correct_ok_cheriabi () =
   let _ = check_exit 0 (run k "/bin/cwd") in
   ()
 
-(* The compiler lowers each [Ksys] intrinsic to a SYSCALL whose
-   arguments it places by type: pointers in capability registers under
-   CheriABI, everything else in integer registers. The kernel marshals by
-   its table's argument kinds, so the two must agree call by call. *)
+(* The compiler lowers each [Ksys] intrinsic to a SYSCALL and each [Krt]
+   intrinsic to a runtime-builtin upcall, placing arguments by type:
+   pointers in capability registers under CheriABI, everything else in
+   integer registers. The kernel and the runtime marshal by their tables'
+   signatures, so each call must agree with its intrinsic (name, arity
+   and pointer positions), and every builtin entry must be reached by
+   some intrinsic. *)
 let test_syscall_table_matches_intrinsics () =
   let module Intrin = Cheri_cc.Intrin in
   let module Sys_impl = Cheri_kernel.Sys_impl in
@@ -558,24 +562,171 @@ let test_syscall_table_matches_intrinsics () =
     | Cheri_cc.Ast.Tptr _ | Cheri_cc.Ast.Tarr _ -> true
     | _ -> false
   in
-  let n =
+  let check (i : Intrin.t) what num = function
+    | None ->
+      Alcotest.failf "%s: %s %d has no table entry" i.Intrin.i_name what num
+    | Some u ->
+      Alcotest.(check string) (what ^ " name") i.Intrin.i_name (Uarg.name u);
+      Alcotest.(check (list bool))
+        (i.Intrin.i_name ^ ": Ptr exactly at pointer arguments")
+        (List.map is_ptr i.Intrin.i_args)
+        (Uarg.ptr_args u)
+  in
+  let nsys, rts =
     List.fold_left
-      (fun n (i : Intrin.t) ->
+      (fun (n, rts) (i : Intrin.t) ->
         match i.Intrin.i_kind with
         | Intrin.Ksys num ->
-          (match Sys_impl.lookup num with
-           | None -> Alcotest.failf "%s: syscall %d has no table entry"
-                       i.Intrin.i_name num
-           | Some e ->
-             Alcotest.(check (list bool))
-               (i.Intrin.i_name ^ ": APtr exactly at pointer arguments")
-               (List.map is_ptr i.Intrin.i_args)
-               (List.map (fun a -> a = Sys_impl.APtr) e.Sys_impl.sy_args));
-          n + 1
-        | Intrin.Krt _ | Intrin.Kspecial _ -> n)
-      0 Intrin.table
+          check i "syscall" num (Sys_impl.lookup num);
+          n + 1, rts
+        | Intrin.Krt num ->
+          check i "builtin" num (Uarg.lookup Runtime.table num);
+          n, num :: rts
+        | Intrin.Kspecial _ -> n, rts)
+      (0, []) Intrin.table
   in
-  Alcotest.(check int) "Ksys intrinsics checked" 24 n
+  Alcotest.(check int) "Ksys intrinsics checked" 24 nsys;
+  Alcotest.(check int) "Krt intrinsics checked" 13 (List.length rts);
+  Array.iteri
+    (fun num e ->
+      match e with
+      | Some u when not (List.mem num rts) ->
+        Alcotest.failf "builtin %d (%s) is reached by no intrinsic" num
+          (Uarg.name u)
+      | _ -> ())
+    Runtime.table
+
+(* --- The marshaller's register conventions ------------------------------------------ *)
+
+type probe = Probe : ('h, string list) Uarg.sig_ -> probe
+
+(* Name the register an argument was read from: a0..a7 hold 100..107 and
+   c3..c10 capabilities at 200..207. *)
+let reg_of : type a. a Uarg.arg -> a -> string =
+ fun a v ->
+  match a, v with
+  | Uarg.Int, n -> Printf.sprintf "a%d" (n - 100)
+  | Uarg.Ptr, Uarg.Uaddr n -> Printf.sprintf "a%d" (n - 100)
+  | Uarg.Ptr, Uarg.Ucap c -> Printf.sprintf "c%d" (Cap.addr c - 200 + Reg.ca0)
+
+(* A handler that reports where each of its arguments came from. *)
+let recorder : type h. (h, string list) Uarg.sig_ -> unit -> unit -> h =
+ fun s () () ->
+  let r = reg_of in
+  match s with
+  | Uarg.A0 -> []
+  | Uarg.A1 a -> fun x -> [ r a x ]
+  | Uarg.A2 (a, b) -> fun x y -> [ r a x; r b y ]
+  | Uarg.A3 (a, b, c) -> fun x y z -> [ r a x; r b y; r c z ]
+  | Uarg.A4 (a, b, c, d) -> fun x y z w -> [ r a x; r b y; r c z; r d w ]
+  | Uarg.A5 (a, b, c, d, e) ->
+    fun x y z w v -> [ r a x; r b y; r c z; r d w; r e v ]
+  | Uarg.A6 (a, b, c, d, e, f) ->
+    fun x y z w v u -> [ r a x; r b y; r c z; r d w; r e v; r f u ]
+
+(* Legacy calls read every argument from a0.. by position. CheriABI
+   syscalls number integers (a0..) and pointers (c3..) apart; CheriABI
+   builtins read slot i from a_i or c(3+i). *)
+let test_marshaller_registers () =
+  let ctx = Cpu.create_ctx () in
+  for i = 0 to 7 do
+    ctx.Cpu.gpr.(Reg.a0 + i) <- 100 + i;
+    Cpu.wr_creg ctx (Reg.ca0 + i) (Cap.untagged ~addr:(200 + i))
+  done;
+  let open Uarg in
+  let cases =
+    (* signature, legacy, CheriABI syscall, CheriABI builtin *)
+    [ Probe (A4 (Ptr, Int, Ptr, Int)), "a0 a1 a2 a3", "c3 a0 c4 a1",
+      "c3 a1 c5 a3";
+      Probe A0, "", "", "";
+      Probe (A1 Ptr), "a0", "c3", "c3";
+      Probe (A2 (Int, Ptr)), "a0 a1", "a0 c3", "a0 c4";
+      Probe (A3 (Ptr, Ptr, Int)), "a0 a1 a2", "c3 c4 a0", "c3 c4 a2";
+      Probe (A5 (Int, Ptr, Ptr, Ptr, Ptr)), "a0 a1 a2 a3 a4",
+      "a0 c3 c4 c5 c6", "a0 c4 c5 c6 c7";
+      Probe (A6 (Ptr, Int, Ptr, Ptr, Ptr, Int)), "a0 a1 a2 a3 a4 a5",
+      "c3 a0 c4 c5 c6 a1", "c3 a1 c5 c6 c7 a5" ]
+  in
+  List.iter
+    (fun (Probe s, legacy, sys, rt) ->
+      let u = upcall "probe" s (recorder s) in
+      List.iter
+        (fun (abi, split, want) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" (Abi.to_string abi)
+               (if split then "syscall" else "builtin"))
+            want
+            (String.concat " " (call ~split abi ctx u () ())))
+        [ Abi.Mips64, true, legacy; Abi.Mips64, false, legacy;
+          Abi.Asan, true, legacy; Abi.Asan, false, legacy;
+          Abi.Cheriabi, true, sys; Abi.Cheriabi, false, rt ])
+    cases
+
+(* --- Unknown numbers at both boundaries ---------------------------------------------- *)
+
+let ret_insn = function
+  | Abi.Cheriabi -> Insn.CJR Reg.cra
+  | Abi.Mips64 | Abi.Asan -> Insn.Jr Reg.ra
+
+let main_only name body =
+  Sobj.make ~name
+    ~exports:[ { Sobj.exp_name = "main"; exp_kind = Sobj.Func; exp_off = 0 } ]
+    (Asm.Lbl "main" :: body)
+
+(* An unimplemented syscall returns -ENOSYS and the caller carries on; it
+   is counted in no [syscall_stats] key. Exit code 10+i names the first
+   number that did not. *)
+let test_unknown_syscalls () =
+  let nums = [ 0; 8; 562; -1; 1 lsl 40 ] in
+  let enosys = Cheri_kernel.Errno.to_code Cheri_kernel.Errno.ENOSYS in
+  List.iter
+    (fun abi ->
+      let k = boot () in
+      let probes =
+        List.concat
+          (List.mapi
+             (fun i n ->
+               let next = Printf.sprintf "ok%d" i in
+               [ Asm.I (Insn.Li (Reg.v0, n));
+                 Asm.I Insn.Syscall;
+                 Asm.I (Insn.Li (Reg.t0, -enosys));
+                 Asm.beq Reg.v0 Reg.t0 next;
+                 Asm.I (Insn.Li (Reg.v0, 10 + i));
+                 Asm.I (ret_insn abi);
+                 Asm.Lbl next ])
+             nums)
+      in
+      install_exe k ~path:"/bin/nosys" ~abi
+        (main_only "nosys"
+           (probes @ [ Asm.I (Insn.Li (Reg.v0, 0)); Asm.I (ret_insn abi) ]));
+      let _ = check_exit 0 (run k "/bin/nosys") in
+      Alcotest.(check (list string))
+        (Abi.to_string abi ^ ": syscall_stats keys") [ "exit" ]
+        (Hashtbl.fold (fun n _ acc -> n :: acc) k.Kstate.syscall_stats []))
+    [ Abi.Mips64; Abi.Cheriabi ]
+
+(* An unknown builtin number kills the caller with SIGILL and says so. *)
+let test_unknown_builtins () =
+  List.iter
+    (fun abi ->
+      List.iter
+        (fun n ->
+          let k = boot () in
+          install_exe k ~path:"/bin/nort" ~abi
+            (main_only "nort"
+               [ Asm.I (Insn.Rt n);
+                 Asm.I (Insn.Li (Reg.v0, 0));
+                 Asm.I (ret_insn abi) ]);
+          let ((_, _, p) as r) = run k "/bin/nort" in
+          check_signal Signo.sigill r;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: fault log names builtin %d"
+               (Abi.to_string abi) n)
+            true
+            (List.mem (Printf.sprintf "unknown runtime builtin %d" n)
+               p.Proc.fault_log))
+        [ 13; 15; -1; 9999 ])
+    [ Abi.Mips64; Abi.Cheriabi ]
 
 let suite =
   [ "hello mips64", `Quick, test_hello_mips64;
@@ -600,4 +751,8 @@ let suite =
     test_getcwd_overflow_missed_mips64;
     "getcwd correct ok (cheriabi)", `Quick, test_getcwd_correct_ok_cheriabi;
     "syscall table matches the compiler's intrinsics", `Quick,
-    test_syscall_table_matches_intrinsics ]
+    test_syscall_table_matches_intrinsics;
+    "marshaller reads each argument from its convention's register", `Quick,
+    test_marshaller_registers;
+    "unknown syscall numbers return ENOSYS", `Quick, test_unknown_syscalls;
+    "unknown builtin numbers get SIGILL", `Quick, test_unknown_builtins ]

@@ -32,7 +32,7 @@ let proc_for_alloc ?(abi = Abi.Cheriabi) k =
 (* Fork a stopped process through the real syscall path (so the
    [on_fork] allocator hook runs) and return the child. *)
 let fork_proc k (p : Proc.t) =
-  match Sys_impl.sys_fork k p [] with
+  match Sys_impl.sys_fork k p with
   | Sys_impl.RInt pid -> Option.get (Kstate.find_proc k pid)
   | _ -> Alcotest.fail "fork did not return a pid"
 
@@ -369,12 +369,12 @@ let test_counters_conserved () =
   ignore (check_conserved k "child B remote frees");
   let parked =
     evict_checked k b "child B exit" (fun () ->
-        ignore (Sys_impl.sys_exit k b [ Cheri_kernel.Uarg.UInt 0 ]))
+        ignore (Sys_impl.sys_exit k b 0))
   in
   Alcotest.(check int) "child B exited with slots parked" 4 parked;
   ignore
     (evict_checked k a "child A exit" (fun () ->
-         ignore (Sys_impl.sys_exit k a [ Cheri_kernel.Uarg.UInt 0 ])));
+         ignore (Sys_impl.sys_exit k a 0)));
   (* The parent's execve evicts its heap; the new image starts a fresh
      one. *)
   let image =

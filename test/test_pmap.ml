@@ -411,7 +411,7 @@ let test_fork_charge_unchanged () =
       let a, _ = Malloc_impl.malloc k p 200 in
       ignore (Pmap.kernel_touch (Addr_space.pmap p.Proc.asp) a ~write:true);
       let before = p.Proc.ctx.Cheri_isa.Cpu.cycles in
-      (match Sys_impl.sys_fork k p [] with
+      (match Sys_impl.sys_fork k p with
        | Sys_impl.RInt _ -> ()
        | _ -> Alcotest.fail "fork did not return a pid");
       Alcotest.(check int)

@@ -133,16 +133,24 @@ let run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
   else 1
 
 (* --verify: compile and link exactly as execve would, then run the
-   capability abstract interpreter over the linked image. *)
+   capability abstract interpreter over the linked image. A GOT symbol the
+   image does not define is rejected here, as execve rejects it when it
+   fills the GOT. *)
 let verify_file ~abi ~opts ~no_libc ~file src =
+  let module Rtld = Cheri_rtld.Rtld in
   let link =
     let image =
       if no_libc then
         Cheri_cc.Compile.build_image ~opts ~abi ~name:"prog" src
       else Cheri_workloads.Stdlib_src.build_image ~opts ~abi ~name:"prog" src
     in
-    Cheri_rtld.Rtld.link ~abi image
+    Rtld.link ~abi image
   in
+  List.iter
+    (fun (s, _) ->
+      if not (Hashtbl.mem link.Rtld.lk_symtab s) then
+        raise (Rtld.Link_error ("unresolved GOT symbol " ^ s)))
+    link.Rtld.lk_got;
   let module Absint = Cheri_analysis.Absint in
   let r = Cheri_workloads.Harness.verify_image ~abi link in
   if r.Absint.r_diags = [] then begin

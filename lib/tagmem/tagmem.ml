@@ -451,34 +451,35 @@ let is_zero t addr len =
   in
   go 0
 
-(* The digest's scratch image: one per domain, grown to the largest memory
-   digested there. [dirty] marks its frames that may hold nonzero bytes. *)
-type scratch = { mutable img : Bytes.t; mutable dirty : Bytes.t }
+(* Incremental MD5 over the runtime's own implementation (md5_stubs.c). The
+   context is a [bytes] of [md5_ctx_size]; no stub allocates or raises. *)
+external md5_ctx_size : unit -> int = "tagmem_md5_ctx_size" [@@noalloc]
+external md5_init : Bytes.t -> unit = "tagmem_md5_init" [@@noalloc]
+external md5_update : Bytes.t -> Bytes.t -> int -> int -> unit
+  = "tagmem_md5_update" [@@noalloc]
+external md5_final : Bytes.t -> Bytes.t -> unit = "tagmem_md5_final"
+  [@@noalloc]
 
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { img = Bytes.empty; dirty = Bytes.empty })
+let md5_ctx_size = md5_ctx_size ()
 
-(* MD5 of the whole data store, as one contiguous image: resident frames
-   are copied into the scratch image and frames left there by an earlier
-   digest are zeroed again. *)
+(* MD5 of the whole data store, as if it were one contiguous image: one
+   context is fed the frames in ascending order, the shared [zero_frame]
+   standing for every frame never written, and the last frame only up to
+   [size]. One stub call per frame keeps the loop polling, so a
+   stop-the-world collection asked for by another domain waits for one
+   frame's hash, not the whole memory's. *)
 let digest t =
-  let s = Domain.DLS.get scratch_key in
-  let nframes = Array.length t.frames in
-  if Bytes.length s.dirty < nframes then begin
-    s.img <- Bytes.make (nframes lsl frame_shift) '\000';
-    s.dirty <- Bytes.make nframes '\000'
-  end;
-  Array.iteri
-    (fun fi f ->
-      if f != zero_frame then begin
-        Bytes.blit f 0 s.img (fi lsl frame_shift) frame_size;
-        Bytes.unsafe_set s.dirty fi '\001'
-      end else if Bytes.unsafe_get s.dirty fi <> '\000' then begin
-        Bytes.fill s.img (fi lsl frame_shift) frame_size '\000';
-        Bytes.unsafe_set s.dirty fi '\000'
-      end)
-    t.frames;
-  Digest.subbytes s.img 0 t.size
+  let ctx = Bytes.create md5_ctx_size in
+  md5_init ctx;
+  let last = Array.length t.frames - 1 in
+  for fi = 0 to last - 1 do
+    md5_update ctx (Array.unsafe_get t.frames fi) 0 frame_size
+  done;
+  md5_update ctx (Array.unsafe_get t.frames last) 0
+    (t.size - (last lsl frame_shift));
+  let out = Bytes.create 16 in
+  md5_final ctx out;
+  Bytes.unsafe_to_string out
 
 (* --- Capability access ----------------------------------------------------- *)
 

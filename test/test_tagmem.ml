@@ -291,9 +291,10 @@ let check_digest name m =
     (Digest.to_hex (Digest.bytes (Tagmem.read_bytes m 0 (Tagmem.size m))))
     (Digest.to_hex (Tagmem.digest m))
 
-(* Two memories of different sizes (one ending mid-frame) digested in turn
-   in one domain share one scratch image: frames one of them left there
-   must not leak into the other's digest. *)
+(* Two memories of different sizes (one ending mid-frame) digested in turn,
+   each written, re-digested and zeroed back in between: every digest is
+   the MD5 of the memory's own bytes, whatever was digested before it, and
+   the partial last frame hashes only up to the memory's size. *)
 let test_digest_alternating () =
   let small = mk () and big = Tagmem.create ~size:((1 lsl 17) + 0x830) in
   Tagmem.write_int small 0x10 ~len:8 0x1234;
@@ -311,6 +312,40 @@ let test_digest_alternating () =
     (Digest.to_hex (Tagmem.digest small));
   Tagmem.fill big frame frame 0;
   check_digest "big frame zeroed back" big
+
+(* The digest depends on the bytes, not on which frames hold a buffer: a
+   frame written and then zeroed byte by byte stays resident, yet hashes
+   as the never-written zero frame does. *)
+let test_digest_ignores_residency () =
+  let hex m = Digest.to_hex (Tagmem.digest m) in
+  let untouched = mk () and m = mk () in
+  let a = frame + 0x7fc in
+  for i = 0 to 7 do Tagmem.write_int m (a + i) ~len:1 (0x10 + i) done;
+  Alcotest.(check bool) "written frame changes the digest" true
+    (hex m <> hex untouched);
+  for i = 0 to 7 do Tagmem.write_int m (a + i) ~len:1 0 done;
+  Alcotest.(check int) "zeroed frame stays resident" 1
+    (Tagmem.resident_frames m);
+  Alcotest.(check string) "digest of the untouched memory" (hex untouched)
+    (hex m)
+
+(* The digest streams frames through one MD5 context: hashing a 64 MiB
+   memory allocates the context and the result, not a copy of the memory
+   (8M words). *)
+let test_digest_allocation () =
+  let m = Tagmem.create ~size:(64 lsl 20) in
+  List.iter
+    (fun a -> Tagmem.write_int m a ~len:8 (a + 1))
+    [ 0x10; 5 * frame; (64 lsl 20) - 8 ];
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words
+  in
+  let before = words () in
+  ignore (Tagmem.digest m);
+  let used = words () -. before in
+  if used > 1000. then
+    Alcotest.failf "digest of 64 MiB allocated %.0f words (at most 1000)" used
 
 (* --- Phys ------------------------------------------------------------------- *)
 
@@ -496,6 +531,8 @@ let suite =
     "tag sweep across frames", `Quick, test_clear_tags_across_frames;
     "fixed-width accessors", `Quick, test_fixed_width_accessors;
     "digest of alternating memories", `Quick, test_digest_alternating;
+    "digest ignores frame residency", `Quick, test_digest_ignores_residency;
+    "digest allocation is bounded", `Quick, test_digest_allocation;
     "phys alloc/free", `Quick, test_phys_alloc_free;
     "phys refcount", `Quick, test_phys_refcount;
     "phys alloc zeroes", `Quick, test_phys_alloc_zeroes;

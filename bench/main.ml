@@ -350,9 +350,7 @@ let engine_bench () =
   let run_pass engine =
     List.fold_left
       (fun (insns, secs, chs) (abi, argv, image) ->
-        let k = Cheri_kernel.Kernel.boot () in
-        k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-        Cheri_libc.Runtime.install k;
+        let k = Cheri_libc.Runtime.boot ~engine () in
         Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs "/bin/bench" ~abi
           image;
         let t0 = Unix.gettimeofday () in
@@ -491,8 +489,7 @@ let fleet_bench () =
 let malloc_contention () =
   let module MI = Cheri_libc.Malloc_impl in
   header "Malloc contention: sharded allocator, remote-free queues, sweeps";
-  let k = Cheri_kernel.Kernel.boot () in
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot () in
   Stdlib_src.install k ~path:"/bin/idle" ~abi:Abi.Cheriabi
     "int main(int argc, char **argv) { return 0; }";
   let p =

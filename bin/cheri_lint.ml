@@ -12,13 +12,6 @@ module Lint = Cheri_analysis.Lint
 module Compat = Cheri_workloads.Compat
 module Stdlib_src = Cheri_workloads.Stdlib_src
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let zero = List.map (fun c -> c, 0) Lint.categories
 
 let add_counts a b =
@@ -68,7 +61,9 @@ let () =
       (fun f ->
         if String.length f > 1 && f.[0] = '-' then
           usage_error "unknown option %S" f;
-        (f, try read_file f with Sys_error msg -> usage_error "%s" msg))
+        match Cheri_cc.Compile.read_source f with
+        | Ok src -> (f, src)
+        | Error msg -> usage_error "%s" msg)
       files
   in
   let file_total =

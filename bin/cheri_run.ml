@@ -17,13 +17,6 @@ module Cache = Cheri_tagmem.Cache
 module Trace = Cheri_isa.Trace
 module G = Cheri_core.Granularity
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let abi_conv =
   let parse = function
     | "mips64" -> Ok Abi.Mips64
@@ -115,7 +108,7 @@ let run_fleet ~abi ~engine ~no_libc ~opts ~file ~args ~fleet_n ~domains
       Printf.printf "%-24s %6d %12d %9d %8.3f  %s\n" m.Fleet.mr_label
         m.Fleet.mr_domain m.Fleet.mr_insns m.Fleet.mr_requests
         m.Fleet.mr_host_seconds
-        (Fleet.status_str m.Fleet.mr_status))
+        (Cheri_libc.Snapshot.status_str m.Fleet.mr_status))
     r.Fleet.f_results;
   Printf.printf
     "aggregate: %.2f sim-MIPS over %d machines, %d domains (%d workers)\n"
@@ -175,7 +168,11 @@ let verify_file ~abi ~opts ~no_libc ~file src =
 
 let run file abi engine args dump_asm stats trace no_libc clc_small lint
     verify astats fleet_n domains =
-  let src = read_file file in
+  let src =
+    match Cheri_cc.Compile.read_source file with
+    | Ok src -> src
+    | Error msg -> prerr_endline msg; exit 2
+  in
   let opts =
     { (Cheri_cc.Compile.default_options abi) with clc_large_imm = not clc_small }
   in
@@ -220,9 +217,7 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
     0
   end
   else begin
-    let k = Kernel.boot () in
-    k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-    Cheri_libc.Runtime.install k;
+    let k = Cheri_libc.Runtime.boot ~engine () in
     let collector = Trace.collector () in
     if trace then begin
       k.Cheri_kernel.Kstate.tracer <- Some (Trace.sink_of collector);

@@ -24,13 +24,6 @@ module Compat = Cheri_workloads.Compat
 module Stdlib_src = Cheri_workloads.Stdlib_src
 module Harness = Cheri_workloads.Harness
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 type totals = {
   mutable t_must : int;
   mutable t_warn : int;
@@ -129,7 +122,10 @@ let () =
   let corpus = !corpus and abi = !abi and min_elide = !min_elide in
   let sources =
     List.map
-      (fun f -> (f, try read_file f with Sys_error msg -> usage_error "%s" msg))
+      (fun f ->
+        match Cheri_cc.Compile.read_source f with
+        | Ok src -> (f, src)
+        | Error msg -> usage_error "%s" msg)
       files
   in
   List.iter (fun (f, src) -> verify_named ~abi f src) sources;

@@ -12,6 +12,15 @@ type options = Codegen.options = {
 
 let default_options = Codegen.default_options
 
+(* The text of source file [path], or [Error "PATH: reason"] when it
+   cannot be read: missing, unreadable, or a directory. *)
+let read_source path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | src -> Ok src
+  | exception Sys_error msg ->
+    let prefix = path ^ ": " in
+    Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
 (* Compile one translation unit. [diagnostics] is a hook handed the typed
    unit before code generation — the provenance lint (lib/analysis) plugs
    in here without the compiler depending on it. *)

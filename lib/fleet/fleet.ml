@@ -32,10 +32,8 @@
    runner, so cycles and latencies are deterministic and
    domain-count-independent too. *)
 
-module Cap = Cheri_cap.Cap
 module Cpu = Cheri_isa.Cpu
 module Bbcache = Cheri_isa.Bbcache
-module Tagmem = Cheri_tagmem.Tagmem
 module Cache = Cheri_tagmem.Cache
 module Abi = Cheri_core.Abi
 module Kernel = Cheri_kernel.Kernel
@@ -43,6 +41,7 @@ module Kstate = Cheri_kernel.Kstate
 module Proc = Cheri_kernel.Proc
 module Vfs = Cheri_kernel.Vfs
 module Runtime = Cheri_libc.Runtime
+module Snapshot = Cheri_libc.Snapshot
 module Malloc_impl = Cheri_libc.Malloc_impl
 module Stdlib_src = Cheri_workloads.Stdlib_src
 module Openssl_sim = Cheri_workloads.Openssl_sim
@@ -85,60 +84,8 @@ type machine_result = {
   mr_alloc : (string * int) list;  (* machine-lifetime allocator counters *)
 }
 
-(* --- Snapshot --------------------------------------------------------------- *)
-
-let status_str = function
-  | None -> "running"
-  | Some (Proc.Exited n) -> Printf.sprintf "exited %d" n
-  | Some (Proc.Signaled n) -> Printf.sprintf "signaled %d" n
-
-(* Everything 1-domain and N-domain runs must agree on, rendered printable
-   so a divergence shows up as a readable diff (same spirit as the engine
-   fuzzer's snapshot): final architectural state of the driven process,
-   console, fault log, cache-hierarchy counters, and digests of the whole
-   physical memory and tag map. *)
-let snapshot k (p : Proc.t) status =
-  let b = Buffer.create 1024 in
-  let ctx = p.Proc.ctx in
-  Printf.bprintf b "status=%s\n" (status_str status);
-  Printf.bprintf b "instret=%d cycles=%d\n" ctx.Cpu.instret ctx.Cpu.cycles;
-  Printf.bprintf b "pcc=%s\nddc=%s\n" (Cap.to_string ctx.Cpu.pcc)
-    (Cap.to_string ctx.Cpu.ddc);
-  for r = 1 to 31 do
-    if ctx.Cpu.gpr.(r) <> 0 then Printf.bprintf b "r%d=%x " r ctx.Cpu.gpr.(r)
-  done;
-  Buffer.add_char b '\n';
-  for r = 1 to 31 do
-    let c = Cpu.rd_creg ctx r in
-    if not (Cap.equal c Cap.null) then
-      Printf.bprintf b "c%d=%s\n" r (Cap.to_string c)
-  done;
-  let h = Kstate.hierarchy k in
-  Printf.bprintf b "il1=%d/%d dl1=%d/%d l2=%d/%d\n"
-    (Cache.hits h.Cache.il1) (Cache.misses h.Cache.il1)
-    (Cache.hits h.Cache.dl1) (Cache.misses h.Cache.dl1)
-    (Cache.hits h.Cache.l2) (Cache.misses h.Cache.l2);
-  Printf.bprintf b "syscalls=%d\n" p.Proc.syscall_count;
-  (* Machine-lifetime allocator counters: shard traffic (remote frees,
-     drains, ownership-change sweeps) must be bit-identical across domain
-     counts, so it belongs in the differential snapshot. *)
-  Printf.bprintf b "alloc=%s\n"
-    (String.concat " "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "%s:%d" name v)
-          (Malloc_impl.machine_counters k)));
-  Printf.bprintf b "faults=%s\n" (String.concat "|" p.Proc.fault_log);
-  Printf.bprintf b "console=%s\n" (String.escaped (Buffer.contents p.Proc.console));
-  let mem = k.Kstate.mem in
-  Printf.bprintf b "data=%s\n" (Digest.to_hex (Tagmem.digest mem));
-  (* The tag map renders as the comma-separated tagged offsets. *)
-  let tags = Buffer.create 4096 in
-  Tagmem.iter_tags mem 0 (Tagmem.size mem) (fun off ->
-      if Buffer.length tags > 0 then Buffer.add_char tags ',';
-      Buffer.add_string tags (string_of_int off));
-  Printf.bprintf b "tags=%s\n"
-    (Digest.to_hex (Digest.string (Buffer.contents tags)));
-  Buffer.contents b
+(* Kept for simbench, which renders its traced fleet machines with it. *)
+let snapshot = Snapshot.machine
 
 (* --- Running one machine ---------------------------------------------------- *)
 
@@ -152,9 +99,7 @@ let count_marker s c =
    does. *)
 let run_machine ?(engine = Cpu.Chain) spec =
   let host0 = Unix.gettimeofday () in
-  let k = Kernel.boot () in
-  k.Kstate.config.Kstate.engine <- engine;
-  Runtime.install k;
+  let k = Runtime.boot ~engine () in
   Vfs.add_exe k.Kstate.vfs spec.ms_path ~abi:spec.ms_abi spec.ms_image;
   let p = Kernel.spawn k ~path:spec.ms_path ~argv:spec.ms_argv () in
   let stamps = ref [] in                     (* newest first *)
@@ -194,7 +139,7 @@ let run_machine ?(engine = Cpu.Chain) spec =
     mr_requests = !seen;
     mr_latencies = lats;
     mr_host_seconds = Unix.gettimeofday () -. host0;
-    mr_snapshot = snapshot k p status;
+    mr_snapshot = Snapshot.machine k p status;
     mr_alloc = Malloc_impl.machine_counters k }
 
 (* --- Fleet run -------------------------------------------------------------- *)

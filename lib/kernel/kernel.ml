@@ -58,9 +58,4 @@ let run_chunked ?(chunk = 20_000) ~max_steps k (p : Proc.t) ~on_chunk =
 let run_program ?(max_steps = 200_000_000) k ~path ~argv =
   let p = spawn k ~path ~argv () in
   let _ = run ~max_steps k in
-  let status =
-    match p.Proc.state with
-    | Proc.Zombie s -> Some s
-    | Proc.Runnable | Proc.Sleeping _ | Proc.Stopped _ -> None
-  in
-  status, Buffer.contents p.Proc.console, p
+  status_of k p.Proc.pid, Buffer.contents p.Proc.console, p

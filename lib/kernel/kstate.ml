@@ -48,7 +48,7 @@ let fork_cap_frame_cost = 260           (* extra for capability context *)
 
 type config = {
   mutable engine : Cpu.engine;          (* execution engine (docs/INTERP.md) *)
-  mutable quantum : int;                (* instructions per timeslice *)
+  quantum : int;                        (* instructions per timeslice *)
   (* Inert: the kernel never calls it. Kept, with the type of
      [Absint.provider], only because simbench/simbench.ml still sets
      it. *)
@@ -58,13 +58,11 @@ type config = {
      (int * Cheri_isa.Insn.t array) list -> unit) option;
 }
 
-let default_config () =
-  { (* Chaining block engine by default: bit-identical to Step (the
-       differential fuzzer and kernel parity tests enforce it), so every
-       workload run in the suite also exercises the chained paths. *)
-    engine = Cpu.Chain;
-    quantum = 20_000;
-    fact_provider = None }
+(* Chaining block engine by default: bit-identical to Step (the
+   differential fuzzer and kernel parity tests enforce it), so every
+   workload run in the suite also exercises the chained paths. *)
+let default_config ?(engine = Cpu.Chain) ?(quantum = 20_000) () =
+  { engine; quantum; fact_provider = None }
 
 (* Extensible slot for state owned by the runtime library (the allocator):
    libc depends on the kernel, not vice versa, so the kernel can only
@@ -131,7 +129,7 @@ let narrowed_user_root =
        ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
     user_perms
 
-let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
+let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size ?engine ?quantum () =
   let mem = Tagmem.create ~size:mem_size in
   let phys = Phys.create mem in
   let swap = Swap.create () in
@@ -150,7 +148,7 @@ let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
     rt_alloc = None;
     on_asp_destroy = None;
     on_fork = None;
-    config = default_config ();
+    config = default_config ?engine ?quantum ();
     syscall_stats = Hashtbl.create 64 }
 
 let hierarchy k = k.machine.Cpu.hier

@@ -427,3 +427,11 @@ let install k =
      their payloads. *)
   Malloc_impl.set_on_map k
     (fun k p base len -> if is_asan p then shadow_set k p base len 1)
+
+(* The one way to boot a machine: a kernel on [engine] with timeslice
+   [quantum] (the kernel's defaults when omitted) and this runtime
+   installed. *)
+let boot ?mem_size ?l2_size ?engine ?quantum () =
+  let k = K.boot ?mem_size ?l2_size ?engine ?quantum () in
+  install k;
+  k

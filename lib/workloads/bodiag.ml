@@ -342,8 +342,7 @@ type outcome =
 
 let run_one ~abi (t : test) variant =
   let src = source t variant in
-  let k = Cheri_kernel.Kernel.boot ~mem_size:(12 * 1024 * 1024) () in
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot ~mem_size:(12 * 1024 * 1024) () in
   (try Cheri_cc.Compile.install k ~path:"/bin/bo" ~abi src
    with Cheri_cc.Ast.Compile_error m ->
      failwith

@@ -108,8 +108,7 @@ type verdict = {
 
 let run_one (b : bug) =
   let status_of abi =
-    let k = Kernel.boot ~mem_size:(16 * 1024 * 1024) () in
-    Cheri_libc.Runtime.install k;
+    let k = Cheri_libc.Runtime.boot ~mem_size:(16 * 1024 * 1024) () in
     Stdlib_src.install k ~path:"/bin/bug" ~abi b.b_src;
     let status, _out, _ =
       Kernel.run_program ~max_steps:3_000_000 k ~path:"/bin/bug"

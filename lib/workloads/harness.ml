@@ -47,21 +47,11 @@ let verify_image ~abi link =
   Cheri_analysis.Absint.verify ~ddc ~pcc_may:Kstate.user_perms ~entries ~got
     link.Cheri_rtld.Rtld.lk_code
 
-(* Run [src] (linked against libc) under [abi] and measure. [engine]
-   selects the interpreter (default: the kernel config's default, i.e. the
-   chain engine); [quantum] overrides the scheduler timeslice, which the
-   engine-parity tests use to force mid-block preemption. *)
+(* Run [src] (linked against libc) under [abi] on a fresh machine with
+   the kernel's default engine and timeslice, and measure. *)
 let run ?opts ?(extra_libs = []) ?(argv = [ "prog" ])
-    ?(max_steps = 400_000_000) ?l2_size ?engine ?quantum
-    ~abi src =
-  let k = Kernel.boot ?l2_size () in
-  (match engine with
-   | Some e -> k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- e
-   | None -> ());
-  (match quantum with
-   | Some q -> k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.quantum <- q
-   | None -> ());
-  Cheri_libc.Runtime.install k;
+    ?(max_steps = 400_000_000) ?l2_size ~abi src =
+  let k = Cheri_libc.Runtime.boot ?l2_size () in
   let image =
     Stdlib_src.build_image ?opts ~abi ~name:"bench" ~extra_libs src
   in

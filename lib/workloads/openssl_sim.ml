@@ -289,8 +289,7 @@ let traffic_server_src ~rounds ~payload ~seed =
 (* Run the server under CheriABI with tracing; returns (status, output,
    trace events). *)
 let run_traced () =
-  let k = Kernel.boot () in
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot () in
   let collector = Trace.collector () in
   k.Cheri_kernel.Kstate.tracer <- Some (Trace.sink_of collector);
   Stdlib_src.install k ~path:"/bin/s_server" ~abi:Abi.Cheriabi

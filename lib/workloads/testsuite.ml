@@ -712,8 +712,7 @@ type counts = {
 }
 
 let run_test ~abi ~extra_libs ~prelude (name, src) =
-  let k = Kernel.boot ~mem_size:(16 * 1024 * 1024) () in
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot ~mem_size:(16 * 1024 * 1024) () in
   (* Link errors (e.g. a function missing from one ABI's library build)
      surface either at install or at image activation: both are test
      failures, like a binary that fails to start. *)

@@ -511,8 +511,7 @@ let test_analysis_stats_match_verify () =
         Cheri_workloads.Stdlib_src.build_image ~abi ~name:"stats"
           Test_engines.parity_src
       in
-      let k = Cheri_kernel.Kernel.boot () in
-      Cheri_libc.Runtime.install k;
+      let k = Cheri_libc.Runtime.boot () in
       Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs "/bin/stats" ~abi
         image;
       let status, _, p =
@@ -575,10 +574,8 @@ let test_kernel_elide_parity () =
       Alcotest.(check bool) (label ^ ": some checks provable") true
         (r.Absint.r_flow_elided > 0);
       let measure provider =
-        let k = Kernel.boot () in
-        k.Kstate.config.Kstate.engine <- Cpu.Chain;
+        let k = Cheri_libc.Runtime.boot ~engine:Cpu.Chain () in
         k.Kstate.config.Kstate.fact_provider <- provider;
-        Cheri_libc.Runtime.install k;
         Cheri_kernel.Vfs.add_exe k.Kstate.vfs "/bin/parity" ~abi image;
         let status, out, p =
           Kernel.run_program k ~path:"/bin/parity" ~argv:[ "parity" ]

@@ -29,8 +29,7 @@ let flags_cat cat diags = List.exists (fun d -> d.Lint.d_cat = cat) diags
 type outcome = Trapped | Ran of int
 
 let run_cheriabi ?(subobject = false) src =
-  let k = Kernel.boot () in
-  Runtime.install k;
+  let k = Runtime.boot () in
   let opts =
     { (Compile.default_options Abi.Cheriabi) with subobject_bounds = subobject }
   in

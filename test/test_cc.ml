@@ -13,8 +13,7 @@ module Runtime = Cheri_libc.Runtime
 let all_abis = [ Abi.Mips64; Abi.Cheriabi; Abi.Asan ]
 
 let run_src ?(abi = Abi.Cheriabi) ?(argv = [ "prog" ]) ?(libs = []) src =
-  let k = Kernel.boot () in
-  Runtime.install k;
+  let k = Runtime.boot () in
   Compile.install k ~path:"/bin/t" ~abi ~libs src;
   let status, out, p = Kernel.run_program k ~path:"/bin/t" ~argv in
   status, out, p
@@ -616,15 +615,13 @@ let test_subobject_bounds_optin () =
     |}
   in
   (* Default (paper's choice): whole-struct bounds, intra-object write OK. *)
-  let k = Kernel.boot () in
-  Runtime.install k;
+  let k = Runtime.boot () in
   Compile.install k ~path:"/bin/t" ~abi:Abi.Cheriabi src;
   (match Kernel.run_program k ~path:"/bin/t" ~argv:[ "t" ] with
    | Some (Proc.Exited 0), _, _ -> ()
    | _ -> Alcotest.fail "default should allow intra-object");
   (* With sub-object bounds: caught. *)
-  let k = Kernel.boot () in
-  Runtime.install k;
+  let k = Runtime.boot () in
   let opts =
     { (Compile.default_options Abi.Cheriabi) with subobject_bounds = true }
   in

@@ -36,7 +36,8 @@ module Cpu = Cheri_isa.Cpu
 module Bbcache = Cheri_isa.Bbcache
 module Trap = Cheri_isa.Trap
 module Abi = Cheri_core.Abi
-module Harness = Cheri_workloads.Harness
+module Runtime = Cheri_libc.Runtime
+module Snapshot = Cheri_libc.Snapshot
 
 (* --- Deterministic program generator ------------------------------------------ *)
 
@@ -231,55 +232,19 @@ let setup insns seed =
 
 (* --- Observable-state snapshot --------------------------------------------------- *)
 
-let cap_str c =
-  Printf.sprintf "%c p%x [%x,%x) @%x o%d"
-    (if Cap.is_tagged c then 'T' else '-')
-    (Cap.perms c) (Cap.base c) (Cap.top c) (Cap.addr c) (Cap.otype c)
-
 let stop_str = function
   | None -> "fuel-exhausted"
   | Some Cpu.Stop_syscall -> "syscall"
   | Some (Cpu.Stop_rt n) -> Printf.sprintf "rt %d" n
   | Some (Cpu.Stop_trap c) -> "trap: " ^ Trap.to_string c
 
-(* Everything the two engines must agree on, rendered printable so a
-   mismatch shows up as a readable diff. *)
+(* Everything the two engines must agree on: the stop cause, then the
+   shared machine renderer's registers, whole cache state and whole-memory
+   digests, so a mismatch shows up as a readable diff. *)
 let snapshot stop (m : Cpu.machine) (ctx : Cpu.ctx) mem =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (stop_str stop);
-  Buffer.add_char b '\n';
-  Printf.bprintf b "instret=%d cycles=%d\n" ctx.Cpu.instret ctx.Cpu.cycles;
-  Printf.bprintf b "pcc=%s\nddc=%s\n" (cap_str ctx.Cpu.pcc)
-    (cap_str ctx.Cpu.ddc);
-  for r = 1 to 31 do
-    if ctx.Cpu.gpr.(r) <> 0 then
-      Printf.bprintf b "r%d=%x " r ctx.Cpu.gpr.(r)
-  done;
-  Buffer.add_char b '\n';
-  for r = 1 to 31 do
-    let c = Cpu.rd_creg ctx r in
-    if not (Cap.equal c Cap.null) then
-      Printf.bprintf b "c%d=%s\n" r (cap_str c)
-  done;
-  (* Each cache level's whole state, not just its totals: the chain
-     engine batches instruction-fetch hits, and a batch that left one LRU
-     stamp or the clock off would show here. *)
-  let level (c : Cache.t) =
-    let digest a = Digest.to_hex (Digest.string (Marshal.to_string a [])) in
-    Printf.bprintf b "%s=%d/%d clock=%d tags=%s lru=%s\n" (Cache.name c)
-      (Cache.hits c) (Cache.misses c) c.Cache.clock (digest c.Cache.tags)
-      (digest c.Cache.lru)
-  in
-  let h = m.Cpu.hier in
-  level h.Cache.il1;
-  level h.Cache.dl1;
-  level h.Cache.l2;
-  Printf.bprintf b "data=%s\n"
-    (Digest.to_hex (Digest.bytes (Tagmem.read_bytes mem data_base data_len)));
-  Printf.bprintf b "tags=%s\n"
-    (String.concat ","
-       (List.map string_of_int (Tagmem.scan_tags mem 0 mem_size)));
-  Buffer.contents b
+  String.concat ""
+    [ stop_str stop; "\n"; Snapshot.regs ctx; Snapshot.caches m.Cpu.hier;
+      Snapshot.memory mem ]
 
 let fuel = 2_500
 
@@ -1016,7 +981,10 @@ let qcheck_can_trap =
       (String.concat " "
          (Array.to_list (Array.mapi (fun i v -> Printf.sprintf "r%d=%d" (i + 1) v) gprs)))
       (String.concat "\n"
-         (Array.to_list (Array.mapi (fun i c -> Printf.sprintf "c%d=%s" (i + 1) (cap_str c)) caps)))
+         (Array.to_list
+            (Array.mapi
+               (fun i c -> Printf.sprintf "c%d=%s" (i + 1) (Cap.to_string c))
+               caps)))
   in
   QCheck.Test.make ~name:"Insn.can_trap: a safe instruction never traps"
     ~count:3000
@@ -1363,9 +1331,7 @@ let test_chain_mprotect_severs () =
   in
   List.iter
     (fun abi ->
-      let k = Kernel.boot () in
-      k.Kstate.config.Kstate.engine <- Cpu.Chain;
-      Cheri_libc.Runtime.install k;
+      let k = Runtime.boot ~engine:Cpu.Chain () in
       Stdlib_src.install k ~path:"/bin/hot" ~abi
         {|
 int main(int argc, char **argv) {
@@ -1416,26 +1382,24 @@ int main(int argc, char **argv) {
 (* --- Per-address-space block tables ------------------------------------------- *)
 
 (* A kernel on [engine] with [progs] installed, as (path, image) pairs.
-   Simulated RAM is small because [Fleet.snapshot] digests all of it. *)
+   Simulated RAM is small because [Snapshot.memory] digests all of it. *)
 let boot_engine ~engine ?quantum ~abi progs =
-  let k = Kernel.boot ~mem_size:(4 * 1024 * 1024) () in
-  k.Kstate.config.Kstate.engine <- engine;
-  Option.iter (fun q -> k.Kstate.config.Kstate.quantum <- q) quantum;
-  Cheri_libc.Runtime.install k;
+  let k = Runtime.boot ~mem_size:(4 * 1024 * 1024) ~engine ?quantum () in
   List.iter
     (fun (path, image) ->
       Cheri_kernel.Vfs.add_exe k.Kstate.vfs path ~abi image)
     progs;
   k
 
-(* Run the machine to quiescence; [p] must exit 0. Its final snapshot. *)
+(* Run the machine to quiescence; [p] must exit 0. Its final snapshot,
+   with every cache level's whole state. *)
 let finish k (p : Proc.t) =
   let _ = Kernel.run k in
   let status = Kernel.status_of k p.Proc.pid in
   if status <> Some (Proc.Exited 0) then
     Alcotest.failf "%s did not exit cleanly (%s)" p.Proc.comm
       (String.concat "; " p.Proc.fault_log);
-  Cheri_fleet.Fleet.snapshot k p status
+  Snapshot.machine k p status ^ Snapshot.caches (Kstate.hierarchy k)
 
 let pingpong_rounds = 24
 
@@ -1707,17 +1671,10 @@ int main(int argc, char **argv) {
 }
 |}
 
-let measure ~engine ?quantum abi src =
-  let m = Harness.run ~engine ?quantum ~abi src in
-  if not (Harness.ok m) then
-    Alcotest.failf "parity run failed: %s (%s)" (Harness.status_string m)
-      (String.concat "; " m.Harness.m_faults);
-  ( m.Harness.m_output, m.Harness.m_instructions, m.Harness.m_cycles,
-    m.Harness.m_l2_misses )
-
-(* The chain engine against step: identical output, retired-instruction,
-   cycle and L2-miss counts — in particular
-   the same preemption points when [quantum] forces timeslices to expire
+(* The chain engine against step on a booted machine: the same final
+   snapshot (registers, console, syscall and allocator counters, every
+   cache level's whole state, memory and tag digests), in particular the
+   same preemption points when [quantum] forces timeslices to expire
    inside blocks and chains. Two programs: the directed one above, and
    MiBench security-sha, the first kernel of the Fig. 4 mix. *)
 let check_parity ?quantum abi =
@@ -1727,12 +1684,14 @@ let check_parity ?quantum abi =
         Printf.sprintf "%s %s chain%s" name (Abi.to_string abi)
           (match quantum with None -> "" | Some q -> Printf.sprintf " q=%d" q)
       in
-      let o1, i1, c1, l1 = measure ~engine:Cpu.Step ?quantum abi src in
-      let o2, i2, c2, l2 = measure ~engine:Cpu.Chain ?quantum abi src in
-      Alcotest.(check string) (label ^ ": output") o1 o2;
-      Alcotest.(check int) (label ^ ": instructions") i1 i2;
-      Alcotest.(check int) (label ^ ": cycles") c1 c2;
-      Alcotest.(check int) (label ^ ": L2 misses") l1 l2)
+      let image = Stdlib_src.build_image ~abi ~name src in
+      let path = "/bin/" ^ name in
+      let run engine =
+        let k = boot_engine ~engine ?quantum ~abi [ path, image ] in
+        finish k (Kernel.spawn k ~path ~argv:[ name ] ())
+      in
+      Alcotest.(check string) (label ^ ": snapshot") (run Cpu.Step)
+        (run Cpu.Chain))
     [ "parity", parity_src;
       "security-sha",
       Option.get (Cheri_workloads.Mibench.find "security-sha") ]
@@ -1757,9 +1716,7 @@ let chain_minor_words ~abi ~bench ~bound () =
     Stdlib_src.build_image ~abi ~name:bench
       (Option.get (Cheri_workloads.Mibench.find bench))
   in
-  let k = Kernel.boot () in
-  k.Kstate.config.Kstate.engine <- Cpu.Chain;
-  Cheri_libc.Runtime.install k;
+  let k = Runtime.boot ~engine:Cpu.Chain () in
   Cheri_kernel.Vfs.add_exe k.Kstate.vfs ("/bin/" ^ bench) ~abi image;
   let p = Kernel.spawn k ~path:("/bin/" ^ bench) ~argv:[ bench ] () in
   let w0 = Gc.minor_words () in

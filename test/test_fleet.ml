@@ -104,16 +104,19 @@ let custom_spec ~label ~name src =
    machines above. *)
 let traffic_machines = 3
 
+(* Cross-shard allocator traffic: remote-free queues, adoption and
+   ownership-change sweeps, all folded into the snapshot's alloc= line. *)
+let contention_spec () =
+  custom_spec ~label:"malloc_contention" ~name:"malloc_mc"
+    (Malloc_bench.contention_src ~objs:24 ~generations:4 ~churn:12 ())
+
 let mixed_specs () =
   Fleet.traffic_mix ~machines:traffic_machines ~rounds:3 ()
   @ [ custom_spec ~label:"fork_heavy" ~name:"fork_heavy" fork_heavy_src;
       custom_spec ~label:"mprotect_loops" ~name:"mprotect_hot" mprotect_src;
-      (* Cross-shard allocator traffic: remote-free queues, adoption and
-         ownership-change sweeps, all folded into the snapshot's alloc=
-         line — so the 1-vs-4 equality below is also the allocator
-         determinism gate. *)
-      custom_spec ~label:"malloc_contention" ~name:"malloc_mc"
-        (Malloc_bench.contention_src ~objs:24 ~generations:4 ~churn:12 ()) ]
+      (* So the 1-vs-4 equality below is also the allocator determinism
+         gate. *)
+      contention_spec () ]
 
 (* --- 1 vs 4 domains: bit-identical machines ---------------------------------- *)
 
@@ -165,7 +168,7 @@ let test_one_vs_four_domains () =
       | Some (Proc.Exited 0) -> ()
       | s ->
         Alcotest.failf "machine %s finished %s" m.Fleet.mr_label
-          (Fleet.status_str s))
+          (Cheri_libc.Snapshot.status_str s))
     r1.Fleet.f_results;
   (* every traffic server verified its exchange with the client *)
   let traffic =
@@ -218,6 +221,24 @@ let test_one_vs_four_domains () =
     (ma "pending_remote");
   Alcotest.(check bool) "ownership-change sweeps happened" true
     (ma "owner_sweeps" > 0)
+
+(* --- Snapshot format ----------------------------------------------------------- *)
+
+(* The snapshot's exact bytes are a contract: simbench/expected.tsv holds
+   digests of them, and every differential check compares them. Pinned
+   here as the MD5s of two fixed machines' snapshots: a TLS server
+   (registers, syscalls, console) and the allocator contention machine
+   (remote-free and sweep counters on the alloc= line). A renderer change
+   that moves one byte fails this test. *)
+let test_snapshot_pinned () =
+  List.iter
+    (fun (spec, want) ->
+      let m = Fleet.run_machine spec in
+      Alcotest.(check string) (spec.Fleet.ms_label ^ ": snapshot MD5") want
+        (Digest.to_hex (Digest.string m.Fleet.mr_snapshot)))
+    [ List.hd (Fleet.traffic_mix ~machines:1 ~rounds:3 ()),
+      "cd159ab891aacf9e8244f22c965cb304";
+      contention_spec (), "575ef89d46a54673ba9d364ad038bb0d" ]
 
 (* --- Worker cap and report hygiene ------------------------------------------- *)
 
@@ -284,4 +305,5 @@ let suite =
   [ "fleet: 1 vs 4 domains bit-identical", `Slow, test_one_vs_four_domains;
     "fleet: worker cap respects host cores", `Quick, test_worker_cap;
     "fleet: latency percentiles monotone", `Quick, test_percentiles_monotone;
-    "fleet: cursor runs each machine once", `Quick, test_cursor_contract ]
+    "fleet: cursor runs each machine once", `Quick, test_cursor_contract;
+    "fleet: snapshot format pinned", `Quick, test_snapshot_pinned ]

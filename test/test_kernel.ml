@@ -21,12 +21,6 @@ module Cpu = Cheri_isa.Cpu
 module Kstate = Cheri_kernel.Kstate
 module Uarg = Cheri_kernel.Uarg
 
-let boot ?engine () =
-  let k = Kernel.boot () in
-  Option.iter (fun e -> k.Kstate.config.Kstate.engine <- e) engine;
-  Runtime.install k;
-  k
-
 let install_exe k ~path ~abi prog =
   let image = Sobj.image ~name:path ~entry:"_start" [ Crt0.sobj abi; prog ] in
   Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs path ~abi image
@@ -83,13 +77,13 @@ let hello_prog = function
         Asm.I (Insn.Jr Reg.ra) ]
 
 let test_hello_mips64 () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/hello" ~abi:Abi.Mips64 (hello_prog Abi.Mips64);
   let out = check_exit 42 (run k "/bin/hello") in
   Alcotest.(check string) "output" "hello" out
 
 let test_hello_cheriabi () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/hello" ~abi:Abi.Cheriabi (hello_prog Abi.Cheriabi);
   let out = check_exit 42 (run k "/bin/hello") in
   Alcotest.(check string) "output" "hello" out
@@ -120,7 +114,7 @@ let argv_prog = function
 let test_argv () =
   List.iter
     (fun abi ->
-      let k = boot () in
+      let k = Runtime.boot () in
       install_exe k ~path:"/bin/argv" ~abi (argv_prog abi);
       let status, out, _ =
         Kernel.run_program k ~path:"/bin/argv" ~argv:[ "argv"; "world" ]
@@ -166,12 +160,12 @@ let oob_global_prog = function
         Asm.I (Insn.Jr Reg.ra) ]
 
 let test_oob_global_cheriabi_traps () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/oob" ~abi:Abi.Cheriabi (oob_global_prog Abi.Cheriabi);
   check_signal Signo.sigprot (run k "/bin/oob")
 
 let test_oob_global_mips64_silent () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/oob" ~abi:Abi.Mips64 (oob_global_prog Abi.Mips64);
   let _ = check_exit 0 (run k "/bin/oob") in
   ()
@@ -204,21 +198,21 @@ let heap_oob_prog ~off = function
 let test_heap_in_bounds_ok () =
   List.iter
     (fun abi ->
-      let k = boot () in
+      let k = Runtime.boot () in
       install_exe k ~path:"/bin/h" ~abi (heap_oob_prog ~off:16 abi);
       let _ = check_exit 0 (run k "/bin/h") in
       ())
     [ Abi.Mips64; Abi.Cheriabi ]
 
 let test_heap_oob_cheriabi_traps () =
-  let k = boot () in
+  let k = Runtime.boot () in
   (* 24-byte allocation: offset 32 is out of bounds (crrl 24 = 24). *)
   install_exe k ~path:"/bin/h" ~abi:Abi.Cheriabi
     (heap_oob_prog ~off:32 Abi.Cheriabi);
   check_signal Signo.sigprot (run k "/bin/h")
 
 let test_heap_oob_mips64_silent () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/h" ~abi:Abi.Mips64 (heap_oob_prog ~off:32 Abi.Mips64);
   let _ = check_exit 0 (run k "/bin/h") in
   ()
@@ -235,7 +229,7 @@ let legacy_load_prog =
       Asm.I (Insn.CJR Reg.cra) ]
 
 let test_ddc_null_blocks_legacy_loads () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/l" ~abi:Abi.Cheriabi legacy_load_prog;
   check_signal Signo.sigprot (run k "/bin/l")
 
@@ -283,7 +277,7 @@ let fork_prog = function
 let test_fork_wait () =
   List.iter
     (fun abi ->
-      let k = boot () in
+      let k = Runtime.boot () in
       install_exe k ~path:"/bin/fork" ~abi (fork_prog abi);
       let _ = check_exit 3 (run k "/bin/fork") in
       ())
@@ -294,7 +288,7 @@ let test_fork_wait () =
    the first machine's processes (a fork among them) took. *)
 let test_principals_per_kernel () =
   let first_principal () =
-    let k = boot () in
+    let k = Runtime.boot () in
     install_exe k ~path:"/bin/fork" ~abi:Abi.Cheriabi (fork_prog Abi.Cheriabi);
     let _, _, p = run k "/bin/fork" in
     Cheri_vm.Addr_space.principal p.Proc.asp
@@ -378,7 +372,7 @@ let signal_prog = function
 let test_signal_handler () =
   List.iter
     (fun (engine, abi) ->
-      let k = boot ~engine () in
+      let k = Runtime.boot ~engine () in
       install_exe k ~path:"/bin/sig" ~abi (signal_prog abi);
       let out = check_exit 5 (run k "/bin/sig") in
       Alcotest.(check string)
@@ -400,7 +394,7 @@ let test_reserved_register_sigill () =
   in
   List.iter
     (fun engine ->
-      let k = boot ~engine () in
+      let k = Runtime.boot ~engine () in
       install_exe k ~path:"/bin/ill" ~abi:Abi.Mips64 prog;
       check_signal Signo.sigill (run k "/bin/ill"))
     [ Cpu.Step; Cpu.Chain ]
@@ -430,7 +424,7 @@ let bad_handler_prog =
       Asm.I (Insn.CJR Reg.cra) ]
 
 let test_forged_handler_rejected () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/badsig" ~abi:Abi.Cheriabi bad_handler_prog;
   let _ = check_exit 0 (run k "/bin/badsig") in
   ()
@@ -477,7 +471,7 @@ let pipe_prog =
       Asm.I (Insn.CJR Reg.cra) ]
 
 let test_pipe_across_fork () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/pipe" ~abi:Abi.Cheriabi pipe_prog;
   let _ = check_exit (Char.code 'x') (run k "/bin/pipe") in
   ()
@@ -525,7 +519,7 @@ let getcwd_prog ~buflen ~asklen = function
         Asm.I (Insn.Jr Reg.ra) ]
 
 let test_getcwd_overflow_detected_cheriabi () =
-  let k = boot () in
+  let k = Runtime.boot () in
   (* buffer is 32 bytes, but the program claims 128: the kernel's copyout
      through the user capability faults -> EPROT -> exit 9. *)
   install_exe k ~path:"/bin/cwd" ~abi:Abi.Cheriabi
@@ -534,7 +528,7 @@ let test_getcwd_overflow_detected_cheriabi () =
   ()
 
 let test_getcwd_overflow_missed_mips64 () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/cwd" ~abi:Abi.Mips64
     (getcwd_prog ~buflen:32 ~asklen:128 Abi.Mips64);
   (* Legacy kernel writes 128 bytes over a 32-byte buffer: silent. *)
@@ -542,7 +536,7 @@ let test_getcwd_overflow_missed_mips64 () =
   ()
 
 let test_getcwd_correct_ok_cheriabi () =
-  let k = boot () in
+  let k = Runtime.boot () in
   install_exe k ~path:"/bin/cwd" ~abi:Abi.Cheriabi
     (getcwd_prog ~buflen:128 ~asklen:128 Abi.Cheriabi);
   let _ = check_exit 0 (run k "/bin/cwd") in
@@ -681,7 +675,7 @@ let test_unknown_syscalls () =
   let enosys = Cheri_kernel.Errno.to_code Cheri_kernel.Errno.ENOSYS in
   List.iter
     (fun abi ->
-      let k = boot () in
+      let k = Runtime.boot () in
       let probes =
         List.concat
           (List.mapi
@@ -711,7 +705,7 @@ let test_unknown_builtins () =
     (fun abi ->
       List.iter
         (fun n ->
-          let k = boot () in
+          let k = Runtime.boot () in
           install_exe k ~path:"/bin/nort" ~abi
             (main_only "nort"
                [ Asm.I (Insn.Rt n);

@@ -18,11 +18,6 @@ module Signal_dispatch = Cheri_kernel.Signal_dispatch
 module Runtime = Cheri_libc.Runtime
 module Stdlib_src = Cheri_workloads.Stdlib_src
 
-let boot ?mem_size () =
-  let k = Kernel.boot ?mem_size () in
-  Runtime.install k;
-  k
-
 let run_c k ~path ~abi ?(argv = [ "t" ]) src =
   Stdlib_src.install k ~path ~abi src;
   Kernel.run_program k ~path ~argv
@@ -40,7 +35,7 @@ let exited n = function
 let test_exec_abi_switch () =
   (* A legacy program execs a CheriABI binary (and the other way round):
      the kernel rebuilds the image, registers, and DDC per the new ABI. *)
-  let k = boot () in
+  let k = Runtime.boot () in
   Stdlib_src.install k ~path:"/bin/pure" ~abi:Abi.Cheriabi
     {| int main(int argc, char **argv) {
          print_str("pure:");
@@ -64,7 +59,7 @@ let test_exec_abi_switch () =
 (* --- VMMAP discipline ----------------------------------------------------------------- *)
 
 let test_munmap_requires_vmmap () =
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| int main(int argc, char **argv) {
@@ -79,7 +74,7 @@ let test_munmap_requires_vmmap () =
           } |})
 
 let test_mmap_fixed_hint_rules () =
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| int main(int argc, char **argv) {
@@ -137,7 +132,7 @@ let tamper_prog =
       Asm.I (Insn.CJR Reg.cra) ]
 
 let test_signal_frame_tamper_detected () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let image =
     Cheri_rtld.Sobj.image ~name:"t" ~entry:"_start"
       [ Cheri_libc.Crt0.sobj Abi.Cheriabi; tamper_prog ]
@@ -155,7 +150,7 @@ let test_sysctl_exports_address_not_cap () =
   (* kern.ps_strings is a kernel-held user pointer; the interface exposes
      it as a *virtual address*. Casting it back to a pointer under
      CheriABI yields an untagged capability: no authority leaks. *)
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| int main(int argc, char **argv) {
@@ -177,7 +172,7 @@ let test_sysctl_exports_address_not_cap () =
           } |})
 
 let test_ioctl_winsz () =
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        (Printf.sprintf
@@ -193,7 +188,7 @@ let test_ioctl_winsz () =
 (* --- Child crash status -------------------------------------------------------------------------- *)
 
 let test_wait_reports_signal () =
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| int main(int argc, char **argv) {
@@ -210,7 +205,7 @@ let test_wait_reports_signal () =
           } |})
 
 let test_sigchld_ignored_by_default () =
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| int main(int argc, char **argv) {
@@ -228,7 +223,7 @@ let test_swap_under_pressure_end_to_end () =
   (* 12 MiB of simulated RAM; the program touches ~14 MiB of heap holding
      capabilities, then walks it all again: demand paging must evict and
      rederive continuously, and the data must survive byte-for-byte. *)
-  let k = boot ~mem_size:(12 * 1024 * 1024) () in
+  let k = Runtime.boot ~mem_size:(12 * 1024 * 1024) () in
   let status, out, p =
     run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
       {| char *blocks[220];
@@ -267,7 +262,7 @@ let test_swap_under_pressure_end_to_end () =
 
 let test_mixed_abi_processes () =
   (* The paper's system runs legacy and CheriABI binaries simultaneously. *)
-  let k = boot () in
+  let k = Runtime.boot () in
   Stdlib_src.install k ~path:"/bin/a" ~abi:Abi.Mips64
     {| int main(int argc, char **argv) {
          int i;
@@ -312,7 +307,7 @@ let test_kevent_preserves_capability () =
   (* Register a pointer as kevent user-data; the kernel stores the full
      capability and returns it tagged — the paper's modified kernel
      structures (4, "System calls"). *)
-  let k = boot () in
+  let k = Runtime.boot () in
   exited 0
     (run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
        {| struct item { int seen; int value; };
@@ -337,7 +332,7 @@ let test_kevent_preserves_capability () =
 let test_kevent_udata_bounds_still_enforced () =
   (* The returned capability kept its *original* bounds too: overflowing
      through it still traps. *)
-  let k = boot () in
+  let k = Runtime.boot () in
   let status, _, _ =
     run_c k ~path:"/bin/t" ~abi:Abi.Cheriabi
       {| int main(int argc, char **argv) {

@@ -14,10 +14,7 @@ module Tagmem = Cheri_tagmem.Tagmem
 module Pmap = Cheri_vm.Pmap
 module Addr_space = Cheri_vm.Addr_space
 
-let boot () =
-  let k = Kernel.boot () in
-  Cheri_libc.Runtime.install k;
-  k
+module Runtime = Cheri_libc.Runtime
 
 (* A stopped CheriABI process to allocate against. *)
 let proc_for_alloc k =
@@ -26,7 +23,7 @@ let proc_for_alloc k =
   Kernel.spawn k ~path:"/bin/idle" ~argv:[ "idle" ] ()
 
 let test_malloc_bounds_exact () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   List.iter
     (fun len ->
@@ -41,7 +38,7 @@ let test_malloc_bounds_exact () =
     [ 1; 16; 24; 100; 4096; 5000; 100_000 ]
 
 let test_malloc_perms_stripped () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let _, cap = Malloc_impl.malloc k p 64 in
   let c = Option.get cap in
@@ -52,7 +49,7 @@ let test_malloc_perms_stripped () =
     (Perms.has (Cap.perms c) Perms.load && Perms.has (Cap.perms c) Perms.store)
 
 let test_free_reuses () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a1, _ = Malloc_impl.malloc k p 64 in
   ignore (Malloc_impl.free k p a1);
@@ -60,7 +57,7 @@ let test_free_reuses () =
   Alcotest.(check int) "same class reuses the slot" a1 a2
 
 let test_double_free_rejected () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a, _ = Malloc_impl.malloc k p 64 in
   ignore (Malloc_impl.free k p a);
@@ -70,7 +67,7 @@ let test_double_free_rejected () =
      | exception Malloc_impl.Alloc_fault _ -> true)
 
 let test_allocations_disjoint () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let spans =
     List.init 50 (fun i ->
@@ -88,7 +85,7 @@ let test_allocations_disjoint () =
     spans
 
 let test_free_sweeps_tags () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let addr, cap = Malloc_impl.malloc k p 64 in
   let c = Option.get cap in
@@ -117,7 +114,7 @@ let test_free_sweeps_tags () =
     (List.assoc "owner_sweeps" st)
 
 let test_double_free_stats_consistent () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a, _ = Malloc_impl.malloc k p 64 in
   ignore (Malloc_impl.free k p a);
@@ -133,7 +130,7 @@ let test_double_free_stats_consistent () =
   Alcotest.(check int) "nothing live" 0 (List.assoc "live" st2)
 
 let test_large_alloc_unmapped_after_free () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a, _ = Malloc_impl.malloc k p 100_000 in
   ignore (Malloc_impl.free k p a);
@@ -146,7 +143,7 @@ let test_large_alloc_unmapped_after_free () =
 (* --- Behaviour through compiled programs ------------------------------------------ *)
 
 let run_c ~abi src =
-  let k = boot () in
+  let k = Runtime.boot () in
   Cheri_workloads.Stdlib_src.install k ~path:"/bin/t" ~abi src;
   Kernel.run_program k ~path:"/bin/t" ~argv:[ "t" ]
 
@@ -296,7 +293,7 @@ let test_asan_uaf_detected () =
 
 let test_tls_isolation_after_exec () =
   (* Arenas are per-principal: a fresh exec gets a fresh heap. *)
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a1, _ = Malloc_impl.malloc k p 64 in
   ignore a1;

@@ -19,10 +19,7 @@ module Addr_space = Cheri_vm.Addr_space
 module Stdlib_src = Cheri_workloads.Stdlib_src
 module Malloc_bench = Cheri_workloads.Malloc_bench
 
-let boot () =
-  let k = Kernel.boot () in
-  Cheri_libc.Runtime.install k;
-  k
+module Runtime = Cheri_libc.Runtime
 
 let proc_for_alloc ?(abi = Abi.Cheriabi) k =
   Stdlib_src.install k ~path:"/bin/idle" ~abi
@@ -78,7 +75,7 @@ let qcheck_discipline =
   [ Test.make ~count:15 ~name:"every returned capability obeys the capptr discipline"
       (small_list (int_range 1 40_000))
       (fun sizes ->
-        let k = boot () in
+        let k = Runtime.boot () in
         let p = proc_for_alloc k in
         List.for_all
           (fun len ->
@@ -90,7 +87,7 @@ let qcheck_discipline =
     Test.make ~count:15 ~name:"no two live allocations overlap (representable windows)"
       (small_list (int_range 1 40_000))
       (fun sizes ->
-        let k = boot () in
+        let k = Runtime.boot () in
         let p = proc_for_alloc k in
         let spans =
           List.map
@@ -109,7 +106,7 @@ let qcheck_discipline =
 (* --- bugfix: fork must carry allocator metadata to the child ------------ *)
 
 let test_fork_then_free_api () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a, _ = Malloc_impl.malloc k p 100 in
   let child = fork_proc k p in
@@ -149,7 +146,7 @@ let fork_free_src =
 let test_fork_then_free_program () =
   List.iter
     (fun abi ->
-      let k = boot () in
+      let k = Runtime.boot () in
       Stdlib_src.install k ~path:"/bin/t" ~abi fork_free_src;
       let status, out, _ = Kernel.run_program k ~path:"/bin/t" ~argv:[ "t" ] in
       exited 0 (status, out))
@@ -158,7 +155,7 @@ let test_fork_then_free_program () =
 (* --- remote-free choreography + COW-safe ownership-change sweep --------- *)
 
 let test_remote_free_choreography () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let a, cap = Malloc_impl.malloc k p 200 in
   let c = Option.get cap in
@@ -228,7 +225,7 @@ let test_remote_free_choreography () =
 (* --- bugfix: arena table must not leak across exec/exit ----------------- *)
 
 let test_exec_exit_leak_loop () =
-  let k = boot () in
+  let k = Runtime.boot () in
   Stdlib_src.install k ~path:"/bin/leaf" ~abi:Abi.Cheriabi
     {| int main(int argc, char **argv) {
          char *p = malloc(300);
@@ -331,7 +328,7 @@ let evict_checked k (p : Proc.t) step evict =
   pending
 
 let test_counters_conserved () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = proc_for_alloc k in
   let objs = Array.init 8 (fun _ -> fst (Malloc_impl.malloc k p 48)) in
   (* A planted capability gives the owner-change sweep a tag to clear. *)
@@ -392,7 +389,7 @@ let test_counters_conserved () =
 (* --- determinism + quiesce gates over the contention workload ----------- *)
 
 let run_contention () =
-  let k = boot () in
+  let k = Runtime.boot () in
   Stdlib_src.install k ~path:"/bin/mc" ~abi:Abi.Cheriabi
     (Malloc_bench.contention_src ~objs:24 ~generations:3 ~churn:10 ());
   let status, out, _ = Kernel.run_program k ~path:"/bin/mc" ~argv:[ "mc" ] in

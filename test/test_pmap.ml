@@ -370,10 +370,7 @@ let qcheck_model =
 
 (* --- Directed checks on a booted kernel ------------------------------------------ *)
 
-let boot () =
-  let k = Kernel.boot () in
-  Cheri_libc.Runtime.install k;
-  k
+module Runtime = Cheri_libc.Runtime
 
 let spawn_idle k abi =
   Stdlib_src.install k ~path:"/bin/idle" ~abi
@@ -383,7 +380,7 @@ let spawn_idle k abi =
 (* The ASan shadow is mapped in full (fork charges per mapped page) but
    costs nothing until touched. *)
 let test_asan_shadow_untouched () =
-  let k = boot () in
+  let k = Runtime.boot () in
   let p = spawn_idle k Abi.Asan in
   let asp = p.Proc.asp in
   let pmap = Addr_space.pmap asp in
@@ -406,7 +403,7 @@ let test_asan_shadow_untouched () =
 let test_fork_charge_unchanged () =
   List.iter
     (fun (abi, expected) ->
-      let k = boot () in
+      let k = Runtime.boot () in
       let p = spawn_idle k abi in
       let a, _ = Malloc_impl.malloc k p 200 in
       ignore (Pmap.kernel_touch (Addr_space.pmap p.Proc.asp) a ~write:true);

@@ -90,8 +90,7 @@ let test_entry_refcounts () =
 (* --- Exec image layout (Fig. 1) ------------------------------------------------------ *)
 
 let spawn_idle abi =
-  let k = Kernel.boot () in
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot () in
   Cheri_workloads.Stdlib_src.install k ~path:"/bin/i" ~abi
     "int main(int argc, char **argv) { while (1) { } return 0; }";
   let p = Kernel.spawn k ~path:"/bin/i" ~argv:[ "i"; "arg1" ] () in

@@ -114,9 +114,7 @@ let run_expr ?(engine = Cheri_isa.Cpu.Chain) ~abi e =
          } |}
       (to_c e)
   in
-  let k = Cheri_kernel.Kernel.boot ~mem_size:(8 * 1024 * 1024) () in
-  k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-  Cheri_libc.Runtime.install k;
+  let k = Cheri_libc.Runtime.boot ~mem_size:(8 * 1024 * 1024) ~engine () in
   Cheri_cc.Compile.install k ~path:"/bin/e" ~abi src;
   let status, out, _ =
     Cheri_kernel.Kernel.run_program ~max_steps:1_000_000 k ~path:"/bin/e"

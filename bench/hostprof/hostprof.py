@@ -14,7 +14,10 @@ microseconds until it exits. Then it prints:
   - a flat profile: samples per symbol, from `nm -n` of each executable
     mapping seen in /proc/PID/maps, with the source line of the symbol's
     first instruction (`addr2line`), which names OCaml's anonymous
-    closures (`fun_NNNN`);
+    closures (`fun_NNNN`). A stripped file (the system libc) has no
+    symbol table; its samples go to the nearest dynamic symbol below
+    them (`nm -D`), printed as `~name` because the sample may lie in an
+    internal function after that export;
   - with --function, per-instruction sample counts for the symbol (an
     exact name, a substring that names one symbol, or FILE:LINE, e.g.
     bbcache.ml:507, the source line of the symbol's first instruction,
@@ -79,20 +82,35 @@ def load_segments(path):
         return segs
 
 
+def text_symbols(path, dynamic):
+    """(addresses, names) of the text symbols of [path], in address order:
+    from its symbol table, or with [dynamic] from its dynamic one."""
+    out = subprocess.run(["nm", "-n", "--defined-only"] +
+                         (["-D"] if dynamic else []) + [path],
+                         capture_output=True, text=True).stdout
+    addrs, names = [], []
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[1] in "TtWwi":
+            addrs.append(int(parts[0], 16))
+            names.append(parts[2])
+    return addrs, names
+
+
 class Image:
     """One mapped file: its text symbols, and file-relative addresses."""
 
     def __init__(self, path):
         self.path = path
         self.segs = load_segments(path)
-        out = subprocess.run(["nm", "-n", "--defined-only", path],
-                             capture_output=True, text=True).stdout
-        self.addrs, self.names = [], []
-        for line in out.splitlines():
-            parts = line.split()
-            if len(parts) == 3 and parts[1] in "TtWw":
-                self.addrs.append(int(parts[0], 16))
-                self.names.append(parts[2])
+        self.addrs, self.names = text_symbols(path, False)
+        if not self.addrs:
+            # A stripped file (the system libc) keeps only its dynamic
+            # symbols, the exported entry points: a sample in an internal
+            # function is charged to the nearest export below it. Such
+            # names are approximate and print as "~name".
+            self.addrs, names = text_symbols(path, True)
+            self.names = ["~" + n for n in names]
 
     def vaddr(self, rip, map_lo, map_off):
         """The link-time address of [rip], inside a mapping of this file

@@ -382,6 +382,50 @@ let replay_ref mem trace =
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
 
+(* The chain engine's unchecked frame accessors on the replayed memory:
+   at [n] aligned addresses, each [peek] equals [read_int] or
+   [read_int_signed], and each store is a [poke] where [can_poke] allows
+   it (the granule is untagged, and the poke leaves the resident frame
+   count alone: the frame had its own buffer) and a [write_int]
+   elsewhere, mirrored on the reference by [write_int]; the caller then
+   compares the final images. *)
+let check_peek_poke opt refm ~mem_size ~n =
+  let st = ref 0x5eed in
+  let rnd bound = (lcg st lsr 16) mod bound in
+  let peeks =
+    [| 1, Tagmem.peek_u8, Tagmem.peek_s8;
+       2, Tagmem.peek_u16, Tagmem.peek_s16;
+       4, Tagmem.peek_u32, Tagmem.peek_s32;
+       8, Tagmem.peek_u64, Tagmem.peek_u64 |]
+  and pokes =
+    [| Tagmem.poke_u8; Tagmem.poke_u16; Tagmem.poke_u32; Tagmem.poke_u64 |]
+  in
+  let poked = ref 0 in
+  for _ = 1 to n do
+    let i = rnd 4 in
+    let w, peek_u, peek_s = peeks.(i) in
+    let a = rnd (mem_size / w) * w in
+    let u = Tagmem.read_int opt a ~len:w in
+    if peek_u opt a <> u || u <> Ref_tagmem.read_int refm a ~len:w then
+      fail "peek u%d at 0x%x differs from read_int" (8 * w) a;
+    if peek_s opt a <> Tagmem.read_int_signed opt a ~len:w then
+      fail "peek s%d at 0x%x differs from read_int_signed" (8 * w) a;
+    let v = lcg st in
+    if Tagmem.can_poke opt a then begin
+      let resident = Tagmem.resident_frames opt in
+      if Tagmem.get_tag opt a then fail "can_poke on a tagged granule 0x%x" a;
+      pokes.(i) opt a v;
+      if Tagmem.resident_frames opt <> resident then
+        fail "can_poke on an unwritten frame at 0x%x" a;
+      incr poked
+    end
+    else Tagmem.write_int opt a ~len:w v;
+    Ref_tagmem.write_int refm a ~len:w v
+  done;
+  if !poked = 0 || !poked = n then
+    fail "peek/poke: %d of %d stores poked, want some of each" !poked n;
+  !poked
+
 let check_tagmem_parity ~mem_size ~n =
   let trace = record_trace ~mem_size ~n in
   let opt = Tagmem.create ~size:mem_size in
@@ -389,6 +433,7 @@ let check_tagmem_parity ~mem_size ~n =
   let co = replay_opt opt trace in
   let cr = replay_ref refm trace in
   if co <> cr then fail "tagmem read-value checksums differ (%d vs %d)" co cr;
+  let poked = check_peek_poke opt refm ~mem_size ~n:(n / 4) in
   (* Final memory images must match byte for byte... *)
   for i = 0 to mem_size - 1 do
     if Tagmem.read_u8 opt i <> Ref_tagmem.read_u8 refm i then
@@ -407,8 +452,9 @@ let check_tagmem_parity ~mem_size ~n =
       let a = Tagmem.read_cap opt off and b = Ref_tagmem.read_cap refm off in
       if not (Cap.equal a b) then fail "stored capability differs at 0x%x" off)
     opt_tags;
-  Printf.printf "tagmem parity: OK (%d ops, %d final tags, checksum %d)\n"
-    n (List.length opt_tags) co
+  Printf.printf
+    "tagmem parity: OK (%d ops, %d final tags, checksum %d; %d pokes)\n"
+    n (List.length opt_tags) co poked
 
 let check_cache_parity ~n =
   let traces = record_trace ~mem_size:(1 lsl 20) ~n in
@@ -438,7 +484,36 @@ let check_cache_parity ~n =
           refc.Ref_cache.misses;
       Printf.printf "cache parity %7dB %d-way: OK (%d hits / %d misses)\n" size
         ways (Cache.hits opt) (Cache.misses opt))
-    [ 32 * 1024, 4; 256 * 1024, 8; 1024, 2 ]
+    [ 32 * 1024, 4; 256 * 1024, 8; 1024, 2 ];
+  (* The chain engine's split DL1 probe: [l1_slot], then [hit_slot] on a
+     hit or [access_line] on -1, per line, against the reference and
+     against the plain probe's whole state. *)
+  let split = Cache.create ~name:"l1" ~size:Cache.l1_size ~ways:Cache.l1_ways in
+  let plain = Cache.create ~name:"l1" ~size:Cache.l1_size ~ways:Cache.l1_ways in
+  let refc = Ref_cache.create ~size:Cache.l1_size ~ways:Cache.l1_ways in
+  let slot_hits = ref 0 in
+  List.iter
+    (fun (a, len) ->
+      let ok = ref true in
+      for line = a lsr Cache.line_shift to (a + len - 1) lsr Cache.line_shift do
+        let s = Cache.l1_slot split line in
+        if s >= 0 then begin
+          Cache.hit_slot split s;
+          incr slot_hits
+        end
+        else if not (Cache.access_line split line) then ok := false
+      done;
+      let hr = Ref_cache.access refc a len in
+      if !ok <> hr || Cache.access plain a len <> hr then
+        fail "split L1 probe hit/miss divergence at 0x%x+%d" a len)
+    accesses;
+  if Cache.hits split <> refc.Ref_cache.hits
+     || Cache.misses split <> refc.Ref_cache.misses
+     || split.Cache.clock <> plain.Cache.clock
+     || split.Cache.tags <> plain.Cache.tags
+     || split.Cache.lru <> plain.Cache.lru
+  then fail "split L1 probe state differs from the plain probe's";
+  Printf.printf "cache parity   split L1 probe: OK (%d slot hits)\n" !slot_hits
 
 (* --- Throughput ------------------------------------------------------------- *)
 

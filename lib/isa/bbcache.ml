@@ -56,7 +56,10 @@
 
    Memory closures are compiled per width and signedness: the alignment
    mask, the one-line DL1 probe and the fixed-width [Tagmem] accessor
-   are chosen at decode, so a load or store runs no width dispatch.
+   are chosen at decode, so a load or store runs no width dispatch. Each
+   checks before it commits: a hit in the dTLB and the DL1 commits its
+   side effects and accesses the frame unchecked, with no call; anything
+   else tail-calls the in-order path ([hit_pa], [load_slow]).
 
    Whenever a block cannot be run exactly — PCC that does not cover the
    whole block, fuel that would expire mid-block, an undecodable entry —
@@ -420,6 +423,115 @@ let[@inline] cap_rd t m ctx ~j s cb off w =
 let[@inline] cap_wr t m ctx ~j s cb off w =
   wr_pa t m ctx (cap_probe t ctx ~j ~perm:Perms.store s cb off w) w
 
+(* The fixed-width [Tagmem] access of a load or store of width [w]
+   (negated for a signed load narrower than 8 bytes). *)
+let[@inline] read_fixed mem pa ws =
+  match ws with
+  | 1 -> Tagmem.read_u8 mem pa
+  | -1 -> Tagmem.read_s8 mem pa
+  | 2 -> Tagmem.read_u16 mem pa
+  | -2 -> Tagmem.read_s16 mem pa
+  | 4 -> Tagmem.read_u32 mem pa
+  | -4 -> Tagmem.read_s32 mem pa
+  | _ -> Tagmem.read_u64 mem pa
+
+let[@inline] write_fixed mem pa w v =
+  match w with
+  | 1 -> Tagmem.write_u8 mem pa v
+  | 2 -> Tagmem.write_u16 mem pa v
+  | 4 -> Tagmem.write_u32 mem pa v
+  | _ -> Tagmem.write_u64 mem pa v
+
+(* The in-order path of each kind of load/store closure, out of line: the
+   closure tail-calls it whenever its precheck fails, so traps, dTLB and
+   DL1 misses, first writes to a frame and tag clears all run this one
+   implementation, in [Cpu.do_load]'s order. At most ten arguments, so
+   the closures' calls stay tail calls. *)
+let[@inline never] load_slow t m ctx j b off d ws k =
+  let pa = ddc_rd t m ctx ~j b off (abs ws) in
+  Cpu.wr_gpr ctx d (read_fixed m.Cpu.mem pa ws);
+  k ctx
+
+let[@inline never] store_slow t m ctx j b off rs w k =
+  let pa = ddc_wr t m ctx ~j b off w in
+  write_fixed m.Cpu.mem pa w (Cpu.rd_gpr ctx rs);
+  k ctx
+
+let[@inline never] cload_slow t m ctx j s cb off d ws k =
+  let pa = cap_rd t m ctx ~j s cb off (abs ws) in
+  Cpu.wr_gpr ctx d (read_fixed m.Cpu.mem pa ws);
+  k ctx
+
+let[@inline never] cstore_slow t m ctx j s cb off rs w k =
+  let pa = cap_wr t m ctx ~j s cb off w in
+  write_fixed m.Cpu.mem pa w (Cpu.rd_gpr ctx rs);
+  k ctx
+
+(* The hit path of a load/store closure ([ddc_hit], [cap_hit]): a
+   precheck with no side effect and then, only when every check holds, a
+   commit of exactly the side effects of the in-order path; otherwise the
+   closure tail-calls that path. The precheck: the capability predicate
+   and the alignment (in the callers), the page in either way of its dTLB
+   set, the line in the DL1 ([Cache.l1_slot]) and, for a store,
+   [Tagmem.can_poke]. The commit ([hit_pa]): the probe and dTLB counters,
+   the swap of a second-way hit into the MRU way, the DL1 hit
+   ([Cache.hit_slot]) and its cycles; the closure then makes the
+   unchecked access ([Tagmem.peek_u8] ... [poke_u64]). Nothing on this
+   path can raise, so it records no [x_i]. The result is the physical
+   address, or -1 with nothing changed. Both the sentinel and the
+   unchecked access rely on every page in the dTLB lying inside memory:
+   an entry lives for one [run], the first access through it either
+   passed [Tagmem]'s range check or raised out of [run], and
+   [compile_sem] takes this path only on a memory of whole pages. *)
+let[@inline] hit_pa t m (ctx : Cpu.ctx) (vps : int array) (pbs : int array)
+    vaddr ~write =
+  let vp = vaddr lsr page_shift in
+  let s = (vp land 1) * 2 in
+  let i =
+    if Array.unsafe_get vps s = vp then s
+    else if Array.unsafe_get vps (s + 1) = vp then s + 1
+    else -1
+  in
+  if i < 0 then -1
+  else
+    let pb = Array.unsafe_get pbs i in
+    let pa = pb + (vaddr land page_mask) in
+    let h = m.Cpu.hier in
+    let slot = Cache.l1_slot h.Cache.dl1 (pa lsr Cache.line_shift) in
+    if slot < 0 || (write && not (Tagmem.can_poke m.Cpu.mem pa)) then -1
+    else begin
+      t.checked_probes <- t.checked_probes + 1;
+      t.dtlb_hits <- t.dtlb_hits + 1;
+      if i <> s then begin
+        Array.unsafe_set vps i (Array.unsafe_get vps s);
+        Array.unsafe_set pbs i (Array.unsafe_get pbs s);
+        Array.unsafe_set vps s vp;
+        Array.unsafe_set pbs s pb
+      end;
+      Cache.hit_slot h.Cache.dl1 slot;
+      ctx.Cpu.cycles <- ctx.Cpu.cycles + h.Cache.l1_hit_cycles;
+      pa
+    end
+
+let[@inline] aligned vaddr w = w = 1 || vaddr land (w - 1) = 0
+
+let[@inline] ddc_hit t m (ctx : Cpu.ctx) ~write b off w =
+  let vaddr = Cpu.rd_gpr ctx b + off in
+  let perm = if write then Perms.store else Perms.load in
+  if cap_ok ctx.Cpu.ddc perm vaddr w && aligned vaddr w then
+    if write then hit_pa t m ctx t.d_wr_vp t.d_wr_pb vaddr ~write
+    else hit_pa t m ctx t.d_rd_vp t.d_rd_pb vaddr ~write
+  else -1
+
+let[@inline] cap_hit t m (ctx : Cpu.ctx) ~write s off w =
+  let r = ctx.Cpu.creg in
+  let vaddr = Regs.addr r s + off in
+  let perm = if write then Perms.store else Perms.load in
+  if Regs.access_ok r s ~perm ~addr:vaddr ~len:w && aligned vaddr w then
+    if write then hit_pa t m ctx t.d_wr_vp t.d_wr_pb vaddr ~write
+    else hit_pa t m ctx t.d_rd_vp t.d_rd_pb vaddr ~write
+  else -1
+
 (* --- Fetch accounting ------------------------------------------------------ *)
 
 (* Line-group bookkeeping on the ordered fetch path ([exec_block]).
@@ -489,10 +601,13 @@ let boundary t m basesum slots entry g s k =
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
    cross-checks every path. Loads and stores get one closure per width
-   (1, 2, 4, 8) and, for loads, signedness, each calling its fixed-width
-   [Tagmem] accessor ([read_u8] ... [write_u64]), whose precondition,
-   natural alignment, the closure's own alignment check establishes. A
-   width outside those four (no compiler emits one) runs the shared
+   (1, 2, 4, 8) and, for loads, signedness. Each runs the precheck of
+   [ddc_hit]/[cap_hit] and, on a hit, its unchecked [Tagmem] accessor
+   ([peek_u8] ... [poke_u64]); otherwise it tail-calls its kind's
+   in-order path ([load_slow] ... [cstore_slow]), which calls the
+   fixed-width accessor ([read_u8] ... [write_u64]) whose precondition,
+   natural alignment, its own alignment check establishes. A width
+   outside those four (no compiler emits one) runs the shared
    semantics. *)
 let compile_sem t m ~pc ~j insn (k : Cpu.ctx -> int) : Cpu.ctx -> int =
   if not (Insn.can_trap insn) then
@@ -603,125 +718,135 @@ let compile_sem t m ~pc ~j insn (k : Cpu.ctx -> int) : Cpu.ctx -> int =
     | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn; k ctx
   else
     let mem = m.Cpu.mem in
+    (* [hit_pa] needs every page to lie wholly inside or outside memory. *)
+    let paged = Tagmem.size mem land page_mask = 0 in
     match insn with
-    | Insn.Load { w; signed; rd; base = b; off } ->
-      let d = Cpu.gpr_wslot rd in
-      (match w, signed with
-       | 1, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_u8 mem (ddc_rd t m ctx ~j b off 1));
-           k ctx
-       | 1, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_s8 mem (ddc_rd t m ctx ~j b off 1));
-           k ctx
-       | 2, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_u16 mem (ddc_rd t m ctx ~j b off 2));
-           k ctx
-       | 2, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_s16 mem (ddc_rd t m ctx ~j b off 2));
-           k ctx
-       | 4, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_u32 mem (ddc_rd t m ctx ~j b off 4));
-           k ctx
-       | 4, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_s32 mem (ddc_rd t m ctx ~j b off 4));
-           k ctx
-       | 8, _ ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d (Tagmem.read_u64 mem (ddc_rd t m ctx ~j b off 8));
-           k ctx
-       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
-    | Insn.Store { w; rs; base = b; off } ->
-      (match w with
+    | Insn.Load { w = (1 | 2 | 4 | 8) as w; signed; rd; base = b; off } ->
+      let d = Cpu.gpr_wslot rd and ws = if signed && w < 8 then -w else w in
+      if not paged then fun ctx -> load_slow t m ctx j b off d ws k
+      else (match ws with
        | 1 ->
          fun ctx ->
-           let pa = ddc_wr t m ctx ~j b off 1 in
-           Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
+           let pa = ddc_hit t m ctx ~write:false b off 1 in
+           if pa < 0 then load_slow t m ctx j b off d 1 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u8 m.Cpu.mem pa); k ctx)
+       | -1 ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:false b off 1 in
+           if pa < 0 then load_slow t m ctx j b off d (-1) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s8 m.Cpu.mem pa); k ctx)
        | 2 ->
          fun ctx ->
-           let pa = ddc_wr t m ctx ~j b off 2 in
-           Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
+           let pa = ddc_hit t m ctx ~write:false b off 2 in
+           if pa < 0 then load_slow t m ctx j b off d 2 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u16 m.Cpu.mem pa); k ctx)
+       | -2 ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:false b off 2 in
+           if pa < 0 then load_slow t m ctx j b off d (-2) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s16 m.Cpu.mem pa); k ctx)
        | 4 ->
          fun ctx ->
-           let pa = ddc_wr t m ctx ~j b off 4 in
-           Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
-       | 8 ->
+           let pa = ddc_hit t m ctx ~write:false b off 4 in
+           if pa < 0 then load_slow t m ctx j b off d 4 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u32 m.Cpu.mem pa); k ctx)
+       | -4 ->
          fun ctx ->
-           let pa = ddc_wr t m ctx ~j b off 8 in
-           Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
-       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
-    | Insn.CLoad { w; signed; rd; cb; off } ->
+           let pa = ddc_hit t m ctx ~write:false b off 4 in
+           if pa < 0 then load_slow t m ctx j b off d (-4) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s32 m.Cpu.mem pa); k ctx)
+       | _ ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:false b off 8 in
+           if pa < 0 then load_slow t m ctx j b off d 8 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u64 m.Cpu.mem pa); k ctx))
+    | Insn.Store { w = (1 | 2 | 4 | 8) as w; rs; base = b; off } ->
+      if not paged then fun ctx -> store_slow t m ctx j b off rs w k
+      else (match w with
+       | 1 ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:true b off 1 in
+           if pa < 0 then store_slow t m ctx j b off rs 1 k
+           else (Tagmem.poke_u8 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | 2 ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:true b off 2 in
+           if pa < 0 then store_slow t m ctx j b off rs 2 k
+           else (Tagmem.poke_u16 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | 4 ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:true b off 4 in
+           if pa < 0 then store_slow t m ctx j b off rs 4 k
+           else (Tagmem.poke_u32 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | _ ->
+         fun ctx ->
+           let pa = ddc_hit t m ctx ~write:true b off 8 in
+           if pa < 0 then store_slow t m ctx j b off rs 8 k
+           else (Tagmem.poke_u64 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx))
+    | Insn.CLoad { w = (1 | 2 | 4 | 8) as w; signed; rd; cb; off } ->
       let s = Regs.rslot cb and d = Cpu.gpr_wslot rd in
-      (match w, signed with
-       | 1, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_u8 mem (cap_rd t m ctx ~j s cb off 1));
-           k ctx
-       | 1, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_s8 mem (cap_rd t m ctx ~j s cb off 1));
-           k ctx
-       | 2, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_u16 mem (cap_rd t m ctx ~j s cb off 2));
-           k ctx
-       | 2, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_s16 mem (cap_rd t m ctx ~j s cb off 2));
-           k ctx
-       | 4, false ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_u32 mem (cap_rd t m ctx ~j s cb off 4));
-           k ctx
-       | 4, true ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_s32 mem (cap_rd t m ctx ~j s cb off 4));
-           k ctx
-       | 8, _ ->
-         fun ctx ->
-           Cpu.wr_gpr ctx d
-             (Tagmem.read_u64 mem (cap_rd t m ctx ~j s cb off 8));
-           k ctx
-       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
-    | Insn.CStore { w; rs; cb; off } ->
-      let s = Regs.rslot cb in
-      (match w with
+      let ws = if signed && w < 8 then -w else w in
+      if not paged then fun ctx -> cload_slow t m ctx j s cb off d ws k
+      else (match ws with
        | 1 ->
          fun ctx ->
-           let pa = cap_wr t m ctx ~j s cb off 1 in
-           Tagmem.write_u8 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
+           let pa = cap_hit t m ctx ~write:false s off 1 in
+           if pa < 0 then cload_slow t m ctx j s cb off d 1 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u8 m.Cpu.mem pa); k ctx)
+       | -1 ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:false s off 1 in
+           if pa < 0 then cload_slow t m ctx j s cb off d (-1) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s8 m.Cpu.mem pa); k ctx)
        | 2 ->
          fun ctx ->
-           let pa = cap_wr t m ctx ~j s cb off 2 in
-           Tagmem.write_u16 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
+           let pa = cap_hit t m ctx ~write:false s off 2 in
+           if pa < 0 then cload_slow t m ctx j s cb off d 2 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u16 m.Cpu.mem pa); k ctx)
+       | -2 ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:false s off 2 in
+           if pa < 0 then cload_slow t m ctx j s cb off d (-2) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s16 m.Cpu.mem pa); k ctx)
        | 4 ->
          fun ctx ->
-           let pa = cap_wr t m ctx ~j s cb off 4 in
-           Tagmem.write_u32 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
-       | 8 ->
+           let pa = cap_hit t m ctx ~write:false s off 4 in
+           if pa < 0 then cload_slow t m ctx j s cb off d 4 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u32 m.Cpu.mem pa); k ctx)
+       | -4 ->
          fun ctx ->
-           let pa = cap_wr t m ctx ~j s cb off 8 in
-           Tagmem.write_u64 mem pa (Cpu.rd_gpr ctx rs);
-           k ctx
-       | _ -> fun ctx -> t.x_i <- j; Cpu.exec_straight m ctx ~pc insn; k ctx)
+           let pa = cap_hit t m ctx ~write:false s off 4 in
+           if pa < 0 then cload_slow t m ctx j s cb off d (-4) k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_s32 m.Cpu.mem pa); k ctx)
+       | _ ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:false s off 8 in
+           if pa < 0 then cload_slow t m ctx j s cb off d 8 k
+           else (Cpu.wr_gpr ctx d (Tagmem.peek_u64 m.Cpu.mem pa); k ctx))
+    | Insn.CStore { w = (1 | 2 | 4 | 8) as w; rs; cb; off } ->
+      let s = Regs.rslot cb in
+      if not paged then fun ctx -> cstore_slow t m ctx j s cb off rs w k
+      else (match w with
+       | 1 ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:true s off 1 in
+           if pa < 0 then cstore_slow t m ctx j s cb off rs 1 k
+           else (Tagmem.poke_u8 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | 2 ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:true s off 2 in
+           if pa < 0 then cstore_slow t m ctx j s cb off rs 2 k
+           else (Tagmem.poke_u16 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | 4 ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:true s off 4 in
+           if pa < 0 then cstore_slow t m ctx j s cb off rs 4 k
+           else (Tagmem.poke_u32 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx)
+       | _ ->
+         fun ctx ->
+           let pa = cap_hit t m ctx ~write:true s off 8 in
+           if pa < 0 then cstore_slow t m ctx j s cb off rs 8 k
+           else (Tagmem.poke_u64 m.Cpu.mem pa (Cpu.rd_gpr ctx rs); k ctx))
     | Insn.CLC { cd; cb; off } ->
       let s = Regs.rslot cb and d = Regs.wslot cd in
       fun ctx ->

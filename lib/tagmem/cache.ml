@@ -24,8 +24,9 @@ type t = {
   tags : int array;
   (* lru.(set * ways + way): higher = more recently used. *)
   lru : int array;
+  (* One tick per probe and per batched hit. Every tick is one hit or one
+     miss, so there is no hit counter: [hits t = clock - misses]. *)
   mutable clock : int;
-  mutable hits : int;
   mutable misses : int;
 }
 
@@ -45,9 +46,9 @@ let create ~name ~size ~ways =
     line_shift;
     tags = Array.make (sets * ways) (-1);
     lru = Array.make (sets * ways) 0;
-    clock = 0; hits = 0; misses = 0 }
+    clock = 0; misses = 0 }
 
-let hits t = t.hits
+let hits t = t.clock - t.misses
 let misses t = t.misses
 let name t = t.name
 
@@ -69,7 +70,6 @@ let[@inline never] fill_line t base tag =
 
 let[@inline] hit_way t w =
   Array.unsafe_set t.lru w t.clock;
-  t.hits <- t.hits + 1;
   true
 
 (* Way of the row starting at [base] that holds [tag], searching from way
@@ -116,6 +116,42 @@ let[@inline] access t addr len =
   (* Fast path: a natural-aligned access of <= 64 bytes touches one line. *)
   if first = last then access_line t first else access_lines t first last
 
+(* --- Fixed-geometry L1 probe ----------------------------------------------
+
+   Both L1s are [l1_size] bytes and [l1_ways]-way ([create_hierarchy]), so
+   a line's set and tag are a constant mask and shift: no multiply and no
+   way-count test. The chain engine's memory closures split a DL1 probe
+   in two: [l1_slot] finds the slot (set * ways + way) that holds a line
+   and changes nothing, and [hit_slot] then makes exactly the change that
+   [access_line]'s hit would have made there. On -1 (a miss) the caller
+   probes through [access_line] instead, which fills. Valid only on a
+   cache of the L1 geometry. *)
+
+let l1_size = 32 * 1024
+let l1_ways = 4
+let l1_set_shift = 7
+let l1_set_mask = (1 lsl l1_set_shift) - 1
+(* [l1_slot]'s way scan is unrolled for four ways. *)
+let () =
+  assert (l1_ways = 4 && l1_size = (1 lsl l1_set_shift) * l1_ways * line_size)
+
+let[@inline] l1_slot t line =
+  let base = (line land l1_set_mask) * l1_ways
+  and tag = line lsr l1_set_shift in
+  let tags = t.tags in
+  if Array.unsafe_get tags base = tag then base
+  else if Array.unsafe_get tags (base + 1) = tag then base + 1
+  else if Array.unsafe_get tags (base + 2) = tag then base + 2
+  else if Array.unsafe_get tags (base + 3) = tag then base + 3
+  else -1
+
+(* The hit of a probe whose line [l1_slot] found in [slot]: one clock
+   tick, stamped on the slot. *)
+let[@inline] hit_slot t slot =
+  let c = t.clock + 1 in
+  t.clock <- c;
+  Array.unsafe_set t.lru slot c
+
 (* --- Two-level hierarchy --------------------------------------------------- *)
 
 type hierarchy = {
@@ -131,9 +167,8 @@ type hierarchy = {
    all set-associative. The L2 size is a parameter so the cache-study
    ablation (paper 6, "Cache studies") can sweep it. *)
 let create_hierarchy ?(l2_size = 256 * 1024) () =
-  let l1_size = 32 * 1024 in
-  { il1 = create ~name:"IL1" ~size:l1_size ~ways:4;
-    dl1 = create ~name:"DL1" ~size:l1_size ~ways:4;
+  { il1 = create ~name:"IL1" ~size:l1_size ~ways:l1_ways;
+    dl1 = create ~name:"DL1" ~size:l1_size ~ways:l1_ways;
     l2 = create ~name:"L2" ~size:l2_size ~ways:8;
     l1_hit_cycles = 1;
     l2_hit_cycles = 9;
@@ -161,10 +196,10 @@ let[@inline] ifetch h addr =
 
    The chain engine charges instruction fetches it knows to be IL1 hits
    in batches (lib/isa/bbcache.ml, docs/INTERP.md). A hit bumps the clock
-   and the hit counter and stamps its slot's LRU entry with the new clock;
-   it never fills or evicts. So [k] hits on lines that stay resident are
-   the same arithmetic done at once: the clock and the counter grow by
-   [k], and each line's slot keeps the clock of its last hit. A slot is an
+   (and with it the hit count) and stamps its slot's LRU entry with the
+   new clock; it never fills or evicts. So [k] hits on lines that stay
+   resident are the same arithmetic done at once: the clock grows by [k],
+   and each line's slot keeps the clock of its last hit. A slot is an
    index [set * ways + way] into [tags] and [lru]. Batching is exact only
    for resident lines, so an absent line is an invariant failure, never a
    silent re-probe. *)
@@ -186,15 +221,13 @@ let[@inline] slot_holds t slot line =
 (* [k] hits on the resident line in [slot], following its probe. *)
 let[@inline] repeat_hits t slot k =
   t.clock <- t.clock + k;
-  Array.unsafe_set t.lru slot t.clock;
-  t.hits <- t.hits + k
+  Array.unsafe_set t.lru slot t.clock
 
 (* [n] hits on resident lines whose slots the caller stamps itself, with
    [stamp]; returns the clock before the first of them. *)
 let[@inline] add_hits t n =
   let c = t.clock in
   t.clock <- c + n;
-  t.hits <- t.hits + n;
   c
 
 let[@inline] stamp t slot clock = Array.unsafe_set t.lru slot clock

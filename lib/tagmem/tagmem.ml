@@ -341,6 +341,50 @@ let[@inline] write_u64 t addr v =
     set64le f off (Int64.logand (Int64.of_int v) int63_mask)
   end
 
+(* Unchecked in-frame accessors, for the chain engine's hit paths
+   (lib/isa/bbcache.ml). Precondition: [addr] is naturally aligned for the
+   width and lies inside memory, so the access lies inside one frame of
+   [t]; they test neither. The loads then equal [read_u8] ... [read_u64].
+   A store further needs [can_poke t addr]: the frame has its own buffer
+   and the access's granule is untagged, so [wframe] would materialize
+   nothing and [slot_clear] would clear nothing, and [poke_u8] ...
+   [poke_u64] equal [write_u8] ... [write_u64]. *)
+let[@inline] peek_u8 t addr =
+  Char.code (Bytes.unsafe_get (rframe t addr) (addr land frame_mask))
+
+let[@inline] peek_s8 t addr = (peek_u8 t addr lsl 55) asr 55
+let[@inline] peek_u16 t addr = get16le (rframe t addr) (addr land frame_mask)
+let[@inline] peek_s16 t addr = (peek_u16 t addr lsl 47) asr 47
+
+let[@inline] peek_u32 t addr =
+  Int32.to_int (get32le (rframe t addr) (addr land frame_mask)) land 0xFFFF_FFFF
+
+let[@inline] peek_s32 t addr = (peek_u32 t addr lsl 31) asr 31
+
+let[@inline] peek_u64 t addr =
+  Int64.to_int (get64le (rframe t addr) (addr land frame_mask))
+
+let[@inline] can_poke t addr =
+  let fi = addr lsr frame_shift in
+  Array.unsafe_get t.frames fi != zero_frame
+  && Array.unsafe_get (Array.unsafe_get t.slots fi)
+       ((addr lsr granule_shift) land slot_mask)
+     == Cap.null
+
+let[@inline] poke_u8 t addr v =
+  Bytes.unsafe_set (rframe t addr) (addr land frame_mask)
+    (Char.unsafe_chr (v land 0xff))
+
+let[@inline] poke_u16 t addr v =
+  set16le (rframe t addr) (addr land frame_mask) (v land 0xFFFF)
+
+let[@inline] poke_u32 t addr v =
+  set32le (rframe t addr) (addr land frame_mask) (Int32.of_int v)
+
+let[@inline] poke_u64 t addr v =
+  set64le (rframe t addr) (addr land frame_mask)
+    (Int64.logand (Int64.of_int v) int63_mask)
+
 (* Widths other than 1, 2, 4 and 8, within one frame. *)
 let[@inline never] read_int_bytes f off len =
   let v = ref 0 in

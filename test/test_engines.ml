@@ -182,10 +182,10 @@ let gen_program seed =
 
 (* Fresh machine + context; identical for every engine given the same
    seed-derived register/memory contents. *)
-let setup insns seed =
+let setup ?(size = mem_size) insns seed =
   let st = ref (seed lxor 0x5eed) in
   let rnd n = lcg st mod n in
-  let mem = Tagmem.create ~size:mem_size in
+  let mem = Tagmem.create ~size in
   let hier = Cache.create_hierarchy () in
   let m = Cpu.create_machine ~mem ~hier in
   m.Cpu.fetch <-
@@ -1090,6 +1090,196 @@ let test_mem_widths_frame_edges () =
       Alcotest.(check int) (name ^ ": s8") (-0x7f) ctx.Cpu.gpr.(16))
     [ frame_end; top ]
 
+(* --- The memory closures' hit paths ---------------------------------------
+
+   A load or store closure runs a side-effect-free precheck (capability,
+   alignment, a dTLB hit in either way, a DL1 hit and, for a store, a
+   frame with its own buffer and an untagged granule), commits only if
+   all of it holds, and otherwise tail-calls the in-order path. One
+   program per reason the precheck can fail, for each of [Load] (through
+   DDC), [CLoad] and [CStore]: the whole machine must match the step
+   engine's, and the probe and dTLB counters must be exactly those of one
+   probe per access and one dTLB lookup per access that reaches the
+   translate. *)
+
+type mem_kind = Ld | CLd | CSt
+
+let kind_name = function Ld -> "load" | CLd -> "cload" | CSt -> "cstore"
+
+(* Register [8 + i] holds base address [i] and capability register
+   [21 + i] a root capability pointing at it (c5 is a root); r15 is the
+   value every store writes. *)
+let at_bases bases =
+  Insn.Li (15, -0x1234_5678_9abc_de7f)
+  :: List.concat
+       (List.mapi
+          (fun i a -> [ Insn.Li (8 + i, a); Insn.CSetAddr (21 + i, 5, 8 + i) ])
+          bases)
+
+(* An access of [kind] at base [i] + [off]. Loads go to r16..r23 in turn,
+   so the snapshot shows each value. *)
+let next_rd = ref 16
+
+let mem_at kind ?(w = 8) ?(signed = false) i off =
+  let rd = !next_rd in
+  next_rd := if rd = 23 then 16 else rd + 1;
+  match kind with
+  | Ld -> Insn.Load { w; signed; rd; base = 8 + i; off }
+  | CLd -> Insn.CLoad { w; signed; rd; cb = 21 + i; off }
+  | CSt -> Insn.CStore { w; rs = 15; cb = 21 + i; off }
+
+(* A DDC store, and a DDC load, at base [i] + [off]. *)
+let store_at i off = Insn.Store { w = 8; rs = 15; base = 8 + i; off }
+let load_at i off = Insn.Load { w = 8; signed = false; rd = 24; base = 8 + i; off }
+
+(* Run [body] on both engines and check the chain engine's counters:
+   [probes] accesses, [hits] dTLB hits and [misses] dTLB misses. *)
+let hit_path_case ~name ~probes ~hits ~misses ?(expect = "trap: break 0")
+    bases body =
+  next_rd := 16;
+  let insns = Array.of_list (at_bases bases @ body @ [ Insn.Break 0 ]) in
+  let bb, st, ctx, stop = chain_vs_step ~name insns in
+  Alcotest.(check string) (name ^ ": stop") expect (stop_str stop);
+  Alcotest.(check int) (name ^ ": checked_probes") probes
+    bb.Bbcache.checked_probes;
+  Alcotest.(check int) (name ^ ": dTLB hits") hits st.Bbcache.ch_dtlb_hits;
+  Alcotest.(check int) (name ^ ": dTLB misses") misses
+    st.Bbcache.ch_dtlb_misses;
+  ctx
+
+let kinds = [ Ld; CLd; CSt ]
+
+(* Pages 4, 6 and 8 share dTLB set 0. After 4 and 6 miss, 4 hits in the
+   second way and swaps into the MRU way, so 8's miss evicts 6, not 4:
+   4 hits again (and swaps again), and 6 misses. *)
+let test_hit_dtlb_swap () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      ignore
+        (hit_path_case ~name:(kind_name k ^ ": dTLB second-way swap")
+           ~probes:6 ~hits:2 ~misses:4 [ 0x4000; 0x6000; 0x8000 ]
+           [ m 0 0; m 1 0; m 0 8; m 2 0; m 0 16; m 1 8 ]))
+    kinds
+
+(* A DL1 miss on a dTLB hit (the next line of a page), then hits on that
+   line, each width; then the first line is evicted by four accesses of
+   the other dTLB side to lines of its DL1 set, and misses again on a
+   dTLB hit. *)
+let test_hit_dl1_miss () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      let evict =
+        List.init 4 (fun i -> if k = CSt then load_at (i + 1) 0 else store_at (i + 1) 0)
+      in
+      ignore
+        (hit_path_case ~name:(kind_name k ^ ": DL1 miss, then hit")
+           ~probes:12 ~hits:7 ~misses:5
+           [ 0x4000; 0x6000; 0x8000; 0xa000; 0xc000 ]
+           ([ m 0 0; m ~w:4 0 64; m ~w:2 ~signed:true 0 72; m ~w:1 0 65;
+              m ~w:4 ~signed:true 0 68; m 0 64 ]
+            @ evict @ [ m 0 0; m 0 8 ])))
+    kinds
+
+(* Page 6 is a frame nobody has written: loads read the shared zero
+   frame, and the first store into it (a dTLB miss on the write side)
+   gives it its own buffer, after which stores hit. *)
+let test_hit_first_store () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      let fresh = Tagmem.create ~size:4096 in
+      ignore
+        (hit_path_case ~name:(kind_name k ^ ": first store into a frame")
+           ~probes:6 ~hits:(if k = CSt then 5 else 4)
+           ~misses:(if k = CSt then 1 else 2) [ 0x6000 ]
+           [ m 0 0; m 0 8; store_at 0 16; m 0 16; m 0 24; store_at 0 32 ]);
+      Alcotest.(check bool) "shared zero frame still zero" true
+        (Tagmem.is_zero fresh 0 4096))
+    kinds
+
+(* A CSC tags the granule at 0x4100; a store over it takes the in-order
+   path, which clears the tag, so a CLC then reads it untagged (r25 = 0)
+   and the next access hits. *)
+let test_hit_tagged_granule () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      let ctx =
+        hit_path_case ~name:(kind_name k ^ ": store over a tagged granule")
+          ~probes:5 ~hits:3 ~misses:2 [ 0x4000 ]
+          [ Insn.CSC { cs = 1; cb = 1; off = 0x100 }; m 0 0x100;
+            store_at 0 0x108; Insn.CLC { cd = 20; cb = 1; off = 0x100 };
+            Insn.CGetTag (25, 20); m 0 0x100 ]
+      in
+      Alcotest.(check int) (kind_name k ^ ": CLC reads it untagged") 0
+        ctx.Cpu.gpr.(25))
+    kinds
+
+(* A misaligned access, and one past the capability's top, right after
+   a hit in the same block: the trap names the third access, whose
+   fallback records it (the hit before it records nothing), and the
+   prefix through it is charged. *)
+let test_hit_then_trap () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      List.iter
+        (fun (what, off, expect) ->
+          let name = Printf.sprintf "%s: %s after a hit" (kind_name k) what in
+          let ctx =
+            hit_path_case ~name ~probes:3 ~hits:1 ~misses:1 ~expect [ 0x4000 ]
+              [ m 0 0; m 0 8; m 0 off ]
+          in
+          (* Li r15, Li r8 and CSetAddr, then the accesses at 0x100c.. ;
+             both engines count the trapping instruction in [instret]. *)
+          Alcotest.(check int) (name ^ ": PC") (code_base + 20)
+            (Cap.addr ctx.Cpu.pcc);
+          Alcotest.(check int) (name ^ ": instret") 6 ctx.Cpu.instret)
+        [ "misaligned", 12, "trap: unaligned access vaddr=0x400c width=8";
+          "capability fault", mem_size - 0x4000,
+          Printf.sprintf "trap: capability fault (%s) reg=%d vaddr=0x%x"
+            (Cap.violation_to_string Cap.Bounds_violation)
+            (if k = Ld then -2 else 21) mem_size ])
+    kinds
+
+(* 8-byte accesses in the last granule of frame 4 and of memory (frame
+   15, never written): the first of each misses, the rest hit. *)
+let test_hit_last_granules () =
+  List.iter
+    (fun k ->
+      let m = mem_at k in
+      ignore
+        (hit_path_case ~name:(kind_name k ^ ": last granule of a frame, of memory")
+           ~probes:6 ~hits:4 ~misses:2 [ 0x4ff0; mem_size - 16 ]
+           [ m 0 8; m 0 0; m 0 8; m 1 8; m 1 0; m 1 8 ]))
+    kinds
+
+(* A memory that ends 16 bytes into its last page: an access past the
+   end, in a page and a DL1 line that an access just below it put in the
+   dTLB and the DL1, still raises the range error on both engines, because
+   the chain engine takes its hit path only on a memory of whole pages. *)
+let test_hit_partial_page () =
+  let size = mem_size - 16 in
+  let insns =
+    [| Insn.Li (8, size - 16);
+       Insn.Load { w = 8; signed = false; rd = 16; base = 8; off = 0 };
+       Insn.Load { w = 8; signed = false; rd = 17; base = 8; off = 16 };
+       Insn.Break 0 |]
+  in
+  List.iter
+    (fun engine ->
+      let m, ctx, _ = setup ~size insns 3 in
+      match
+        (match engine with
+         | `Step -> Cpu.run m ctx ~fuel
+         | `Chain -> Bbcache.run (Bbcache.create ()) m ctx ~fuel)
+      with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "no range error past a partial page: %s" (stop_str s))
+    [ `Step; `Chain ]
+
 (* Past the top of physical memory, under a capability whose bounds
    reach beyond it, every compiled width still hits [Tagmem.check]: the
    run raises instead of reading or writing outside the frames. *)
@@ -1772,6 +1962,14 @@ let suite =
     "memory widths at frame and memory ends", `Quick,
     test_mem_widths_frame_edges;
     "memory widths past the top of memory", `Quick, test_mem_widths_past_top;
+    "hit path: dTLB second-way swap", `Quick, test_hit_dtlb_swap;
+    "hit path: DL1 miss, then hit", `Quick, test_hit_dl1_miss;
+    "hit path: first store into a frame", `Quick, test_hit_first_store;
+    "hit path: store over a tagged granule", `Quick, test_hit_tagged_granule;
+    "hit path: trap right after a hit", `Quick, test_hit_then_trap;
+    "hit path: last granule of a frame and of memory", `Quick,
+    test_hit_last_granules;
+    "hit path: a memory of partial pages", `Quick, test_hit_partial_page;
     "chain: fused-group trap attribution", `Quick,
     test_chain_fused_trap_attribution;
     "chain: fuel expiry mid-fused-group", `Quick,

@@ -447,15 +447,67 @@ let test_cache_batched_hits () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "slot of an absent line"
 
+(* Every probe advances the clock once and counts one hit or one miss,
+   and the batched hits advance the clock and the hit count together, so
+   the hit count is always [clock - misses]: over random single-line
+   probes, split L1 probes ([l1_slot], then [hit_slot] or
+   [access_line]), batched repeats and stamped batches on an L1 and an
+   8-way cache, [Cache.hits] equals the hits counted here. *)
+let test_cache_hits_invariant () =
+  let st = ref 7 in
+  let rnd n = (st := (!st * 25214903917 + 11) land max_int; (!st lsr 16) mod n) in
+  List.iter
+    (fun (c : Cache.t) ->
+      let hits = ref 0 in
+      for _ = 1 to 20_000 do
+        let line = rnd 2048 in
+        (match rnd 4 with
+         | 0 -> if Cache.access_line c line then incr hits
+         | 1 when c.Cache.ways = Cache.l1_ways ->
+           (* The chain engine's split DL1 probe. *)
+           let s = Cache.l1_slot c line in
+           if s >= 0 then (Cache.hit_slot c s; incr hits)
+           else if Cache.access_line c line then incr hits
+         | 1 -> if Cache.access_line c line then incr hits
+         | 2 ->
+           if Cache.access_line c line then incr hits;
+           let k = rnd 5 in
+           Cache.repeat_hits c (Cache.resident_slot c line) k;
+           hits := !hits + k
+         | _ ->
+           if Cache.access_line c line then incr hits;
+           let n = 1 + rnd 3 in
+           let c0 = Cache.add_hits c n in
+           Cache.stamp c (Cache.resident_slot c line) (c0 + n);
+           hits := !hits + n);
+        if Cache.hits c <> c.Cache.clock - Cache.misses c then
+          Alcotest.failf "%s: hits %d <> clock %d - misses %d" (Cache.name c)
+            (Cache.hits c) c.Cache.clock (Cache.misses c)
+      done;
+      Alcotest.(check int) (Cache.name c ^ ": hits counted") !hits
+        (Cache.hits c))
+    [ Cache.create ~name:"l1" ~size:(32 * 1024) ~ways:4;
+      Cache.create ~name:"l2" ~size:(64 * 1024) ~ways:8 ]
+
 (* The chain engine's fixed-width accessors against the generic
    [read_int]/[read_int_signed]/[write_int] the step engine uses, at every
    aligned address of a frame's last granule and of the top granule of
    memory, over values with each width's sign bit set and clear. Each
    store also clears the granule's tag, and the range check still raises
-   past the end of memory. *)
+   past the end of memory. The unchecked [peek]/[poke] accessors of the
+   chain engine's hit paths agree as well, wherever [can_poke] allows a
+   poke: it refuses a tagged granule and an unwritten frame. *)
 let test_fixed_width_accessors () =
   let size = 1 lsl 16 in
-  let fixed = mk () and generic = mk () in
+  let fixed = mk () and generic = mk () and poked = mk () in
+  let peeks =
+    [ 1, Tagmem.peek_u8, Tagmem.peek_s8, Tagmem.poke_u8;
+      2, Tagmem.peek_u16, Tagmem.peek_s16, Tagmem.poke_u16;
+      4, Tagmem.peek_u32, Tagmem.peek_s32, Tagmem.poke_u32;
+      8, Tagmem.peek_u64, Tagmem.peek_u64, Tagmem.poke_u64 ]
+  in
+  Alcotest.(check bool) "no poke into an unwritten frame" false
+    (Tagmem.can_poke poked 0x4ff0);
   let values = [ 0; 1; 0x7f; 0x80; 0xff82; 0x8000_0001; -0x1234_5678_9abc_de7f;
                  min_int; max_int ] in
   let reads =
@@ -489,13 +541,30 @@ let test_fixed_width_accessors () =
                 Alcotest.(check int) (what ^ ": unsigned")
                   (Tagmem.read_int generic a ~len:w) (read_u fixed a);
                 Alcotest.(check int) (what ^ ": signed")
-                  (Tagmem.read_int_signed generic a ~len:w) (read_s fixed a))
+                  (Tagmem.read_int_signed generic a ~len:w) (read_s fixed a);
+                let _, peek_u, peek_s, poke =
+                  List.find (fun (w', _, _, _) -> w' = w) peeks
+                in
+                Tagmem.write_cap poked granule c;
+                Alcotest.(check bool) (what ^ ": no poke over a tag") false
+                  (Tagmem.can_poke poked a);
+                Tagmem.write_int poked a ~len:w 0;
+                Alcotest.(check bool) (what ^ ": can poke") true
+                  (Tagmem.can_poke poked a);
+                poke poked a v;
+                Alcotest.(check int) (what ^ ": peek unsigned")
+                  (Tagmem.read_int generic a ~len:w) (peek_u poked a);
+                Alcotest.(check int) (what ^ ": peek signed")
+                  (Tagmem.read_int_signed generic a ~len:w) (peek_s poked a))
               values
           done)
         writes)
     [ 0x4ff0; size - 16 ];
   Alcotest.(check bool) "same bytes" true
     (Bytes.equal (Tagmem.read_bytes fixed 0 size)
+       (Tagmem.read_bytes generic 0 size));
+  Alcotest.(check bool) "same bytes poked" true
+    (Bytes.equal (Tagmem.read_bytes poked 0 size)
        (Tagmem.read_bytes generic 0 size));
   List.iter
     (fun (w, write) ->
@@ -541,4 +610,5 @@ let suite =
     "cache eviction", `Quick, test_cache_eviction;
     "cache line straddle", `Quick, test_cache_straddle;
     "hierarchy costs", `Quick, test_hierarchy_costs;
-    "cache batched hits", `Quick, test_cache_batched_hits ]
+    "cache batched hits", `Quick, test_cache_batched_hits;
+    "cache hits = clock - misses", `Quick, test_cache_hits_invariant ]

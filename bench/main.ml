@@ -13,6 +13,7 @@ open Cheri_workloads
 
 module Abi = Cheri_core.Abi
 module G = Cheri_core.Granularity
+module Lint = Cheri_analysis.Lint
 
 let line = String.make 78 '-'
 
@@ -56,10 +57,10 @@ let table1 () =
 
 let table2 () =
   header "Table 2: CheriABI compatibility idioms, by category";
-  let cats = Compat.categories in
+  let cats = Lint.table2_categories in
   let print_matrix title rows =
     Printf.printf "\n%s\n%-16s" title "";
-    List.iter (fun c -> Printf.printf "%4s" (Compat.cat_name c)) cats;
+    List.iter (fun c -> Printf.printf "%4s" (Lint.cat_name c)) cats;
     print_newline ();
     List.iter
       (fun (group, counts) ->
@@ -77,7 +78,7 @@ let table2 () =
        (fun (g, files) -> g, Compat.analyze_group_semantic files)
        (Compat.own_sources ()));
   Printf.printf "\nPaper's counts for the FreeBSD tree:\n%-16s" "";
-  List.iter (fun c -> Printf.printf "%4s" (Compat.cat_name c)) cats;
+  List.iter (fun c -> Printf.printf "%4s" (Lint.cat_name c)) cats;
   print_newline ();
   List.iter
     (fun (g, ns) ->
@@ -89,8 +90,7 @@ let table2 () =
     (String.concat ", "
        (List.map
           (fun c ->
-            Printf.sprintf "%s=%s" (Compat.cat_name c)
-              (Compat.cat_description c))
+            Printf.sprintf "%s=%s" (Lint.cat_name c) (Lint.cat_description c))
           cats))
 
 (* --- Table 3: BOdiagsuite -------------------------------------------------------------- *)

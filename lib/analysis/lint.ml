@@ -25,15 +25,17 @@ module Abi = Cheri_core.Abi
 
 (* --- Diagnostics -------------------------------------------------------------------- *)
 
-(* Table 2 categories (the analyzer never emits U — "unsupported" is a
-   porting decision, not a program property). *)
-type category = PP | IP | M | PS | I | VA | BF | H | A | CC
+(* Table 2 categories, also [Cheri_workloads.Compat]'s. The analyzer emits
+   all but U ("unsupported" is a porting decision, not a program property):
+   [categories] omits it, [table2_categories] is every column. *)
+type category = PP | IP | M | PS | I | VA | BF | H | A | CC | U
 
 let categories = [ PP; IP; M; PS; I; VA; BF; H; A; CC ]
+let table2_categories = categories @ [ U ]
 
 let cat_name = function
   | PP -> "PP" | IP -> "IP" | M -> "M" | PS -> "PS" | I -> "I"
-  | VA -> "VA" | BF -> "BF" | H -> "H" | A -> "A" | CC -> "CC"
+  | VA -> "VA" | BF -> "BF" | H -> "H" | A -> "A" | CC -> "CC" | U -> "U"
 
 let cat_description = function
   | PP -> "pointer provenance"
@@ -46,6 +48,7 @@ let cat_description = function
   | H -> "hashing"
   | A -> "alignment"
   | CC -> "calling convention"
+  | U -> "unsupported"
 
 type diag = {
   d_line : int;

@@ -31,13 +31,12 @@ let in_range (lo, hi) a = a >= lo && a < hi
 
 let classify regions ev =
   match ev with
-  | Trace.Grant { origin; _ } ->
-    (match origin with
-     | "malloc" -> Some Malloc
-     | "exec" -> Some Exec
-     | "rtld" -> Some Glob_relocs
-     | "syscall" -> Some Syscall
-     | _ -> Some Kern)
+  | Trace.Grant { origin = Trace.Malloc; _ } -> Some Malloc
+  | Trace.Grant { origin = Trace.Exec; _ } -> Some Exec
+  | Trace.Grant { origin = Trace.Rtld; _ } -> Some Glob_relocs
+  | Trace.Grant { origin = Trace.Syscall; _ } -> Some Syscall
+  | Trace.Grant { origin = Trace.Signal | Trace.Ptrace | Trace.Swap; _ } ->
+    Some Kern
   | Trace.Derive { result; _ } ->
     let base = Cap.base result in
     if in_range regions.stack_range base then Some Stack
@@ -47,12 +46,12 @@ let classify regions ev =
   | Trace.Fault _ | Trace.Marker _ -> None
 
 (* Build the classification regions from the trace itself: every mmap
-   return (a "syscall" grant) delimits heap territory. *)
+   return (a [Syscall] grant) delimits heap territory. *)
 let regions_of_trace ~stack_range events =
   let heap =
     List.filter_map
       (function
-        | Trace.Grant { origin = "syscall"; result }
+        | Trace.Grant { origin = Trace.Syscall; result }
           when Cap.is_tagged result ->
           Some (Cap.base result, Cap.top result)
         | _ -> None)

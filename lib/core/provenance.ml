@@ -14,7 +14,7 @@ module Trace = Cheri_isa.Trace
 
 type node = {
   n_cap : Cap.t;
-  n_origin : string;          (* "derive" or the grant origin *)
+  n_origin : Trace.origin option;  (* [None]: a user derivation *)
   n_parent : int option;      (* index into the node array *)
   n_depth : int;              (* root grants have depth 1 *)
 }
@@ -51,17 +51,17 @@ let build events =
       (fun ev ->
         match ev, Trace.event_cap ev with
         | Trace.Grant { origin; _ }, Some c when Cap.is_tagged c ->
-          Some (origin, c)
-        | Trace.Derive _, Some c when Cap.is_tagged c -> Some ("derive", c)
+          Some (Some origin, c)
+        | Trace.Derive _, Some c when Cap.is_tagged c -> Some (None, c)
         | _ -> None)
       events
   in
   let n = List.length created in
-  let nodes = Array.make n { n_cap = Cap.null; n_origin = "";
+  let nodes = Array.make n { n_cap = Cap.null; n_origin = None;
                              n_parent = None; n_depth = 1 } in
   List.iteri
     (fun i (origin, cap) ->
-      let parent = if origin = "derive" then find_parent nodes i cap else None in
+      let parent = if origin = None then find_parent nodes i cap else None in
       let depth =
         match parent with
         | Some j -> nodes.(j).n_depth + 1
@@ -74,13 +74,13 @@ let build events =
   let total = Array.fold_left (fun s nd -> s + nd.n_depth) 0 nodes in
   let roots =
     Array.fold_left
-      (fun c nd -> if nd.n_origin <> "derive" then c + 1 else c)
+      (fun c nd -> if nd.n_origin <> None then c + 1 else c)
       0 nodes
   in
   let orphans =
     Array.fold_left
       (fun c nd ->
-        if nd.n_origin = "derive" && nd.n_parent = None then c + 1 else c)
+        if nd.n_origin = None && nd.n_parent = None then c + 1 else c)
       0 nodes
   in
   { nodes; max_depth;

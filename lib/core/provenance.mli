@@ -5,7 +5,7 @@
 
 type node = {
   n_cap : Cheri_cap.Cap.t;
-  n_origin : string;          (** "derive" or the kernel-grant origin *)
+  n_origin : Cheri_isa.Trace.origin option;  (** [None]: a user derivation *)
   n_parent : int option;      (** index into {!forest.nodes} *)
   n_depth : int;              (** roots have depth 1 *)
 }

@@ -13,7 +13,6 @@
      conventional MIPS. *)
 
 module Cap = Cheri_cap.Cap
-module Perms = Cheri_cap.Perms
 module Cpu = Cheri_isa.Cpu
 module Insn = Cheri_isa.Insn
 module Reg = Cheri_isa.Reg
@@ -53,9 +52,6 @@ let shadow_base = 0x10_0000_0000
 let shadow_of addr = shadow_base + (addr lsr 3)
 let shadow_size = 0x8000_0000 lsr 3
 
-let data_cap ~root ~addr ~len =
-  Cap.and_perms (Cap.set_bounds (Cap.set_addr root addr) ~len) Perms.data
-
 (* Build argument strings, argv/envv arrays, and (CheriABI) the argument
    header, at the top of the stack. Returns the register setup. *)
 let build_args k (p : Proc.t) ~abi ~argv ~envv =
@@ -79,11 +75,10 @@ let build_args k (p : Proc.t) ~abi ~argv ~envv =
       let base = !cursor in
       List.iteri
         (fun i (addr, slen) ->
-          let c = data_cap ~root ~addr ~len:(slen + 1) in
-          Kstate.trace_grant k p ~origin:"exec" c;
-          Kstate.kwrite_cap k p (base + (i * Cap.sizeof)) c)
+          Kstate.grant k p ~origin:Exec (Kaddr (base + (i * Cap.sizeof)))
+            (Rtld.data_cap ~root ~addr ~len:(slen + 1)))
         entries;
-      Kstate.kwrite_cap k p (base + (n * Cap.sizeof)) Cap.null;
+      Kstate.copy k p (Kaddr (base + (n * Cap.sizeof))) Cap.null;
       base, (n + 1) * Cap.sizeof
     in
     let env_base, env_len = write_cap_array envv_strs in
@@ -92,12 +87,10 @@ let build_args k (p : Proc.t) ~abi ~argv ~envv =
     cursor := !cursor - 48;
     let hdr = !cursor in
     Kstate.kwrite_int k p hdr ~len:8 (List.length argv);
-    let argv_cap = data_cap ~root ~addr:arg_base ~len:arg_len in
-    let envv_cap = data_cap ~root ~addr:env_base ~len:env_len in
-    Kstate.trace_grant k p ~origin:"exec" argv_cap;
-    Kstate.trace_grant k p ~origin:"exec" envv_cap;
-    Kstate.kwrite_cap k p (hdr + 16) argv_cap;
-    Kstate.kwrite_cap k p (hdr + 32) envv_cap;
+    Kstate.grant k p ~origin:Exec (Kaddr (hdr + 16))
+      (Rtld.data_cap ~root ~addr:arg_base ~len:arg_len);
+    Kstate.grant k p ~origin:Exec (Kaddr (hdr + 32))
+      (Rtld.data_cap ~root ~addr:env_base ~len:env_len);
     p.Proc.ps_strings <- hdr;
     `Cheri hdr
   | Abi.Mips64 | Abi.Asan ->
@@ -190,13 +183,12 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
     link.Rtld.lk_code;
   (* Run-time linker: data templates, relocations, capability table. *)
   let root = Addr_space.root_cap asp in
-  let tracer = Kstate.tracer_for k p in
   let writers =
     { Rtld.w_bytes = (fun a b -> Kstate.kwrite_bytes k p a b);
       w_int = (fun a ~len v -> Kstate.kwrite_int k p a ~len v);
-      w_cap = (fun a c -> Kstate.kwrite_cap k p a c) }
+      w_cap = (fun a c -> Kstate.grant k p ~origin:Rtld (Kaddr a) c) }
   in
-  Rtld.initialize link ~root ~writers ?tracer ();
+  Rtld.initialize link ~root ~writers;
   (* ASan: poison the compiler-declared global redzones. *)
   (match abi with
    | Abi.Asan ->
@@ -214,13 +206,9 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
    | Abi.Mips64 | Abi.Cheriabi -> ());
   (* Arguments and initial registers. *)
   let ctx = p.Proc.ctx in
+  let grant = Kstate.grant k p ~origin:Exec in
   (match build_args k p ~abi ~argv ~envv with
    | `Cheri hdr ->
-     let stack_cap =
-       Cap.and_perms
-         (Cap.set_bounds (Cap.set_addr root stack_base) ~len:stack_size)
-         Perms.data
-     in
      let entry_pl =
        List.find
          (fun (pl : Rtld.placed) ->
@@ -228,20 +216,19 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
            && link.Rtld.lk_entry < pl.Rtld.pl_text_base + pl.Rtld.pl_text_size)
          link.Rtld.lk_placed
      in
-     let pcc = Cap.set_addr (Rtld.object_text_cap ~root entry_pl)
-         link.Rtld.lk_entry in
-     let args_cap = data_cap ~root ~addr:hdr ~len:48 in
-     let cgp = Rtld.cgp_cap link ~root in
-     List.iter (Kstate.trace_grant k p ~origin:"exec")
-       [ stack_cap; pcc; args_cap; cgp ];
-     ctx.Cpu.pcc <- pcc;
-     ctx.Cpu.ddc <- Cap.null;   (* the heart of CheriABI *)
-     Cpu.wr_creg ctx Reg.csp (Cap.set_addr stack_cap (align_down hdr 16));
-     Cpu.wr_creg ctx Reg.ca0 args_cap;
-     Cpu.wr_creg ctx Reg.cgp cgp
+     grant (Creg Reg.csp)
+       (Rtld.data_cap ~root ~addr:stack_base ~len:stack_size);
+     grant Pcc
+       (Cap.set_addr (Rtld.object_text_cap ~root entry_pl) link.Rtld.lk_entry);
+     grant (Creg Reg.ca0) (Rtld.data_cap ~root ~addr:hdr ~len:48);
+     grant (Creg Reg.cgp) (Rtld.cgp_cap link ~root);
+     Kstate.copy k p Ddc Cap.null;   (* the heart of CheriABI *)
+     (* The stack pointer starts below the argument header. *)
+     Kstate.copy k p (Creg Reg.csp)
+       (Cap.set_addr (Cpu.rd_creg ctx Reg.csp) (align_down hdr 16))
    | `Legacy (argc, argv_base, envv_base, sp) ->
-     ctx.Cpu.pcc <- Cap.set_addr root link.Rtld.lk_entry;
-     ctx.Cpu.ddc <- root;
+     grant Pcc (Cap.set_addr root link.Rtld.lk_entry);
+     grant Ddc root;
      ctx.Cpu.gpr.(Reg.sp) <- sp;
      ctx.Cpu.gpr.(Reg.a0) <- argc;
      ctx.Cpu.gpr.(Reg.a1) <- argv_base;

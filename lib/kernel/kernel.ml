@@ -18,7 +18,6 @@ type t = Kstate.t
 let boot = Kstate.boot
 let spawn = Exec.spawn
 let run = Loop.run
-let console_of = Kstate.console_of
 
 (* Exit status of [pid], if it has terminated (and not yet been reaped). *)
 let status_of k pid =

@@ -9,7 +9,9 @@
    All kernel access to process memory goes through [copyin]/[copyout]
    (and the capability-preserving variants): for CheriABI processes these
    *require* a valid user capability and check it before every byte moved —
-   "non-capability versions of copyout and copyin return errors" (§4). *)
+   "non-capability versions of copyout and copyin return errors" (§4).
+   Every capability stored into a process passes one door, [grant] or
+   [copy] (the end of this file). *)
 
 module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
@@ -19,6 +21,7 @@ module Cache = Cheri_tagmem.Cache
 module Cpu = Cheri_isa.Cpu
 module Trace = Cheri_isa.Trace
 module Abi = Cheri_core.Abi
+module Provenance = Cheri_core.Provenance
 module Prot = Cheri_vm.Prot
 module Swap = Cheri_vm.Swap
 module Pmap = Cheri_vm.Pmap
@@ -188,13 +191,24 @@ let tracer_for k (p : Proc.t) =
   | Some sink, Some pid when pid = p.Proc.pid -> Some sink
   | _ -> None
 
-(* Emit a kernel capability grant into the trace when [p] is the traced
-   process. *)
-let trace_grant k (p : Proc.t) ~origin cap =
-  match tracer_for k p with
-  | Some sink when Cap.is_tagged cap ->
-    sink (Trace.Grant { origin; result = cap })
-  | _ -> ()
+(* A kernel path made a capability outside the receiving process's root. *)
+exception Kernel_bug of string
+
+(* The check-and-trace step of [grant]: a tagged capability the kernel made
+   for [p] must lie within [p]'s root in bounds and permissions (§5.5),
+   always; it is then traced if [p] is. Swap-in calls it as [on_rederive],
+   mmap/shmat where they make the capability they return. *)
+let admit k (p : Proc.t) ~origin c =
+  if Cap.is_tagged c then begin
+    let root = Addr_space.root_cap p.Proc.asp in
+    if not (Provenance.contains root c) then
+      raise (Kernel_bug (Printf.sprintf "pid %d: %s grant %s outside root %s"
+        p.Proc.pid (Trace.origin_name origin) (Cap.to_string c)
+        (Cap.to_string root)));
+    match tracer_for k p with
+    | Some sink -> sink (Trace.Grant { origin; result = c })
+    | None -> ()
+  end
 
 (* --- Wakeups ------------------------------------------------------------------- *)
 
@@ -244,11 +258,6 @@ let reap k (p : Proc.t) = Hashtbl.remove k.procs p.Proc.pid
 
 let console_write (p : Proc.t) data = Buffer.add_bytes p.Proc.console data
 
-let console_of k pid =
-  match find_proc k pid with
-  | Some p -> Buffer.contents p.Proc.console
-  | None -> ""
-
 (* --- User memory access ----------------------------------------------------------- *)
 
 (* Validate a user pointer for an access of [len] bytes and return its
@@ -277,10 +286,18 @@ let check_uptr k (p : Proc.t) uptr ~len ~write =
     then Errno.raise_errno Errno.EFAULT;
     a
 
-let touch_page (_k : t) (p : Proc.t) vaddr ~write =
-  match Pmap.kernel_touch (Addr_space.pmap p.Proc.asp) vaddr ~write with
-  | Some pa -> pa
-  | None -> Errno.raise_errno Errno.EFAULT
+(* The physical address behind [vaddr], faulting the page in (a swap-in
+   on the way is a [Swap] grant). A resident page allocates nothing. *)
+let touch_page k (p : Proc.t) vaddr ~write =
+  let pmap = Addr_space.pmap p.Proc.asp in
+  let pa = Pmap.probe pmap vaddr ~write in
+  if pa >= 0 then pa
+  else
+    match
+      Pmap.kernel_touch pmap vaddr ~write ~on_rederive:(admit k p ~origin:Swap)
+    with
+    | Some pa -> pa
+    | None -> Errno.raise_errno Errno.EFAULT
 
 (* Iterate [f pa chunk_off chunk_len] over the physical pages backing the
    user range. *)
@@ -355,12 +372,6 @@ let read_user_cap k p uptr =
   charge k p 4;
   Tagmem.read_cap k.mem pa
 
-let write_user_cap k p uptr cap =
-  let vaddr = check_uptr k p uptr ~len:Cap.sizeof ~write:true in
-  let pa = touch_page k p vaddr ~write:true in
-  charge k p 4;
-  Tagmem.write_cap k.mem pa cap
-
 (* Read a pointer *element* (of an argv-style array) at [uptr + idx*slot]:
    a tagged capability for CheriABI, an 8-byte address for legacy. *)
 let read_user_ptr_slot k p uptr idx =
@@ -388,10 +399,6 @@ let kwrite_int k p vaddr ~len v =
   let pa = touch_page k p vaddr ~write:true in
   Tagmem.write_int k.mem pa ~len v
 
-let kwrite_cap k p vaddr cap =
-  let pa = touch_page k p vaddr ~write:true in
-  Tagmem.write_cap k.mem pa cap
-
 let kread_int k p vaddr ~len =
   let pa = touch_page k p vaddr ~write:false in
   Tagmem.read_int k.mem pa ~len
@@ -399,3 +406,28 @@ let kread_int k p vaddr ~len =
 let kread_cap k p vaddr =
   let pa = touch_page k p vaddr ~write:false in
   Tagmem.read_cap k.mem pa
+
+(* --- The door: capabilities into user state --------------------------------------- *)
+
+(* A capability register; PCC; DDC; a raw kernel store at a user address
+   (no check, no charge); a store through a user pointer (checked as
+   [copyout] checks it, 4 cycles). *)
+type dst = Creg of int | Pcc | Ddc | Kaddr of int | Uptr of Uarg.uptr
+
+(* Store a capability [p] already holds (a signal frame's registers, a
+   memmove, a read-back), or an untagged value: no new authority, so
+   neither checked nor traced. *)
+let copy k (p : Proc.t) dst c =
+  match dst with
+  | Creg r -> Cpu.wr_creg p.Proc.ctx r c
+  | Pcc -> p.Proc.ctx.Cpu.pcc <- c
+  | Ddc -> p.Proc.ctx.Cpu.ddc <- c
+  | Kaddr vaddr -> Tagmem.write_cap k.mem (touch_page k p vaddr ~write:true) c
+  | Uptr uptr ->
+    let vaddr = check_uptr k p uptr ~len:Cap.sizeof ~write:true in
+    let pa = touch_page k p vaddr ~write:true in
+    charge k p 4;
+    Tagmem.write_cap k.mem pa c
+
+(* Store a capability the kernel made for [p]: [admit], then store. *)
+let grant k p ~origin dst c = admit k p ~origin c; copy k p dst c

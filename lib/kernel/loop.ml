@@ -44,7 +44,8 @@ let do_syscall k (p : Proc.t) =
        | Sys_impl.RInt v -> ctx.Cpu.gpr.(Reg.v0) <- v
        | Sys_impl.RPtr (Uarg.Uaddr a) -> ctx.Cpu.gpr.(Reg.v0) <- a
        | Sys_impl.RPtr (Uarg.Ucap c) ->
-         Cpu.wr_creg ctx Reg.ca0 c;
+         (* mmap and shmat granted [c] where they made it. *)
+         Kstate.copy k p (Creg Reg.ca0) c;
          ctx.Cpu.gpr.(Reg.v0) <- 0
        | Sys_impl.RNone -> ()
      with
@@ -53,10 +54,11 @@ let do_syscall k (p : Proc.t) =
        (* Pointer-returning syscalls signal errors in the result
           capability register too: an untagged value holding -errno. *)
        if p.Proc.abi = Abi.Cheriabi then
-         Cpu.wr_creg ctx Reg.ca0 (Cap.set_addr Cap.null (-(Errno.to_code e)))
+         Kstate.copy k p (Creg Reg.ca0)
+           (Cap.set_addr Cap.null (-(Errno.to_code e)))
      | Sys_impl.Restart ->
        (* Re-execute the SYSCALL instruction after wakeup. *)
-       ctx.Cpu.pcc <- Cap.set_addr entry_pcc (Cap.addr entry_pcc - 4))
+       Kstate.copy k p Pcc (Cap.set_addr entry_pcc (Cap.addr entry_pcc - 4)))
   | None -> ctx.Cpu.gpr.(Reg.v0) <- -(Errno.to_code Errno.ENOSYS)
 
 (* --- Trap handling ------------------------------------------------------------------ *)
@@ -74,8 +76,8 @@ let handle_trap k (p : Proc.t) cause =
   match cause with
   | Trap.Page_fault { vaddr; write; exec } ->
     let pmap = Addr_space.pmap p.Proc.asp in
-    let on_rederive c = Kstate.trace_grant k p ~origin:"swap" c in
-    (match Pmap.handle_fault pmap ~vaddr ~write ~exec ~on_rederive () with
+    let on_rederive = Kstate.admit k p ~origin:Swap in
+    (match Pmap.handle_fault pmap ~vaddr ~write ~exec ~on_rederive with
      | Pmap.Handled -> Kstate.charge k p 220   (* fault service cost *)
      | Pmap.Bad_access | Pmap.Not_mapped ->
        Proc.log_fault p

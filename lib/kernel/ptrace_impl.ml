@@ -107,8 +107,7 @@ let dispatch k (p : Proc.t) ~req ~pid ~addr ~data =
       let root = Addr_space.root_cap t.Proc.asp in
       let c = Swap.rederive ~root saved in
       if not (Cap.is_tagged c) then err Errno.EPROT;
-      Kstate.trace_grant k t ~origin:"ptrace" c;
-      Kstate.kwrite_cap k t data c;
+      Kstate.grant k t ~origin:Ptrace (Kaddr data) c;
       Sys_impl_ret.rint 0
     end
     else err Errno.EINVAL

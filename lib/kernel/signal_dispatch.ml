@@ -25,15 +25,16 @@ module Addr_space = Cheri_vm.Addr_space
    size      800 *)
 let frame_size = 800
 
+(* The frame holds the process's own capabilities: copies, not grants. *)
 let write_frame k p frame =
   let ctx = p.Proc.ctx in
   for i = 0 to 31 do
     Kstate.kwrite_int k p (frame + (i * 8)) ~len:8 ctx.Cpu.gpr.(i)
   done;
-  Kstate.kwrite_cap k p (frame + 256) ctx.Cpu.pcc;
-  Kstate.kwrite_cap k p (frame + 272) ctx.Cpu.ddc;
+  Kstate.copy k p (Kaddr (frame + 256)) ctx.Cpu.pcc;
+  Kstate.copy k p (Kaddr (frame + 272)) ctx.Cpu.ddc;
   for i = 1 to 31 do
-    Kstate.kwrite_cap k p (frame + 288 + ((i - 1) * 16)) (Cpu.rd_creg ctx i)
+    Kstate.copy k p (Kaddr (frame + 288 + ((i - 1) * 16))) (Cpu.rd_creg ctx i)
   done
 
 let read_frame k p frame =
@@ -41,10 +42,11 @@ let read_frame k p frame =
   for i = 1 to 31 do
     ctx.Cpu.gpr.(i) <- Kstate.kread_int k p (frame + (i * 8)) ~len:8
   done;
-  ctx.Cpu.pcc <- Kstate.kread_cap k p (frame + 256);
-  ctx.Cpu.ddc <- Kstate.kread_cap k p (frame + 272);
+  Kstate.copy k p Pcc (Kstate.kread_cap k p (frame + 256));
+  Kstate.copy k p Ddc (Kstate.kread_cap k p (frame + 272));
   for i = 1 to 31 do
-    Cpu.wr_creg ctx i (Kstate.kread_cap k p (frame + 288 + ((i - 1) * 16)))
+    Kstate.copy k p (Creg i)
+      (Kstate.kread_cap k p (frame + 288 + ((i - 1) * 16)))
   done
 
 (* Push a signal frame and enter the handler. *)
@@ -68,20 +70,21 @@ let deliver_to_handler k (p : Proc.t) sig_ handler =
          (Cap.set_bounds (Cap.set_addr root Exec.sigcode_base) ~len:16)
          Perms.code
      in
-     Kstate.trace_grant k p ~origin:"signal" tramp;
-     Cpu.wr_creg ctx Reg.csp (Cap.set_addr (Cpu.rd_creg ctx Reg.csp) frame);
-     Cpu.wr_creg ctx Reg.cra tramp;
-     ctx.Cpu.pcc <- hcap
+     Kstate.copy k p (Creg Reg.csp)
+       (Cap.set_addr (Cpu.rd_creg ctx Reg.csp) frame);
+     Kstate.grant k p ~origin:Signal (Creg Reg.cra) tramp;
+     (* The handler capability is the process's own, from sigaction. *)
+     Kstate.copy k p Pcc hcap
    | (Abi.Mips64 | Abi.Asan), Uarg.Uaddr a ->
      ctx.Cpu.gpr.(Reg.sp) <- frame;
      ctx.Cpu.gpr.(Reg.ra) <- Exec.sigcode_base;
-     ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc a
+     Kstate.copy k p Pcc (Cap.set_addr ctx.Cpu.pcc a)
    | Abi.Cheriabi, Uarg.Uaddr a ->
      (* A CheriABI handler registered as a bare address can only have come
         from an untagged value; entering it will fault, which is correct. *)
-     ctx.Cpu.pcc <- Cap.set_addr Cap.null a
+     Kstate.copy k p Pcc (Cap.set_addr Cap.null a)
    | (Abi.Mips64 | Abi.Asan), Uarg.Ucap c ->
-     ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc (Cap.addr c));
+     Kstate.copy k p Pcc (Cap.set_addr ctx.Cpu.pcc (Cap.addr c)));
   Kstate.charge k p 400
 
 (* Act on one pending signal. Returns [false] if the process died. *)

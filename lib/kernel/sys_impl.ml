@@ -277,7 +277,9 @@ let sys_mmap k (p : Proc.t) addr len protb flags _fd _off =
     let c =
       Cap.and_perms c (Perms.union (Prot.to_cap_perms prot) Perms.vmmap)
     in
-    Kstate.trace_grant k p ~origin:"syscall" c;
+    (* A grant whoever receives it: a process ($ca0, copied by [Loop]) or
+       the allocator, which calls this handler for its chunks. *)
+    Kstate.admit k p ~origin:Syscall c;
     RPtr (Uarg.Ucap c)
 
 (* munmap and shmdt require the VMMAP permission: without it a capability
@@ -399,7 +401,7 @@ let sys_shmat k (p : Proc.t) id addr _flag =
     let c = Cap.set_bounds (Cap.set_addr (Addr_space.root_cap asp) start)
         ~len in
     let c = Cap.and_perms c (Perms.union Perms.data Perms.vmmap) in
-    Kstate.trace_grant k p ~origin:"syscall" c;
+    Kstate.admit k p ~origin:Syscall c;
     RPtr (Uarg.Ucap c)
 
 let sys_shmdt k (p : Proc.t) addr =
@@ -414,13 +416,15 @@ let sys_shmdt k (p : Proc.t) addr =
 let sys_fork k (p : Proc.t) =
   let pid = Kstate.alloc_pid k in
   let casp =
+    (* Fork swaps pages in first, into the parent's frames: its grants. *)
     Addr_space.fork p.Proc.asp ~principal:(Kstate.alloc_principal k)
       ~phys:k.Kstate.phys ~swap:k.Kstate.swap
+      ~on_rederive:(Kstate.admit k p ~origin:Swap)
   in
   let child = Proc.create ~pid ~parent:p.Proc.pid ~abi:p.Proc.abi ~asp:casp in
   child.Proc.ctx <- Cpu.copy_ctx p.Proc.ctx;
   child.Proc.ctx.Cpu.gpr.(Reg.v0) <- 0;
-  Cpu.wr_creg child.Proc.ctx Reg.ca0 Cap.null;
+  Kstate.copy k child (Creg Reg.ca0) Cap.null;
   child.Proc.fds <- Array.map (fun e -> Option.iter Vfs.ref_entry e; e) p.Proc.fds;
   child.Proc.code <- p.Proc.code;
   child.Proc.linked <- p.Proc.linked;
@@ -532,7 +536,7 @@ let sys_sigaction k (p : Proc.t) sig_ actp oactp =
         | Proc.Sig_handler (Uarg.Ucap c) -> c
         | Proc.Sig_handler (Uarg.Uaddr a) -> Cap.untagged ~addr:a
       in
-      Kstate.write_user_cap k p oactp c
+      Kstate.copy k p (Uptr oactp) c
     | Abi.Mips64 | Abi.Asan ->
       let v =
         match prev with
@@ -678,7 +682,7 @@ let sys_kevent_poll k (p : Proc.t) outp =
     (match p.Proc.abi, udata with
      | Abi.Cheriabi, Uarg.Ucap c ->
        (* the stored capability returns with its tag intact *)
-       Kstate.write_user_cap k p outp c
+       Kstate.copy k p (Uptr outp) c
      | _, u ->
        let b = Bytes.create 8 in
        Bytes.set_int64_le b 0 (Int64.of_int (Uarg.addr_of_uptr u));

@@ -543,9 +543,7 @@ let malloc k (p : Proc.t) len =
     (* Address-only rebound from the chunk parent; bounds match the
        request, rounded only as representability forces, and the class
        invariant guarantees [blen] fits the slot. *)
-    let c = Capptr.to_cap (Capptr.bound parent ~addr ~len:blen) in
-    K.trace_grant k p ~origin:"malloc" c;
-    addr, Some c
+    addr, Some (Capptr.to_cap (Capptr.bound parent ~addr ~len:blen))
 
 let free k (p : Proc.t) addr =
   let st = ensure k in

@@ -30,12 +30,21 @@ let asan_fault msg = raise (Rt_fault (Signo.sigabrt, msg))
 
 let ret_int (p : Proc.t) v = p.Proc.ctx.Cpu.gpr.(Reg.v0) <- v
 
+(* Return a pointer the process holds (memcpy's destination), or NULL. *)
 let ret_ptr k (p : Proc.t) ~addr ~cap =
   p.Proc.ctx.Cpu.gpr.(Reg.v0) <- addr;
   match p.Proc.abi, cap with
-  | Abi.Cheriabi, Some c -> Cpu.wr_creg p.Proc.ctx Reg.ca0 c
-  | Abi.Cheriabi, None -> Cpu.wr_creg p.Proc.ctx Reg.ca0 Cap.null
-  | (Abi.Mips64 | Abi.Asan), _ -> ignore k
+  | Abi.Cheriabi, Some c -> K.copy k p (Creg Reg.ca0) c
+  | Abi.Cheriabi, None -> K.copy k p (Creg Reg.ca0) Cap.null
+  | (Abi.Mips64 | Abi.Asan), _ -> ()
+
+(* Return a fresh allocation: its capability is the allocator's grant. *)
+let ret_alloc k (p : Proc.t) ~addr ~cap =
+  match cap with
+  | Some c ->
+    p.Proc.ctx.Cpu.gpr.(Reg.v0) <- addr;
+    K.grant k p ~origin:Malloc (Creg Reg.ca0) c
+  | None -> ret_ptr k p ~addr ~cap
 
 (* Check that [r] authorizes an access of [len] with [perm]; returns the
    base address of the access. *)
@@ -52,12 +61,11 @@ let check_ref r ~perm ~len =
 
 (* --- Raw user memory helpers ------------------------------------------------------ *)
 
-let touch (_k : K.t) p vaddr ~write =
-  match Cheri_vm.Pmap.kernel_touch
-          (Cheri_vm.Addr_space.pmap p.Proc.asp) vaddr ~write
-  with
-  | Some pa -> pa
-  | None -> seg_fault (Printf.sprintf "unmapped address 0x%x in C runtime" vaddr)
+let unmapped vaddr =
+  seg_fault (Printf.sprintf "unmapped address 0x%x in C runtime" vaddr)
+
+let touch k p vaddr ~write =
+  try K.touch_page k p vaddr ~write with Errno.Error _ -> unmapped vaddr
 
 let read_u8 k p vaddr = Cheri_tagmem.Tagmem.read_u8 k.K.mem (touch k p vaddr ~write:false)
 let write_u8 k p vaddr v =
@@ -77,9 +85,7 @@ let iter_shadow k p addr len ~write f =
       K.iter_user_range k p s0 (s1 - s0 + 1) ~write (fun pa off n ->
           f pa n;
           done_ := off + n)
-    with Errno.Error Errno.EFAULT ->
-      seg_fault
-        (Printf.sprintf "unmapped address 0x%x in C runtime" (s0 + !done_))
+    with Errno.Error Errno.EFAULT -> unmapped (s0 + !done_)
   end
 
 let shadow_set k p addr len v =
@@ -193,7 +199,7 @@ let revoke_range k (p : Proc.t) ~base ~top =
   for i = 1 to Cap.Regs.nregs - 1 do
     let c = Cpu.rd_creg ctx i in
     if Cap.is_tagged c && Cap.base c < top && Cap.top c > base then begin
-      Cpu.wr_creg ctx i (Cap.clear_tag c);
+      K.copy k p (Creg i) (Cap.clear_tag c);
       incr revoked
     end
   done;
@@ -229,26 +235,25 @@ let copy_user k p ~dst ~src ~len =
     in
     if aligned then begin
       let n = len / granule in
-      (* Read all source granules first (raw bytes plus any tagged
-         capability): overlap-safe, and untagged data survives intact. *)
+      (* Read all source granules first (a tagged one's capability, which
+         is its bytes too, else its raw bytes): overlap-safe. *)
+      let mem = k.K.mem in
       let tmp =
         Array.init n (fun i ->
             let pa = touch k p (src + (i * granule)) ~write:false in
-            let bytes = Cheri_tagmem.Tagmem.read_bytes k.K.mem pa granule in
-            let cap =
-              if Cheri_tagmem.Tagmem.get_tag k.K.mem pa then
-                Some (Cheri_tagmem.Tagmem.read_cap k.K.mem pa)
-              else None
-            in
-            bytes, cap)
+            if Cheri_tagmem.Tagmem.get_tag mem pa then
+              Bytes.empty, Cheri_tagmem.Tagmem.read_cap mem pa
+            else Cheri_tagmem.Tagmem.read_bytes mem pa granule, Cap.null)
       in
       Array.iteri
         (fun i (bytes, cap) ->
-          let pa = touch k p (dst + (i * granule)) ~write:true in
-          Cheri_tagmem.Tagmem.blit_bytes k.K.mem ~dst:pa bytes;
-          match cap with
-          | Some c -> Cheri_tagmem.Tagmem.write_cap k.K.mem pa c
-          | None -> ())
+          let va = dst + (i * granule) in
+          if Cap.is_tagged cap then
+            (try K.copy k p (Kaddr va) cap
+             with Errno.Error _ -> unmapped va)
+          else
+            Cheri_tagmem.Tagmem.blit_bytes mem ~dst:(touch k p va ~write:true)
+              bytes)
         tmp
     end
     else begin
@@ -347,7 +352,7 @@ let do_print_hex k p v =
 
 let do_malloc k p len =
   let addr, cap = alloc k p len in
-  ret_ptr k p ~addr ~cap
+  ret_alloc k p ~addr ~cap
 
 let do_calloc k p n size =
   let len = n * size in
@@ -357,7 +362,7 @@ let do_calloc k p n size =
     Cheri_tagmem.Tagmem.write_int k.K.mem pa ~len:8 0
   done;
   K.charge k p (len / 8);
-  ret_ptr k p ~addr ~cap
+  ret_alloc k p ~addr ~cap
 
 let do_realloc k (p : Proc.t) r len =
   let old_addr = Uarg.addr_of_uptr r in
@@ -374,7 +379,7 @@ let do_realloc k (p : Proc.t) r len =
     let addr, cap = alloc k p len in
     copy_user k p ~dst:addr ~src:old_addr ~len:(min old_len len);
     do_free k p r;
-    ret_ptr k p ~addr ~cap
+    ret_alloc k p ~addr ~cap
   end
 
 (* --- Dispatch -------------------------------------------------------------------------------- *)

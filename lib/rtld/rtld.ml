@@ -16,7 +16,6 @@ module Cap = Cheri_cap.Cap
 module Perms = Cheri_cap.Perms
 module Asm = Cheri_isa.Asm
 module Insn = Cheri_isa.Insn
-module Trace = Cheri_isa.Trace
 module Abi = Cheri_core.Abi
 
 type placed = {
@@ -178,6 +177,10 @@ let object_text_cap ~root pl =
   let c = Cap.set_bounds c ~len:(align_up (max pl.pl_text_size 4) page) in
   Cap.and_perms c Perms.code
 
+(* A read-write data capability for [addr, addr+len), derived from [root]. *)
+let data_cap ~root ~addr ~len =
+  Cap.and_perms (Cap.set_bounds (Cap.set_addr root addr) ~len) Perms.data
+
 (* Build the capability a GOT slot holds for [sym]. *)
 let got_cap t ~root sym =
   match Hashtbl.find_opt t.lk_symtab sym with
@@ -186,24 +189,19 @@ let got_cap t ~root sym =
     (* Function pointers are bounded to the defining shared object's text,
        preserving branches between functions of one object. *)
     Cap.set_addr (object_text_cap ~root pl) addr
-  | Some (Ddata (_, addr, size)) ->
-    let c = Cap.set_bounds (Cap.set_addr root addr) ~len:size in
-    Cap.and_perms c Perms.data
+  | Some (Ddata (_, addr, size)) -> data_cap ~root ~addr ~len:size
   | Some (Dtls (pl, off, _size)) ->
     (* TLS bounds are per shared object, not per variable (§4). *)
-    let block = Cap.set_addr root (t.lk_tls_base + pl.pl_tls_off) in
-    let block = Cap.set_bounds block ~len:(align_up (max pl.pl_obj.Sobj.so_tls 16) 16) in
-    Cap.inc_addr (Cap.and_perms block Perms.data) (off - pl.pl_tls_off)
+    Cap.inc_addr
+      (data_cap ~root ~addr:(t.lk_tls_base + pl.pl_tls_off)
+         ~len:(align_up (max pl.pl_obj.Sobj.so_tls 16) 16))
+      (off - pl.pl_tls_off)
 
 (* Initialize data segments, process relocations, and fill the GOT.
    [root] is the process's root user capability; every installed
-   capability is derived from it (and traced as an "rtld" grant). *)
-let initialize t ~root ~writers ?tracer () =
-  let trace c =
-    match tracer with
-    | Some sink when Cap.is_tagged c -> sink (Trace.Grant { origin = "rtld"; result = c })
-    | _ -> ()
-  in
+   capability is derived from it. The kernel's [w_cap] is its grant door,
+   which checks and traces each one. *)
+let initialize t ~root ~writers =
   (* Data templates. *)
   List.iter
     (fun pl ->
@@ -230,14 +228,9 @@ let initialize t ~root ~writers ?tracer () =
             let c =
               match kind with
               | `Func dpl -> Cap.set_addr (object_text_cap ~root dpl) addr
-              | `Data ->
-                Cap.and_perms
-                  (Cap.set_bounds (Cap.set_addr root addr) ~len:size)
-                  Perms.data
+              | `Data -> data_cap ~root ~addr ~len:size
             in
-            let c = Cap.inc_addr c r.Sobj.dr_addend in
-            trace c;
-            writers.w_cap where c)
+            writers.w_cap where (Cap.inc_addr c r.Sobj.dr_addend))
         pl.pl_obj.Sobj.so_data_relocs)
     t.lk_placed;
   (* Capability table. *)
@@ -246,9 +239,7 @@ let initialize t ~root ~writers ?tracer () =
    | Abi.Cheriabi ->
      List.iter
        (fun (sym, off) ->
-         let c = got_cap t ~root sym in
-         trace c;
-         writers.w_cap (t.lk_got_base + off) c)
+         writers.w_cap (t.lk_got_base + off) (got_cap t ~root sym))
        t.lk_got)
 
 (* Capability for the GOT itself (installed in $cgp at exec). *)

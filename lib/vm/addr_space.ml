@@ -149,7 +149,7 @@ let destroy t =
   t.regions <- []
 
 (* Clone for fork: new principal, same layout, COW pages. *)
-let fork t ~principal ~phys ~swap =
+let fork t ~principal ~phys ~swap ~on_rederive =
   let child = create ~root:t.root_cap ~principal ~phys ~swap () in
   List.iter
     (fun r ->
@@ -157,7 +157,7 @@ let fork t ~principal ~phys ~swap =
         { r_start = r.r_start; r_len = r.r_len; r_prot = r.r_prot;
           r_name = r.r_name; r_shared = r.r_shared })
     (List.rev t.regions);
-  Pmap.fork_into t.pmap child.pmap ~on_rederive:(fun _ -> ());
+  Pmap.fork_into t.pmap child.pmap ~on_rederive;
   child
 
 let pp_region ppf r =

@@ -298,8 +298,8 @@ let violates (prot : Prot.t) ~write ~exec =
   (write && not prot.Prot.write) || ((not write) && not prot.Prot.read)
   || (exec && not prot.Prot.exec)
 
-(* Service a fault raised by [translate]. *)
-let handle_fault t ~vaddr ~write ~exec ?(on_rederive = fun _ -> ()) () =
+(* Service a fault raised by [translate] ([on_rederive]: [Swap.swap_in]). *)
+let handle_fault t ~vaddr ~write ~exec ~on_rederive =
   t.faults <- t.faults + 1;
   let vpn = vpn_of vaddr in
   match Hashtbl.find_opt t.table vpn with
@@ -320,7 +320,7 @@ let handle_fault t ~vaddr ~write ~exec ?(on_rederive = fun _ -> ()) () =
       | Swapped id ->
         let f = alloc_frame_pressured t in
         Swap.swap_in t.swap (Phys.mem t.phys) ~id ~pa:(Phys.frame_addr f)
-          ~root:t.root ~on_rederive ();
+          ~root:t.root ~on_rederive;
         e.state <- Present f;
         Handled
       | Present f when write && e.cow ->
@@ -369,7 +369,7 @@ let fork_into t child ~on_rederive =
         | Swapped id ->
           let f = Phys.alloc_frame t.phys in
           Swap.swap_in t.swap (Phys.mem t.phys) ~id ~pa:(Phys.frame_addr f)
-            ~root:t.root ~on_rederive ();
+            ~root:t.root ~on_rederive;
           e.state <- Present f;
           f
       in
@@ -389,18 +389,24 @@ let destroy t =
   t.ranges <- [];
   t.mapped <- 0
 
+(* [kernel_touch]'s fast path, allocation free: the physical address of
+   [vaddr], or -1 where a kernel access would fault. *)
+let probe t vaddr ~write =
+  match translate t vaddr ~write ~exec:false with
+  | pa -> pa
+  | exception Trap.Trap _ -> -1
+
 (* Direct kernel access to a user page's physical address, faulting it in
    if needed. Returns None on protection violation / unmapped. *)
-let kernel_touch t vaddr ~write =
+let kernel_touch t vaddr ~write ~on_rederive =
   let rec go tries =
     if tries = 0 then None
     else
-      match translate t vaddr ~write ~exec:false with
-      | pa -> Some pa
-      | exception Trap.Trap (Trap.Page_fault _) ->
-        (match handle_fault t ~vaddr ~write ~exec:false () with
-         | Handled -> go (tries - 1)
-         | Bad_access | Not_mapped -> None)
-      | exception Trap.Trap _ -> None
+      let pa = probe t vaddr ~write in
+      if pa >= 0 then Some pa
+      else
+        match handle_fault t ~vaddr ~write ~exec:false ~on_rederive with
+        | Handled -> go (tries - 1)
+        | Bad_access | Not_mapped -> None
   in
   go 3

@@ -83,8 +83,8 @@ let swap_out t mem ~pa =
   id
 
 (* Restore slot [id] into the frame at [pa], rederiving capabilities from
-   [root]. [on_rederive] lets the kernel trace each restored capability. *)
-let swap_in t mem ~id ~pa ~root ?(on_rederive = fun _ -> ()) () =
+   [root]; [on_rederive] is the kernel's check-and-trace step for each. *)
+let swap_in t mem ~id ~pa ~root ~on_rederive =
   let slot =
     match Hashtbl.find_opt t.slots id with
     | Some s -> s

@@ -36,16 +36,15 @@ val rederive : root:Cheri_cap.Cap.t -> saved_cap -> Cheri_cap.Cap.t
 val swap_out : t -> Cheri_tagmem.Tagmem.t -> pa:int -> int
 
 (** Restore slot [id] into the frame at [pa], rederiving capabilities
-    from [root]; [on_rederive] lets the kernel trace each restored
-    capability. *)
+    from [root]; [on_rederive] is the kernel's check-and-trace step
+    ([Kstate.admit]) for each tagged one. *)
 val swap_in :
   t ->
   Cheri_tagmem.Tagmem.t ->
   id:int ->
   pa:int ->
   root:Cheri_cap.Cap.t ->
-  ?on_rederive:(Cheri_cap.Cap.t -> unit) ->
-  unit ->
+  on_rederive:(Cheri_cap.Cap.t -> unit) ->
   unit
 
 val discard : t -> int -> unit

@@ -11,7 +11,7 @@
      type (va_args, preprocessor macros, uintptr_t typedefs) — i.e. the
      synthetic legacy-C corpus standing in for the FreeBSD tree.
 
-   Categories:
+   Categories ([Lint.category], the one taxonomy both analyzers count in):
 
    PP pointer provenance     IP integer provenance   M monotonicity
    PS pointer shape          I  pointer-as-integer   VA virtual address
@@ -23,26 +23,7 @@
    idioms at realistic densities, organized into the paper's four groups,
    and (b) this repository's own CSmall sources. *)
 
-type category = PP | IP | M | PS | I | VA | BF | H | A | CC | U
-
-let categories = [ PP; IP; M; PS; I; VA; BF; H; A; CC; U ]
-
-let cat_name = function
-  | PP -> "PP" | IP -> "IP" | M -> "M" | PS -> "PS" | I -> "I"
-  | VA -> "VA" | BF -> "BF" | H -> "H" | A -> "A" | CC -> "CC" | U -> "U"
-
-let cat_description = function
-  | PP -> "pointer provenance"
-  | IP -> "integer provenance"
-  | M -> "monotonicity"
-  | PS -> "pointer shape"
-  | I -> "pointer as integer"
-  | VA -> "virtual address"
-  | BF -> "bit flags"
-  | H -> "hashing"
-  | A -> "alignment"
-  | CC -> "calling convention"
-  | U -> "unsupported"
+module Lint = Cheri_analysis.Lint
 
 (* --- Pattern machinery ------------------------------------------------------------- *)
 
@@ -80,7 +61,7 @@ let normalize src =
   Buffer.contents b
 
 (* Each category is recognized by a list of textual signatures. *)
-let signatures =
+let signatures : (Lint.category * string list) list =
   [ PP, [ "container_of("; "ipc_send_ptr("; "from unrelated object" ];
     IP, [ "(int)&"; "(long)&"; "(unsigned)"; "(int)ptr"; "(long)ptr";
           "through int" ];
@@ -107,43 +88,25 @@ let analyze src =
 let add_counts a b =
   List.map2 (fun (c1, n1) (c2, n2) -> assert (c1 = c2); c1, n1 + n2) a b
 
-let zero_counts = List.map (fun c -> c, 0) categories
+let zero_counts = List.map (fun c -> c, 0) Lint.table2_categories
 
 (* --- Semantic analysis (lib/analysis) ----------------------------------------------- *)
-
-let of_lint_category = function
-  | Cheri_analysis.Lint.PP -> PP
-  | Cheri_analysis.Lint.IP -> IP
-  | Cheri_analysis.Lint.M -> M
-  | Cheri_analysis.Lint.PS -> PS
-  | Cheri_analysis.Lint.I -> I
-  | Cheri_analysis.Lint.VA -> VA
-  | Cheri_analysis.Lint.BF -> BF
-  | Cheri_analysis.Lint.H -> H
-  | Cheri_analysis.Lint.A -> A
-  | Cheri_analysis.Lint.CC -> CC
 
 (* Run the typed-AST provenance lint over a CSmall source. Returns [None]
    when the source is not typeable CSmall (then only the textual patterns
    apply). Sources referencing libc are retried with the prototypes
    prepended. *)
-let analyze_semantic src : (category * int) list option =
+let analyze_semantic src : (Lint.category * int) list option =
   let count diags =
     List.map
       (fun c ->
-        ( c,
-          List.length
-            (List.filter
-               (fun d -> of_lint_category d.Cheri_analysis.Lint.d_cat = c)
-               diags) ))
-      categories
+        c, List.length (List.filter (fun d -> d.Lint.d_cat = c) diags))
+      Lint.table2_categories
   in
-  match Cheri_analysis.Lint.analyze_source src with
+  match Lint.analyze_source src with
   | Ok diags -> Some (count diags)
   | Error _ ->
-    (match
-       Cheri_analysis.Lint.analyze_source ~externs:Stdlib_src.libc_externs src
-     with
+    (match Lint.analyze_source ~externs:Stdlib_src.libc_externs src with
      | Ok diags -> Some (count diags)
      | Error _ -> None)
 

@@ -7,6 +7,7 @@ module Trace = Cheri_isa.Trace
 module A = Cheri_core.Abstract_cap
 module G = Cheri_core.Granularity
 module Compat = Cheri_workloads.Compat
+module Lint = Cheri_analysis.Lint
 
 let root = Cap.make_root ~base:0x10000 ~top:0x100000 ()
 
@@ -37,7 +38,7 @@ let test_subsumes_perms () =
 
 let test_audit_clean_trace () =
   let events =
-    [ Trace.Grant { origin = "exec"; result = sub ~base:0x20000 ~len:4096 ~perms:Perms.data };
+    [ Trace.Grant { origin = Trace.Exec; result = sub ~base:0x20000 ~len:4096 ~perms:Perms.data };
       Trace.Derive
         { pc = 0; op = "csetbounds";
           result = sub ~base:0x20010 ~len:16 ~perms:Perms.data } ]
@@ -48,7 +49,7 @@ let test_audit_clean_trace () =
 let test_audit_flags_escape () =
   let foreign = Cap.make_root ~base:0x200000 ~top:0x300000 () in
   let events =
-    [ Trace.Grant { origin = "kern"; result = foreign } ]
+    [ Trace.Grant { origin = Trace.Ptrace; result = foreign } ]
   in
   Alcotest.(check int) "one violation" 1
     (List.length (A.audit ~principal:1 ~root events))
@@ -70,10 +71,10 @@ let test_classification () =
         result = sub ~base:0x40100 ~len:32 ~perms:Perms.data }
   in
   let ev_malloc =
-    Trace.Grant { origin = "malloc"; result = sub ~base:0x40200 ~len:48 ~perms:Perms.data }
+    Trace.Grant { origin = Trace.Malloc; result = sub ~base:0x40200 ~len:48 ~perms:Perms.data }
   in
   let ev_rtld =
-    Trace.Grant { origin = "rtld"; result = sub ~base:0x20000 ~len:8 ~perms:Perms.data }
+    Trace.Grant { origin = Trace.Rtld; result = sub ~base:0x20000 ~len:8 ~perms:Perms.data }
   in
   Alcotest.(check bool) "stack" true (G.classify regions ev_stack = Some G.Stack);
   Alcotest.(check bool) "heap derive -> malloc" true
@@ -87,7 +88,7 @@ let test_cdf_monotone () =
   let events =
     List.init 20 (fun i ->
         Trace.Grant
-          { origin = "malloc";
+          { origin = Trace.Malloc;
             result = sub ~base:(0x40000 + (i * 512)) ~len:(16 * (i + 1))
                 ~perms:Perms.data })
   in
@@ -106,7 +107,7 @@ let test_cdf_monotone () =
 let test_regions_from_trace () =
   let events =
     [ Trace.Grant
-        { origin = "syscall";
+        { origin = Trace.Syscall;
           result = sub ~base:0x60000 ~len:0x10000 ~perms:Perms.data } ]
   in
   let r = G.regions_of_trace ~stack_range:(0, 1) events in
@@ -121,30 +122,30 @@ let count cat counts = List.assoc cat counts
 
 let test_detects_alignment_idiom () =
   let c = counts_of "p = (char *)(((uintptr_t)buf + 15) & ~15);" in
-  Alcotest.(check bool) "A >= 1" true (count Compat.A c >= 1)
+  Alcotest.(check bool) "A >= 1" true (count Lint.A c >= 1)
 
 let test_detects_bitflag_idiom () =
   let c = counts_of "l->owner = (void *)(w | 1);" in
-  Alcotest.(check bool) "BF >= 1" true (count Compat.BF c >= 1)
+  Alcotest.(check bool) "BF >= 1" true (count Lint.BF c >= 1)
 
 let test_detects_sentinel () =
   let c = counts_of "if (p == MAP_FAILED || q == (void *)-1) die();" in
-  Alcotest.(check bool) "I >= 2" true (count Compat.I c >= 2)
+  Alcotest.(check bool) "I >= 2" true (count Lint.I c >= 2)
 
 let test_detects_variadics () =
   let c = counts_of "int f(int n, ...) { va_list ap; va_start(ap, n); }" in
-  Alcotest.(check bool) "CC >= 2" true (count Compat.CC c >= 2)
+  Alcotest.(check bool) "CC >= 2" true (count Lint.CC c >= 2)
 
 let test_detects_sbrk () =
   let c = counts_of "char *p = sbrk(4096);" in
-  Alcotest.(check bool) "U >= 1" true (count Compat.U c >= 1)
+  Alcotest.(check bool) "U >= 1" true (count Lint.U c >= 1)
 
 let test_clean_code_is_clean () =
   let c = counts_of "int add(int a, int b) { return a + b; }" in
   List.iter
     (fun (cat, n) ->
-      Alcotest.(check int) (Compat.cat_name cat) 0 (n * 0 + n))
-    (List.filter (fun (cat, _) -> cat <> Compat.CC) c);
+      Alcotest.(check int) (Lint.cat_name cat) 0 (n * 0 + n))
+    (List.filter (fun (cat, _) -> cat <> Lint.CC) c);
   ignore c
 
 let test_corpus_shape () =
@@ -184,7 +185,7 @@ let test_provenance_chain_depths () =
   let mid = sub ~base:0x20100 ~len:256 ~perms:Perms.data in
   let leaf = sub ~base:0x20110 ~len:16 ~perms:Perms.read_only in
   let events =
-    [ Trace.Grant { origin = "exec"; result = g };
+    [ Trace.Grant { origin = Trace.Exec; result = g };
       Trace.Derive { pc = 0; op = "csetbounds"; result = mid };
       Trace.Derive { pc = 4; op = "csetbounds"; result = leaf } ]
   in
@@ -200,8 +201,8 @@ let test_provenance_picks_tightest_parent () =
   let tight = sub ~base:0x20100 ~len:64 ~perms:Perms.data in
   let leaf = sub ~base:0x20110 ~len:8 ~perms:Perms.data in
   let events =
-    [ Trace.Grant { origin = "exec"; result = wide };
-      Trace.Grant { origin = "malloc"; result = tight };
+    [ Trace.Grant { origin = Trace.Exec; result = wide };
+      Trace.Grant { origin = Trace.Malloc; result = tight };
       Trace.Derive { pc = 0; op = "csetbounds"; result = leaf } ]
   in
   let f = Prov.build events in

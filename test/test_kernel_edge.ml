@@ -356,3 +356,187 @@ let kevent_suite =
     test_kevent_preserves_capability;
     "kevent-returned capability keeps bounds", `Quick,
     test_kevent_udata_bounds_still_enforced ]
+
+(* --- The grant door ------------------------------------------------------------------------ *)
+
+(* Every capability the kernel makes for a process passes [Kstate.grant]
+   (or its check-and-trace step [Kstate.admit]), which checks it against
+   the process's root and traces it. These tests drive each grant path on
+   bare processes (an address space with one read-write page, no image)
+   and expect exactly the [Grant] events of the traced pid. *)
+
+module Trace = Cheri_isa.Trace
+module Cpu = Cheri_isa.Cpu
+module Trap = Cheri_isa.Trap
+module Prot = Cheri_vm.Prot
+module Pmap = Cheri_vm.Pmap
+module Addr_space = Cheri_vm.Addr_space
+module Errno = Cheri_kernel.Errno
+module Uarg = Cheri_kernel.Uarg
+module Exec = Cheri_kernel.Exec
+module Loop = Cheri_kernel.Loop
+module Sys_impl = Cheri_kernel.Sys_impl
+module Ptrace_impl = Cheri_kernel.Ptrace_impl
+
+let page_va = 0x40_0000
+
+let bare_proc k ~abi =
+  let asp =
+    Addr_space.create ~root:k.Kstate.user_root
+      ~principal:(Kstate.alloc_principal k) ~phys:k.Kstate.phys
+      ~swap:k.Kstate.swap ()
+  in
+  let p = Proc.create ~pid:(Kstate.alloc_pid k) ~parent:0 ~abi ~asp in
+  Kstate.add_proc k p;
+  ignore
+    (Addr_space.map_fixed asp ~start:page_va ~len:4096 ~prot:Prot.rw
+       ~name:"page" ());
+  p
+
+let root_of (p : Proc.t) = Addr_space.root_cap p.Proc.asp
+
+let sub_cap (p : Proc.t) ~addr ~len perms =
+  Cap.and_perms (Cap.set_bounds (Cap.set_addr (root_of p) addr) ~len) perms
+
+(* The [Grant] events [f] emits while [pid] is traced. *)
+let grants_of k ~pid f =
+  let c = Trace.collector () in
+  k.Kstate.tracer <- Some (Trace.sink_of c);
+  k.Kstate.trace_pid <- Some pid;
+  f ();
+  k.Kstate.tracer <- None;
+  k.Kstate.trace_pid <- None;
+  List.filter_map
+    (function
+      | Trace.Grant { origin; result } ->
+        Some (Trace.origin_name origin ^ " " ^ Cap.to_string result)
+      | Trace.Derive _ | Trace.Fault _ | Trace.Marker _ -> None)
+    (Trace.to_list c)
+
+(* Run a scenario on a fresh machine twice. [scenario k ~grantee]
+   returns the pid to trace (the grantee's, or another process's when
+   [grantee] is false), the grants the grantee must see, and the action.
+   Tracing another process must see no grant at all. *)
+let check_grants name scenario =
+  List.iter
+    (fun grantee ->
+      let k = Runtime.boot () in
+      let pid, expected, act = scenario k ~grantee in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s traced" name
+           (if grantee then "grantee" else "another pid"))
+        (if grantee then expected else [])
+        (grants_of k ~pid act))
+    [ true; false ]
+
+(* A page of [p] holding one capability, then swapped out. *)
+let swapped_page k p =
+  let c = sub_cap p ~addr:(page_va + 64) ~len:32 Perms.data in
+  Kstate.copy k p (Kaddr (page_va + 16)) c;
+  Alcotest.(check int) "page evicted" 1
+    (Pmap.evict_pages (Addr_space.pmap p.Proc.asp) ~n:8);
+  c
+
+let test_grant_swap_fault () =
+  check_grants "page fault" (fun k ~grantee ->
+      let p = bare_proc k ~abi:Abi.Cheriabi in
+      let other = bare_proc k ~abi:Abi.Cheriabi in
+      let c = swapped_page k p in
+      ( (if grantee then p else other).Proc.pid,
+        [ "swap " ^ Cap.to_string c ],
+        fun () ->
+          Loop.handle_trap k p
+            (Trap.Page_fault { vaddr = page_va; write = false; exec = false });
+          Alcotest.(check string) "rederived in place" (Cap.to_string c)
+            (Cap.to_string (Kstate.kread_cap k p (page_va + 16)))))
+
+let test_grant_swap_fork () =
+  check_grants "fork" (fun k ~grantee ->
+      let p = bare_proc k ~abi:Abi.Cheriabi in
+      let other = bare_proc k ~abi:Abi.Cheriabi in
+      let c = swapped_page k p in
+      ( (if grantee then p else other).Proc.pid,
+        [ "swap " ^ Cap.to_string c ],
+        fun () -> ignore (Sys_impl.sys_fork k p) ))
+
+let test_grant_ptrace_pokecap () =
+  check_grants "pt_pokecap" (fun k ~grantee ->
+      let dbg = bare_proc k ~abi:Abi.Mips64 in
+      let t = bare_proc k ~abi:Abi.Cheriabi in
+      let ptrace req ~addr ~data =
+        Ptrace_impl.dispatch k dbg ~req ~pid:t.Proc.pid ~addr ~data
+      in
+      (* The debugger describes a capability: tag, perms, base, top, addr. *)
+      let poke ~perms ~base ~top ~addr =
+        let desc = Bytes.create 40 in
+        List.iteri
+          (fun i v -> Bytes.set_int64_le desc (i * 8) (Int64.of_int v))
+          [ 1; perms; base; top; addr ];
+        Kstate.kwrite_bytes k dbg page_va desc;
+        ptrace Sysno.pt_pokecap ~addr:(Uarg.Uaddr page_va)
+          ~data:(page_va + 32)
+      in
+      let c = sub_cap t ~addr:(page_va + 64) ~len:32 Perms.data in
+      ( (if grantee then t else dbg).Proc.pid,
+        [ "ptrace " ^ Cap.to_string c ],
+        fun () ->
+          ignore (ptrace Sysno.pt_attach ~addr:(Uarg.Uaddr 0) ~data:0);
+          ignore
+            (poke ~perms:(Cap.perms c) ~base:(Cap.base c) ~top:(Cap.top c)
+               ~addr:(Cap.addr c));
+          Alcotest.(check string) "injected" (Cap.to_string c)
+            (Cap.to_string (Kstate.kread_cap k t (page_va + 32)));
+          (* Bounds outside the target's root (above the user range) are
+             refused, not granted. *)
+          let above = Addr_space.user_top_default in
+          match
+            poke ~perms:(Cap.perms c) ~base:above ~top:(above + 0x100)
+              ~addr:above
+          with
+          | _ -> Alcotest.fail "pokecap outside the root succeeded"
+          | exception Errno.Error Errno.EPROT -> () ))
+
+let test_grant_signal_trampoline () =
+  check_grants "signal" (fun k ~grantee ->
+      let p = bare_proc k ~abi:Abi.Cheriabi in
+      let other = bare_proc k ~abi:Abi.Cheriabi in
+      let ctx = p.Proc.ctx in
+      let stack = sub_cap p ~addr:page_va ~len:4096 Perms.data in
+      Cpu.wr_creg ctx Reg.csp (Cap.set_addr stack (page_va + 4096));
+      let handler = sub_cap p ~addr:0x2_0000 ~len:64 Perms.code in
+      let tramp = sub_cap p ~addr:Exec.sigcode_base ~len:16 Perms.code in
+      ( (if grantee then p else other).Proc.pid,
+        [ "signal " ^ Cap.to_string tramp ],
+        fun () ->
+          Signal_dispatch.deliver_to_handler k p Signo.sigusr1
+            (Uarg.Ucap handler);
+          Alcotest.(check string) "trampoline in cra" (Cap.to_string tramp)
+            (Cap.to_string (Cpu.rd_creg ctx Reg.cra));
+          Alcotest.(check string) "handler in pcc" (Cap.to_string handler)
+            (Cap.to_string ctx.Cpu.pcc) ))
+
+(* The door's root check is always on: a capability derived from the
+   kernel root and outside the user range is a kernel bug, and nothing is
+   stored. *)
+let test_grant_outside_root_raises () =
+  let k = Runtime.boot () in
+  let p = bare_proc k ~abi:Abi.Cheriabi in
+  let c =
+    Cap.and_perms
+      (Cap.set_bounds
+         (Cap.set_addr k.Kstate.kernel_root Addr_space.user_top_default)
+         ~len:64)
+      Perms.data
+  in
+  (match Kstate.grant k p ~origin:Exec (Creg Reg.ca0) c with
+   | () -> Alcotest.fail "grant outside the root was stored"
+   | exception Kstate.Kernel_bug _ -> ());
+  Alcotest.(check bool) "ca0 untouched" false
+    (Cap.is_tagged (Cpu.rd_creg p.Proc.ctx Reg.ca0))
+
+let grant_suite =
+  [ "swap-in by page fault is granted", `Quick, test_grant_swap_fault;
+    "swap-in by fork is granted", `Quick, test_grant_swap_fork;
+    "ptrace pokecap is granted", `Quick, test_grant_ptrace_pokecap;
+    "signal trampoline is granted", `Quick, test_grant_signal_trampoline;
+    "grant outside the root raises", `Quick, test_grant_outside_root_raises ]

@@ -11,6 +11,7 @@ let () =
       "kernel-edge", Test_kernel_edge.suite;
       "vfs-exec", Test_vfs.suite;
       "kevent", Test_kernel_edge.kevent_suite;
+      "grant", Test_kernel_edge.grant_suite;
       "libc", Test_libc.suite;
       "malloc", Test_malloc.suite;
       "cc", Test_cc.suite;

@@ -163,7 +163,8 @@ let test_remote_free_choreography () =
      change sweep will have a real tag to clear. *)
   let ppmap = Addr_space.pmap p.Proc.asp in
   let mem = Pmap.mem ppmap in
-  let parent_pa = Option.get (Pmap.kernel_touch ppmap a ~write:true) in
+  let parent_pa = Option.get (Pmap.kernel_touch ppmap a ~write:true
+      ~on_rederive:ignore) in
   Tagmem.write_cap mem parent_pa c;
   Alcotest.(check bool) "tag planted" true (Tagmem.get_tag mem parent_pa);
 
@@ -202,7 +203,8 @@ let test_remote_free_choreography () =
      the parent — which still shares nothing with the child now — keeps
      its planted capability. A sweep through the shared frame (the old
      [resident_pa] behaviour) would have stripped the parent's tag. *)
-  let child_pa = Option.get (Pmap.kernel_touch cpmap a ~write:false) in
+  let child_pa = Option.get (Pmap.kernel_touch cpmap a ~write:false
+      ~on_rederive:ignore) in
   Alcotest.(check bool) "child frame was privatized" true
     (child_pa <> parent_pa);
   Alcotest.(check bool) "child's recycled memory is untagged" false
@@ -335,7 +337,8 @@ let test_counters_conserved () =
   let _, cap = Malloc_impl.malloc k p 48 in
   let ppmap = Addr_space.pmap p.Proc.asp in
   Tagmem.write_cap (Pmap.mem ppmap)
-    (Option.get (Pmap.kernel_touch ppmap objs.(0) ~write:true))
+    (Option.get (Pmap.kernel_touch ppmap objs.(0) ~write:true
+        ~on_rederive:ignore))
     (Option.get cap);
   (* A large region unmapped behind the allocator's back: its free
      counts an unmap leak. *)

@@ -144,7 +144,7 @@ module Model = struct
        | Swapped id ->
          let f = alloc t in
          Swap.swap_in t.swap (Phys.mem t.phys) ~id ~pa:(Phys.frame_addr f)
-           ~root:t.root ();
+           ~root:t.root ~on_rederive:ignore;
          e.state <- Present f
        | Present f when write && e.cow ->
          if Phys.refcount t.phys f = 1 then e.cow <- false
@@ -171,7 +171,7 @@ module Model = struct
          | Swapped id ->
            let f = Phys.alloc_frame t.phys in
            Swap.swap_in t.swap (Phys.mem t.phys) ~id ~pa:(Phys.frame_addr f)
-             ~root:t.root ();
+             ~root:t.root ~on_rederive:ignore;
            e.state <- Present f
          | Lazy | Present _ -> ());
         let ce =
@@ -327,14 +327,16 @@ let agree ops =
         (fun () -> Model.translate m v ~write ~exec)
     | Fault (s, p, write, exec) ->
       let i, m = pick s in
-      both (fun () -> Pmap.handle_fault i ~vaddr:(va p) ~write ~exec ())
+      both (fun () -> Pmap.handle_fault i ~vaddr:(va p) ~write ~exec
+          ~on_rederive:ignore)
         (fun () -> Model.handle_fault m ~vaddr:(va p) ~write ~exec)
     | Fault_span (s, p, n, write) ->
       let i, m = pick s in
       let pages = List.init n (fun j -> va (p + j)) in
       both
         (fun () ->
-          List.map (fun vaddr -> Pmap.handle_fault i ~vaddr ~write ~exec:false ()) pages)
+          List.map (fun vaddr -> Pmap.handle_fault i ~vaddr ~write ~exec:false
+              ~on_rederive:ignore) pages)
         (fun () ->
           List.map (fun vaddr -> Model.handle_fault m ~vaddr ~write ~exec:false) pages)
     | Evict (s, n) ->
@@ -406,7 +408,8 @@ let test_fork_charge_unchanged () =
       let k = Runtime.boot () in
       let p = spawn_idle k abi in
       let a, _ = Malloc_impl.malloc k p 200 in
-      ignore (Pmap.kernel_touch (Addr_space.pmap p.Proc.asp) a ~write:true);
+      ignore (Pmap.kernel_touch (Addr_space.pmap p.Proc.asp) a ~write:true
+          ~on_rederive:ignore);
       let before = p.Proc.ctx.Cheri_isa.Cpu.cycles in
       (match Sys_impl.sys_fork k p with
        | Sys_impl.RInt _ -> ()

@@ -101,7 +101,7 @@ let test_initialize_writes () =
       w_int = (fun a ~len:_ v -> Hashtbl.replace ints a v);
       w_cap = (fun a c -> Hashtbl.replace caps a c) }
   in
-  Rtld.initialize lk ~root ~writers ();
+  Rtld.initialize lk ~root ~writers;
   (* Data templates were copied. *)
   Alcotest.(check bool) "data copied" true (!bytes_written >= 32);
   (* The capability reloc in b's data points at avar+4. *)
@@ -129,7 +129,7 @@ let test_legacy_initialize_uses_ints () =
       w_int = (fun a ~len:_ v -> Hashtbl.replace ints a v);
       w_cap = (fun _ _ -> incr cap_writes) }
   in
-  Rtld.initialize lk ~root ~writers ();
+  Rtld.initialize lk ~root ~writers;
   Alcotest.(check int) "no capabilities on legacy" 0 !cap_writes;
   let b = List.nth lk.Rtld.lk_placed 1 in
   let avar = Option.get (Rtld.symbol_address lk "avar") in

@@ -21,7 +21,8 @@ let mk ?(principal = 1) () =
 
 (* Write through the pmap, faulting pages in as the kernel would. *)
 let touch asp vaddr ~write =
-  match Pmap.kernel_touch (Addr_space.pmap asp) vaddr ~write with
+  match Pmap.kernel_touch (Addr_space.pmap asp) vaddr ~write
+      ~on_rederive:ignore with
   | Some pa -> pa
   | None -> Alcotest.failf "unexpected fault at 0x%x" vaddr
 
@@ -38,7 +39,8 @@ let test_map_and_touch () =
 let test_unmapped_faults () =
   let _, _, _, asp = mk () in
   Alcotest.(check bool) "unmapped" true
-    (Pmap.kernel_touch (Addr_space.pmap asp) 0x999000 ~write:false = None)
+    (Pmap.kernel_touch (Addr_space.pmap asp) 0x999000 ~write:false
+        ~on_rederive:ignore = None)
 
 let test_prot_enforced () =
   let _, _, _, asp = mk () in
@@ -46,7 +48,8 @@ let test_prot_enforced () =
       ~name:"ro" () in
   let _ = touch asp 0x20000 ~write:false in
   Alcotest.(check bool) "write to RO denied" true
-    (Pmap.kernel_touch (Addr_space.pmap asp) 0x20000 ~write:true = None)
+    (Pmap.kernel_touch (Addr_space.pmap asp) 0x20000 ~write:true
+        ~on_rederive:ignore = None)
 
 let test_mprotect () =
   let _, _, _, asp = mk () in
@@ -55,7 +58,8 @@ let test_mprotect () =
   let _ = touch asp 0x20000 ~write:true in
   Addr_space.protect asp ~start:0x20000 ~len:4096 ~prot:Prot.r;
   Alcotest.(check bool) "now read-only" true
-    (Pmap.kernel_touch (Addr_space.pmap asp) 0x20000 ~write:true = None)
+    (Pmap.kernel_touch (Addr_space.pmap asp) 0x20000 ~write:true
+        ~on_rederive:ignore = None)
 
 let test_map_anywhere_no_overlap () =
   let _, _, _, asp = mk () in
@@ -75,6 +79,7 @@ let test_unmap () =
   Addr_space.unmap asp ~start:r.Addr_space.r_start ~len:4096;
   Alcotest.(check bool) "gone" true
     (Pmap.kernel_touch (Addr_space.pmap asp) r.Addr_space.r_start ~write:false
+        ~on_rederive:ignore
      = None)
 
 let test_fixed_overlap_rejected () =
@@ -162,7 +167,8 @@ let test_fork_cow () =
   let root = Addr_space.root_cap parent in
   Tagmem.write_cap mem (pa + 16)
     (Cap.set_bounds (Cap.set_addr root 0x40100) ~len:64);
-  let child = Addr_space.fork parent ~principal:2 ~phys ~swap in
+  let child = Addr_space.fork parent ~principal:2 ~phys ~swap
+      ~on_rederive:ignore in
   (* Child writes: must not disturb the parent (COW), and the copied page
      must preserve tags. *)
   let cpa = touch child 0x40000 ~write:true in
@@ -177,7 +183,8 @@ let test_fork_read_shares () =
       ~name:"data" () in
   let pa = touch parent 0x40000 ~write:true in
   Tagmem.write_int mem pa ~len:8 7;
-  let child = Addr_space.fork parent ~principal:2 ~phys ~swap in
+  let child = Addr_space.fork parent ~principal:2 ~phys ~swap
+      ~on_rederive:ignore in
   let cpa = touch child 0x40000 ~write:false in
   Alcotest.(check int) "read shares the frame" pa cpa
 
@@ -250,7 +257,7 @@ let qcheck_swap_model =
         let data : (int, int) Hashtbl.t = Hashtbl.create 64 in
         let caps : (int, Cap.t) Hashtbl.t = Hashtbl.create 16 in
         let touch v ~write =
-          match Pmap.kernel_touch pmap v ~write with
+          match Pmap.kernel_touch pmap v ~write ~on_rederive:ignore with
           | Some pa -> pa
           | None -> failwith "unexpected fault"
         in

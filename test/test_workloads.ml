@@ -274,7 +274,24 @@ let test_openssl_trace_properties () =
       ~top:Cheri_vm.Addr_space.user_top_default ()
   in
   Alcotest.(check int) "abstract-capability audit clean" 0
-    (List.length (Cheri_core.Abstract_cap.audit ~principal:1 ~root events))
+    (List.length (Cheri_core.Abstract_cap.audit ~principal:1 ~root events));
+  (* The Fig. 5 census: which kernel path granted each root capability,
+     and how many the server derived from them. *)
+  let module Trace = Cheri_isa.Trace in
+  let count p = List.length (List.filter p events) in
+  let grants o =
+    count (function Trace.Grant { origin; _ } -> origin = o | _ -> false)
+  in
+  List.iter
+    (fun (o, n) ->
+      Alcotest.(check int) (Trace.origin_name o ^ " grants") n (grants o))
+    [ Trace.Malloc, 30; Trace.Rtld, 18; Trace.Exec, 9; Trace.Syscall, 1;
+      Trace.Signal, 0; Trace.Ptrace, 0; Trace.Swap, 0 ];
+  Alcotest.(check int) "grants" 58
+    (count (function Trace.Grant _ -> true | _ -> false));
+  Alcotest.(check int) "derivations" 431
+    (count (function Trace.Derive _ -> true | _ -> false));
+  Alcotest.(check int) "events" 489 (List.length events)
 
 let test_sysbench_shape () =
   let rs = Sysbench.run_all () in
